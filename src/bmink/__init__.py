@@ -15,9 +15,8 @@ from .voxel import (DecompositionReport, GridError, GridExtentError, GridSet,
                     ShapeSpec, boundary, check_lemma_bc, decomposition_check,
                     dilate, erode_open, interior, is_boundary_connected,
                     rasterize, volume)
-from .inequalities import (InequalityReport, RnEvaluation, check_cor_multi,
-                           check_lemma_pbm, check_rn, check_thm_av,
-                           check_thm_bbm, eval_Rn, rn_value)
+from .inequalities import (InequalityReport, check_cor_multi, check_lemma_pbm,
+                           check_rn, check_thm_av, check_thm_bbm, rn_value)
 from .restricted import (RestrictedSumResult, ThetaSpec, check_arithmetic_bm,
                          check_theta_bounds, restricted_sum,
                          shrinking_pair_demo)
@@ -39,8 +38,8 @@ __all__ = [
     "ShapeSpec", "boundary", "check_lemma_bc", "decomposition_check",
     "dilate", "erode_open", "interior", "is_boundary_connected", "rasterize",
     "volume",
-    "InequalityReport", "RnEvaluation", "check_cor_multi", "check_lemma_pbm",
-    "check_rn", "check_thm_av", "check_thm_bbm", "eval_Rn", "rn_value",
+    "InequalityReport", "check_cor_multi", "check_lemma_pbm", "check_rn",
+    "check_thm_av", "check_thm_bbm", "rn_value",
     "RestrictedSumResult", "ThetaSpec", "check_arithmetic_bm",
     "check_theta_bounds", "restricted_sum", "shrinking_pair_demo",
     "GridGenParams", "PolygonGenParams", "gen_connected_boundary_set",

@@ -3,18 +3,15 @@
 A campaign draws independent trials from a root seed (per-trial streams are
 derived by counter, so any single trial can be replayed in isolation), runs
 one theorem checker per trial and streams one JSON report line per check.
-Identical configurations produce byte-identical output: trials may execute
-on a small thread pool, but reports are written by a single writer in trial
-order.  The exit-code contract is nonzero exactly when some report is a
-beyond-tolerance violation.
+Trials run in order on the calling thread, so identical configurations
+produce byte-identical output.  The exit-code contract is nonzero exactly
+when some report is a beyond-tolerance violation.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Optional, Sequence
@@ -105,57 +102,55 @@ class CampaignSummary:
 
 
 def worker_count(trials: int) -> int:
-    """Worker cap: BMINK_THREADS when set, else the CPU count."""
-    env = os.environ.get("BMINK_THREADS")
-    if env is not None:
-        cap = max(1, int(env))
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, trials))
+    """Always 1: campaigns run serially.  Kept because bench/worker.py
+    records it for every benchmark run."""
+    return 1
 
 
 def _random_lambda(rng) -> Fraction:
     return Fraction(rng.randint(1, 15), 16)
 
 
+def _polygon_pair(config: CampaignConfig, rng, plant_rate: float):
+    """An exact (K, T) pair, its shape specs and its planted mode."""
+    kp, tp, mode = gen_polygon_pair(rng, config.polygon_params, plant_rate)
+    return kp, tp, (spec_from_polygon(kp), spec_from_polygon(tp)), mode
+
+
+def _boundary_sets(config: CampaignConfig, rng, m: int):
+    """m voxel bodies with connected boundaries, and their shape specs."""
+    bodies = [gen_connected_boundary_set(rng, config.grid_params, config.dim,
+                                         config.h) for _ in range(m)]
+    return [g for g, _ in bodies], tuple(s for _, s in bodies)
+
+
+def _tagged(report: InequalityReport, planted) -> list[InequalityReport]:
+    report.details["planted"] = planted
+    return [report]
+
+
 def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
     rng = trial_rng(config.seed, k)
     theorem, engine = config.theorem, config.engine
+    ids = {"seed": config.seed, "trial": k}
 
     if theorem == "thm-av":
         if engine == EXACT:
-            kp, tp, mode = gen_polygon_pair(rng, config.polygon_params,
-                                            config.plant_rate)
-            report = check_thm_av(
-                kp, tp, EXACT,
-                shapes=(spec_from_polygon(kp), spec_from_polygon(tp)),
-                seed=config.seed, trial=k)
-            report.details["planted"] = mode
-            return [report]
-        gk, sk = gen_connected_boundary_set(rng, config.grid_params,
-                                            config.dim, config.h)
-        gt, st = gen_connected_boundary_set(rng, config.grid_params,
-                                            config.dim, config.h)
-        return [check_thm_av(gk, gt, VOXEL, shapes=(sk, st),
-                             seed=config.seed, trial=k)]
+            kp, tp, shapes, mode = _polygon_pair(config, rng, config.plant_rate)
+            return _tagged(check_thm_av(kp, tp, EXACT, shapes=shapes, **ids),
+                           mode)
+        grids, shapes = _boundary_sets(config, rng, 2)
+        return [check_thm_av(*grids, VOXEL, shapes=shapes, **ids)]
 
     if theorem == "thm-bbm":
         lam = config.lam if config.lam is not None else _random_lambda(rng)
         if engine == EXACT:
-            kp, tp, mode = gen_polygon_pair(rng, config.polygon_params,
-                                            config.plant_rate)
-            report = check_thm_bbm(
-                kp, tp, lam, EXACT,
-                shapes=(spec_from_polygon(kp), spec_from_polygon(tp)),
-                seed=config.seed, trial=k)
-            report.details["planted"] = mode
-            return [report]
-        _, sk = gen_connected_boundary_set(rng, config.grid_params,
-                                           config.dim, config.h)
-        _, st = gen_connected_boundary_set(rng, config.grid_params,
-                                           config.dim, config.h)
-        return [check_thm_bbm(sk, st, lam, VOXEL, h=config.h,
-                              shapes=(sk, st), seed=config.seed, trial=k)]
+            kp, tp, shapes, mode = _polygon_pair(config, rng, config.plant_rate)
+            return _tagged(
+                check_thm_bbm(kp, tp, lam, EXACT, shapes=shapes, **ids), mode)
+        _, shapes = _boundary_sets(config, rng, 2)
+        return [check_thm_bbm(*shapes, lam, VOXEL, h=config.h, shapes=shapes,
+                              **ids)]
 
     if theorem == "cor-multi":
         if engine == EXACT:
@@ -171,47 +166,35 @@ def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
             else:
                 bodies = [gen_polygon_pair(rng, config.polygon_params, 0.0)[0]
                           for _ in range(config.bodies)]
-            report = check_cor_multi(
-                bodies, EXACT,
-                shapes=tuple(spec_from_polygon(b) for b in bodies),
-                seed=config.seed, trial=k)
-            report.details["planted"] = PLANT_TRANSLATE if planted else None
-            return [report]
-        grids = []
-        specs = []
-        for _ in range(config.bodies):
-            g, s = gen_connected_boundary_set(rng, config.grid_params,
-                                              config.dim, config.h)
-            grids.append(g)
-            specs.append(s)
-        return [check_cor_multi(grids, VOXEL, shapes=tuple(specs),
-                                seed=config.seed, trial=k)]
+            shapes = tuple(spec_from_polygon(b) for b in bodies)
+            return _tagged(check_cor_multi(bodies, EXACT, shapes=shapes, **ids),
+                           PLANT_TRANSLATE if planted else None)
+        grids, shapes = _boundary_sets(config, rng, config.bodies)
+        return [check_cor_multi(grids, VOXEL, shapes=shapes, **ids)]
 
     if theorem == "lemma-pbm":
         m = rng.randint(1, 4)
         prefix = [rng.uniform(0.01, 2.0) for _ in range(m)]
         last = sum(prefix) / rng.uniform(0.05, 1.0)
-        return [check_lemma_pbm(prefix + [last], seed=config.seed, trial=k)]
+        return [check_lemma_pbm(prefix + [last], **ids)]
 
     if theorem == "rn":
         n = rng.choice([2, 3, 4, 5, 6])
         lam = rng.uniform(0.01, 0.99)
         x = 10.0 ** rng.uniform(-2.0, 2.0)
-        return [check_rn(n, lam, x, seed=config.seed, trial=k)]
+        return [check_rn(n, lam, x, **ids)]
 
     if theorem == "thm-4.2":
         if engine == EXACT:
-            kp, tp, _ = gen_polygon_pair(rng, config.polygon_params, 0.0)
-            return [restricted.check_arithmetic_bm(
-                kp, tp, EXACT,
-                shapes=(spec_from_polygon(kp), spec_from_polygon(tp)),
-                seed=config.seed, trial=k)]
+            kp, tp, shapes, _ = _polygon_pair(config, rng, 0.0)
+            return [restricted.check_arithmetic_bm(kp, tp, EXACT,
+                                                   shapes=shapes, **ids)]
         gk, sk, gt, st = gen_decomposition_pair(rng, config.grid_params,
                                                 config.dim, config.h)
         main = restricted.check_arithmetic_bm(gk, gt, VOXEL, shapes=(sk, st),
-                                              seed=config.seed, trial=k)
-        pairs, roots = restricted.check_theta_bounds(
-            gk, gt, shapes=(sk, st), seed=config.seed, trial=k)
+                                              **ids)
+        pairs, roots = restricted.check_theta_bounds(gk, gt, shapes=(sk, st),
+                                                     **ids)
         if pairs.details.get("containment_verdict") is False:
             pairs.flags = pairs.flags + ("containment_failed",)
         return [main, pairs, roots]
@@ -232,8 +215,8 @@ def run_campaign(config: CampaignConfig,
     """Run all trials, stream JSONL reports and return the summary.
 
     Reports go to `out` when given, else to config.out_path, else they are
-    only aggregated.  Output order is trial order regardless of the worker
-    pool, so identical configs give byte-identical files.
+    only aggregated.  Trials run in order on the calling thread, so
+    identical configs give byte-identical files.
     """
     config.validate()
     summary = CampaignSummary(theorem=config.theorem, engine=config.engine)
@@ -245,17 +228,9 @@ def run_campaign(config: CampaignConfig,
         stream = open(config.out_path, "w", encoding="utf-8")
         close_after = True
 
-    workers = worker_count(config.trials)
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = pool.map(lambda k: _run_trial(config, k),
-                                   range(config.trials))
-                for batch in batches:
-                    _consume(summary, batch, stream)
-        else:
-            for k in range(config.trials):
-                _consume(summary, _run_trial(config, k), stream)
+        for k in range(config.trials):
+            _consume(summary, _run_trial(config, k), stream)
     finally:
         if stream is not None:
             stream.flush()

@@ -7,9 +7,9 @@ Subcommands:
   render     draw the boundary-sum decomposition of a pair as SVG
   demo       closed-form demonstration runs
 
-The worker count of campaigns is capped by the BMINK_THREADS environment
-variable.  A JSON config file can pre-set any `verify` flag; explicit flags
-win over the file.
+Campaign trials run in order on one thread.  A JSON config file can pre-set
+any `verify` flag; explicit flags win over the file.  Malformed input ends
+in a one-line `error:` message and exit code 2.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .exact2d import GeometryError, erode as erode_exact
 from .generators import GridGenParams, PolygonGenParams
 from .render import render_decomposition_svg
 from .serialize import (dumps_canonical, frac_to_str, load_shape_file,
-                        polygon_to_json, spec_to_polygon, spec_true_area)
+                        parse_number, polygon_to_json, spec_to_polygon,
+                        spec_true_area)
 from .voxel import GridError
 
 
@@ -103,33 +104,42 @@ def _verify_config(args: argparse.Namespace) -> CampaignConfig:
     values = dict(_VERIFY_DEFAULTS)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except ValueError as exc:
+                raise GeometryError(
+                    f"{args.config} is not valid JSON: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise GeometryError(f"{args.config} must hold a JSON object")
         for key in file_values:
             if key not in values:
                 raise GeometryError(f"unknown config key {key!r}")
         if "res" in file_values:
-            file_values["res"] = Fraction(str(file_values["res"]))
+            file_values["res"] = parse_number(str(file_values["res"]))
         if file_values.get("lam") is not None:
-            file_values["lam"] = Fraction(str(file_values["lam"]))
+            file_values["lam"] = parse_number(str(file_values["lam"]))
         values.update(file_values)
     for key in values:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    return CampaignConfig(
-        theorem=args.theorem,
-        engine=values["engine"],
-        trials=int(values["trials"]),
-        dim=int(values["dim"]),
-        h=float(values["res"]),
-        lam=values["lam"],
-        bodies=int(values["bodies"]),
-        plant_rate=float(values["plant_rate"]),
-        seed=int(values["seed"]),
-        out_path=values["out"],
-        polygon_params=PolygonGenParams(),
-        grid_params=GridGenParams(),
-    )
+    try:
+        return CampaignConfig(
+            theorem=args.theorem,
+            engine=values["engine"],
+            trials=int(values["trials"]),
+            dim=int(values["dim"]),
+            h=float(values["res"]),
+            lam=values["lam"],
+            bodies=int(values["bodies"]),
+            plant_rate=float(values["plant_rate"]),
+            seed=int(values["seed"]),
+            out_path=values["out"],
+            polygon_params=PolygonGenParams(),
+            grid_params=GridGenParams(),
+        )
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"bad config value: {exc}") from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -309,14 +309,6 @@ def check_thm_bbm(k, t, lam, engine: str = EXACT, *, h: Optional[float] = None,
 # The scale-ratio function R_n and the auxiliary scalar inequality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RnEvaluation:
-    n: int
-    lam: float
-    x: float
-    value: float
-
-
 def rn_value(n: int, lam: float, x: float) -> float:
     """Ratio lower-bound function of the weighted product inequality.
 
@@ -333,10 +325,6 @@ def rn_value(n: int, lam: float, x: float) -> float:
     a = abs((1 - lam) * x + lam) ** n - abs((1 - lam) * x - lam) ** n
     b = abs((1 - lam) + lam * x) ** n - abs((1 - lam) - lam * x) ** n
     return a * b / x ** n
-
-
-def eval_Rn(n: int, lam: float, x: float) -> RnEvaluation:
-    return RnEvaluation(n=n, lam=lam, x=x, value=rn_value(n, lam, x))
 
 
 def check_rn(n: int, lam: float, x: float, *,

@@ -1,11 +1,11 @@
 """Restricted Minkowski sums on voxel grids.
 
 A restriction admits only certain (x, y) cell pairs of K x T into the sum.
-Two restrictions are supported: the full product, and the complement of the
-erosion fit ("x not in (erosion - y)"), whose sum lands inside the boundary
-sum.  The admitted-pair set is never materialized in 2n dimensions; pairs
-are counted by sweeping y over T and intersecting K with the translated
-erosion, so memory stays linear in the grid.
+The supported restriction is the complement of the erosion fit ("x not in
+(erosion - y)"), whose sum lands inside the boundary sum.  The admitted-pair
+set is never materialized in 2n dimensions; pairs are counted by sweeping y
+over T and intersecting K with the translated erosion, so memory stays
+linear in the grid.
 """
 
 from __future__ import annotations
@@ -27,16 +27,12 @@ from .voxel import (GridError, GridSet, boundary, difference, dilate,
 
 @dataclass(frozen=True)
 class ThetaSpec:
-    """Which (x, y) pairs of K x T are admitted into the restricted sum."""
+    """The (x, y) pairs of K x T admitted into the restricted sum: those
+    with x outside (erosion - y)."""
 
-    kind: str  # "full" | "erosion_complement"
-    k: Optional[GridSet] = None
-    t: Optional[GridSet] = None
-    erosion: Optional[GridSet] = None
-
-    @staticmethod
-    def full() -> "ThetaSpec":
-        return ThetaSpec("full")
+    k: GridSet
+    t: GridSet
+    erosion: GridSet
 
     @staticmethod
     def erosion_complement(k: GridSet, t: GridSet,
@@ -45,7 +41,7 @@ class ThetaSpec:
             erosion = erode_open(k, t)
         if not (erosion.same_grid(k) and k.same_grid(t)):
             raise GridError("erosion must live on the same grid as K and T")
-        return ThetaSpec("erosion_complement", k=k, t=t, erosion=erosion)
+        return ThetaSpec(k, t, erosion)
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,7 @@ class RestrictedSumResult:
     sum_set: GridSet
     admitted_pairs: int
     theta_volume: float  # admitted pairs * h^(2n), product-measure units
-    containment_verdict: Optional[bool]  # sum inside bK + bT (erosion kind)
+    containment_verdict: bool  # sum inside bK + bT
 
 
 def _admitted_pair_count(k: GridSet, t: GridSet, erosion: GridSet) -> int:
@@ -83,33 +79,21 @@ def restricted_sum(a: GridSet, b: GridSet,
                    theta: ThetaSpec) -> RestrictedSumResult:
     """Sum {x + y} over the admitted pairs of the restriction.
 
-    Full restriction reproduces the plain dilation.  For the erosion
-    complement, admitting exactly the pairs with x outside (erosion - y)
-    makes the sum set equal to dilate(A, B) minus the erosion, and the
-    containment verdict checks it lands inside the boundary sum.
+    Admitting exactly the pairs with x outside (erosion - y) makes the sum
+    set equal to dilate(A, B) minus the erosion, and the containment
+    verdict checks it lands inside the boundary sum.
     """
     if not a.same_grid(b):
         raise GridError("operands must share dimension and resolution")
-    n = a.dim
-    if theta.kind == "full":
-        total = dilate(a, b)
-        admitted = a.count * b.count
-        return RestrictedSumResult(
-            sum_set=total, admitted_pairs=admitted,
-            theta_volume=admitted * a.h ** (2 * n),
-            containment_verdict=None)
-    if theta.kind == "erosion_complement":
-        if theta.k != a or theta.t != b:
-            raise GridError("theta was built for a different (K, T) pair")
-        erosion = theta.erosion
-        admitted = _admitted_pair_count(a, b, erosion)
-        sum_set = difference(dilate(a, b), erosion)
-        verdict = is_subset(sum_set, dilate(boundary(a), boundary(b)))
-        return RestrictedSumResult(
-            sum_set=sum_set, admitted_pairs=admitted,
-            theta_volume=admitted * a.h ** (2 * n),
-            containment_verdict=verdict)
-    raise GridError(f"unknown theta kind {theta.kind!r}")
+    if theta.k != a or theta.t != b:
+        raise GridError("theta was built for a different (K, T) pair")
+    admitted = _admitted_pair_count(a, b, theta.erosion)
+    sum_set = difference(dilate(a, b), theta.erosion)
+    return RestrictedSumResult(
+        sum_set=sum_set, admitted_pairs=admitted,
+        theta_volume=admitted * a.h ** (2 * a.dim),
+        containment_verdict=is_subset(sum_set,
+                                      dilate(boundary(a), boundary(b))))
 
 
 def check_theta_bounds(k: GridSet, t: GridSet, *,

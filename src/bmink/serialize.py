@@ -26,7 +26,10 @@ def frac_to_str(value: Fraction) -> str:
 def parse_number(value: Any) -> Any:
     """Decode a JSON payload number: "p/q" strings become Fractions."""
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise GeometryError(f"not a rational number: {value!r}") from None
     if isinstance(value, bool):
         raise GeometryError("boolean is not a number")
     if isinstance(value, (int, float)):
@@ -59,10 +62,10 @@ def polygon_from_json(data: dict) -> ConvexPolygon:
     """Load a polygon, canonicalizing: accepts any vertex order and falls
     back to the convex hull when the ring is not already counterclockwise."""
     try:
-        raw = data["vertices"]
-    except (TypeError, KeyError):
-        raise GeometryError("polygon JSON needs a 'vertices' field") from None
-    pts = [(Fraction(x), Fraction(y)) for x, y in raw]
+        pts = [(Fraction(x), Fraction(y)) for x, y in data["vertices"]]
+    except (TypeError, KeyError, ValueError, ZeroDivisionError):
+        raise GeometryError("polygon JSON needs a 'vertices' list of "
+                            "[x, y] rationals") from None
     try:
         return ConvexPolygon(pts)
     except GeometryError:
@@ -100,6 +103,15 @@ def shapespec_to_json(spec: ShapeSpec) -> dict:
 
 
 def shapespec_from_json(data: dict) -> ShapeSpec:
+    try:
+        return _shapespec_from_json(data)
+    except KeyError as exc:
+        raise GeometryError(f"shape spec is missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"malformed shape spec: {exc}") from None
+
+
+def _shapespec_from_json(data: dict) -> ShapeSpec:
     kind = data.get("kind")
     if kind == "box":
         return ShapeSpec.box([parse_number(v) for v in data["lo"]],
@@ -243,7 +255,10 @@ def gridset_from_rle_json(data: dict) -> GridSet:
 def load_shape_file(path: str) -> ShapeSpec:
     """Read either a polygon JSON file or a ShapeSpec JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise GeometryError(f"{path} is not valid JSON: {exc}") from None
     if isinstance(data, dict) and "kind" in data:
         return shapespec_from_json(data)
     if isinstance(data, dict) and "vertices" in data:

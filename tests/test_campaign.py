@@ -1,11 +1,12 @@
 import io
 import json
+import threading
 from fractions import Fraction as F
 
 import pytest
 
 from bmink.campaign import (CampaignConfig, CampaignSummary, _is_violation,
-                            run_campaign, worker_count)
+                            run_campaign)
 from bmink.exact2d import GeometryError
 from bmink.inequalities import InequalityReport
 
@@ -94,24 +95,19 @@ def test_ratio_tagged_failures_are_not_violations():
     assert _is_violation(hard)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("BMINK_THREADS", "2")
-    assert worker_count(10) == 2
-    assert worker_count(1) == 1
-    monkeypatch.setenv("BMINK_THREADS", "0")
-    assert worker_count(10) == 1
-    monkeypatch.delenv("BMINK_THREADS")
-    assert worker_count(4) >= 1
+def test_trials_run_in_order_on_calling_thread(monkeypatch):
+    import bmink.campaign as camp
 
+    calls = []
+    real = camp.check_thm_av
 
-def test_campaign_deterministic_across_worker_counts(monkeypatch):
-    monkeypatch.setenv("BMINK_THREADS", "1")
-    a = io.StringIO()
-    run_campaign(small_config(trials=12), out=a)
-    monkeypatch.setenv("BMINK_THREADS", "4")
-    b = io.StringIO()
-    run_campaign(small_config(trials=12), out=b)
-    assert a.getvalue() == b.getvalue()
+    def recording(*args, **kwargs):
+        calls.append((threading.get_ident(), kwargs["trial"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(camp, "check_thm_av", recording)
+    run_campaign(small_config(trials=8), out=io.StringIO())
+    assert calls == [(threading.get_ident(), k) for k in range(8)]
 
 
 def test_lambda_forwarded_to_reports():

@@ -125,3 +125,25 @@ def test_missing_file_errors_cleanly(tmp_path, capsys):
                  "--t", str(tmp_path / "nope.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_non_json_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{not json")
+    assert main(["verify", "rn", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_shape_file_missing_field_errors_cleanly(tmp_path, capsys):
+    k = tmp_path / "k.json"
+    k.write_text(json.dumps({"kind": "box"}))
+    assert main(["erode", "--k", str(k), "--t", str(k)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_shape_file_bad_number_errors_cleanly(tmp_path, capsys):
+    k = tmp_path / "k.json"
+    k.write_text(json.dumps({"kind": "ball", "center": [0, 0],
+                             "radius": "x"}))
+    assert main(["erode", "--k", str(k), "--t", str(k)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -6,7 +6,7 @@ from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, point,
                            scale, translate)
 from bmink.generators import GridGenParams, gen_connected_boundary_set, trial_rng
 from bmink.inequalities import (check_cor_multi, check_lemma_pbm, check_rn,
-                                check_thm_av, check_thm_bbm, eval_Rn,
+                                check_thm_av, check_thm_bbm,
                                 multi_boundary_sum_volume, rn_value)
 from bmink.voxel import ShapeSpec
 
@@ -143,12 +143,6 @@ def test_rn_rejects_bad_input():
         rn_value(3, 0.5, 0.0)
     with pytest.raises(GeometryError):
         rn_value(1, 0.5, 1.0)
-
-
-def test_eval_rn_record():
-    ev = eval_Rn(3, 0.25, 2.0)
-    assert ev.value == rn_value(3, 0.25, 2.0)
-    assert ev.value > 0
 
 
 def test_check_rn_report():

@@ -22,6 +22,8 @@ def test_fraction_strings_roundtrip():
     assert parse_number(0.5) == 0.5
     with pytest.raises(GeometryError):
         parse_number(True)
+    with pytest.raises(GeometryError):
+        parse_number("x")
 
 
 def test_polygon_json_roundtrip():
@@ -39,6 +41,8 @@ def test_polygon_json_canonicalizes_clockwise_input():
 def test_polygon_json_rejects_garbage():
     with pytest.raises(GeometryError):
         polygon_from_json({"not_vertices": []})
+    with pytest.raises(GeometryError):
+        polygon_from_json({"vertices": [["a", "0"], ["1", "0"], ["0", "1"]]})
 
 
 def test_shapespec_json_roundtrip():
