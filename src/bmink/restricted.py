@@ -3,8 +3,9 @@
 A restriction admits only certain (x, y) cell pairs of K x T into the sum.
 The supported restriction is the complement of the erosion fit ("x not in
 (erosion - y)"), whose sum lands inside the boundary sum.  The admitted-pair
-set is never materialized in 2n dimensions; pairs are counted by sweeping y
-over T and intersecting K with the translated erosion, so memory stays
+set is never materialized in 2n dimensions: the convolution of K with T
+counts, at each cell z, the pairs (x, y) with x + y = z, so the excluded
+pairs are that count summed over the erosion's cells and memory stays
 linear in the grid.
 """
 
@@ -15,13 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import exact2d
 from .exact2d import ConvexPolygon, GeometryError
 from .inequalities import (EXACT, VOXEL, InequalityReport, ShapeSpec,
                            voxel_slack_tolerance)
-from .voxel import (GridError, GridSet, boundary, difference, dilate,
+from .voxel import (GridError, GridSet, _convolve, _embed, boundary, dilate,
                     erode_open, is_boundary_connected, is_subset, volume)
 
 
@@ -52,43 +51,25 @@ class RestrictedSumResult:
     containment_verdict: bool  # sum inside bK + bT
 
 
-def _admitted_pair_count(k: GridSet, t: GridSet, erosion: GridSet) -> int:
-    """Count pairs (x, y) in K x T with x outside (erosion - y)."""
-    total = k.count * t.count
-    if erosion.is_empty:
-        return total
-    # Pad the erosion so every translated lookup is a pure view.
-    pad = tuple(a + b for a, b in zip(k.shape, t.shape))
-    padded = np.zeros(tuple(n + 2 * p for n, p in zip(erosion.shape, pad)),
-                      dtype=bool)
-    padded[tuple(slice(p, p + n) for p, n in zip(pad, erosion.shape))] = \
-        erosion.occ
-    excluded = 0
-    base = tuple(ok + ot - oe for ok, ot, oe
-                 in zip(k.origin, t.origin, erosion.origin))
-    for cell in np.argwhere(t.occ):
-        # x in K with x + y in erosion: erosion index = i + origin_k + y - origin_e
-        d = tuple(b + int(c) for b, c in zip(base, cell))
-        view = padded[tuple(slice(p + dd, p + dd + n)
-                            for p, dd, n in zip(pad, d, k.shape))]
-        excluded += int(np.count_nonzero(k.occ & view))
-    return total - excluded
-
-
 def restricted_sum(a: GridSet, b: GridSet,
                    theta: ThetaSpec) -> RestrictedSumResult:
     """Sum {x + y} over the admitted pairs of the restriction.
 
     Admitting exactly the pairs with x outside (erosion - y) makes the sum
     set equal to dilate(A, B) minus the erosion, and the containment
-    verdict checks it lands inside the boundary sum.
+    verdict checks it lands inside the boundary sum.  One convolution of A
+    with B gives both: its positive cells are dilate(A, B), and its counts
+    summed over the erosion's cells are the excluded pairs.
     """
     if not a.same_grid(b):
         raise GridError("operands must share dimension and resolution")
     if theta.k != a or theta.t != b:
         raise GridError("theta was built for a different (K, T) pair")
-    admitted = _admitted_pair_count(a, b, theta.erosion)
-    sum_set = difference(dilate(a, b), theta.erosion)
+    origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
+    counts = _convolve(a.occ, b.occ)
+    hole = _embed(theta.erosion, origin, counts.shape)
+    admitted = a.count * b.count - int(counts[hole].sum())
+    sum_set = GridSet(a.dim, a.h, origin, (counts > 0) & ~hole)
     return RestrictedSumResult(
         sum_set=sum_set, admitted_pairs=admitted,
         theta_volume=admitted * a.h ** (2 * a.dim),

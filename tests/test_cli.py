@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from bmink.cli import main
@@ -101,6 +102,17 @@ def test_erode_voxel_command(shape_files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["engine"] == "voxel"
     assert abs(payload["volume"] - 4.0) <= 0.3
+
+
+def test_inexact_convolution_errors_cleanly(shape_files, monkeypatch, capsys):
+    inverse = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda *args, **kwargs: inverse(*args, **kwargs) + 0.3)
+    k, t = shape_files
+    code = main(["erode", "--k", k, "--t", t, "--engine", "voxel",
+                 "--res", "1/32"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_render_command(shape_files, tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 from bmink.exact2d import ConvexPolygon, minkowski_sum
 from bmink.generators import GridGenParams, gen_decomposition_pair, trial_rng
 from bmink.serialize import spec_from_polygon
-from bmink.voxel import (GridError, GridExtentError, GridSet, ShapeSpec,
-                         boundary, check_lemma_bc, decomposition_check,
+from bmink.voxel import (MAX_CELLS, GridError, GridExtentError, GridSet,
+                         ShapeSpec, _check_extent, boundary, check_lemma_bc, decomposition_check,
                          difference, dilate, erode_open, interior,
                          intersection, is_boundary_connected, is_subset,
                          rasterize, reflect, union, volume)
@@ -59,6 +59,23 @@ def test_rasterize_margin_invariant():
 def test_rasterize_extent_cap():
     with pytest.raises(GridExtentError):
         rasterize(ShapeSpec.box((0, 0), (10, 10)), 1 / 1024)
+
+
+def test_total_cell_budget():
+    _check_extent((4096, 4096))  # every 2D grid within the axis cap is legal
+    with pytest.raises(GridExtentError):
+        _check_extent((1001, 1001, 1001))
+
+
+def test_dilate_checks_cell_budget_before_allocating():
+    # Two cells at opposite corners: small inputs whose sum frame does not fit.
+    side = 130
+    assert (2 * side - 1) ** 3 > MAX_CELLS
+    occ = np.zeros((side,) * 3, dtype=bool)
+    occ[0, 0, 0] = occ[-1, -1, -1] = True
+    g = GridSet(3, 1.0, (0, 0, 0), occ)
+    with pytest.raises(GridExtentError):
+        dilate(g, g)
 
 
 def test_simplex_volume_3d():
@@ -124,6 +141,17 @@ def test_dilate_commutes():
         rng = trial_rng(900, seed)
         k, _, t, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
         assert dilate(k, t) == dilate(t, k)
+
+
+def test_inexact_convolution_rejected(monkeypatch):
+    inverse = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda *args, **kwargs: inverse(*args, **kwargs) + 0.3)
+    b = rasterize(BOX, 0.5)
+    with pytest.raises(GridError):
+        dilate(b, b)
+    with pytest.raises(GridError):
+        erode_open(b, b)
 
 
 def test_dilate_requires_same_grid():
