@@ -78,7 +78,7 @@ class CampaignSummary:
     equality_hits: int = 0
     equality_classes: dict = field(default_factory=dict)
     planted: int = 0
-    min_slack: Optional[float] = None
+    min_slack: dict = field(default_factory=dict)  # theorem_id -> float
     wall_time: float = 0.0
 
     @property
@@ -247,8 +247,9 @@ def _consume(summary: CampaignSummary, batch: Sequence[InequalityReport],
     for report in batch:
         summary.reports += 1
         slack = float(report.slack)
-        if summary.min_slack is None or slack < summary.min_slack:
-            summary.min_slack = slack
+        tid = report.theorem_id
+        if tid not in summary.min_slack or slack < summary.min_slack[tid]:
+            summary.min_slack[tid] = slack
         if report.details.get("planted"):
             summary.planted += 1
         if report.equality:

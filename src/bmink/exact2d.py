@@ -1,10 +1,17 @@
-"""Exact rational-arithmetic engine for convex polygons in the plane.
+"""Exact engine for convex polygons in the plane, on an integer lattice.
 
-All coordinates, areas and scale factors are `fractions.Fraction` values, so
-every operation here is exact: Minkowski sums, erosions (Minkowski
-differences), support values and the equality classifiers never round.
-Irrational quantities (square roots of areas) are handled by callers through
-squared comparisons.
+A polygon is stored as a ring of integer vertices over one positive common
+denominator, in lowest terms.  Hulls, canonical rings, areas, transforms,
+Minkowski sums, erosions (Minkowski differences) and the equality
+witnesses run in pure `int` arithmetic, so nothing ever rounds.  Erosion
+clips by half-planes whose intersection points are homogeneous integer
+points (X, Y, W) with W > 0, reduced by their gcd; this is the
+exact-geometric-computation approach (Yap, "Towards exact geometric
+computation", CGTA 7, 1997).  `fractions.Fraction` appears only at the
+edges: inputs are brought onto the lattice at construction, and the public
+`vertices`, areas, support values, widths and witnesses are returned as
+Fractions.  Irrational quantities (square roots of areas) are handled by
+callers through squared comparisons.
 """
 
 from __future__ import annotations
@@ -12,9 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
+IntPoint = tuple[int, int]
+HomPoint = tuple[int, int, int]  # the point (X/W, Y/W) with W > 0
 
 
 class GeometryError(Exception):
@@ -60,16 +70,70 @@ def point(x: Scalar, y: Scalar) -> Point2:
     return Point2(Fraction(x), Fraction(y))
 
 
-def _canonical_ring(vertices: Sequence[Point2]) -> tuple[Point2, ...]:
-    """Collapse duplicates/collinear triples and rotate to the lex-min vertex.
+class _Lattice(NamedTuple):
+    """Integer points (x, y) standing for (x/den, y/den), den > 0."""
+
+    ring: Sequence[IntPoint]
+    den: int
+
+
+def _rational(v) -> Scalar:
+    # ints and Fractions already carry numerator and denominator.
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _to_lattice(points: Iterable[Sequence[Scalar]]) -> _Lattice:
+    """Bring rational input points onto one lattice (the API edge)."""
+    coords = [(_rational(p[0]), _rational(p[1])) for p in points]
+    den = lcm(*(c.denominator for xy in coords for c in xy))
+    return _Lattice([(x.numerator * (den // x.denominator),
+                      y.numerator * (den // y.denominator))
+                     for x, y in coords], den)
+
+
+def _common(ra: Sequence[IntPoint], da: int, rb: Sequence[IntPoint], db: int
+            ) -> tuple[Sequence[IntPoint], Sequence[IntPoint], int]:
+    """Both rings over the lcm of their denominators."""
+    if da == db:
+        return ra, rb, da
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    return ([(x * fa, y * fa) for x, y in ra],
+            [(x * fb, y * fb) for x, y in rb], den)
+
+
+def _turn(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
+    """Cross product of (b - a) and (c - b): positive for a left turn."""
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+
+
+def _area2(ring: Sequence[IntPoint]) -> int:
+    """Twice the signed shoelace area, in lattice units."""
+    total = 0
+    px, py = ring[-1]
+    for x, y in ring:
+        total += px * y - py * x
+        px, py = x, y
+    return total
+
+
+def _edges(ring: Sequence[IntPoint]) -> list[IntPoint]:
+    n = len(ring)
+    return [(ring[(i + 1) % n][0] - ring[i][0], ring[(i + 1) % n][1] - ring[i][1])
+            for i in range(n)]
+
+
+def _canonical_ring(ring: Sequence[IntPoint], den: int
+                    ) -> tuple[tuple[IntPoint, ...], int]:
+    """Collapse duplicates/collinear triples, rotate to the lex-min vertex
+    and reduce ring and denominator to lowest terms.
 
     The input must be a counterclockwise ring.  Raises GeometryError if fewer
     than three vertices survive or a clockwise turn is found.
     """
-    verts = [Point2(Fraction(p[0]), Fraction(p[1])) for p in vertices]
     # Drop consecutive duplicates (with wrap-around).
-    dedup: list[Point2] = []
-    for p in verts:
+    dedup: list[IntPoint] = []
+    for p in ring:
         if not dedup or p != dedup[-1]:
             dedup.append(p)
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
@@ -78,63 +142,77 @@ def _canonical_ring(vertices: Sequence[Point2]) -> tuple[Point2, ...]:
     changed = True
     while changed and len(dedup) >= 3:
         changed = False
-        out: list[Point2] = []
+        out: list[IntPoint] = []
         n = len(dedup)
         for i in range(n):
-            a, b, c = dedup[i - 1], dedup[i], dedup[(i + 1) % n]
-            turn = (b - a).cross(c - b)
+            turn = _turn(dedup[i - 1], dedup[i], dedup[(i + 1) % n])
             if turn < 0:
                 raise GeometryError("vertex ring is not counterclockwise convex")
             if turn == 0:
                 changed = True
                 continue
-            out.append(b)
+            out.append(dedup[i])
         dedup = out
     if len(dedup) < 3:
         raise GeometryError("polygon needs at least 3 non-collinear vertices")
-    k = min(range(len(dedup)), key=lambda i: dedup[i])
-    ring = tuple(dedup[k:] + dedup[:k])
-    for i in range(len(ring)):
-        a, b, c = ring[i - 1], ring[i], ring[(i + 1) % len(ring)]
-        if (b - a).cross(c - b) <= 0:
+    k = dedup.index(min(dedup))
+    canon = dedup[k:] + dedup[:k]
+    n = len(canon)
+    for i in range(n):
+        if _turn(canon[i - 1], canon[i], canon[(i + 1) % n]) <= 0:
             raise EngineInconsistencyError("canonical ring not strictly convex")
-    return ring
+    g = gcd(den, *(c for p in canon for c in p))
+    if g != 1:
+        return tuple((x // g, y // g) for x, y in canon), den // g
+    return tuple(canon), den
 
 
 class ConvexPolygon:
     """Strictly convex polygon with exact rational vertices.
 
     Vertices are stored counterclockwise with the lexicographic minimum
-    first, so two polygons are equal exactly when their vertex tuples are.
-    Collinear vertices are collapsed at construction.  Instances are
-    immutable.
+    first, as integers over one denominator in lowest terms, so two
+    polygons are equal exactly when their vertex tuples are.  Collinear
+    vertices are collapsed at construction.  Instances are immutable.
     """
 
-    __slots__ = ("vertices", "_area")
+    __slots__ = ("_ring", "_den", "_vertices", "_area")
 
     def __init__(self, vertices: Iterable[Sequence[Scalar]]):
-        self.vertices: tuple[Point2, ...] = _canonical_ring(list(vertices))
+        lattice = (vertices if isinstance(vertices, _Lattice)
+                   else _to_lattice(vertices))
+        self._ring, self._den = _canonical_ring(*lattice)
+        self._vertices: Optional[tuple[Point2, ...]] = None
         self._area: Optional[Fraction] = None
+
+    @property
+    def vertices(self) -> tuple[Point2, ...]:
+        """The canonical vertex ring as rational points (built on first use)."""
+        if self._vertices is None:
+            d = self._den
+            self._vertices = tuple(Point2(Fraction(x, d), Fraction(y, d))
+                                   for x, y in self._ring)
+        return self._vertices
 
     @classmethod
     def hull(cls, points: Iterable[Sequence[Scalar]]) -> "ConvexPolygon":
         """Convex hull (monotone chain) of a point set; strict turns only."""
-        pts = sorted({Point2(Fraction(p[0]), Fraction(p[1])) for p in points})
+        ring, den = _to_lattice(points)
+        pts = sorted(set(ring))
         if len(pts) < 3:
             raise GeometryError("hull needs at least 3 distinct points")
 
-        def chain(seq: Sequence[Point2]) -> list[Point2]:
-            out: list[Point2] = []
+        def chain(seq: Sequence[IntPoint]) -> list[IntPoint]:
+            out: list[IntPoint] = []
             for p in seq:
-                while len(out) >= 2 and (out[-1] - out[-2]).cross(p - out[-1]) <= 0:
+                while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
                     out.pop()
                 out.append(p)
             return out
 
         lower = chain(pts)
         upper = chain(pts[::-1])
-        ring = lower[:-1] + upper[:-1]
-        return cls(ring)
+        return cls(_Lattice(lower[:-1] + upper[:-1], den))
 
     @classmethod
     def box(cls, lo: Sequence[Scalar], hi: Sequence[Scalar]) -> "ConvexPolygon":
@@ -170,45 +248,51 @@ class ConvexPolygon:
     def area(self) -> Fraction:
         """Exact area by the shoelace formula; strictly positive."""
         if self._area is None:
-            total = Fraction(0)
-            v = self.vertices
-            for i in range(len(v)):
-                total += v[i].cross(v[(i + 1) % len(v)])
-            self._area = total / 2
+            self._area = Fraction(_area2(self._ring), 2 * self._den ** 2)
         return self._area
 
     def edge_vectors(self) -> list[Point2]:
-        v = self.vertices
-        return [v[(i + 1) % len(v)] - v[i] for i in range(len(v))]
+        d = self._den
+        return [Point2(Fraction(ex, d), Fraction(ey, d))
+                for ex, ey in _edges(self._ring)]
 
     def edge_normals(self) -> list[Point2]:
         """Outward (unnormalized) normals, one per edge."""
         return [Point2(e.y, -e.x) for e in self.edge_vectors()]
 
     def bbox(self) -> tuple[Point2, Point2]:
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
-        return Point2(min(xs), min(ys)), Point2(max(xs), max(ys))
+        d = self._den
+        xs = [x for x, _ in self._ring]
+        ys = [y for _, y in self._ring]
+        return (Point2(Fraction(min(xs), d), Fraction(min(ys), d)),
+                Point2(Fraction(max(xs), d), Fraction(max(ys), d)))
 
     def contains(self, p: Point2) -> bool:
         """Exact closed-set membership test."""
-        v = self.vertices
-        for i in range(len(v)):
-            if (v[(i + 1) % len(v)] - v[i]).cross(p - v[i]) < 0:
-                return False
-        return True
+        return self._contains_all(_to_lattice([p]))
 
     def contains_polygon(self, other: "ConvexPolygon") -> bool:
-        return all(self.contains(p) for p in other.vertices)
+        return self._contains_all(_Lattice(other._ring, other._den))
+
+    def _contains_all(self, pts: _Lattice) -> bool:
+        ring, others, _ = _common(self._ring, self._den, *pts)
+        n = len(ring)
+        for i in range(n):
+            (ax, ay), (bx, by) = ring[i], ring[(i + 1) % n]
+            for px, py in others:
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
+                    return False
+        return True
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ConvexPolygon) and self.vertices == other.vertices
+        return (isinstance(other, ConvexPolygon) and self._den == other._den
+                and self._ring == other._ring)
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return hash((self._ring, self._den))
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._ring)
 
     def __repr__(self) -> str:
         vs = ", ".join(f"({p.x},{p.y})" for p in self.vertices)
@@ -219,57 +303,71 @@ def area(p: ConvexPolygon) -> Fraction:
     return p.area
 
 
+def _direction(u: Point2, what: str) -> tuple[int, int, int]:
+    """A nonzero rational direction as integers (ux, uy) over den."""
+    if u.is_zero():
+        raise GeometryError(f"{what} direction must be nonzero")
+    ring, den = _to_lattice([u])
+    ux, uy = ring[0]
+    return ux, uy, den
+
+
 def support_value(p: ConvexPolygon, u: Point2) -> Fraction:
     """Exact support value: max of <v, u> over the vertices."""
-    if u.is_zero():
-        raise GeometryError("support direction must be nonzero")
-    return max(v.dot(u) for v in p.vertices)
+    ux, uy, den = _direction(u, "support")
+    return Fraction(max(x * ux + y * uy for x, y in p._ring), p._den * den)
 
 
 def width(p: ConvexPolygon, u: Point2) -> Fraction:
     """Width in direction u (direction-scale covariant, u unnormalized)."""
-    if u.is_zero():
-        raise GeometryError("width direction must be nonzero")
-    return support_value(p, u) + support_value(p, -u)
+    ux, uy, den = _direction(u, "width")
+    dots = [x * ux + y * uy for x, y in p._ring]
+    return Fraction(max(dots) - min(dots), p._den * den)
 
 
 def scale(p: ConvexPolygon, factor: Scalar) -> ConvexPolygon:
     f = Fraction(factor)
-    if f <= 0:
+    n = f.numerator
+    if n <= 0:
         raise GeometryError("scale factor must be positive")
-    return ConvexPolygon([v * f for v in p.vertices])
+    return ConvexPolygon(_Lattice([(x * n, y * n) for x, y in p._ring],
+                                  p._den * f.denominator))
 
 
 def translate(p: ConvexPolygon, v: Point2) -> ConvexPolygon:
-    return ConvexPolygon([w + v for w in p.vertices])
+    shift = _to_lattice([v])
+    ring, ((sx, sy),), den = _common(p._ring, p._den, *shift)
+    return ConvexPolygon(_Lattice([(x + sx, y + sy) for x, y in ring], den))
 
 
 def reflect(p: ConvexPolygon) -> ConvexPolygon:
     """Reflection through the origin."""
-    return ConvexPolygon([-w for w in p.vertices])
+    return ConvexPolygon(_Lattice([(-x, -y) for x, y in p._ring], p._den))
 
 
-def _angle_half(d: Point2) -> int:
+def _angle_half(d: IntPoint) -> int:
     # 0 for directions in (-90 deg, +90 deg], 1 for the rest; matches the
     # angular sweep of edge vectors of a CCW ring started at the lex-min vertex.
-    return 0 if (d.x > 0 or (d.x == 0 and d.y > 0)) else 1
+    return 0 if (d[0] > 0 or (d[0] == 0 and d[1] > 0)) else 1
 
 
-def _angle_less(a: Point2, b: Point2) -> bool:
+def _angle_less(a: IntPoint, b: IntPoint) -> bool:
     ha, hb = _angle_half(a), _angle_half(b)
     if ha != hb:
         return ha < hb
-    return a.cross(b) > 0
+    return a[0] * b[1] - a[1] * b[0] > 0
 
 
 def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Exact Minkowski sum by merging the two edge sequences by angle.
 
+    Both rings are brought to the lcm of their denominators first.
     Parallel edges are combined, so the result has at most |p| + |q|
     vertices.  Commutative by construction.
     """
-    pe, qe = p.edge_vectors(), q.edge_vectors()
-    edges: list[Point2] = []
+    pr, qr, den = _common(p._ring, p._den, q._ring, q._den)
+    pe, qe = _edges(pr), _edges(qr)
+    edges: list[IntPoint] = []
     i = j = 0
     while i < len(pe) and j < len(qe):
         if _angle_less(pe[i], qe[j]):
@@ -279,17 +377,18 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
             edges.append(qe[j])
             j += 1
         else:
-            edges.append(pe[i] + qe[j])
+            edges.append((pe[i][0] + qe[j][0], pe[i][1] + qe[j][1]))
             i += 1
             j += 1
     edges.extend(pe[i:])
     edges.extend(qe[j:])
 
-    start = p.vertices[0] + q.vertices[0]
-    ring = [start]
-    for e in edges[:-1]:
-        ring.append(ring[-1] + e)
-    return ConvexPolygon(ring)
+    x, y = pr[0][0] + qr[0][0], pr[0][1] + qr[0][1]
+    ring = [(x, y)]
+    for ex, ey in edges[:-1]:
+        x, y = x + ex, y + ey
+        ring.append((x, y))
+    return ConvexPolygon(_Lattice(ring, den))
 
 
 @dataclass(frozen=True)
@@ -311,28 +410,31 @@ class ErosionResult:
         return Fraction(0) if self.region is None else self.region.area
 
 
-def _clip_halfplane(ring: list[Point2], u: Point2, c: Fraction) -> list[Point2]:
-    """Clip a convex CCW ring against {x : <x,u> <= c} (Sutherland-Hodgman)."""
-    if not ring:
-        return []
-    out: list[Point2] = []
+def _clip_halfplane(ring: list[HomPoint], ux: int, uy: int, c: int
+                    ) -> list[HomPoint]:
+    """Clip a convex CCW ring of homogeneous points (X, Y, W), W > 0,
+    against {x : <x,u> <= c} (Sutherland-Hodgman)."""
+    # d = W * (c - <x, u>) has the sign of the slack of the point X/W, Y/W.
+    ds = [c * w - x * ux - y * uy for x, y, w in ring]
+    out: list[HomPoint] = []
     n = len(ring)
     for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        da, db = c - a.dot(u), c - b.dot(u)
+        a, da = ring[i], ds[i]
+        j = (i + 1) % n
+        db = ds[j]
         if da >= 0:
             out.append(a)
         if (da > 0 and db < 0) or (da < 0 and db > 0):
-            t = da / (da - db)
-            out.append(a + (b - a) * t)
+            # a + (b - a) * t with t = da / (da - db), over one weight.
+            b = ring[j]
+            x = b[0] * da - a[0] * db
+            y = b[1] * da - a[1] * db
+            w = b[2] * da - a[2] * db
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
     return out
-
-
-def _ring_area2(ring: Sequence[Point2]) -> Fraction:
-    total = Fraction(0)
-    for i in range(len(ring)):
-        total += ring[i].cross(ring[(i + 1) % len(ring)])
-    return total
 
 
 def erode(k: ConvexPolygon, t: ConvexPolygon) -> ErosionResult:
@@ -341,52 +443,44 @@ def erode(k: ConvexPolygon, t: ConvexPolygon) -> ErosionResult:
     A translate x satisfies x - T inside K exactly when, for every outward
     edge normal u of K, <x, u> <= h_K(u) - h_T(-u).  The intersection of
     those half-planes is clipped out of a bounding box; a lower-dimensional
-    or void intersection means the (open) erosion is empty.
+    or void intersection means the (open) erosion is empty.  Both rings are
+    brought to one denominator; h_K(u) is attained at the edge's own start
+    vertex and -h_T(-u) is the minimum of <w, u> over T.
     """
-    klo, khi = k.bbox()
-    tlo, thi = t.bbox()
-    margin = Fraction(1)
-    ring: list[Point2] = [
-        Point2(klo.x + tlo.x - margin, klo.y + tlo.y - margin),
-        Point2(khi.x + thi.x + margin, klo.y + tlo.y - margin),
-        Point2(khi.x + thi.x + margin, khi.y + thi.y + margin),
-        Point2(klo.x + tlo.x - margin, khi.y + thi.y + margin),
-    ]
-    for u in k.edge_normals():
-        c = support_value(k, u) - support_value(t, -u)
-        ring = _clip_halfplane(ring, u, c)
+    kr, tr, den = _common(k._ring, k._den, t._ring, t._den)
+    kxs, kys = [x for x, _ in kr], [y for _, y in kr]
+    txs, tys = [x for x, _ in tr], [y for _, y in tr]
+    x0, y0 = min(kxs) + min(txs) - den, min(kys) + min(tys) - den
+    x1, y1 = max(kxs) + max(txs) + den, max(kys) + max(tys) + den
+    ring: list[HomPoint] = [(x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1)]
+    n = len(kr)
+    for i in range(n):
+        (ax, ay), (bx, by) = kr[i], kr[(i + 1) % n]
+        ux, uy = by - ay, ax - bx
+        c = ax * ux + ay * uy + min(x * ux + y * uy for x, y in tr)
+        ring = _clip_halfplane(ring, ux, uy, c)
         if not ring:
             return ErosionResult(None, True)
-    if _ring_area2(ring) == 0:
+    m = lcm(*(w for _, _, w in ring))
+    pts = [(x * (m // w), y * (m // w)) for x, y, w in ring]
+    if _area2(pts) == 0:
         return ErosionResult(None, True)
-    return ErosionResult(ConvexPolygon(ring), False)
-
-
-def _erosion_blocked(k: ConvexPolygon, t: ConvexPolygon) -> bool:
-    """Cheap certificate that K (-) T is empty: T at least as wide as K in
-    some direction.  Only edge normals are scanned, so False is inconclusive.
-    """
-    for u in k.edge_normals() + t.edge_normals():
-        if width(t, u) >= width(k, u):
-            return True
-    return False
+    return ErosionResult(ConvexPolygon(_Lattice(pts, den * m)), False)
 
 
 def partial_sum_area(a: ConvexPolygon, b: ConvexPolygon) -> Fraction:
     """Area of the boundary sum of A and B (both boundaries, unscaled).
 
-    Equals area(A+B) minus the area of whichever erosion is nonempty; at
-    most one can be, so finding both nonempty is an engine bug.
+    Equals area(A+B) minus the area of the erosion of the larger body by
+    the smaller.  An open erosion A (-) B is nonempty only when area B <
+    area A, so the other erosion is always empty and equal areas leave the
+    plain sum.
     """
     total = minkowski_sum(a, b).area
-    ab = None if _erosion_blocked(a, b) else erode(a, b)
-    ba = None if _erosion_blocked(b, a) else erode(b, a)
-    area_ab = ab.area if ab is not None else Fraction(0)
-    area_ba = ba.area if ba is not None else Fraction(0)
-    if ab is not None and ba is not None and not ab.is_empty and not ba.is_empty:
-        raise EngineInconsistencyError(
-            "both erosions nonempty; contradicts the sum decomposition")
-    return total - area_ab - area_ba
+    if a.area == b.area:
+        return total
+    big, small = (a, b) if a.area > b.area else (b, a)
+    return total - erode(big, small).area
 
 
 def boundary_sum_volume(k: ConvexPolygon, t: ConvexPolygon,
@@ -424,31 +518,37 @@ def _translation_witness(k: ConvexPolygon, t: ConvexPolygon) -> Optional[Point2]
     # Canonical rotation survives translation, so vertices pair up in order.
     if len(k) != len(t):
         return None
-    shift = t.vertices[0] - k.vertices[0]
-    for a, b in zip(k.vertices, t.vertices):
-        if a + shift != b:
+    kr, tr, den = _common(k._ring, k._den, t._ring, t._den)
+    sx, sy = tr[0][0] - kr[0][0], tr[0][1] - kr[0][1]
+    for (ax, ay), (bx, by) in zip(kr, tr):
+        if ax + sx != bx or ay + sy != by:
             return None
-    return shift
+    return Point2(Fraction(sx, den), Fraction(sy, den))
 
 
 def _homothety_witness(
         k: ConvexPolygon, t: ConvexPolygon) -> Optional[tuple[Fraction, Point2]]:
-    # T = ratio * K + shift, vertex by vertex.  Canonical rotation survives
+    # T = (rn/rd) * K + shift, vertex by vertex.  Canonical rotation survives
     # positive scaling, so order is preserved.
     if len(k) != len(t):
         return None
-    ek = k.vertices[1] - k.vertices[0]
-    et = t.vertices[1] - t.vertices[0]
-    if ek.cross(et) != 0:
+    kr, tr, den = _common(k._ring, k._den, t._ring, t._den)
+    (k0x, k0y), (k1x, k1y) = kr[0], kr[1]
+    (t0x, t0y), (t1x, t1y) = tr[0], tr[1]
+    ekx, eky, etx, ety = k1x - k0x, k1y - k0y, t1x - t0x, t1y - t0y
+    if ekx * ety - eky * etx != 0:
         return None
-    ratio = et.x / ek.x if ek.x != 0 else et.y / ek.y
-    if ratio <= 0:
+    # The first edge from the lex-min vertex has ekx > 0, or ekx == 0 and
+    # eky > 0, so rd > 0 and the ratio's sign is that of rn.
+    rn, rd = (etx, ekx) if ekx != 0 else (ety, eky)
+    if rn <= 0:
         return None
-    shift = t.vertices[0] - k.vertices[0] * ratio
-    for a, b in zip(k.vertices, t.vertices):
-        if a * ratio + shift != b:
+    for (ax, ay), (bx, by) in zip(kr, tr):
+        if rn * (ax - k0x) != rd * (bx - t0x) or rn * (ay - k0y) != rd * (by - t0y):
             return None
-    return ratio, shift
+    shift = Point2(Fraction(t0x * rd - k0x * rn, rd * den),
+                   Fraction(t0y * rd - k0y * rn, rd * den))
+    return Fraction(rn, rd), shift
 
 
 def is_centrally_symmetric(p: ConvexPolygon) -> bool:

@@ -101,7 +101,7 @@ def test_criterion_04_voxel_campaign_thm_av():
     dt = time.perf_counter() - t0
     ok = s2.violations == 0 and s3.violations == 0 and dt < 600.0
     _line(4, ok, dt, f"10^3 pairs n=2 h=1/32 (viol={s2.violations}, "
-                     f"min slack={s2.min_slack:.4f}); 100 pairs n=3 h=1/16 "
+                     f"min slack={s2.min_slack['thm-av']:.4f}); 100 pairs n=3 h=1/16 "
                      f"(viol={s3.violations})")
     assert ok
 

@@ -38,7 +38,7 @@ def test_campaign_summary_contents():
     s = run_campaign(small_config(), out=buf)
     assert s.trials == 25 and s.reports == 25
     assert s.violations == 0 and s.exit_code == 0
-    assert s.min_slack is not None and s.min_slack >= 0
+    assert set(s.min_slack) == {"thm-av"} and s.min_slack["thm-av"] >= 0
     lines = [json.loads(l) for l in buf.getvalue().splitlines()]
     assert all(l["theorem_id"] == "thm-av" for l in lines)
     assert all(l["seed"] == 7 for l in lines)
@@ -129,6 +129,21 @@ def test_thm42_voxel_trial_emits_three_reports():
     assert [l["theorem_id"] for l in lines[:3]] == ["thm-4.2", "eq-4.2", "eq-4.3"]
 
 
+def test_min_slack_is_kept_per_theorem_id():
+    # A voxel thm-4.2 trial reports volumes (thm-4.2), pair counts (eq-4.2)
+    # and lengths (eq-4.3); their slacks are never compared with each other.
+    cfg = CampaignConfig(theorem="thm-4.2", engine="voxel", trials=3, seed=5,
+                         h=1 / 16)
+    buf = io.StringIO()
+    s = run_campaign(cfg, out=buf)
+    lines = [json.loads(l) for l in buf.getvalue().splitlines()]
+    assert set(s.min_slack) == {"thm-4.2", "eq-4.2", "eq-4.3"}
+    for tid, value in s.min_slack.items():
+        assert value == min(float(F(l["slack"])) for l in lines
+                            if l["theorem_id"] == tid)
+    assert s.to_json_dict()["min_slack"] == s.min_slack
+
+
 def test_summary_json_shape():
     s = CampaignSummary(theorem="thm-av", engine="exact")
     d = s.to_json_dict()
@@ -136,3 +151,4 @@ def test_summary_json_shape():
                       "violation_witnesses", "equality_hits",
                       "equality_classes", "planted", "min_slack",
                       "wall_time_s"}
+    assert d["min_slack"] == {}

@@ -278,6 +278,25 @@ def test_decomposition_volume_identity(k, t, lam_num):
 
 
 @given(polygons(), polygons())
+@settings(max_examples=80, deadline=None)
+def test_only_the_larger_body_erodes(p, q):
+    # partial_sum_area erodes the larger-area body only: an open erosion
+    # A (-) B is nonempty only when area B < area A.
+    small, big = sorted((p, q), key=lambda b: b.area)
+    assert erode(small, big).is_empty
+    if small.area == big.area:
+        assert erode(big, small).is_empty
+
+
+@given(polygons(), st.integers(-6, 6), st.integers(-6, 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_equal_area_pairs_have_empty_erosions(p, dx, dy, reflected):
+    t = translate(reflect(p) if reflected else p, point(F(dx, 3), dy))
+    assert erode(p, t).is_empty and erode(t, p).is_empty
+    assert partial_sum_area(p, t) == minkowski_sum(p, t).area
+
+
+@given(polygons(), polygons())
 @settings(max_examples=25, deadline=None)
 def test_erosion_maximality_on_edges(k, t):
     # Pushing any erosion edge outward by its own normal breaks the fit.

@@ -1,0 +1,452 @@
+"""The integer-lattice exact engine against the Fraction implementation it
+replaced.
+
+The `ref_*` functions below are the former `fractions.Fraction` code of
+`bmink.exact2d`, kept here as the reference: they work on tuples of
+`Point2` vertices and never leave `Fraction` arithmetic.  Every property
+asserts exact agreement: the same canonical vertex tuples, the same areas,
+the same erosion emptiness and regions, and the same equality tags and
+witnesses.  Inputs mix non-dyadic denominators (1/3, 1/7) with the 1/16 grid
+of the generators, λ = k/16 scalings, a 64-gon on the 2**-20 grid, and
+translate, homothet and equal-area pairs.
+"""
+
+from fractions import Fraction as F
+from typing import Optional, Sequence
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from bmink.exact2d import (ConvexPolygon, EngineInconsistencyError,
+                           EqualityTag, GeometryError, Point2,
+                           boundary_sum_volume, classify_equality, erode,
+                           minkowski_sum, partial_sum_area, reflect, scale,
+                           support_value, translate, width)
+
+Ring = tuple[Point2, ...]
+
+
+# -- the Fraction reference ------------------------------------------------------
+
+def ref_canonical_ring(vertices: Sequence[Sequence]) -> Ring:
+    """Collapse duplicates/collinear triples and rotate to the lex-min vertex."""
+    verts = [Point2(F(p[0]), F(p[1])) for p in vertices]
+    dedup: list[Point2] = []
+    for p in verts:
+        if not dedup or p != dedup[-1]:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    changed = True
+    while changed and len(dedup) >= 3:
+        changed = False
+        out: list[Point2] = []
+        n = len(dedup)
+        for i in range(n):
+            a, b, c = dedup[i - 1], dedup[i], dedup[(i + 1) % n]
+            turn = (b - a).cross(c - b)
+            if turn < 0:
+                raise GeometryError("vertex ring is not counterclockwise convex")
+            if turn == 0:
+                changed = True
+                continue
+            out.append(b)
+        dedup = out
+    if len(dedup) < 3:
+        raise GeometryError("polygon needs at least 3 non-collinear vertices")
+    k = min(range(len(dedup)), key=lambda i: dedup[i])
+    ring = tuple(dedup[k:] + dedup[:k])
+    for i in range(len(ring)):
+        a, b, c = ring[i - 1], ring[i], ring[(i + 1) % len(ring)]
+        if (b - a).cross(c - b) <= 0:
+            raise EngineInconsistencyError("canonical ring not strictly convex")
+    return ring
+
+
+def ref_hull(points: Sequence[Sequence]) -> Ring:
+    pts = sorted({Point2(F(p[0]), F(p[1])) for p in points})
+    if len(pts) < 3:
+        raise GeometryError("hull needs at least 3 distinct points")
+
+    def chain(seq):
+        out: list[Point2] = []
+        for p in seq:
+            while len(out) >= 2 and (out[-1] - out[-2]).cross(p - out[-1]) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = chain(pts)
+    upper = chain(pts[::-1])
+    return ref_canonical_ring(lower[:-1] + upper[:-1])
+
+
+def ref_area2(ring: Sequence[Point2]) -> F:
+    total = F(0)
+    for i in range(len(ring)):
+        total += ring[i].cross(ring[(i + 1) % len(ring)])
+    return total
+
+
+def ref_area(ring: Ring) -> F:
+    return ref_area2(ring) / 2
+
+
+def ref_edges(ring: Ring) -> list[Point2]:
+    return [ring[(i + 1) % len(ring)] - ring[i] for i in range(len(ring))]
+
+
+def _angle_half(d: Point2) -> int:
+    return 0 if (d.x > 0 or (d.x == 0 and d.y > 0)) else 1
+
+
+def _angle_less(a: Point2, b: Point2) -> bool:
+    ha, hb = _angle_half(a), _angle_half(b)
+    if ha != hb:
+        return ha < hb
+    return a.cross(b) > 0
+
+
+def ref_minkowski_sum(p: Ring, q: Ring) -> Ring:
+    pe, qe = ref_edges(p), ref_edges(q)
+    edges: list[Point2] = []
+    i = j = 0
+    while i < len(pe) and j < len(qe):
+        if _angle_less(pe[i], qe[j]):
+            edges.append(pe[i])
+            i += 1
+        elif _angle_less(qe[j], pe[i]):
+            edges.append(qe[j])
+            j += 1
+        else:
+            edges.append(pe[i] + qe[j])
+            i += 1
+            j += 1
+    edges.extend(pe[i:])
+    edges.extend(qe[j:])
+    ring = [p[0] + q[0]]
+    for e in edges[:-1]:
+        ring.append(ring[-1] + e)
+    return ref_canonical_ring(ring)
+
+
+def ref_support(ring: Ring, u: Point2) -> F:
+    return max(v.dot(u) for v in ring)
+
+
+def ref_width(ring: Ring, u: Point2) -> F:
+    return ref_support(ring, u) + ref_support(ring, -u)
+
+
+def ref_clip_halfplane(ring: list[Point2], u: Point2, c: F) -> list[Point2]:
+    if not ring:
+        return []
+    out: list[Point2] = []
+    n = len(ring)
+    for i in range(n):
+        a, b = ring[i], ring[(i + 1) % n]
+        da, db = c - a.dot(u), c - b.dot(u)
+        if da >= 0:
+            out.append(a)
+        if (da > 0 and db < 0) or (da < 0 and db > 0):
+            t = da / (da - db)
+            out.append(a + (b - a) * t)
+    return out
+
+
+def ref_erode(k: Ring, t: Ring) -> Optional[Ring]:
+    """Closure of K (-) T as a canonical ring, or None when it is empty."""
+    lo = Point2(min(p.x for p in k) + min(p.x for p in t) - 1,
+                min(p.y for p in k) + min(p.y for p in t) - 1)
+    hi = Point2(max(p.x for p in k) + max(p.x for p in t) + 1,
+                max(p.y for p in k) + max(p.y for p in t) + 1)
+    ring = [lo, Point2(hi.x, lo.y), hi, Point2(lo.x, hi.y)]
+    for e in ref_edges(k):
+        u = Point2(e.y, -e.x)
+        ring = ref_clip_halfplane(ring, u, ref_support(k, u) - ref_support(t, -u))
+        if not ring:
+            return None
+    if ref_area2(ring) == 0:
+        return None
+    return ref_canonical_ring(ring)
+
+
+def ref_erosion_blocked(k: Ring, t: Ring) -> bool:
+    for e in ref_edges(k) + ref_edges(t):
+        u = Point2(e.y, -e.x)
+        if ref_width(t, u) >= ref_width(k, u):
+            return True
+    return False
+
+
+def ref_partial_sum_area(a: Ring, b: Ring) -> F:
+    """Both erosions, each behind the width pre-filter, as before."""
+    total = ref_area(ref_minkowski_sum(a, b))
+    ab = None if ref_erosion_blocked(a, b) else ref_erode(a, b)
+    ba = None if ref_erosion_blocked(b, a) else ref_erode(b, a)
+    if ab is not None and ba is not None:
+        raise EngineInconsistencyError(
+            "both erosions nonempty; contradicts the sum decomposition")
+    return (total - (ref_area(ab) if ab is not None else 0)
+            - (ref_area(ba) if ba is not None else 0))
+
+
+def ref_scale(ring: Ring, f: F) -> Ring:
+    return ref_canonical_ring([v * f for v in ring])
+
+
+def ref_translation_witness(k: Ring, t: Ring) -> Optional[Point2]:
+    if len(k) != len(t):
+        return None
+    shift = t[0] - k[0]
+    for a, b in zip(k, t):
+        if a + shift != b:
+            return None
+    return shift
+
+
+def ref_homothety_witness(k: Ring, t: Ring) -> Optional[tuple[F, Point2]]:
+    if len(k) != len(t):
+        return None
+    ek = k[1] - k[0]
+    et = t[1] - t[0]
+    if ek.cross(et) != 0:
+        return None
+    ratio = et.x / ek.x if ek.x != 0 else et.y / ek.y
+    if ratio <= 0:
+        return None
+    shift = t[0] - k[0] * ratio
+    for a, b in zip(k, t):
+        if a * ratio + shift != b:
+            return None
+    return ratio, shift
+
+
+def ref_classify(k: Ring, t: Ring) -> tuple[EqualityTag, Optional[Point2],
+                                            Optional[F]]:
+    shift = ref_translation_witness(k, t)
+    if shift is not None:
+        return EqualityTag.TRANSLATE, shift, None
+    hom = ref_homothety_witness(k, t)
+    reflected = ref_canonical_ring([-v for v in k])
+    if hom is not None and ref_translation_witness(k, reflected) is not None:
+        return EqualityTag.HOMOTHETIC_CENTRALLY_SYMMETRIC_2D, hom[1], hom[0]
+    return EqualityTag.NO_EQUALITY, None, None
+
+
+# -- strategies ------------------------------------------------------------------
+
+DENS = (1, 3, 7, 16)
+
+
+@st.composite
+def rationals(draw, span: int = 3):
+    d = draw(st.sampled_from(DENS))
+    return F(draw(st.integers(-span * d, span * d)), d)
+
+
+point_lists = st.lists(st.tuples(rationals(), rationals()),
+                       min_size=3, max_size=9)
+
+
+@st.composite
+def polygons(draw):
+    try:
+        return ConvexPolygon.hull(draw(point_lists))
+    except GeometryError:
+        assume(False)
+
+
+@st.composite
+def symmetric_polygons(draw):
+    pts = draw(st.lists(st.tuples(rationals(), rationals()),
+                        min_size=2, max_size=5))
+    try:
+        return ConvexPolygon.hull(pts + [(-x, -y) for x, y in pts])
+    except GeometryError:
+        assume(False)
+
+
+lambdas = st.integers(1, 15).map(lambda k: F(k, 16))
+ratios = st.integers(1, 40).map(lambda k: F(k, 16))
+shifts = st.builds(Point2, rationals(), rationals())
+
+PAIR_KINDS = ("random", "translate", "homothet", "symmetric_homothet",
+              "reflect", "equal_area_boxes")
+
+
+@st.composite
+def pairs(draw):
+    """A (K, T) pair of one of the kinds the campaigns and fixtures produce."""
+    kind = draw(st.sampled_from(PAIR_KINDS))
+    if kind == "random":
+        return draw(polygons()), draw(polygons())
+    if kind == "translate":
+        k = draw(polygons())
+        return k, translate(k, draw(shifts))
+    if kind == "homothet":
+        k = draw(polygons())
+        return k, translate(scale(k, draw(ratios)), draw(shifts))
+    if kind == "symmetric_homothet":
+        k = draw(symmetric_polygons())
+        return k, translate(scale(k, draw(ratios)), draw(shifts))
+    if kind == "reflect":
+        k = draw(polygons())
+        return k, translate(reflect(k), draw(shifts))
+    # Two boxes of equal area and different shape.
+    a = F(draw(st.integers(1, 12)), 3)
+    b = F(draw(st.integers(1, 12)), 7)
+    c = draw(st.sampled_from((F(2), F(3), F(1, 2), F(7, 3))))
+    lo = draw(shifts)
+    return (ConvexPolygon.box(lo, (lo.x + a, lo.y + b)),
+            ConvexPolygon.box((0, 0), (a * c, b / c)))
+
+
+GON = ConvexPolygon.regular_gon(64)
+
+
+def assert_matches(poly: ConvexPolygon, ring: Ring) -> None:
+    """The same vertex tuple, and equal and equally hashed to the polygon
+    built from the reference ring: the stored lattice is in lowest terms."""
+    assert poly.vertices == ring
+    rebuilt = ConvexPolygon(ring)
+    assert poly == rebuilt and hash(poly) == hash(rebuilt)
+
+
+# -- construction and canonical form -----------------------------------------------
+
+@given(point_lists)
+@settings(max_examples=200, deadline=None)
+def test_hull_matches_reference(pts):
+    try:
+        expected = ref_hull(pts)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            ConvexPolygon.hull(pts)
+        return
+    p = ConvexPolygon.hull(pts)
+    assert_matches(p, expected)
+    assert p.area == ref_area(expected)
+    assert len(p) == len(expected)
+
+
+@given(polygons(), st.integers(0, 8), st.integers(0, 8), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_ring_construction_matches_reference(p, rot, at, reverse):
+    # Rotate, add a collinear midpoint and a duplicate; optionally reverse
+    # the ring, which both sides must reject as clockwise.
+    ring = list(p.vertices)
+    ring = ring[rot % len(ring):] + ring[:rot % len(ring)]
+    i = at % len(ring)
+    a, b = ring[i], ring[(i + 1) % len(ring)]
+    ring.insert(i + 1, Point2((a.x + b.x) / 2, (a.y + b.y) / 2))
+    ring.insert(i + 1, a)
+    if reverse:
+        ring.reverse()
+        with pytest.raises(GeometryError):
+            ref_canonical_ring(ring)
+        with pytest.raises(GeometryError):
+            ConvexPolygon(ring)
+        return
+    assert ConvexPolygon(ring).vertices == ref_canonical_ring(ring) == p.vertices
+
+
+def test_regular_gon_matches_reference():
+    import math
+
+    d = 2 ** 20
+    pts = [(F(round(math.cos(2 * math.pi * k / 64) * d), d),
+            F(round(math.sin(2 * math.pi * k / 64) * d), d)) for k in range(64)]
+    assert_matches(GON, ref_hull(pts))
+    assert GON.area == ref_area(ref_hull(pts))
+
+
+# -- transforms, support and width ---------------------------------------------------
+
+@given(polygons(), lambdas, shifts)
+@settings(max_examples=100, deadline=None)
+def test_transforms_match_reference(p, lam, v):
+    ring = p.vertices
+    assert_matches(scale(p, lam), ref_scale(ring, lam))
+    assert_matches(translate(p, v), ref_canonical_ring([w + v for w in ring]))
+    assert_matches(reflect(p), ref_canonical_ring([-w for w in ring]))
+
+
+@given(polygons(), shifts)
+@settings(max_examples=100, deadline=None)
+def test_support_width_contains_match_reference(p, u):
+    assume(not u.is_zero())
+    ring = p.vertices
+    assert support_value(p, u) == ref_support(ring, u)
+    assert width(p, u) == ref_width(ring, u)
+    inside = all((ring[(i + 1) % len(ring)] - ring[i]).cross(u - ring[i]) >= 0
+                 for i in range(len(ring)))
+    assert p.contains(u) == inside
+    assert p.bbox() == (Point2(min(v.x for v in ring), min(v.y for v in ring)),
+                        Point2(max(v.x for v in ring), max(v.y for v in ring)))
+
+
+# -- sums, erosions and boundary sums ---------------------------------------------------
+
+@given(pairs())
+@settings(max_examples=150, deadline=None)
+def test_minkowski_sum_matches_reference(pair):
+    k, t = pair
+    s = minkowski_sum(k, t)
+    expected = ref_minkowski_sum(k.vertices, t.vertices)
+    assert_matches(s, expected)
+    assert s.area == ref_area(expected)
+
+
+@given(pairs())
+@settings(max_examples=150, deadline=None)
+def test_erosion_matches_reference(pair):
+    k, t = pair
+    for a, b in ((k, t), (t, k)):
+        got = erode(a, b)
+        expected = ref_erode(a.vertices, b.vertices)
+        assert got.is_empty == (expected is None)
+        if expected is None:
+            assert got.region is None and got.area == 0
+        else:
+            assert_matches(got.region, expected)
+            assert got.area == ref_area(expected)
+
+
+@given(pairs(), lambdas)
+@settings(max_examples=150, deadline=None)
+def test_boundary_sum_matches_reference(pair, lam):
+    k, t = pair
+    assert partial_sum_area(k, t) == ref_partial_sum_area(k.vertices, t.vertices)
+    ks, ts = ref_scale(k.vertices, lam), ref_scale(t.vertices, 1 - lam)
+    assert boundary_sum_volume(k, t, lam) == ref_partial_sum_area(ks, ts)
+
+
+@pytest.mark.parametrize("lam", [F(1, 16), F(1, 2), F(11, 16)])
+@pytest.mark.parametrize("other", [
+    ConvexPolygon.box((-2, -2), (2, 2)),
+    ConvexPolygon([(0, 0), (F(1, 3), 0), (0, F(1, 7))]),
+    ConvexPolygon([(F(-5, 16), F(-3, 16)), (F(9, 16), F(-1, 2)), (F(1, 4), 1)]),
+])
+def test_near_disk_matches_reference(other, lam):
+    gon, ring = GON, GON.vertices
+    assert minkowski_sum(gon, other).vertices == \
+        ref_minkowski_sum(ring, other.vertices)
+    for a, b in ((gon, other), (other, gon)):
+        got = erode(a, b)
+        expected = ref_erode(a.vertices, b.vertices)
+        assert (got.region.vertices if not got.is_empty else None) == expected
+    ks, ts = ref_scale(ring, lam), ref_scale(other.vertices, 1 - lam)
+    assert boundary_sum_volume(gon, other, lam) == ref_partial_sum_area(ks, ts)
+
+
+# -- equality classification ------------------------------------------------------------
+
+@given(pairs())
+@settings(max_examples=200, deadline=None)
+def test_classify_equality_matches_reference(pair):
+    k, t = pair
+    for a, b in ((k, t), (t, k)):
+        got = classify_equality(a, b)
+        assert (got.tag, got.translation, got.ratio) == \
+            ref_classify(a.vertices, b.vertices)
