@@ -17,9 +17,8 @@ from .voxel import (DecompositionReport, GridError, GridExtentError, GridSet,
                     rasterize, volume)
 from .inequalities import (InequalityReport, check_cor_multi, check_lemma_pbm,
                            check_rn, check_thm_av, check_thm_bbm, rn_value)
-from .restricted import (RestrictedSumResult, ThetaSpec, check_arithmetic_bm,
-                         check_theta_bounds, restricted_sum,
-                         shrinking_pair_demo)
+from .restricted import (check_arithmetic_bm, check_thm_4_2_voxel,
+                         restricted_sum, shrinking_pair_demo)
 from .generators import (GridGenParams, PolygonGenParams,
                          gen_connected_boundary_set, gen_convex_polygon,
                          gen_polygon_pair, gen_symmetric_polygon, trial_rng)
@@ -40,8 +39,8 @@ __all__ = [
     "volume",
     "InequalityReport", "check_cor_multi", "check_lemma_pbm", "check_rn",
     "check_thm_av", "check_thm_bbm", "rn_value",
-    "RestrictedSumResult", "ThetaSpec", "check_arithmetic_bm",
-    "check_theta_bounds", "restricted_sum", "shrinking_pair_demo",
+    "check_arithmetic_bm", "check_thm_4_2_voxel", "restricted_sum",
+    "shrinking_pair_demo",
     "GridGenParams", "PolygonGenParams", "gen_connected_boundary_set",
     "gen_convex_polygon", "gen_polygon_pair", "gen_symmetric_polygon",
     "trial_rng",

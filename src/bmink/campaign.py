@@ -65,6 +65,9 @@ class CampaignConfig:
             raise GeometryError("dimension must be 2, 3 or 4")
         if self.engine == EXACT and self.dim != 2:
             raise GeometryError("the exact engine is two-dimensional")
+        if self.engine == VOXEL and self.theorem in ("lemma-pbm", "rn"):
+            raise GeometryError(f"{self.theorem} checks scalars and has no "
+                                "voxel engine")
 
 
 @dataclass
@@ -187,17 +190,11 @@ def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
     if theorem == "thm-4.2":
         if engine == EXACT:
             kp, tp, shapes, _ = _polygon_pair(config, rng, 0.0)
-            return [restricted.check_arithmetic_bm(kp, tp, EXACT,
-                                                   shapes=shapes, **ids)]
+            return [restricted.check_arithmetic_bm(kp, tp, shapes=shapes,
+                                                   **ids)]
         gk, sk, gt, st = gen_decomposition_pair(rng, config.grid_params,
                                                 config.dim, config.h)
-        main = restricted.check_arithmetic_bm(gk, gt, VOXEL, shapes=(sk, st),
-                                              **ids)
-        pairs, roots = restricted.check_theta_bounds(gk, gt, shapes=(sk, st),
-                                                     **ids)
-        if pairs.details.get("containment_verdict") is False:
-            pairs.flags = pairs.flags + ("containment_failed",)
-        return [main, pairs, roots]
+        return restricted.check_thm_4_2_voxel(gk, gt, shapes=(sk, st), **ids)
 
     raise GeometryError(f"unknown theorem {config.theorem!r}")
 

@@ -251,15 +251,6 @@ class ConvexPolygon:
             self._area = Fraction(_area2(self._ring), 2 * self._den ** 2)
         return self._area
 
-    def edge_vectors(self) -> list[Point2]:
-        d = self._den
-        return [Point2(Fraction(ex, d), Fraction(ey, d))
-                for ex, ey in _edges(self._ring)]
-
-    def edge_normals(self) -> list[Point2]:
-        """Outward (unnormalized) normals, one per edge."""
-        return [Point2(e.y, -e.x) for e in self.edge_vectors()]
-
     def bbox(self) -> tuple[Point2, Point2]:
         d = self._den
         xs = [x for x, _ in self._ring]
@@ -269,19 +260,13 @@ class ConvexPolygon:
 
     def contains(self, p: Point2) -> bool:
         """Exact closed-set membership test."""
-        return self._contains_all(_to_lattice([p]))
-
-    def contains_polygon(self, other: "ConvexPolygon") -> bool:
-        return self._contains_all(_Lattice(other._ring, other._den))
-
-    def _contains_all(self, pts: _Lattice) -> bool:
-        ring, others, _ = _common(self._ring, self._den, *pts)
+        ring, ((px, py),), _ = _common(self._ring, self._den,
+                                       *_to_lattice([p]))
         n = len(ring)
         for i in range(n):
             (ax, ay), (bx, by) = ring[i], ring[(i + 1) % n]
-            for px, py in others:
-                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
-                    return False
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
+                return False
         return True
 
     def __eq__(self, other: object) -> bool:

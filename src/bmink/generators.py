@@ -245,21 +245,29 @@ def gen_decomposition_pair(rng: random.Random, params: GridGenParams,
     the smaller body's rim has such steps (balls, reflex corners).  An
     axis-aligned box rim has none, so restricting the smaller body to plain
     boxes keeps every decomposition identity cell-exact.
+
+    T is shrunk until |T| <= |K|.  When the 2h half-width floor stops it
+    from shrinking further, K is too small for any such box and the pair
+    is redrawn, within the generator's retry budget.
     """
-    k_grid, k_spec = gen_connected_boundary_set(rng, params, dim, h)
-    t_grid, t_spec = gen_box_set(rng, dim, h)
-    while t_grid.count > k_grid.count:
-        lo, hi = t_spec.bbox()
-        shrink = 0.8 * (k_grid.count / t_grid.count) ** (1.0 / dim)
-        center = (lo + hi) / 2
-        half = (hi - lo) / 2 * shrink
-        half = [max(float(w), 2.0 * h) for w in half]
-        t_spec = ShapeSpec.box([_snap(float(c - w), h)
-                                for c, w in zip(center, half)],
-                               [_snap(float(c + w), h)
-                                for c, w in zip(center, half)])
-        shrunk = rasterize(t_spec, h)
-        if shrunk.count == t_grid.count:
-            break
-        t_grid = shrunk
-    return k_grid, k_spec, t_grid, t_spec
+    for _ in range(params.max_retries):
+        k_grid, k_spec = gen_connected_boundary_set(rng, params, dim, h)
+        t_grid, t_spec = gen_box_set(rng, dim, h)
+        while t_grid.count > k_grid.count:
+            lo, hi = t_spec.bbox()
+            shrink = 0.8 * (k_grid.count / t_grid.count) ** (1.0 / dim)
+            center = (lo + hi) / 2
+            half = (hi - lo) / 2 * shrink
+            half = [max(float(w), 2.0 * h) for w in half]
+            t_spec = ShapeSpec.box([_snap(float(c - w), h)
+                                    for c, w in zip(center, half)],
+                                   [_snap(float(c + w), h)
+                                    for c, w in zip(center, half)])
+            shrunk = rasterize(t_spec, h)
+            if shrunk.count == t_grid.count:
+                break
+            t_grid = shrunk
+        if t_grid.count <= k_grid.count:
+            return k_grid, k_spec, t_grid, t_spec
+    raise GeometryError("decomposition pair generator exhausted its retry "
+                        "budget")

@@ -20,7 +20,7 @@ REPORT_VERSION = 1
 
 
 def frac_to_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 def parse_number(value: Any) -> Any:

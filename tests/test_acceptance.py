@@ -19,7 +19,7 @@ from bmink.generators import (GridGenParams, PolygonGenParams,
                               gen_decomposition_pair, gen_polygon_pair,
                               trial_rng)
 from bmink.inequalities import check_thm_bbm, rn_value
-from bmink.restricted import check_theta_bounds
+from bmink.restricted import check_thm_4_2_voxel
 from bmink.serialize import spec_from_polygon
 from bmink.voxel import (ShapeSpec, decomposition_check, dilate, erode_open,
                          rasterize, volume)
@@ -217,7 +217,7 @@ def test_criterion_10_restricted_sum_suite(capsys):
     for i in range(200):
         rng = trial_rng(70_000, i)
         k, _, t, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
-        pairs, roots = check_theta_bounds(k, t)
+        _, pairs, roots = check_thm_4_2_voxel(k, t)
         if pairs.slack < 0:
             pair_ok = False
         if roots.violation:

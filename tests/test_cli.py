@@ -159,3 +159,21 @@ def test_shape_file_bad_number_errors_cleanly(tmp_path, capsys):
                              "radius": "x"}))
     assert main(["erode", "--k", str(k), "--t", str(k)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("theorem", ["lemma-pbm", "rn"])
+def test_verify_rejects_voxel_engine_for_scalar_checks(theorem, capsys):
+    assert main(["verify", theorem, "--engine", "voxel", "--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "voxel" in err
+
+
+def test_verify_4d_decomposition_campaign_runs(tmp_path, capsys):
+    # Trial 3 of seed 1 draws a K smaller than the smallest box T at this
+    # resolution; the generator redraws it instead of aborting the campaign.
+    out = tmp_path / "r.jsonl"
+    code = main(["verify", "thm-4.2", "--engine", "voxel", "--dim", "4",
+                 "--res", "1/8", "--trials", "6", "--seed", "1",
+                 "--out", str(out)])
+    assert code in (0, 1)
+    assert len(out.read_text().splitlines()) == 18

@@ -84,3 +84,15 @@ def test_decomposition_pair_orders_by_count():
                                                  GridGenParams(), 2, 1 / 16)
         assert t.count <= k.count
         assert t_spec.kind == "box"
+
+
+def test_decomposition_pair_redraws_when_t_cannot_shrink():
+    # At 4D h = 1/8 the first K of this trial is smaller than any box with
+    # the 2h half-width floor; the pair is redrawn instead of returning
+    # |T| > |K|.
+    k, _, t, _ = gen_decomposition_pair(trial_rng(1, 3), GridGenParams(),
+                                        4, 1 / 8)
+    assert t.count <= k.count
+    with pytest.raises(GeometryError, match="decomposition pair"):
+        gen_decomposition_pair(trial_rng(1, 3), GridGenParams(max_retries=1),
+                               4, 1 / 8)

@@ -1,12 +1,18 @@
-"""Pinned report bytes of small fixed-seed exact campaigns.
+"""Pinned report bytes of small fixed-seed campaigns on both engines.
 
-Each sha256 below was recorded from the `fractions.Fraction` engine, before
-the exact engine moved to integer vertices over one denominator.  The
-reports carry exact rationals, so any drift in a computed area, slack,
-equality tag or witness changes a byte and fails here.  The campaigns cover
-planted translate and homothet pairs (thm-av), random λ = k/16 (thm-bbm),
-three bodies (cor-multi) and the arithmetic bound on the exact engine
-(thm-4.2).
+The exact sha256 digests were recorded from the `fractions.Fraction`
+engine, before the exact engine moved to integer vertices over one
+denominator.  The reports carry exact rationals, so any drift in a computed
+area, slack, equality tag or witness changes a byte and fails here.  The
+exact campaigns cover planted translate and homothet pairs (thm-av), random
+λ = k/16 (thm-bbm), three bodies (cor-multi) and the arithmetic bound on the
+exact engine (thm-4.2).
+
+The voxel digests pin thm-4.2 with its restricted-sum bounds eq-4.2 and
+eq-4.3 in 2D at h = 1/16 and 3D at h = 1/32.  They were recorded while each
+bound still came from its own checker, before the three reports of a trial
+shared one pass over the pair, so the float volumes, tolerances, pair
+counts and containment flags must match that code to the last bit.
 """
 
 import hashlib
@@ -17,20 +23,41 @@ import pytest
 from bmink.campaign import CampaignConfig, run_campaign
 
 PINNED = [
-    (dict(theorem="thm-av", trials=60, seed=11, plant_rate=0.1),
+    (dict(theorem="thm-av", engine="exact", trials=60, seed=11,
+          plant_rate=0.1),
      "b3af2726ba4071d8a1e8d7c39777b1d97cabb322b6d83a57e1c1937c8739a215"),
-    (dict(theorem="thm-bbm", trials=30, seed=12, plant_rate=0.2),
+    (dict(theorem="thm-bbm", engine="exact", trials=30, seed=12,
+          plant_rate=0.2),
      "f3f1c26d1fead9d56cad7d6d5578f1b0cdc87db2007467b33c0ee56ced12715d"),
-    (dict(theorem="cor-multi", trials=20, seed=13, bodies=3, plant_rate=0.3),
+    (dict(theorem="cor-multi", engine="exact", trials=20, seed=13, bodies=3,
+          plant_rate=0.3),
      "e61264f9ac1030bf22c03370a0618bab55965a614953ae624370c7cd5837c90b"),
-    (dict(theorem="thm-4.2", trials=30, seed=14),
+    (dict(theorem="thm-4.2", engine="exact", trials=30, seed=14),
      "4f3d523e1c92ae101b960cc8868e87419c904c39b1cd8791f634907fef32a874"),
+    (dict(theorem="thm-4.2", engine="voxel", dim=2, h=1 / 16, trials=8,
+          seed=21),
+     "c23085ed5711f6050f11da79651841947fad22dfaf6b1382b54d4f6b089f021a"),
+    (dict(theorem="thm-4.2", engine="voxel", dim=3, h=1 / 32, trials=3,
+          seed=22),
+     "a84adc12bfe3a92590ac4e601b000fc7b57343a4d7df7a157a3f0fe03414f2ad"),
 ]
+EXACT = [(s, d) for s, d in PINNED if s["engine"] == "exact"]
+VOXEL = [(s, d) for s, d in PINNED if s["engine"] == "voxel"]
 
 
-@pytest.mark.parametrize("settings,digest", PINNED,
-                         ids=[s["theorem"] for s, _ in PINNED])
-def test_exact_campaign_report_bytes(settings, digest):
+def _digest(settings: dict) -> str:
     buf = io.StringIO()
-    run_campaign(CampaignConfig(engine="exact", **settings), out=buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    run_campaign(CampaignConfig(**settings), out=buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("settings,digest", EXACT,
+                         ids=[s["theorem"] for s, _ in EXACT])
+def test_exact_campaign_report_bytes(settings, digest):
+    assert _digest(settings) == digest
+
+
+@pytest.mark.parametrize("settings,digest", VOXEL,
+                         ids=[f"{s['theorem']}-{s['dim']}d" for s, _ in VOXEL])
+def test_voxel_campaign_report_bytes(settings, digest):
+    assert _digest(settings) == digest

@@ -2,11 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from bmink import restricted, voxel
+from bmink.campaign import CampaignConfig, _run_trial, run_campaign
 from bmink.exact2d import ConvexPolygon, scale
 from bmink.generators import GridGenParams, gen_decomposition_pair, trial_rng
-from bmink.restricted import (ThetaSpec, check_arithmetic_bm,
-                              check_theta_bounds, restricted_sum,
-                              shrinking_pair_demo)
+from bmink.restricted import (check_arithmetic_bm, check_thm_4_2_voxel,
+                              restricted_sum, shrinking_pair_demo)
 from bmink.voxel import (GridError, ShapeSpec, boundary, dilate, erode_open,
                          is_subset, rasterize)
 
@@ -23,30 +24,30 @@ def fixture_pair(h=1 / 16):
 
 def test_erosion_complement_containment():
     k, t = fixture_pair()
-    r = restricted_sum(k, t, ThetaSpec.erosion_complement(k, t))
-    assert r.containment_verdict is True
-    assert is_subset(r.sum_set, dilate(boundary(k), boundary(t)))
+    sum_set, _ = restricted_sum(k, t, erode_open(k, t))
+    assert is_subset(sum_set, dilate(boundary(k), boundary(t)))
 
 
 def test_erosion_complement_monotone_vs_full():
     k, t = fixture_pair()
-    part = restricted_sum(k, t, ThetaSpec.erosion_complement(k, t))
-    assert part.sum_set.count <= dilate(k, t).count
-    assert part.admitted_pairs <= k.count * t.count
+    sum_set, admitted = restricted_sum(k, t, erode_open(k, t))
+    assert sum_set.count <= dilate(k, t).count
+    assert admitted <= k.count * t.count
 
 
 def test_empty_erosion_gives_full_theta():
     _, t = fixture_pair()
-    r = restricted_sum(t, t, ThetaSpec.erosion_complement(t, t))
-    assert r.admitted_pairs == t.count ** 2
-    assert r.sum_set == dilate(t, t)
+    sum_set, admitted = restricted_sum(t, t, erode_open(t, t))
+    assert admitted == t.count ** 2
+    assert sum_set == dilate(t, t)
 
 
 def test_theta_pair_mismatch_rejected():
+    # The erosion must live on the grid of K and T.
     k, t = fixture_pair()
-    theta = ThetaSpec.erosion_complement(k, t)
+    coarse_k, coarse_t = fixture_pair(h=1 / 8)
     with pytest.raises(GridError):
-        restricted_sum(t, k, theta)
+        restricted_sum(k, t, erode_open(coarse_k, coarse_t))
 
 
 def test_admitted_pairs_exact_on_nested_boxes():
@@ -54,18 +55,19 @@ def test_admitted_pairs_exact_on_nested_boxes():
     # exactly |T| * |erosion|.
     k, t = fixture_pair()
     e = erode_open(k, t)
-    r = restricted_sum(k, t, ThetaSpec.erosion_complement(k, t, e))
-    assert r.admitted_pairs == k.count * t.count - t.count * e.count
+    _, admitted = restricted_sum(k, t, e)
+    assert admitted == k.count * t.count - t.count * e.count
 
 
 # -- volume bounds ------------------------------------------------------------------
 
 def test_theta_bounds_fixture():
     k, t = fixture_pair()
-    pairs, roots = check_theta_bounds(k, t)
+    _, pairs, roots = check_thm_4_2_voxel(k, t)
     assert not pairs.violation
     assert pairs.theorem_id == "eq-4.2"
     assert pairs.details["containment_verdict"] is True
+    assert "containment_failed" not in pairs.flags
     assert roots.theorem_id == "eq-4.3"
     assert not roots.violation
     # Continuum-tight case: sqrt(4) = sqrt(16) - sqrt(4).
@@ -76,7 +78,7 @@ def test_theta_bounds_cell_exact_on_random_pairs():
     for seed in range(10):
         rng = trial_rng(904, seed)
         k, _, t, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
-        pairs, roots = check_theta_bounds(k, t)
+        _, pairs, roots = check_thm_4_2_voxel(k, t)
         assert pairs.slack >= 0  # counting bound is cell-exact
         assert not roots.violation
 
@@ -84,7 +86,44 @@ def test_theta_bounds_cell_exact_on_random_pairs():
 def test_theta_bounds_requires_volume_order():
     k, t = fixture_pair()
     with pytest.raises(GridError):
-        check_theta_bounds(t, k)
+        check_thm_4_2_voxel(t, k)
+
+
+def test_one_pass_per_voxel_trial(monkeypatch):
+    # One voxel thm-4.2 trial builds bK and bT once, and makes three kernel
+    # convolutions: bK + bT, the open erosion and the K * T restricted sum.
+    calls = {"_convolve": 0, "boundary": 0}
+
+    def counted(name):
+        original = getattr(voxel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(voxel, name, wrapper)
+        monkeypatch.setattr(restricted, name, wrapper)
+    config = CampaignConfig(theorem="thm-4.2", engine="voxel", h=1 / 16,
+                            seed=5)
+    reports = _run_trial(config, 0)
+    assert [r.theorem_id for r in reports] == ["thm-4.2", "eq-4.2", "eq-4.3"]
+    assert calls == {"_convolve": 3, "boundary": 2}
+
+
+def test_containment_failure_is_flagged_violation(monkeypatch):
+    # The eq-4.2 report carries containment_failed itself, and the campaign
+    # counts it as a violation.
+    monkeypatch.setattr(restricted, "is_subset", lambda a, b: False)
+    k, t = fixture_pair()
+    _, pairs, _ = check_thm_4_2_voxel(k, t)
+    assert pairs.flags == ("containment_failed",)
+    assert pairs.details["containment_verdict"] is False
+    summary = run_campaign(CampaignConfig(theorem="thm-4.2", engine="voxel",
+                                          h=1 / 16, trials=2, seed=5))
+    assert summary.violations == 2
 
 
 # -- arithmetic bound ---------------------------------------------------------------
@@ -106,7 +145,8 @@ def test_arithmetic_bm_shrunk_pair_fails_as_expected():
 
 def test_arithmetic_bm_voxel_engine():
     k, t = fixture_pair()
-    r = check_arithmetic_bm(k, t, engine="voxel")
+    r = check_thm_4_2_voxel(k, t)[0]
+    assert r.theorem_id == "thm-4.2" and r.engine == "voxel"
     assert r.slack >= -r.tolerance
     assert r.details["ratio_ok"] is False  # ratio 2 exceeds sqrt(2)
 
