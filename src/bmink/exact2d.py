@@ -197,7 +197,8 @@ class ConvexPolygon:
     @classmethod
     def hull(cls, points: Iterable[Sequence[Scalar]]) -> "ConvexPolygon":
         """Convex hull (monotone chain) of a point set; strict turns only."""
-        ring, den = _to_lattice(points)
+        ring, den = (points if isinstance(points, _Lattice)
+                     else _to_lattice(points))
         pts = sorted(set(ring))
         if len(pts) < 3:
             raise GeometryError("hull needs at least 3 distinct points")

@@ -19,7 +19,8 @@ from typing import Optional
 
 from scipy import ndimage
 
-from .exact2d import ConvexPolygon, GeometryError, Point2, scale, translate
+from .exact2d import (ConvexPolygon, GeometryError, Point2, _Lattice, scale,
+                      translate)
 from .voxel import GridSet, ShapeSpec, is_boundary_connected, rasterize
 
 PLANT_TRANSLATE = "translate"
@@ -46,11 +47,11 @@ class PolygonGenParams:
             raise GeometryError("coordinate range and snap must be positive")
 
 
-def _snapped_point(rng: random.Random, params: PolygonGenParams) -> tuple:
-    d = params.snap_denominator
-    span = params.coord_range * d
-    return (Fraction(rng.randint(-span, span), d),
-            Fraction(rng.randint(-span, span), d))
+def _snapped_point(rng: random.Random, params: PolygonGenParams
+                   ) -> tuple[int, int]:
+    """A point of the snap grid as integers over params.snap_denominator."""
+    span = params.coord_range * params.snap_denominator
+    return rng.randint(-span, span), rng.randint(-span, span)
 
 
 def gen_convex_polygon(rng: random.Random,
@@ -66,7 +67,7 @@ def gen_convex_polygon(rng: random.Random,
         n_points = rng.randint(params.min_vertices, params.max_vertices) + 3
         pts = [_snapped_point(rng, params) for _ in range(n_points)]
         try:
-            poly = ConvexPolygon.hull(pts)
+            poly = ConvexPolygon.hull(_Lattice(pts, params.snap_denominator))
         except GeometryError:
             continue
         if params.min_vertices <= len(poly) <= params.max_vertices:
@@ -85,7 +86,7 @@ def gen_symmetric_polygon(rng: random.Random,
         pts = [_snapped_point(rng, params) for _ in range(half + 1)]
         pts += [(-x, -y) for x, y in pts]
         try:
-            poly = ConvexPolygon.hull(pts)
+            poly = ConvexPolygon.hull(_Lattice(pts, params.snap_denominator))
         except GeometryError:
             continue
         if len(poly) <= params.max_vertices + 2:

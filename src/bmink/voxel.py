@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -24,6 +25,7 @@ from scipy import ndimage
 
 MAX_EXTENT = 4096
 MAX_CELLS = 2 ** 24  # 4096^2: every 2D grid within MAX_EXTENT stays legal
+_MAX_INDEX = 2 ** 52  # beyond it, i + 0.5 is not exact in float64
 ALLOWED_DIMS = (2, 3, 4)
 
 Number = Union[int, float, Fraction]
@@ -84,7 +86,8 @@ class GridSet:
             hi.append(int(nz[-1]) + 1)
         core = occ[tuple(slice(a, b) for a, b in zip(lo, hi))]
         _check_extent([n + 2 for n in core.shape])
-        self.occ = np.pad(core, 1)
+        self.occ = np.zeros([n + 2 for n in core.shape], dtype=bool)
+        self.occ[(slice(1, -1),) * dim] = core
         self.occ.setflags(write=False)
         self.origin = tuple(int(o) + a - 1 for o, a in zip(origin, lo))
 
@@ -439,6 +442,9 @@ class ShapeSpec:
 
     @staticmethod
     def translated(child: "ShapeSpec", vector: Sequence[Number]) -> "ShapeSpec":
+        if len(vector) != child.dim():
+            raise GridError("translation vector must match the shape's "
+                            "dimension")
         return ShapeSpec("translated", vector=tuple(vector), children=(child,))
 
     @staticmethod
@@ -464,39 +470,46 @@ class ShapeSpec:
             return 2
         return self.children[0].dim()
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized closed-set membership for points of shape (m, dim)."""
-        pts = np.asarray(points, dtype=float)
+    def _on_mesh(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """Closed-set membership on an open mesh.
+
+        axes[k] holds the coordinates along axis k, shaped to broadcast
+        along that axis only; the result broadcasts to the full mesh.  Each
+        mesh point goes through the float operations of evaluating the spec
+        at that one point, and sums over axes run left to right.
+        """
         if self.kind == "box":
-            lo = np.array([float(v) for v in self.lo])
-            hi = np.array([float(v) for v in self.hi])
-            return np.all((pts >= lo) & (pts <= hi), axis=1)
+            return reduce(np.logical_and,
+                          [(x >= float(a)) & (x <= float(b))
+                           for x, a, b in zip(axes, self.lo, self.hi)])
         if self.kind == "ball":
-            c = np.array([float(v) for v in self.center])
             r = float(self.radius)
-            return np.sum((pts - c) ** 2, axis=1) <= r * r
+            return reduce(np.add, [(x - float(c)) ** 2 for x, c
+                                   in zip(axes, self.center)]) <= r * r
         if self.kind == "simplex":
-            return np.all(pts >= 0.0, axis=1) & (pts.sum(axis=1) <= 1.0)
+            return (reduce(np.logical_and, [x >= 0.0 for x in axes])
+                    & (reduce(np.add, axes) <= 1.0))
         if self.kind == "polygon":
             verts = np.array([[float(x), float(y)] for x, y in self.vertices])
             if _poly_signed_area(verts) < 0:
                 verts = verts[::-1]
-            ok = np.ones(len(pts), dtype=bool)
-            for i in range(len(verts)):
-                a = verts[i]
-                e = verts[(i + 1) % len(verts)] - a
-                rel = pts - a
-                ok &= e[0] * rel[:, 1] - e[1] * rel[:, 0] >= 0.0
+            x, y = axes
+            ok = True
+            for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+                e = b - a
+                ok = ok & (e[0] * (y - a[1]) - e[1] * (x - a[0]) >= 0.0)
             return ok
         if self.kind == "scaled":
-            return self.children[0].contains(pts / float(self.factor))
+            f = float(self.factor)
+            return self.children[0]._on_mesh([x / f for x in axes])
         if self.kind == "translated":
-            v = np.array([float(x) for x in self.vector])
-            return self.children[0].contains(pts - v)
+            return self.children[0]._on_mesh(
+                [x - float(v) for x, v in zip(axes, self.vector)])
         if self.kind == "reflected":
-            return self.children[0].contains(-pts)
+            return self.children[0]._on_mesh([-x for x in axes])
         if self.kind == "union":
-            return self.children[0].contains(pts) | self.children[1].contains(pts)
+            return (self.children[0]._on_mesh(axes)
+                    | self.children[1]._on_mesh(axes))
         raise GridError(f"unknown shape kind {self.kind!r}")
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
@@ -537,19 +550,33 @@ def _poly_signed_area(verts: np.ndarray) -> float:
 
 def rasterize(spec: ShapeSpec, h: float) -> GridSet:
     """Rasterize by the cell-center rule: a cell is occupied exactly when
-    its center lies in the closed set described by the spec."""
+    its center lies in the closed set described by the spec.
+
+    The spec is evaluated on an open mesh, one vector of cell-center
+    coordinates per axis, so no (cells x dim) point matrix is built.  A
+    shape window that is not finite, or whose lattice indices exceed 2**52
+    (where cell centers stop being exact in float64), raises GridError, as
+    does a window beyond the extent caps.
+    """
     if not h > 0:
         raise GridError("resolution h must be positive")
     dim = spec.dim()
     if dim not in ALLOWED_DIMS:
         raise GridError(f"shape dimension {dim} not in {ALLOWED_DIMS}")
-    lo, hi = spec.bbox()
-    imin = np.floor(lo / h - 0.5).astype(int)
-    imax = np.ceil(hi / h - 0.5).astype(int)
-    shape = tuple(int(n) for n in imax - imin + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = spec.bbox()
+        first = np.floor(lo / h - 0.5)
+        last = np.ceil(hi / h - 0.5)
+    if not (np.all(np.abs(first) <= _MAX_INDEX)
+            and np.all(np.abs(last) <= _MAX_INDEX)):
+        raise GridError(f"shape bounding box {lo.tolist()}..{hi.tolist()} at "
+                        f"h={h} is not finite or lies beyond lattice index "
+                        "2**52")
+    imin = [int(i) for i in first]
+    shape = [int(n) for n in last - first + 1]
     _check_extent([n + 2 for n in shape])
-    axes = [(np.arange(imin[k], imax[k] + 1) + 0.5) * h for k in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    occ = spec.contains(pts).reshape(shape)
-    return GridSet(dim, h, tuple(int(i) for i in imin), occ)
+    axes = []
+    for k, (i, n) in enumerate(zip(imin, shape)):
+        x = (np.arange(i, i + n) + 0.5) * h
+        axes.append(x.reshape([n if j == k else 1 for j in range(dim)]))
+    return GridSet(dim, h, imin, spec._on_mesh(axes))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,28 @@ def test_shape_file_bad_number_errors_cleanly(tmp_path, capsys):
                              "radius": "x"}))
     assert main(["erode", "--k", str(k), "--t", str(k)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [["erode", "--engine", "voxel"],
+                                     ["decompose"]])
+@pytest.mark.parametrize("spec", [
+    {"kind": "box", "lo": [0, 0], "hi": [float("inf"), 1]},
+    {"kind": "ball", "center": [1e300, 0], "radius": 1},
+], ids=["infinite-box", "far-ball"])
+def test_non_finite_shape_window_errors_cleanly(tmp_path, capsys, command,
+                                                spec):
+    k = tmp_path / "k.json"
+    # json.dumps writes inf as `Infinity`; a literal 1e400 parses the same.
+    k.write_text(json.dumps(spec).replace("Infinity", "1e400"))
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps({"kind": "box", "lo": [0, 0], "hi": [1, 1]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(command + ["--k", str(k), "--t", str(t), "--res", "1/32"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("theorem", ["lemma-pbm", "rn"])

@@ -13,6 +13,12 @@ eq-4.3 in 2D at h = 1/16 and 3D at h = 1/32.  They were recorded while each
 bound still came from its own checker, before the three reports of a trial
 shared one pass over the pair, so the float volumes, tolerances, pair
 counts and containment flags must match that code to the last bit.
+
+The voxel boundary-sum pins cover thm-av in 2D at h = 1/64 and 3D at
+h = 1/16, cor-multi with three bodies and thm-bbm, which re-rasterizes the
+scaled shape specs on every trial.  They were recorded while rasterization
+still evaluated the specs on a (cells x dim) point matrix, so the open-mesh
+rasterizer must reproduce its occupancy cell for cell.
 """
 
 import hashlib
@@ -40,6 +46,18 @@ PINNED = [
     (dict(theorem="thm-4.2", engine="voxel", dim=3, h=1 / 32, trials=3,
           seed=22),
      "a84adc12bfe3a92590ac4e601b000fc7b57343a4d7df7a157a3f0fe03414f2ad"),
+    (dict(theorem="thm-av", engine="voxel", dim=2, h=1 / 64, trials=12,
+          seed=31),
+     "e910744a729e99d90aaf1fcab49e11c77211c0af0319e081dde2e3af4f137ec4"),
+    (dict(theorem="thm-av", engine="voxel", dim=3, h=1 / 16, trials=4,
+          seed=32),
+     "15b5e639c1ec4c80e87e3ca6d576e7dbc4ae08ae49f3a4f04f2cc8f80ca7bc96"),
+    (dict(theorem="cor-multi", engine="voxel", dim=2, h=1 / 64, trials=5,
+          seed=33, bodies=3),
+     "494566ae69701bb8d051747c7368915726c95286067199289fe38e098176daa9"),
+    (dict(theorem="thm-bbm", engine="voxel", dim=2, h=1 / 64, trials=8,
+          seed=34),
+     "7d02c0448776d2d937cf5bccaa7dc227a999b3e6ad9bbb2d0397a9f0598bba05"),
 ]
 EXACT = [(s, d) for s, d in PINNED if s["engine"] == "exact"]
 VOXEL = [(s, d) for s, d in PINNED if s["engine"] == "voxel"]

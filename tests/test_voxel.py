@@ -61,6 +61,28 @@ def test_rasterize_extent_cap():
         rasterize(ShapeSpec.box((0, 0), (10, 10)), 1 / 1024)
 
 
+@pytest.mark.parametrize("spec", [
+    ShapeSpec.box((0, 0), (math.inf, 1)),
+    ShapeSpec.ball((math.nan, 0), 1),
+    ShapeSpec.ball((1e300, 0), 1),
+    ShapeSpec.scaled(ShapeSpec.box((0, 0), (1e300, 1)), 1e300),
+], ids=["infinite-box", "nan-ball", "far-ball", "overflowing-scale"])
+def test_rasterize_rejects_non_finite_window(spec):
+    with np.errstate(all="raise"), pytest.raises(GridError, match="finite"):
+        rasterize(spec, 1 / 32)
+
+
+def test_rasterize_extent_cap_before_cast():
+    # Finite and exact, but 2**40 cells wide.
+    with pytest.raises(GridExtentError):
+        rasterize(ShapeSpec.box((0, 0), (2.0 ** 35, 1)), 1 / 32)
+
+
+def test_translation_must_match_dimension():
+    with pytest.raises(GridError):
+        ShapeSpec.translated(BOX, (1, 0, 0))
+
+
 def test_total_cell_budget():
     _check_extent((4096, 4096))  # every 2D grid within the axis cap is legal
     with pytest.raises(GridExtentError):

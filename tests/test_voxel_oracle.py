@@ -1,18 +1,29 @@
-"""The convolution-based voxel operations against the cell loops they replaced.
+"""The voxel engine's fast paths against the simple code they replaced.
 
 `dilate_loop`, `erode_open_loop` and `admitted_pair_count_loop` are the
-brute-force per-cell implementations, kept here as the reference.  Every
-property asserts cell-exact agreement: the same origin, the same occupancy
-and the same pair count.
+brute-force per-cell implementations of the convolution-based operations.
+`contains_points` and `rasterize_points` evaluate a shape spec on a
+(cells x dim) matrix of cell centers, as rasterization did before it moved
+to an open mesh.  Every property asserts cell-exact agreement: the same
+origin, the same occupancy and the same pair count.
 """
 
+import itertools
+import math
+from functools import reduce
+from operator import add
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bmink.generators import (GridGenParams, gen_connected_boundary_set,
+                              trial_rng)
 from bmink.restricted import restricted_sum
-from bmink.voxel import (GridSet, _interior_array, difference, dilate,
-                         erode_open)
+from bmink.voxel import (ALLOWED_DIMS, GridSet, ShapeSpec, _interior_array,
+                         _poly_signed_area, difference, dilate, erode_open,
+                         rasterize)
 
 H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
@@ -149,3 +160,167 @@ def test_restricted_sum_matches_cell_loop(triple):
         sum_set, admitted = restricted_sum(k, t, erosion)
         assert admitted == admitted_pair_count_loop(k, t, erosion)
         assert sum_set == difference(dilate_loop(k, t), erosion)
+
+
+def contains_points(spec: ShapeSpec, points: np.ndarray) -> np.ndarray:
+    """Closed-set membership for points of shape (m, dim)."""
+    pts = np.asarray(points, dtype=float)
+    kind, parts = spec.kind, spec.children
+    if kind == "box":
+        lo = np.array([float(v) for v in spec.lo])
+        hi = np.array([float(v) for v in spec.hi])
+        return np.all((pts >= lo) & (pts <= hi), axis=1)
+    if kind == "ball":
+        c = np.array([float(v) for v in spec.center])
+        r = float(spec.radius)
+        return np.sum((pts - c) ** 2, axis=1) <= r * r
+    if kind == "simplex":
+        return np.all(pts >= 0.0, axis=1) & (pts.sum(axis=1) <= 1.0)
+    if kind == "polygon":
+        verts = np.array([[float(x), float(y)] for x, y in spec.vertices])
+        if _poly_signed_area(verts) < 0:
+            verts = verts[::-1]
+        ok = np.ones(len(pts), dtype=bool)
+        for i in range(len(verts)):
+            a = verts[i]
+            e = verts[(i + 1) % len(verts)] - a
+            rel = pts - a
+            ok &= e[0] * rel[:, 1] - e[1] * rel[:, 0] >= 0.0
+        return ok
+    if kind == "scaled":
+        return contains_points(parts[0], pts / float(spec.factor))
+    if kind == "translated":
+        v = np.array([float(x) for x in spec.vector])
+        return contains_points(parts[0], pts - v)
+    if kind == "reflected":
+        return contains_points(parts[0], -pts)
+    assert kind == "union"
+    return contains_points(parts[0], pts) | contains_points(parts[1], pts)
+
+
+def rasterize_points(spec: ShapeSpec, h: float) -> GridSet:
+    """Cell-center rasterization through a (cells x dim) matrix of all cell
+    centers, the rasterizer before the open mesh."""
+    dim = spec.dim()
+    lo, hi = spec.bbox()
+    imin = np.floor(lo / h - 0.5).astype(int)
+    imax = np.ceil(hi / h - 0.5).astype(int)
+    shape = tuple(int(n) for n in imax - imin + 1)
+    axes = [(np.arange(imin[k], imax[k] + 1) + 0.5) * h for k in range(dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    occ = contains_points(spec, pts).reshape(shape)
+    return GridSet(dim, h, tuple(int(i) for i in imin), occ)
+
+
+# The cell sizes keep most meshes within a few ten thousand cells; larger
+# windows are filtered out.  Coordinates are either snapped to quarter
+# cells, so that corners, radii and vertices sit exactly on cell centers
+# and faces, or arbitrary floats.
+RES = {2: (1 / 16, 1 / 10, 3 / 32), 3: (1 / 8, 1 / 6), 4: (1 / 4, 1 / 3)}
+
+
+@st.composite
+def coords(draw, h):
+    if draw(st.booleans()):
+        return draw(st.integers(-40, 40)) * h / 4
+    return draw(st.floats(-1.5, 1.5, allow_nan=False))
+
+
+@st.composite
+def leaves(draw, dim, h):
+    kind = draw(st.sampled_from(("box", "ball", "simplex", "polygon")
+                                if dim == 2 else ("box", "ball", "simplex")))
+    if kind == "box":
+        lo = [draw(coords(h)) for _ in range(dim)]
+        width = [draw(st.integers(1, 12)) * h / 4 for _ in range(dim)]
+        return ShapeSpec.box(lo, [a + w for a, w in zip(lo, width)])
+    if kind == "ball":
+        radius = draw(st.one_of(st.integers(1, 12).map(lambda n: n * h / 4),
+                                st.floats(0.05, 1.0)))
+        return ShapeSpec.ball([draw(coords(h)) for _ in range(dim)], radius)
+    if kind == "simplex":
+        return ShapeSpec.simplex(dim)
+    verts = [(draw(coords(h)), draw(coords(h)))
+             for _ in range(draw(st.integers(3, 6)))]
+    return ShapeSpec.polygon(verts[::-1] if draw(st.booleans()) else verts)
+
+
+@st.composite
+def spec_trees(draw, dim, h, depth=3):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(leaves(dim, h))
+    node = draw(st.sampled_from(("scaled", "translated", "reflected",
+                                 "union")))
+    child = draw(spec_trees(dim, h, depth - 1))
+    if node == "scaled":
+        return ShapeSpec.scaled(child, draw(st.sampled_from(
+            (0.5, 0.75, 1.5, 0.3, 1.1))))
+    if node == "translated":
+        return ShapeSpec.translated(child, [draw(coords(h))
+                                            for _ in range(dim)])
+    if node == "reflected":
+        return ShapeSpec.reflected(child)
+    return ShapeSpec.union_of(child, draw(spec_trees(dim, h, depth - 1)))
+
+
+@st.composite
+def rasterize_cases(draw):
+    dim = draw(st.sampled_from(ALLOWED_DIMS))
+    h = draw(st.sampled_from(RES[dim]))
+    return draw(spec_trees(dim, h)), h
+
+
+TRIANGLE = [(0, 0), (0.5, 0), (0, 0.5)]
+
+
+@given(rasterize_cases())
+@example((ShapeSpec.polygon(TRIANGLE), 1 / 16))
+@example((ShapeSpec.polygon(TRIANGLE[::-1]), 1 / 16))
+@example((ShapeSpec.translated(ShapeSpec.reflected(ShapeSpec.simplex(3)),
+                               (1 / 16, 0, -3 / 16)), 1 / 8))
+@example((ShapeSpec.scaled(ShapeSpec.ball((1 / 8, 0, 0, 0), 5 / 8), 1.5),
+          1 / 4))
+@example((ShapeSpec.union_of(ShapeSpec.box((-1 / 32, -1 / 32), (9 / 32, 1)),
+                             ShapeSpec.ball((0.5, 0.5), 0.40625)), 1 / 16))
+@settings(max_examples=200, deadline=None)
+def test_rasterize_matches_point_matrix(case):
+    spec, h = case
+    lo, hi = spec.bbox()
+    assume(np.prod(np.ceil(hi / h) - np.floor(lo / h) + 1) <= 200_000)
+    assert rasterize(spec, h) == rasterize_points(spec, h)
+
+
+@pytest.mark.parametrize("dim,h", [(2, 1 / 64), (3, 1 / 16), (4, 1 / 8)])
+def test_generated_unions_match_point_matrix(dim, h):
+    params = GridGenParams()
+    for trial in range(6):
+        grid, spec = gen_connected_boundary_set(trial_rng(dim, trial),
+                                                params, dim, h)
+        assert grid == rasterize_points(spec, h)
+
+
+def _rounding_edge_ball(dim: int, h: float, grouping) -> ShapeSpec:
+    """A ball whose r*r lies between two groupings of one cell center's sum
+    of squares: left to right, and as `grouping` adds them.  A rasterizer
+    that sums in the second order flips that cell."""
+    center = [0.0137 * (k + 1) for k in range(dim)]
+    x = [(i + 0.5) * h for i in range(-6, 6)]
+    for p in itertools.product(x, repeat=dim):
+        sq = [(a - c) * (a - c) for a, c in zip(p, center)]
+        low, high = sorted((reduce(add, sq), grouping(sq)))
+        r = math.sqrt(low)
+        for radius in (r, math.nextafter(r, 2.0), math.nextafter(r, 0.0)):
+            if low <= radius * radius < high:
+                return ShapeSpec.ball(center, radius)
+    raise AssertionError("no cell center separates the two sums")
+
+
+@pytest.mark.parametrize("grouping", [
+    lambda sq: sq[0] + reduce(add, sq[1:]),
+    lambda sq: reduce(add, sq[::-1]),
+], ids=["pairwise", "reversed"])
+@pytest.mark.parametrize("dim,h", [(3, 0.1), (4, 1 / 8)])
+def test_ball_sums_squares_left_to_right(dim, h, grouping):
+    spec = _rounding_edge_ball(dim, h, grouping)
+    assert rasterize(spec, h) == rasterize_points(spec, h)
