@@ -61,6 +61,16 @@ class CampaignConfig:
             raise GeometryError("plant rate must lie in [0, 1]")
         if self.bodies < 3:
             raise GeometryError("multi-body campaigns need at least 3 bodies")
+        if self.engine == EXACT and self.theorem == "cor-multi":
+            # Bodies in [-r, r]^2 have areas up to (2r)^2, so the m-th power
+            # slack is at most (2r)^(2m).  Capping m at 512 keeps the power
+            # small: for 2r >= 2 it already exceeds the float range there.
+            span = 2 * self.polygon_params.coord_range
+            if span ** (2 * min(self.bodies, 512)) > sys.float_info.max:
+                raise GeometryError(
+                    f"exact cor-multi with {self.bodies} bodies: the slack "
+                    f"can reach {span}**{2 * self.bodies}, beyond the float "
+                    "range of the campaign summary")
         if self.dim not in (2, 3, 4):
             raise GeometryError("dimension must be 2, 3 or 4")
         if self.engine == EXACT and self.dim != 2:

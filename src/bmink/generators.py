@@ -1,9 +1,11 @@
 """Randomized shape generators with deterministic per-seed output.
 
 Polygons come from convex hulls of points snapped to a rational grid, so
-every generated vertex is exact.  Grid sets are unions of overlapping boxes
-and balls, rejected until the occupancy is face-connected and its boundary
-is connected; pairs destined for cell-exact decomposition checks
+every generated vertex is exact.  Grid sets are unions of boxes and balls,
+each rasterized once: a part joins the body when it overlaps the body or
+shares a face with it, which keeps the occupancy face-connected (see
+gen_connected_boundary_set for why), and a body is kept when its boundary
+is connected.  Pairs destined for cell-exact decomposition checks
 additionally restrict the smaller body to a plain box (see
 gen_decomposition_pair).  Because random pairs essentially never achieve
 equality in the volume bounds, the pair generators can deliberately plant
@@ -17,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from scipy import ndimage
-
 from .exact2d import (ConvexPolygon, GeometryError, Point2, _Lattice, scale,
                       translate)
-from .voxel import GridSet, ShapeSpec, is_boundary_connected, rasterize
+from .voxel import (GridSet, ShapeSpec, in_contact, is_boundary_connected,
+                    rasterize, union)
 
 PLANT_TRANSLATE = "translate"
 PLANT_HOMOTHETIC_SYMMETRIC = "homothetic_symmetric"
@@ -174,22 +175,36 @@ def _random_primitive(rng: random.Random, params: GridGenParams, dim: int,
                          [_snap(c + w, h) for c, w in zip(center, half)])
 
 
-def _face_connected(grid: GridSet) -> bool:
-    structure = ndimage.generate_binary_structure(grid.dim, 1)
-    _, num = ndimage.label(grid.occ, structure=structure)
-    return num == 1
-
-
 def gen_connected_boundary_set(seed_rng: random.Random,
                                params: GridGenParams,
                                dim: int, h: float
                                ) -> tuple[GridSet, ShapeSpec]:
-    """Random union of overlapping primitives with a connected boundary.
+    """Random union of primitives with a face-connected occupancy and a
+    connected boundary.
 
-    Each added primitive must keep the occupancy face-connected; the final
-    set must additionally pass the boundary-connectivity filter (an annulus
+    Each drawn primitive is rasterized once.  A part joins the body when it
+    is empty or when it overlaps the body or shares a face with it; the
+    final body must also pass the boundary-connectivity filter (an annulus
     made by near-coincident parts would fail it).  Rejected draws are
     resampled within a bounded budget.
+
+    The contact rule keeps the body face-connected by induction, because a
+    nonempty rasterized box or ball is face-connected:
+
+    - Box: its cells are a product of one index interval per axis.
+    - Ball: along an axis line the other coordinates are fixed, and
+      round-to-nearest subtraction, squaring and addition are monotone, so
+      the float sum of squares is unimodal in the cell index and the cells
+      that pass ``sum <= r*r`` form an interval.  If that interval is
+      nonempty it contains the index that minimizes ``fl(x - c)**2`` on
+      this axis, which does not depend on the other coordinates.  Walking
+      from any cell to those minimizing indices one axis at a time stays
+      inside the ball, so every cell reaches one common cell.
+
+    The union of two face-connected sets is face-connected exactly when
+    they overlap or some cell of one shares a face with a cell of the
+    other.  So the rule accepts exactly the parts whose union with the body
+    is face-connected, and the returned grid equals ``rasterize(spec, h)``.
     """
     params.validate()
     for _ in range(params.max_retries):
@@ -198,28 +213,22 @@ def gen_connected_boundary_set(seed_rng: random.Random,
                                    params.center_range / 2) for _ in range(dim)]
         spec = _random_primitive(seed_rng, params, dim, h, center)
         grid = rasterize(spec, h)
-        ok = grid.count > 0 and _face_connected(grid)
+        parts = 1
         attempts = 0
-        while ok and spec_count(spec) < n_parts and attempts < 8:
+        while not grid.is_empty and parts < n_parts and attempts < 8:
             attempts += 1
             lo, hi = spec.bbox()
             new_center = [seed_rng.uniform(lo[k] - 0.2, hi[k] + 0.2)
                           for k in range(dim)]
-            candidate = ShapeSpec.union_of(
-                spec, _random_primitive(seed_rng, params, dim, h, new_center))
-            candidate_grid = rasterize(candidate, h)
-            if _face_connected(candidate_grid):
-                spec, grid = candidate, candidate_grid
-        if ok and is_boundary_connected(grid):
+            part_spec = _random_primitive(seed_rng, params, dim, h, new_center)
+            part = rasterize(part_spec, h)
+            if part.is_empty or in_contact(grid, part):
+                spec = ShapeSpec.union_of(spec, part_spec)
+                grid = union(grid, part)
+                parts += 1
+        if is_boundary_connected(grid):
             return grid, spec
     raise GeometryError("grid generator exhausted its rejection budget")
-
-
-def spec_count(spec: ShapeSpec) -> int:
-    """Number of primitive leaves in a spec tree."""
-    if not spec.children:
-        return 1
-    return sum(spec_count(c) for c in spec.children)
 
 
 def gen_box_set(rng: random.Random, dim: int, h: float,

@@ -55,10 +55,12 @@ class GridSet:
     ``(origin + i + 0.5) * h`` per axis.  Instances are normalized so the
     occupied cells fit strictly inside the array with a one-cell empty
     margin (boundary extraction never clips), which also makes set equality
-    a plain array comparison.  Immutable after construction.
+    a plain array comparison.  Immutable after construction; the one
+    private slot caches the is_boundary_connected verdict, which the
+    occupancy determines.
     """
 
-    __slots__ = ("dim", "h", "origin", "occ")
+    __slots__ = ("dim", "h", "origin", "occ", "_boundary_connected")
 
     def __init__(self, dim: int, h: float, origin: Sequence[int],
                  occupancy: np.ndarray):
@@ -71,6 +73,7 @@ class GridSet:
             raise GridError("occupancy rank does not match dim")
         self.dim = dim
         self.h = float(h)
+        self._boundary_connected: Optional[bool] = None
         if not occ.any():
             self.origin = (0,) * dim
             self.occ = np.zeros((1,) * dim, dtype=bool)
@@ -218,6 +221,26 @@ def difference(a: GridSet, b: GridSet) -> GridSet:
     return GridSet(a.dim, a.h, lo, av & ~bv)
 
 
+def in_contact(a: GridSet, b: GridSet) -> bool:
+    """True when a and b share a cell or have two cells that share a face.
+
+    For face-connected a and b this holds exactly when their union is
+    face-connected.
+    """
+    _require_same_grid(a, b)
+    _, av, bv = _common_frame(a, b)
+    if (av & bv).any():
+        return True
+    for ax in range(a.dim):
+        head = tuple(slice(None, -1) if k == ax else slice(None)
+                     for k in range(a.dim))
+        tail = tuple(slice(1, None) if k == ax else slice(None)
+                     for k in range(a.dim))
+        if (av[head] & bv[tail]).any() or (av[tail] & bv[head]).any():
+            return True
+    return False
+
+
 def is_subset(a: GridSet, b: GridSet) -> bool:
     _require_same_grid(a, b)
     _, av, bv = _common_frame(a, b)
@@ -292,14 +315,16 @@ def is_boundary_connected(a: GridSet) -> bool:
     """True when boundary(a) forms one component under full adjacency.
 
     Full (3^dim - 1)-neighborhood adjacency keeps diagonal contacts
-    connected; the empty set has no boundary and reports False.
+    connected; the empty set has no boundary and reports False.  The
+    verdict is cached on the GridSet, so a body is labelled once however
+    many checks ask: the generator's filter and then each checker's
+    precondition.
     """
-    bnd = a.occ & ~_interior_array(a)
-    if not bnd.any():
-        return False
-    structure = np.ones((3,) * a.dim, dtype=int)
-    _, num = ndimage.label(bnd, structure=structure)
-    return num == 1
+    if a._boundary_connected is None:
+        bnd = a.occ & ~_interior_array(a)
+        a._boundary_connected = bool(bnd.any()) and ndimage.label(
+            bnd, structure=np.ones((3,) * a.dim, dtype=int))[1] == 1
+    return a._boundary_connected
 
 
 def check_lemma_bc(k: GridSet, t: GridSet) -> bool:

@@ -66,6 +66,16 @@ def test_campaign_config_validation():
         CampaignConfig(theorem="cor-multi", bodies=2).validate()
 
 
+def test_exact_cor_multi_body_limit():
+    # With the default coordinate range 3 the slack bound 6^(2m) fits a
+    # float up to m = 198; the voxel engine's slack is a float already.
+    CampaignConfig(theorem="cor-multi", engine="exact", bodies=198).validate()
+    with pytest.raises(GeometryError, match="199 bodies"):
+        CampaignConfig(theorem="cor-multi", engine="exact",
+                       bodies=199).validate()
+    CampaignConfig(theorem="cor-multi", engine="voxel", bodies=199).validate()
+
+
 def test_violation_counting_and_exit_code(monkeypatch):
     # Force a rigged negative-slack report through the pipeline to check the
     # exit-code contract; honest checkers never produce one.

@@ -200,3 +200,11 @@ def test_verify_4d_decomposition_campaign_runs(tmp_path, capsys):
                  "--out", str(out)])
     assert code in (0, 1)
     assert len(out.read_text().splitlines()) == 18
+
+
+@pytest.mark.parametrize("bodies", ["199", "250", "1000"])
+def test_verify_rejects_exact_cor_multi_beyond_float_slack(bodies, capsys):
+    assert main(["verify", "cor-multi", "--bodies", bodies,
+                 "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1

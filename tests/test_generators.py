@@ -1,5 +1,8 @@
 import pytest
+from scipy import ndimage
 
+from bmink import campaign, generators
+from bmink.campaign import CampaignConfig, _run_trial
 from bmink.exact2d import EqualityTag, GeometryError, classify_equality, reflect
 from bmink.generators import (GridGenParams, PLANT_HOMOTHETIC_SYMMETRIC,
                               PLANT_TRANSLATE, PolygonGenParams,
@@ -96,3 +99,45 @@ def test_decomposition_pair_redraws_when_t_cannot_shrink():
     with pytest.raises(GeometryError, match="decomposition pair"):
         gen_decomposition_pair(trial_rng(1, 3), GridGenParams(max_retries=1),
                                4, 1 / 8)
+
+
+def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
+    # Seed 1's first thm-av trial draws both bodies without a retry.  Each
+    # drawn primitive is rasterized once on its own, never as part of a
+    # union spec, and each body's boundary is labelled once, by the
+    # generator: check_thm_av reuses the cached verdict.
+    labels, rasterized, drawn, in_check = [], [], [], []
+    label = ndimage.label
+    rasterize = generators.rasterize
+    random_primitive = generators._random_primitive
+    check_thm_av = campaign.check_thm_av
+
+    def counted_label(*args, **kwargs):
+        labels.append(1)
+        return label(*args, **kwargs)
+
+    def counted_rasterize(spec, h):
+        rasterized.append(spec.kind)
+        return rasterize(spec, h)
+
+    def counted_primitive(*args):
+        drawn.append(1)
+        return random_primitive(*args)
+
+    def counted_check(*args, **kwargs):
+        before = len(labels)
+        report = check_thm_av(*args, **kwargs)
+        in_check.append(len(labels) - before)
+        return report
+
+    monkeypatch.setattr(ndimage, "label", counted_label)
+    monkeypatch.setattr(generators, "rasterize", counted_rasterize)
+    monkeypatch.setattr(generators, "_random_primitive", counted_primitive)
+    monkeypatch.setattr(campaign, "check_thm_av", counted_check)
+    config = CampaignConfig(theorem="thm-av", engine="voxel", h=1 / 16,
+                            seed=1)
+    assert [r.theorem_id for r in _run_trial(config, 0)] == ["thm-av"]
+    assert len(labels) == 2
+    assert in_check == [0]
+    assert len(rasterized) == len(drawn) == 5
+    assert set(rasterized) <= {"box", "ball"}

@@ -19,6 +19,12 @@ h = 1/16, cor-multi with three bodies and thm-bbm, which re-rasterizes the
 scaled shape specs on every trial.  They were recorded while rasterization
 still evaluated the specs on a (cells x dim) point matrix, so the open-mesh
 rasterizer must reproduce its occupancy cell for cell.
+
+The resolution pins cover thm-av in 2D at h = 1/10, 3D at h = 1/7 and 4D
+at h = 1/8, and cor-multi in 2D at h = 1/7.  At h = 1/10 and 1/7 the cell
+centres are not exact binary fractions.  They were recorded while the body
+generator still re-rasterized the whole union spec for every candidate
+part and labelled it, before parts were accepted by face contact.
 """
 
 import hashlib
@@ -61,6 +67,20 @@ PINNED = [
 ]
 EXACT = [(s, d) for s, d in PINNED if s["engine"] == "exact"]
 VOXEL = [(s, d) for s, d in PINNED if s["engine"] == "voxel"]
+RESOLUTIONS = [
+    (dict(theorem="thm-av", engine="voxel", dim=2, h=1 / 10, trials=12,
+          seed=41),
+     "f66b4f846886874f4debbbdb4dafa0d3f8cdd7c79a5352e7010cb405ef1adeee"),
+    (dict(theorem="thm-av", engine="voxel", dim=3, h=1 / 7, trials=4,
+          seed=42),
+     "3b7d69bf573a3a6cf3e204002d50944edfc997d6280b491b1a8f38159d7a76ea"),
+    (dict(theorem="thm-av", engine="voxel", dim=4, h=1 / 8, trials=3,
+          seed=43),
+     "e2daa0c6f10a2b6801d0bc58f5b11f6064266a82ab0b3adf89436a2207641fa6"),
+    (dict(theorem="cor-multi", engine="voxel", dim=2, h=1 / 7, trials=5,
+          seed=44, bodies=3),
+     "0b9fa78de138e03de5962a913f1905d7200f6c3560ccd99fe479ebe3ae6dd09e"),
+]
 
 
 def _digest(settings: dict) -> str:
@@ -78,4 +98,12 @@ def test_exact_campaign_report_bytes(settings, digest):
 @pytest.mark.parametrize("settings,digest", VOXEL,
                          ids=[f"{s['theorem']}-{s['dim']}d" for s, _ in VOXEL])
 def test_voxel_campaign_report_bytes(settings, digest):
+    assert _digest(settings) == digest
+
+
+@pytest.mark.parametrize(
+    "settings,digest", RESOLUTIONS,
+    ids=[f"{s['theorem']}-{s['dim']}d-h1/{round(1 / s['h'])}"
+         for s, _ in RESOLUTIONS])
+def test_voxel_resolution_report_bytes(settings, digest):
     assert _digest(settings) == digest

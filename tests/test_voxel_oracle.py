@@ -4,12 +4,16 @@
 brute-force per-cell implementations of the convolution-based operations.
 `contains_points` and `rasterize_points` evaluate a shape spec on a
 (cells x dim) matrix of cell centers, as rasterization did before it moved
-to an open mesh.  Every property asserts cell-exact agreement: the same
-origin, the same occupancy and the same pair count.
+to an open mesh.  `gen_connected_boundary_set_ref` is the body generator
+before each primitive was rasterized once: it re-rasterizes the whole
+union for every candidate part and labels it.  Every property asserts
+cell-exact agreement: the same origin, the same occupancy and the same
+pair count, and for the generator the same spec and random state.
 """
 
 import itertools
 import math
+import random
 from functools import reduce
 from operator import add
 
@@ -18,12 +22,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bmink.generators import (GridGenParams, gen_connected_boundary_set,
-                              trial_rng)
+from scipy import ndimage
+
+from bmink.exact2d import GeometryError
+from bmink.generators import (GridGenParams, _random_primitive,
+                              gen_connected_boundary_set, trial_rng)
 from bmink.restricted import restricted_sum
 from bmink.voxel import (ALLOWED_DIMS, GridSet, ShapeSpec, _interior_array,
                          _poly_signed_area, difference, dilate, erode_open,
-                         rasterize)
+                         in_contact, is_boundary_connected, rasterize, union)
 
 H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
@@ -324,3 +331,154 @@ def _rounding_edge_ball(dim: int, h: float, grouping) -> ShapeSpec:
 def test_ball_sums_squares_left_to_right(dim, h, grouping):
     spec = _rounding_edge_ball(dim, h, grouping)
     assert rasterize(spec, h) == rasterize_points(spec, h)
+
+
+def face_components(grid: GridSet) -> int:
+    structure = ndimage.generate_binary_structure(grid.dim, 1)
+    return ndimage.label(grid.occ, structure=structure)[1]
+
+
+def gen_connected_boundary_set_ref(seed_rng: random.Random,
+                                   params: GridGenParams, dim: int, h: float
+                                   ) -> tuple[GridSet, ShapeSpec]:
+    """Keep a candidate part when the rasterized union spec has one face
+    component; keep the body when its boundary is connected."""
+    params.validate()
+    for _ in range(params.max_retries):
+        n_parts = seed_rng.randint(1, params.max_primitives)
+        center = [seed_rng.uniform(-params.center_range / 2,
+                                   params.center_range / 2) for _ in range(dim)]
+        spec = _random_primitive(seed_rng, params, dim, h, center)
+        grid = rasterize(spec, h)
+        ok = grid.count > 0 and face_components(grid) == 1
+        parts = 1
+        attempts = 0
+        while ok and parts < n_parts and attempts < 8:
+            attempts += 1
+            lo, hi = spec.bbox()
+            new_center = [seed_rng.uniform(lo[k] - 0.2, hi[k] + 0.2)
+                          for k in range(dim)]
+            candidate = ShapeSpec.union_of(
+                spec, _random_primitive(seed_rng, params, dim, h, new_center))
+            candidate_grid = rasterize(candidate, h)
+            if face_components(candidate_grid) == 1:
+                spec, grid = candidate, candidate_grid
+                parts += 1
+        if ok and is_boundary_connected(grid):
+            return grid, spec
+    raise GeometryError("grid generator exhausted its rejection budget")
+
+
+# Dyadic and non-dyadic cell sizes per dimension; in 3D and 4D the finest
+# ones stay coarse enough that each example is a few ten thousand cells.
+GEN_RES = {2: (1 / 3, 1 / 7, 1 / 10, 0.013, 1 / 128),
+           3: (1 / 3, 1 / 7, 1 / 10, 1 / 16),
+           4: (1 / 3, 1 / 5, 1 / 7, 1 / 8)}
+
+
+@st.composite
+def gen_cases(draw):
+    dim = draw(st.sampled_from(ALLOWED_DIMS))
+    h = draw(st.sampled_from(GEN_RES[dim]))
+    return dim, h, draw(st.integers(0, 2 ** 32))
+
+
+def _generated(generate, dim, h, seed):
+    rng = random.Random(seed)
+    try:
+        grid, spec = generate(rng, GridGenParams(), dim, h)
+    except GeometryError as exc:
+        return str(exc), None, rng.getstate()
+    return grid, spec, rng.getstate()
+
+
+@given(gen_cases())
+@example((2, 0.013, 0))
+@example((3, 1 / 7, 1))
+@example((4, 1 / 8, 2))
+@settings(max_examples=120, deadline=None)
+def test_generator_matches_union_relabelling(case):
+    dim, h, seed = case
+    got = _generated(gen_connected_boundary_set, dim, h, seed)
+    assert got == _generated(gen_connected_boundary_set_ref, dim, h, seed)
+    grid, spec, _ = got
+    if spec is not None:
+        assert grid == rasterize(spec, h)
+
+
+# The lemma the contact rule rests on: a rasterized primitive of the
+# generator is nonempty and face-connected, so the union of two of them is
+# face-connected exactly when they overlap or share a face.
+PRIM_RES = {2: (1 / 7, 1 / 10, 1 / 16, 0.013, 1 / 64),
+            3: (1 / 7, 1 / 10, 1 / 16),
+            4: (1 / 5, 1 / 7, 1 / 8)}
+
+
+@st.composite
+def primitives(draw, dim, h, near=None):
+    """A primitive drawn as the generator draws one, centred anywhere in
+    [-1, 1]^dim, or near the window of `near` like a candidate part."""
+    if near is None:
+        center = [draw(st.floats(-1, 1)) for _ in range(dim)]
+    else:
+        lo, hi = near.bbox()
+        center = [draw(st.floats(float(a) - 0.2, float(b) + 0.2))
+                  for a, b in zip(lo, hi)]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return _random_primitive(rng, GridGenParams(), dim, h, center)
+
+
+@st.composite
+def primitive_cases(draw):
+    dim = draw(st.sampled_from(ALLOWED_DIMS))
+    h = draw(st.sampled_from(PRIM_RES[dim]))
+    return draw(primitives(dim, h)), h
+
+
+@given(primitive_cases())
+@settings(max_examples=150, deadline=None)
+def test_rasterized_primitive_is_one_face_component(case):
+    spec, h = case
+    grid = rasterize(spec, h)
+    assert not grid.is_empty
+    assert face_components(grid) == 1
+
+
+@st.composite
+def primitive_pairs(draw):
+    dim = draw(st.sampled_from(ALLOWED_DIMS))
+    h = draw(st.sampled_from(PRIM_RES[dim]))
+    first = draw(primitives(dim, h))
+    return first, draw(primitives(dim, h, near=first)), h
+
+
+@given(primitive_pairs())
+@settings(max_examples=150, deadline=None)
+def test_contact_agrees_with_labelling_the_union(case):
+    first, second, h = case
+    a, b = rasterize(first, h), rasterize(second, h)
+    assert in_contact(a, b) == in_contact(b, a)
+    assert in_contact(a, b) == (face_components(union(a, b)) == 1)
+
+
+def _box_cells(lo, hi) -> ShapeSpec:
+    """Box whose rasterization at h = 1/4 is the cells lo..hi (inclusive)
+    per axis."""
+    return ShapeSpec.box([(i + 0.25) / 4 for i in lo],
+                         [(i + 0.75) / 4 for i in hi])
+
+
+@pytest.mark.parametrize("lo,hi,touching", [
+    ((2, 2), (3, 3), False),              # corner only
+    ((2, 1), (3, 3), True),               # one shared face
+    ((1, 1), (3, 3), True),               # overlap
+    ((2, 2, 0), (3, 3, 1), False),        # 3D edge only
+    ((2, 2, 2), (2, 2, 2), False),        # 3D corner only
+    ((2, 0, 0), (2, 1, 1), True),         # 3D face
+    ((2,) * 4, (3,) * 4, False),          # 4D corner only
+])
+def test_contact_rejects_edge_and_corner_meetings(lo, hi, touching):
+    a = rasterize(_box_cells((0,) * len(lo), (1,) * len(lo)), 1 / 4)
+    b = rasterize(_box_cells(lo, hi), 1 / 4)
+    assert in_contact(a, b) is touching
+    assert (face_components(union(a, b)) == 1) is touching
