@@ -21,8 +21,8 @@ from typing import Optional
 
 from .exact2d import (ConvexPolygon, GeometryError, Point2, _Lattice, scale,
                       translate)
-from .voxel import (GridSet, ShapeSpec, in_contact, is_boundary_connected,
-                    rasterize, union)
+from .voxel import (GridSet, ShapeSpec, attach, is_boundary_connected,
+                    rasterize)
 
 PLANT_TRANSLATE = "translate"
 PLANT_HOMOTHETIC_SYMMETRIC = "homothetic_symmetric"
@@ -222,9 +222,10 @@ def gen_connected_boundary_set(seed_rng: random.Random,
                           for k in range(dim)]
             part_spec = _random_primitive(seed_rng, params, dim, h, new_center)
             part = rasterize(part_spec, h)
-            if part.is_empty or in_contact(grid, part):
+            joined = grid if part.is_empty else attach(grid, part)
+            if joined is not None:
                 spec = ShapeSpec.union_of(spec, part_spec)
-                grid = union(grid, part)
+                grid = joined
                 parts += 1
         if is_boundary_connected(grid):
             return grid, spec

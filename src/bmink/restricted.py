@@ -36,6 +36,11 @@ def restricted_sum(a: GridSet, b: GridSet,
     The sum set is dilate(A, B) minus the erosion.  One convolution of A
     with B gives both: its positive cells are dilate(A, B), and its counts
     summed over the erosion's cells are the excluded pairs.
+
+    For the open erosion, erode_open(A, B), the count is an identity: every
+    erosion cell x has x - B inside interior(A), a subset of A, so the
+    convolution count at x is exactly |B|, and the admitted pairs are
+    always |B| (|A| - |erosion|).
     """
     if not (a.same_grid(b) and erosion.same_grid(a)):
         raise GridError("operands must share dimension and resolution")
@@ -57,7 +62,10 @@ def check_thm_4_2_voxel(k: GridSet, t: GridSet, *,
     ratio-tagged as in check_arithmetic_bm.
     eq-4.2 (cell-exact): admitted pairs >= |T| (|K| - |K erosion T|) for
     the erosion-complement restriction; its sum set must lie inside
-    bK + bT, else the report is flagged containment_failed.
+    bK + bT, else the report is flagged containment_failed.  On voxels the
+    pair count holds with equality by construction (see restricted_sum):
+    the slack is always 0 and equality always true, so eq-4.2 carries only
+    the containment verdict.
     eq-4.3 (tolerance): vol(K erosion T)^(1/n) <= vol(K)^(1/n) - vol(T)^(1/n),
     allowing first-order discretization error in the linear scale.
     """

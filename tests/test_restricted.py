@@ -91,8 +91,9 @@ def test_theta_bounds_requires_volume_order():
 
 def test_one_pass_per_voxel_trial(monkeypatch):
     # One voxel thm-4.2 trial builds bK and bT once, and makes three kernel
-    # convolutions: bK + bT, the open erosion and the K * T restricted sum.
-    calls = {"_convolve": 0, "boundary": 0}
+    # calls: the open erosion and the K * T restricted sum convolve, and
+    # bK + bT, a sparse boundary sum at this size, scatters pairs.
+    calls = {"_convolve": 0, "_pair_sums": 0, "boundary": 0}
 
     def counted(name):
         original = getattr(voxel, name)
@@ -105,12 +106,29 @@ def test_one_pass_per_voxel_trial(monkeypatch):
     for name in calls:
         wrapper = counted(name)
         monkeypatch.setattr(voxel, name, wrapper)
-        monkeypatch.setattr(restricted, name, wrapper)
+        if hasattr(restricted, name):
+            monkeypatch.setattr(restricted, name, wrapper)
     config = CampaignConfig(theorem="thm-4.2", engine="voxel", h=1 / 16,
                             seed=5)
     reports = _run_trial(config, 0)
     assert [r.theorem_id for r in reports] == ["thm-4.2", "eq-4.2", "eq-4.3"]
-    assert calls == {"_convolve": 3, "boundary": 2}
+    assert calls == {"_convolve": 2, "_pair_sums": 1, "boundary": 2}
+
+
+@pytest.mark.parametrize("dim,h", [(2, 1 / 16), (3, 1 / 8), (4, 1 / 4)])
+def test_voxel_pair_count_is_an_identity(dim, h):
+    # Every erosion cell x has x - T inside int K, so the K * T count there
+    # is |T|: the admitted pairs are exactly |T| (|K| - |K erosion T|).
+    config = CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim, h=h,
+                            seed=5)
+    reports = [_run_trial(config, trial)[1] for trial in range(30)]
+    # Generated 4D pairs all have empty erosions; nested boxes do not.
+    k = rasterize(ShapeSpec.box((-2,) * dim, (2,) * dim), h)
+    t = rasterize(ShapeSpec.box((-1,) * dim, (1,) * dim), h)
+    nested = check_thm_4_2_voxel(k, t)[1]
+    assert nested.details["vol_erosion"] > 0
+    for pairs in reports + [nested]:
+        assert pairs.slack == 0 and pairs.equality
 
 
 def test_containment_failure_is_flagged_violation(monkeypatch):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from bmink import voxel
+from bmink.campaign import CampaignConfig, _run_trial
 from bmink.exact2d import ConvexPolygon, minkowski_sum
 from bmink.generators import GridGenParams, gen_decomposition_pair, trial_rng
 from bmink.serialize import spec_from_polygon
@@ -100,6 +102,18 @@ def test_dilate_checks_cell_budget_before_allocating():
         dilate(g, g)
 
 
+def test_dilate_checks_cell_budget_before_convolving(monkeypatch):
+    # The same corners plus a solid block: dense enough for the FFT path.
+    side = 130
+    occ = np.zeros((side,) * 3, dtype=bool)
+    occ[0, 0, 0] = occ[-1, -1, -1] = True
+    occ[1:25, 1:25, 1:25] = True
+    g = GridSet(3, 1.0, (0, 0, 0), occ)
+    monkeypatch.setattr(voxel, "_pair_sums", None)  # must not be reached
+    with pytest.raises(GridExtentError):
+        dilate(g, g)
+
+
 def test_simplex_volume_3d():
     g = rasterize(ShapeSpec.simplex(3), 1 / 64)
     assert abs(volume(g) - 1 / 6) / (1 / 6) < 0.05
@@ -169,11 +183,35 @@ def test_inexact_convolution_rejected(monkeypatch):
     inverse = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft",
                         lambda *args, **kwargs: inverse(*args, **kwargs) + 0.3)
-    b = rasterize(BOX, 0.5)
+    b = rasterize(BIGBOX, 0.25)  # dense enough for dilate's FFT path
     with pytest.raises(GridError):
         dilate(b, b)
     with pytest.raises(GridError):
         erode_open(b, b)
+
+
+def test_dilate_routes_benchmark_traffic(monkeypatch):
+    # The cost rule was sized on these calls: 2D boundary-by-boundary sums
+    # scatter pairs; the accumulated multi-body band stays on the FFT.
+    calls = {"_convolve": 0, "_pair_sums": 0}
+
+    def counted(name):
+        original = getattr(voxel, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(voxel, name, counted(name))
+    _run_trial(CampaignConfig(theorem="thm-av", engine="voxel", dim=2,
+                              h=1 / 128, seed=1), 0)
+    assert calls["_convolve"] == 0
+    calls.update(_convolve=0, _pair_sums=0)
+    _run_trial(CampaignConfig(theorem="cor-multi", engine="voxel", dim=2,
+                              h=1 / 128, bodies=3, seed=1), 0)
+    assert calls == {"_convolve": 1, "_pair_sums": 1}
 
 
 def test_dilate_requires_same_grid():

@@ -1,7 +1,9 @@
 """The voxel engine's fast paths against the simple code they replaced.
 
 `dilate_loop`, `erode_open_loop` and `admitted_pair_count_loop` are the
-brute-force per-cell implementations of the convolution-based operations.
+brute-force per-cell implementations of the kernel-based operations; both
+dilation kernels, pair scattering and the FFT convolution, are checked
+against `dilate_loop` on their own as well as through `dilate`.
 `contains_points` and `rasterize_points` evaluate a shape spec on a
 (cells x dim) matrix of cell centers, as rasterization did before it moved
 to an open mesh.  `gen_connected_boundary_set_ref` is the body generator
@@ -28,9 +30,11 @@ from bmink.exact2d import GeometryError
 from bmink.generators import (GridGenParams, _random_primitive,
                               gen_connected_boundary_set, trial_rng)
 from bmink.restricted import restricted_sum
-from bmink.voxel import (ALLOWED_DIMS, GridSet, ShapeSpec, _interior_array,
-                         _poly_signed_area, difference, dilate, erode_open,
-                         in_contact, is_boundary_connected, rasterize, union)
+from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridSet, ShapeSpec,
+                         _convolve, _frames, _interior_array, _pair_sums,
+                         _poly_signed_area, attach, difference, dilate,
+                         erode_open, in_contact, is_boundary_connected,
+                         rasterize, union)
 
 H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
@@ -128,15 +132,62 @@ SOLID_5X5 = _grid((-1, 1), np.ones((5, 5)))
 SOLID_3D = _grid((1, 0, -1), np.ones((4, 4, 4)))
 
 
+SOLID_7X7 = _grid((2, -3), np.ones((7, 7)))
+SOLID_8X8 = _grid((-3, 0), np.ones((8, 8)))
+# dilate's cost rule puts SOLID_7X7 + SOLID_7X7 on the pair side and
+# SOLID_8X8 + SOLID_8X8 on the FFT side (test_examples_straddle_cost_rule).
+PAIR_SIDE = (SOLID_7X7, SOLID_7X7)
+FFT_SIDE = (SOLID_8X8, SOLID_8X8)
+
+
+def _padded_cells(a: GridSet, b: GridSet) -> int:
+    return math.prod(_frames(a.occ, b.occ)[1])
+
+
+def _from_kernel(a: GridSet, b: GridSet, occ: np.ndarray) -> GridSet:
+    origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
+    return GridSet(a.dim, a.h, origin, occ)
+
+
+def test_examples_straddle_cost_rule():
+    a, b = PAIR_SIDE
+    assert a.count * b.count <= _PAIR_COST * _padded_cells(a, b)
+    a, b = FFT_SIDE
+    assert a.count * b.count > _PAIR_COST * _padded_cells(a, b)
+
+
 @given(grid_tuples(2))
 @example((SINGLE, _grid((-1, 4), [[1]])))
 @example((EMPTY, SOLID_5X5))
 @example((SINGLE, SOLID_5X5))
 @example((SOLID_5X5, SOLID_2X2))
+@example(PAIR_SIDE)
+@example(FFT_SIDE)
 @settings(max_examples=150, deadline=None)
 def test_dilate_matches_cell_loop(pair):
     a, b = pair
     assert dilate(a, b) == dilate_loop(a, b)
+
+
+@given(grid_tuples(2))
+@example((EMPTY, SOLID_5X5))
+@example(PAIR_SIDE)
+@example(FFT_SIDE)
+@settings(max_examples=100, deadline=None)
+def test_pair_sums_matches_cell_loop(pair):
+    a, b = pair
+    assert _from_kernel(a, b, _pair_sums(a.occ, b.occ)) == dilate_loop(a, b)
+
+
+@given(grid_tuples(2))
+@example((EMPTY, SOLID_5X5))
+@example(PAIR_SIDE)
+@example(FFT_SIDE)
+@settings(max_examples=100, deadline=None)
+def test_convolution_dilation_matches_cell_loop(pair):
+    a, b = pair
+    assert (_from_kernel(a, b, _convolve(a.occ, b.occ) > 0)
+            == dilate_loop(a, b))
 
 
 @given(grid_tuples(2))
@@ -459,6 +510,14 @@ def test_contact_agrees_with_labelling_the_union(case):
     a, b = rasterize(first, h), rasterize(second, h)
     assert in_contact(a, b) == in_contact(b, a)
     assert in_contact(a, b) == (face_components(union(a, b)) == 1)
+
+
+@given(primitive_pairs())
+@settings(max_examples=100, deadline=None)
+def test_attach_is_contact_then_union(case):
+    first, second, h = case
+    a, b = rasterize(first, h), rasterize(second, h)
+    assert attach(a, b) == (union(a, b) if in_contact(a, b) else None)
 
 
 def _box_cells(lo, hi) -> ShapeSpec:
