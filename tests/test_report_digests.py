@@ -25,6 +25,11 @@ at h = 1/8, and cor-multi in 2D at h = 1/7.  At h = 1/10 and 1/7 the cell
 centres are not exact binary fractions.  They were recorded while the body
 generator still re-rasterized the whole union spec for every candidate
 part and labelled it, before parts were accepted by face contact.
+
+The scalar pins cover lemma-pbm and rn, whose checkers take floats, not
+bodies.  They were recorded while every checker still took the report's
+seed, trial and shape specs as arguments, before the campaign stamped them
+on each report.
 """
 
 import hashlib
@@ -82,6 +87,13 @@ RESOLUTIONS = [
      "0b9fa78de138e03de5962a913f1905d7200f6c3560ccd99fe479ebe3ae6dd09e"),
 ]
 
+SCALAR = [
+    (dict(theorem="lemma-pbm", trials=200, seed=15),
+     "58b815ee3c707e6ca8d13f9f2f246d7a9aae87e2a4561c26bb7f9758d0d636b8"),
+    (dict(theorem="rn", trials=100, seed=16),
+     "6ec7d0828426292e21a10a63793595feca7102a7bcf6fe7d47dc754ec934552b"),
+]
+
 
 def _digest(settings: dict) -> str:
     buf = io.StringIO()
@@ -106,4 +118,10 @@ def test_voxel_campaign_report_bytes(settings, digest):
     ids=[f"{s['theorem']}-{s['dim']}d-h1/{round(1 / s['h'])}"
          for s, _ in RESOLUTIONS])
 def test_voxel_resolution_report_bytes(settings, digest):
+    assert _digest(settings) == digest
+
+
+@pytest.mark.parametrize("settings,digest", SCALAR,
+                         ids=[s["theorem"] for s, _ in SCALAR])
+def test_scalar_campaign_report_bytes(settings, digest):
     assert _digest(settings) == digest
