@@ -10,11 +10,11 @@ from .exact2d import (ConvexPolygon, EngineInconsistencyError, EqualityClass,
                       EqualityTag, ErosionResult, GeometryError, Point2,
                       area, boundary_sum_volume, classify_equality, erode,
                       is_centrally_symmetric, minkowski_sum, partial_sum_area,
-                      point, reflect, scale, support_value, translate, width)
+                      point, reflect, scale, translate)
 from .voxel import (DecompositionReport, GridError, GridExtentError, GridSet,
-                    ShapeSpec, boundary, check_lemma_bc, decomposition_check,
-                    dilate, erode_open, interior, is_boundary_connected,
-                    rasterize, volume)
+                    ShapeSpec, boundary, decomposition_check, dilate,
+                    erode_open, interior, is_boundary_connected, rasterize,
+                    volume)
 from .inequalities import (InequalityReport, check_cor_multi, check_lemma_pbm,
                            check_rn, check_thm_av, check_thm_bbm, rn_value)
 from .restricted import (check_arithmetic_bm, check_thm_4_2_voxel,
@@ -32,11 +32,10 @@ __all__ = [
     "EqualityTag", "ErosionResult", "GeometryError", "Point2", "area",
     "boundary_sum_volume", "classify_equality", "erode",
     "is_centrally_symmetric", "minkowski_sum", "partial_sum_area", "point",
-    "reflect", "scale", "support_value", "translate", "width",
+    "reflect", "scale", "translate",
     "DecompositionReport", "GridError", "GridExtentError", "GridSet",
-    "ShapeSpec", "boundary", "check_lemma_bc", "decomposition_check",
-    "dilate", "erode_open", "interior", "is_boundary_connected", "rasterize",
-    "volume",
+    "ShapeSpec", "boundary", "decomposition_check", "dilate", "erode_open",
+    "interior", "is_boundary_connected", "rasterize", "volume",
     "InequalityReport", "check_cor_multi", "check_lemma_pbm", "check_rn",
     "check_thm_av", "check_thm_bbm", "rn_value",
     "check_arithmetic_bm", "check_thm_4_2_voxel", "restricted_sum",

@@ -137,39 +137,38 @@ def _boundary_sets(config: CampaignConfig, rng, m: int):
     return [g for g, _ in bodies], tuple(s for _, s in bodies)
 
 
-def _tagged(report: InequalityReport, planted) -> list[InequalityReport]:
-    report.details["planted"] = planted
-    return [report]
+# Exact trials of these theorems record their planted mode in the report.
+_PLANTED = ("thm-av", "thm-bbm", "cor-multi")
 
 
 def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
+    """The reports of trial k, stamped with the campaign seed, the trial
+    index and the shape specs the trial drew."""
     rng = trial_rng(config.seed, k)
-    theorem, engine = config.theorem, config.engine
-    ids = {"seed": config.seed, "trial": k}
+    theorem, exact = config.theorem, config.engine == EXACT
+    shapes, mode = (), None
 
     if theorem == "thm-av":
-        if engine == EXACT:
+        if exact:
             kp, tp, shapes, mode = _polygon_pair(config, rng, config.plant_rate)
-            return _tagged(check_thm_av(kp, tp, EXACT, shapes=shapes, **ids),
-                           mode)
-        grids, shapes = _boundary_sets(config, rng, 2)
-        return [check_thm_av(*grids, VOXEL, shapes=shapes, **ids)]
+            reports = [check_thm_av(kp, tp)]
+        else:
+            grids, shapes = _boundary_sets(config, rng, 2)
+            reports = [check_thm_av(*grids)]
 
-    if theorem == "thm-bbm":
+    elif theorem == "thm-bbm":
         lam = config.lam if config.lam is not None else _random_lambda(rng)
-        if engine == EXACT:
+        if exact:
             kp, tp, shapes, mode = _polygon_pair(config, rng, config.plant_rate)
-            return _tagged(
-                check_thm_bbm(kp, tp, lam, EXACT, shapes=shapes, **ids), mode)
-        _, shapes = _boundary_sets(config, rng, 2)
-        return [check_thm_bbm(*shapes, lam, VOXEL, h=config.h, shapes=shapes,
-                              **ids)]
+            reports = [check_thm_bbm(kp, tp, lam)]
+        else:
+            _, shapes = _boundary_sets(config, rng, 2)
+            reports = [check_thm_bbm(*shapes, lam, h=config.h)]
 
-    if theorem == "cor-multi":
-        if engine == EXACT:
-            planted = rng.random() < config.plant_rate
-            if planted:
-                base, first, _ = gen_polygon_pair(
+    elif theorem == "cor-multi":
+        if exact:
+            if rng.random() < config.plant_rate:
+                base, first, mode = gen_polygon_pair(
                     rng, config.polygon_params, 1.0,
                     plant_mode=PLANT_TRANSLATE)
                 bodies = [base, first]
@@ -180,33 +179,42 @@ def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
                 bodies = [gen_polygon_pair(rng, config.polygon_params, 0.0)[0]
                           for _ in range(config.bodies)]
             shapes = tuple(spec_from_polygon(b) for b in bodies)
-            return _tagged(check_cor_multi(bodies, EXACT, shapes=shapes, **ids),
-                           PLANT_TRANSLATE if planted else None)
-        grids, shapes = _boundary_sets(config, rng, config.bodies)
-        return [check_cor_multi(grids, VOXEL, shapes=shapes, **ids)]
+            reports = [check_cor_multi(bodies)]
+        else:
+            grids, shapes = _boundary_sets(config, rng, config.bodies)
+            reports = [check_cor_multi(grids)]
 
-    if theorem == "lemma-pbm":
+    elif theorem == "lemma-pbm":
         m = rng.randint(1, 4)
         prefix = [rng.uniform(0.01, 2.0) for _ in range(m)]
         last = sum(prefix) / rng.uniform(0.05, 1.0)
-        return [check_lemma_pbm(prefix + [last], **ids)]
+        reports = [check_lemma_pbm(prefix + [last])]
 
-    if theorem == "rn":
+    elif theorem == "rn":
         n = rng.choice([2, 3, 4, 5, 6])
         lam = rng.uniform(0.01, 0.99)
         x = 10.0 ** rng.uniform(-2.0, 2.0)
-        return [check_rn(n, lam, x, **ids)]
+        reports = [check_rn(n, lam, x)]
 
-    if theorem == "thm-4.2":
-        if engine == EXACT:
+    elif theorem == "thm-4.2":
+        if exact:
             kp, tp, shapes, _ = _polygon_pair(config, rng, 0.0)
-            return [restricted.check_arithmetic_bm(kp, tp, shapes=shapes,
-                                                   **ids)]
-        gk, sk, gt, st = gen_decomposition_pair(rng, config.grid_params,
-                                                config.dim, config.h)
-        return restricted.check_thm_4_2_voxel(gk, gt, shapes=(sk, st), **ids)
+            reports = [restricted.check_arithmetic_bm(kp, tp)]
+        else:
+            gk, sk, gt, st = gen_decomposition_pair(rng, config.grid_params,
+                                                    config.dim, config.h)
+            shapes = (sk, st)
+            reports = restricted.check_thm_4_2_voxel(gk, gt)
 
-    raise GeometryError(f"unknown theorem {config.theorem!r}")
+    else:
+        raise GeometryError(f"unknown theorem {config.theorem!r}")
+
+    tagged = exact and theorem in _PLANTED
+    for report in reports:
+        report.seed, report.trial, report.shapes = config.seed, k, shapes
+        if tagged:
+            report.details["planted"] = mode
+    return reports
 
 
 def _is_violation(report: InequalityReport) -> bool:

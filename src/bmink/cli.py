@@ -25,9 +25,8 @@ from .campaign import (THEOREMS, CampaignConfig, print_summary, run_campaign)
 from .exact2d import GeometryError, erode as erode_exact
 from .generators import GridGenParams, PolygonGenParams
 from .render import render_decomposition_svg
-from .serialize import (dumps_canonical, frac_to_str, load_shape_file,
-                        parse_number, polygon_to_json, spec_to_polygon,
-                        spec_true_area)
+from .serialize import (dumps_canonical, load_shape_file, parse_number,
+                        polygon_to_json, spec_to_polygon, spec_true_area)
 from .voxel import GridError
 
 
@@ -98,6 +97,14 @@ _VERIFY_DEFAULTS = {
     "plant_rate": 0.0,
     "out": None,
 }
+# The JSON types a config file may give a key.  res and lam are read as
+# rationals below, and the engine is checked with the rest of the config.
+_INTEGER = ((int,), "an integer")
+_CONFIG_TYPES = {
+    "trials": _INTEGER, "seed": _INTEGER, "dim": _INTEGER, "bodies": _INTEGER,
+    "plant_rate": ((int, float), "a number"),
+    "out": ((str, type(None)), "a path string or null"),
+}
 
 
 def _verify_config(args: argparse.Namespace) -> CampaignConfig:
@@ -111,9 +118,16 @@ def _verify_config(args: argparse.Namespace) -> CampaignConfig:
                     f"{args.config} is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise GeometryError(f"{args.config} must hold a JSON object")
-        for key in file_values:
+        for key, value in file_values.items():
             if key not in values:
                 raise GeometryError(f"unknown config key {key!r}")
+            if key not in _CONFIG_TYPES:
+                continue
+            types, what = _CONFIG_TYPES[key]
+            # Compare the type itself: bool is a subclass of int.
+            if type(value) not in types:
+                raise GeometryError(f"config key {key!r} must be {what}, "
+                                    f"not {json.dumps(value)}")
         if "res" in file_values:
             file_values["res"] = parse_number(str(file_values["res"]))
         if file_values.get("lam") is not None:
@@ -123,23 +137,20 @@ def _verify_config(args: argparse.Namespace) -> CampaignConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    try:
-        return CampaignConfig(
-            theorem=args.theorem,
-            engine=values["engine"],
-            trials=int(values["trials"]),
-            dim=int(values["dim"]),
-            h=float(values["res"]),
-            lam=values["lam"],
-            bodies=int(values["bodies"]),
-            plant_rate=float(values["plant_rate"]),
-            seed=int(values["seed"]),
-            out_path=values["out"],
-            polygon_params=PolygonGenParams(),
-            grid_params=GridGenParams(),
-        )
-    except (TypeError, ValueError) as exc:
-        raise GeometryError(f"bad config value: {exc}") from None
+    return CampaignConfig(
+        theorem=args.theorem,
+        engine=values["engine"],
+        trials=values["trials"],
+        dim=values["dim"],
+        h=float(values["res"]),
+        lam=values["lam"],
+        bodies=values["bodies"],
+        plant_rate=float(values["plant_rate"]),
+        seed=values["seed"],
+        out_path=values["out"],
+        polygon_params=PolygonGenParams(),
+        grid_params=GridGenParams(),
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -173,7 +184,7 @@ def _cmd_erode(args: argparse.Namespace) -> int:
         payload = {
             "engine": "exact",
             "empty": result.is_empty,
-            "area": frac_to_str(result.area),
+            "area": str(result.area),
             "note": result.openness_note,
         }
         # Balls are realized as regular polygons; surface the area deficit.
@@ -210,11 +221,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if args.name == "remark-4.3":
         demo = restricted.shrinking_pair_demo(args.a)
         lhs, rhs = demo["lhs"], demo["rhs"]
-        print(f"a = {frac_to_str(demo['a'])}")
+        print(f"a = {demo['a']}")
         print(f"boundary-sum volume (lhs) = {float(lhs):.6g} "
-              f"[exact {frac_to_str(lhs)}]")
+              f"[exact {lhs}]")
         print(f"volume power sum   (rhs) = {float(rhs):.6g} "
-              f"[exact {frac_to_str(rhs)}]")
+              f"[exact {rhs}]")
         print(f"ratio condition satisfied: {demo['ratio_ok']}")
         if demo["holds"]:
             print("inequality holds for this pair")

@@ -9,9 +9,9 @@ points (X, Y, W) with W > 0, reduced by their gcd; this is the
 exact-geometric-computation approach (Yap, "Towards exact geometric
 computation", CGTA 7, 1997).  `fractions.Fraction` appears only at the
 edges: inputs are brought onto the lattice at construction, and the public
-`vertices`, areas, support values, widths and witnesses are returned as
-Fractions.  Irrational quantities (square roots of areas) are handled by
-callers through squared comparisons.
+`vertices`, areas and witnesses are returned as Fractions.  Irrational
+quantities (square roots of areas) are handled by callers through squared
+comparisons.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ class Point2(NamedTuple):
 
     def cross(self, other: "Point2") -> Fraction:
         return self.x * other.y - self.y * other.x
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
 
 
 def point(x: Scalar, y: Scalar) -> Point2:
@@ -287,28 +284,6 @@ class ConvexPolygon:
 
 def area(p: ConvexPolygon) -> Fraction:
     return p.area
-
-
-def _direction(u: Point2, what: str) -> tuple[int, int, int]:
-    """A nonzero rational direction as integers (ux, uy) over den."""
-    if u.is_zero():
-        raise GeometryError(f"{what} direction must be nonzero")
-    ring, den = _to_lattice([u])
-    ux, uy = ring[0]
-    return ux, uy, den
-
-
-def support_value(p: ConvexPolygon, u: Point2) -> Fraction:
-    """Exact support value: max of <v, u> over the vertices."""
-    ux, uy, den = _direction(u, "support")
-    return Fraction(max(x * ux + y * uy for x, y in p._ring), p._den * den)
-
-
-def width(p: ConvexPolygon, u: Point2) -> Fraction:
-    """Width in direction u (direction-scale covariant, u unnormalized)."""
-    ux, uy, den = _direction(u, "width")
-    dots = [x * ux + y * uy for x, y in p._ring]
-    return Fraction(max(dots) - min(dots), p._den * den)
 
 
 def scale(p: ConvexPolygon, factor: Scalar) -> ConvexPolygon:

@@ -34,6 +34,8 @@ class InequalityReport:
     is lhs - rhs, so a pass means slack >= -tolerance.  A negative slack
     beyond tolerance marks the report as a violation; it is recorded, never
     dropped.  equality_class is populated on the exact engine only.
+    shapes, seed and trial identify the trial: checkers leave them empty
+    and the campaign sets them.
     """
 
     theorem_id: str
@@ -100,18 +102,16 @@ def voxel_slack_tolerance(n: int, h: float, boundary_cells: int) -> float:
 # Average-of-boundaries bound (two bodies)
 # ---------------------------------------------------------------------------
 
-def check_thm_av(k, t, engine: str = EXACT, *,
-                 shapes: Sequence[ShapeSpec] = (),
-                 seed: Optional[int] = None,
-                 trial: Optional[int] = None) -> InequalityReport:
+def check_thm_av(k, t) -> InequalityReport:
     """vol((bK + bT)/2) >= sqrt(vol K * vol T).
 
     Exact engine (convex polygons): compared squared, so lhs/rhs in the
     report are the squared sides and equality detection is exact.  Voxel
     engine (connected-boundary grids, convexity not required): direct
-    float comparison against the discretization tolerance.
+    float comparison against the discretization tolerance.  The engine
+    follows from the type of k.
     """
-    if engine == EXACT:
+    if isinstance(k, ConvexPolygon):
         bsv = exact2d.boundary_sum_volume(k, t, Fraction(1, 2))
         lhs = bsv * bsv
         rhs = k.area * t.area
@@ -121,25 +121,21 @@ def check_thm_av(k, t, engine: str = EXACT, *,
             theorem_id="thm-av", engine=EXACT,
             lhs=lhs, rhs=rhs, slack=slack,
             equality=(slack == 0), equality_class=eq_class,
-            shapes=tuple(shapes), seed=seed, trial=trial,
             details={"boundary_sum_volume": bsv},
         )
-    if engine == VOXEL:
-        _require_connected(k, t)
-        bk, bt = boundary(k), boundary(t)
-        n = k.dim
-        lhs = volume(dilate(bk, bt)) / 2 ** n
-        rhs = math.sqrt(volume(k) * volume(t))
-        tol = voxel_slack_tolerance(n, k.h, bk.count + bt.count)
-        slack = lhs - rhs
-        return InequalityReport(
-            theorem_id="thm-av", engine=VOXEL,
-            lhs=lhs, rhs=rhs, slack=slack,
-            equality=(abs(slack) <= tol), tolerance=tol,
-            shapes=tuple(shapes), seed=seed, trial=trial,
-            details={"vol_k": volume(k), "vol_t": volume(t)},
-        )
-    raise GeometryError(f"unknown engine {engine!r}")
+    _require_connected(k, t)
+    bk, bt = boundary(k), boundary(t)
+    n = k.dim
+    lhs = volume(dilate(bk, bt)) / 2 ** n
+    rhs = math.sqrt(volume(k) * volume(t))
+    tol = voxel_slack_tolerance(n, k.h, bk.count + bt.count)
+    slack = lhs - rhs
+    return InequalityReport(
+        theorem_id="thm-av", engine=VOXEL,
+        lhs=lhs, rhs=rhs, slack=slack,
+        equality=(abs(slack) <= tol), tolerance=tol,
+        details={"vol_k": volume(k), "vol_t": volume(t)},
+    )
 
 
 def _require_connected(*grids: GridSet) -> None:
@@ -172,19 +168,17 @@ def multi_boundary_sum_volume(bodies: Sequence[ConvexPolygon]) -> Fraction:
     return total - hole.area
 
 
-def check_cor_multi(bodies, engine: str = EXACT, *,
-                    shapes: Sequence[ShapeSpec] = (),
-                    seed: Optional[int] = None,
-                    trial: Optional[int] = None) -> InequalityReport:
+def check_cor_multi(bodies) -> InequalityReport:
     """vol((bK_1 + ... + bK_m)/m) >= (vol K_1 * ... * vol K_m)^(1/m), m >= 3.
 
-    Exact engine compares m-th powers to stay rational.  Equality is
-    expected exactly when all bodies are translates of one another.
+    Exact engine (convex polygons) compares m-th powers to stay rational;
+    grids go to the voxel engine.  Equality is expected exactly when all
+    bodies are translates of one another.
     """
     m = len(bodies)
     if m < 3:
         raise GeometryError("multi-body check needs m >= 3")
-    if engine == EXACT:
+    if isinstance(bodies[0], ConvexPolygon):
         n = 2
         lhs_side = multi_boundary_sum_volume(bodies) / Fraction(m) ** n
         lhs = lhs_side ** m
@@ -201,53 +195,46 @@ def check_cor_multi(bodies, engine: str = EXACT, *,
             theorem_id="cor-multi", engine=EXACT,
             lhs=lhs, rhs=rhs, slack=slack,
             equality=(slack == 0), equality_class=eq_class,
-            shapes=tuple(shapes), seed=seed, trial=trial,
             details={"m": m, "scaled_boundary_sum_volume": lhs_side},
         )
-    if engine == VOXEL:
-        _require_connected(*bodies)
-        n = bodies[0].dim
-        acc = boundary(bodies[0])
-        bcells = acc.count
-        for b in bodies[1:]:
-            bb = boundary(b)
-            bcells += bb.count
-            acc = dilate(acc, bb)
-        lhs = volume(acc) / m ** n
-        rhs = math.prod(volume(b) for b in bodies) ** (1.0 / m)
-        tol = voxel_slack_tolerance(n, bodies[0].h, bcells)
-        slack = lhs - rhs
-        return InequalityReport(
-            theorem_id="cor-multi", engine=VOXEL,
-            lhs=lhs, rhs=rhs, slack=slack,
-            equality=(abs(slack) <= tol), tolerance=tol,
-            shapes=tuple(shapes), seed=seed, trial=trial,
-            details={"m": m},
-        )
-    raise GeometryError(f"unknown engine {engine!r}")
+    _require_connected(*bodies)
+    n = bodies[0].dim
+    acc = boundary(bodies[0])
+    bcells = acc.count
+    for b in bodies[1:]:
+        bb = boundary(b)
+        bcells += bb.count
+        acc = dilate(acc, bb)
+    lhs = volume(acc) / m ** n
+    rhs = math.prod(volume(b) for b in bodies) ** (1.0 / m)
+    tol = voxel_slack_tolerance(n, bodies[0].h, bcells)
+    slack = lhs - rhs
+    return InequalityReport(
+        theorem_id="cor-multi", engine=VOXEL,
+        lhs=lhs, rhs=rhs, slack=slack,
+        equality=(abs(slack) <= tol), tolerance=tol,
+        details={"m": m},
+    )
 
 
 # ---------------------------------------------------------------------------
 # Weighted two-body product bound
 # ---------------------------------------------------------------------------
 
-def check_thm_bbm(k, t, lam, engine: str = EXACT, *, h: Optional[float] = None,
-                  shapes: Sequence[ShapeSpec] = (),
-                  seed: Optional[int] = None,
-                  trial: Optional[int] = None) -> InequalityReport:
+def check_thm_bbm(k, t, lam, *, h: Optional[float] = None) -> InequalityReport:
     """vol(l*bK + (1-l)*bT) * vol(l*bT + (1-l)*bK)
        >= vol(K) vol(T) (1 - |1-2l|^n)^2.
 
     Exact engine: k, t are convex polygons and everything stays rational.
     Voxel engine: k, t are ShapeSpecs (scaling needs re-rasterization) and h
-    is required.  For l != 1/2, exact-equality pairs that are not
+    is required.  The engine follows from the type of k.  For l != 1/2, exact-equality pairs that are not
     translates-of-homothets of a centrally symmetric body are flagged rather
     than classified.
     """
     lam = Fraction(lam)
     if not (0 < lam < 1):
         raise GeometryError("lambda must lie strictly between 0 and 1")
-    if engine == EXACT:
+    if isinstance(k, ConvexPolygon):
         n = 2
         f_kt = exact2d.boundary_sum_volume(k, t, lam)
         f_tk = exact2d.boundary_sum_volume(t, k, lam)
@@ -268,41 +255,37 @@ def check_thm_bbm(k, t, lam, engine: str = EXACT, *, h: Optional[float] = None,
             theorem_id="thm-bbm", engine=EXACT,
             lhs=lhs, rhs=rhs, slack=slack,
             equality=eq, equality_class=eq_class,
-            shapes=tuple(shapes), lam=lam, seed=seed, trial=trial,
-            flags=tuple(flags),
+            lam=lam, flags=tuple(flags),
             details={"factor_kt": f_kt, "factor_tk": f_tk},
         )
-    if engine == VOXEL:
-        if h is None:
-            raise GeometryError("voxel engine needs a resolution h")
-        lam_f = float(lam)
-        gk = voxel.rasterize(k, h)
-        gt = voxel.rasterize(t, h)
-        _require_connected(gk, gt)
-        n = gk.dim
+    if h is None:
+        raise GeometryError("voxel engine needs a resolution h")
+    lam_f = float(lam)
+    gk = voxel.rasterize(k, h)
+    gt = voxel.rasterize(t, h)
+    _require_connected(gk, gt)
+    n = gk.dim
 
-        def weighted(a_spec, b_spec, w):
-            ba = boundary(voxel.rasterize(ShapeSpec.scaled(a_spec, w), h))
-            bb = boundary(voxel.rasterize(ShapeSpec.scaled(b_spec, 1 - w), h))
-            return volume(dilate(ba, bb)), ba.count + bb.count
+    def weighted(a_spec, b_spec, w):
+        ba = boundary(voxel.rasterize(ShapeSpec.scaled(a_spec, w), h))
+        bb = boundary(voxel.rasterize(ShapeSpec.scaled(b_spec, 1 - w), h))
+        return volume(dilate(ba, bb)), ba.count + bb.count
 
-        f_kt, cells_kt = weighted(k, t, Fraction(lam))
-        f_tk, cells_tk = weighted(t, k, Fraction(lam))
-        lhs = f_kt * f_tk
-        rhs = (volume(gk) * volume(gt)
-               * (1 - abs(1 - 2 * lam_f) ** n) ** 2)
-        vol_tol = voxel_slack_tolerance(n, h, cells_kt + cells_tk)
-        # Error in a product of volumes is first order: dV * (|f1| + |f2|).
-        tol = vol_tol * (f_kt + f_tk + 1.0)
-        slack = lhs - rhs
-        return InequalityReport(
-            theorem_id="thm-bbm", engine=VOXEL,
-            lhs=lhs, rhs=rhs, slack=slack,
-            equality=(abs(slack) <= tol), tolerance=tol,
-            shapes=tuple(shapes) or (k, t), lam=lam, seed=seed, trial=trial,
-            details={"factor_kt": f_kt, "factor_tk": f_tk},
-        )
-    raise GeometryError(f"unknown engine {engine!r}")
+    f_kt, cells_kt = weighted(k, t, Fraction(lam))
+    f_tk, cells_tk = weighted(t, k, Fraction(lam))
+    lhs = f_kt * f_tk
+    rhs = (volume(gk) * volume(gt)
+           * (1 - abs(1 - 2 * lam_f) ** n) ** 2)
+    vol_tol = voxel_slack_tolerance(n, h, cells_kt + cells_tk)
+    # Error in a product of volumes is first order: dV * (|f1| + |f2|).
+    tol = vol_tol * (f_kt + f_tk + 1.0)
+    slack = lhs - rhs
+    return InequalityReport(
+        theorem_id="thm-bbm", engine=VOXEL,
+        lhs=lhs, rhs=rhs, slack=slack,
+        equality=(abs(slack) <= tol), tolerance=tol,
+        lam=lam, details={"factor_kt": f_kt, "factor_tk": f_tk},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +310,7 @@ def rn_value(n: int, lam: float, x: float) -> float:
     return a * b / x ** n
 
 
-def check_rn(n: int, lam: float, x: float, *,
-             seed: Optional[int] = None,
-             trial: Optional[int] = None) -> InequalityReport:
+def check_rn(n: int, lam: float, x: float) -> InequalityReport:
     """R_n(x) >= R_n(1); equality at x = 1 and everywhere for n = 2."""
     value = rn_value(n, lam, x)
     base = rn_value(n, lam, 1.0)
@@ -339,14 +320,11 @@ def check_rn(n: int, lam: float, x: float, *,
         theorem_id="rn", engine="float",
         lhs=value, rhs=base, slack=slack,
         equality=(abs(slack) <= tol), tolerance=tol,
-        seed=seed, trial=trial,
         details={"n": n, "lam": lam, "x": x},
     )
 
 
-def check_lemma_pbm(xs: Sequence[float], *,
-                    seed: Optional[int] = None,
-                    trial: Optional[int] = None) -> InequalityReport:
+def check_lemma_pbm(xs: Sequence[float]) -> InequalityReport:
     """(2/(m+1)) sqrt((x_1+...+x_m) x_{m+1}) >= (x_1...x_{m+1})^(1/(m+1)).
 
     Requires x_i >= 0 and x_1+...+x_m <= x_{m+1} (violating tuples are
@@ -373,6 +351,5 @@ def check_lemma_pbm(xs: Sequence[float], *,
         theorem_id="lemma-pbm", engine="float",
         lhs=lhs, rhs=rhs, slack=slack,
         equality=(abs(slack) <= tol), tolerance=tol,
-        seed=seed, trial=trial,
         details={"m": m, "strict_expected": strict_expected},
     )

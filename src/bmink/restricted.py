@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import exact2d
 from .exact2d import ConvexPolygon, GeometryError
-from .inequalities import (EXACT, VOXEL, InequalityReport, ShapeSpec,
+from .inequalities import (EXACT, VOXEL, InequalityReport,
                            voxel_slack_tolerance)
 from .voxel import (GridError, GridSet, _convolve, _embed, boundary, dilate,
                     erode_open, is_boundary_connected, is_subset, volume)
@@ -51,11 +50,7 @@ def restricted_sum(a: GridSet, b: GridSet,
     return GridSet(a.dim, a.h, origin, (counts > 0) & ~hole), admitted
 
 
-def check_thm_4_2_voxel(k: GridSet, t: GridSet, *,
-                        shapes: Sequence[ShapeSpec] = (),
-                        seed: Optional[int] = None,
-                        trial: Optional[int] = None
-                        ) -> list[InequalityReport]:
+def check_thm_4_2_voxel(k: GridSet, t: GridSet) -> list[InequalityReport]:
     """The reports thm-4.2, eq-4.2 and eq-4.3 of one voxel pair, in order.
 
     thm-4.2 (tolerance): vol(bK + bT)^(2/n) >= vol(K)^(2/n) + vol(T)^(2/n),
@@ -76,7 +71,6 @@ def check_thm_4_2_voxel(k: GridSet, t: GridSet, *,
     if not (is_boundary_connected(k) and is_boundary_connected(t)):
         raise GridError("theta bounds require connected boundaries")
     n, h = k.dim, k.h
-    ids = {"shapes": tuple(shapes), "seed": seed, "trial": trial}
     bk, bt = boundary(k), boundary(t)
     bsum_set = dilate(bk, bt)
     vol_k, vol_t, bsum = volume(k), volume(t), volume(bsum_set)
@@ -94,8 +88,7 @@ def check_thm_4_2_voxel(k: GridSet, t: GridSet, *,
         equality=abs(lhs - rhs) <= tol, tolerance=tol,
         flags=() if ratio_ok else ("ratio_condition_violated",),
         details={"vol_k": vol_k, "vol_t": vol_t,
-                 "ratio_ok": ratio_ok, "ratio": ratio},
-        **ids)
+                 "ratio_ok": ratio_ok, "ratio": ratio})
 
     erosion = erode_open(k, t)
     sum_set, admitted = restricted_sum(k, t, erosion)
@@ -109,8 +102,7 @@ def check_thm_4_2_voxel(k: GridSet, t: GridSet, *,
         equality=(admitted == pair_floor),
         flags=() if contained else ("containment_failed",),
         details={**vols, "admitted_pairs": admitted,
-                 "containment_verdict": contained},
-        **ids)
+                 "containment_verdict": contained})
 
     root_gap = vol_k ** (1.0 / n) - vol_t ** (1.0 / n)
     root_erosion = vols["vol_erosion"] ** (1.0 / n)
@@ -118,14 +110,11 @@ def check_thm_4_2_voxel(k: GridSet, t: GridSet, *,
         theorem_id="eq-4.3", engine=VOXEL,
         lhs=root_gap, rhs=root_erosion, slack=root_gap - root_erosion,
         equality=(abs(root_gap - root_erosion) <= 3.0 * n * h),
-        tolerance=3.0 * n * h, details=vols, **ids)
+        tolerance=3.0 * n * h, details=vols)
     return [arithmetic, pairs, roots]
 
 
-def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon, *,
-                        shapes: Sequence[ShapeSpec] = (),
-                        seed: Optional[int] = None,
-                        trial: Optional[int] = None) -> InequalityReport:
+def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon) -> InequalityReport:
     """vol(bK + bT) >= vol(K) + vol(T) on exact polygons, ratio-tagged
     (thm-4.2 in the plane, where the exponent 2/n is 1).
 
@@ -143,7 +132,6 @@ def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon, *,
     return InequalityReport(
         theorem_id="thm-4.2", engine=EXACT,
         lhs=lhs, rhs=rhs, slack=slack, equality=(slack == 0),
-        shapes=tuple(shapes), seed=seed, trial=trial,
         flags=() if ratio_ok else ("ratio_condition_violated",),
         details={"vol_k": vol_k, "vol_t": vol_t,
                  "ratio_ok": ratio_ok, "ratio": float(ratio)},

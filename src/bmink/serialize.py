@@ -19,10 +19,6 @@ from .voxel import GridSet, ShapeSpec
 REPORT_VERSION = 1
 
 
-def frac_to_str(value: Fraction) -> str:
-    return str(value)
-
-
 def parse_number(value: Any) -> Any:
     """Decode a JSON payload number: "p/q" strings become Fractions."""
     if isinstance(value, str):
@@ -39,7 +35,7 @@ def parse_number(value: Any) -> Any:
 
 def encode_number(value: Any) -> Any:
     if isinstance(value, Fraction):
-        return frac_to_str(value)
+        return str(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
@@ -54,7 +50,7 @@ def dumps_canonical(obj: Any) -> str:
 # -- polygons ---------------------------------------------------------------
 
 def polygon_to_json(poly: ConvexPolygon) -> dict:
-    return {"vertices": [[frac_to_str(p.x), frac_to_str(p.y)]
+    return {"vertices": [[str(p.x), str(p.y)]
                          for p in poly.vertices]}
 
 
@@ -102,16 +98,24 @@ def shapespec_to_json(spec: ShapeSpec) -> dict:
     return out
 
 
+# Every spec operation recurses once per node level, so a deeper spec would
+# exhaust the interpreter's recursion limit instead of failing cleanly.
+MAX_SPEC_DEPTH = 256
+
+
 def shapespec_from_json(data: dict) -> ShapeSpec:
     try:
-        return _shapespec_from_json(data)
+        return _shapespec_from_json(data, 0)
     except KeyError as exc:
         raise GeometryError(f"shape spec is missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise GeometryError(f"malformed shape spec: {exc}") from None
 
 
-def _shapespec_from_json(data: dict) -> ShapeSpec:
+def _shapespec_from_json(data: dict, depth: int) -> ShapeSpec:
+    if depth > MAX_SPEC_DEPTH:
+        raise GeometryError(
+            f"shape spec nests deeper than {MAX_SPEC_DEPTH} levels")
     kind = data.get("kind")
     if kind == "box":
         return ShapeSpec.box([parse_number(v) for v in data["lo"]],
@@ -125,15 +129,17 @@ def _shapespec_from_json(data: dict) -> ShapeSpec:
         return ShapeSpec.polygon([(parse_number(x), parse_number(y))
                                   for x, y in data["vertices"]])
     if kind == "scaled":
-        return ShapeSpec.scaled(shapespec_from_json(data["child"]),
+        return ShapeSpec.scaled(_shapespec_from_json(data["child"], depth + 1),
                                 parse_number(data["factor"]))
     if kind == "translated":
-        return ShapeSpec.translated(shapespec_from_json(data["child"]),
+        return ShapeSpec.translated(_shapespec_from_json(data["child"],
+                                                         depth + 1),
                                     [parse_number(v) for v in data["vector"]])
     if kind == "reflected":
-        return ShapeSpec.reflected(shapespec_from_json(data["child"]))
+        return ShapeSpec.reflected(_shapespec_from_json(data["child"],
+                                                        depth + 1))
     if kind == "union":
-        parts = [shapespec_from_json(c) for c in data["parts"]]
+        parts = [_shapespec_from_json(c, depth + 1) for c in data["parts"]]
         if len(parts) != 2:
             raise GeometryError("union spec needs exactly two parts")
         return ShapeSpec.union_of(parts[0], parts[1])
@@ -259,6 +265,8 @@ def load_shape_file(path: str) -> ShapeSpec:
             data = json.load(fh)
         except ValueError as exc:
             raise GeometryError(f"{path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise GeometryError(f"{path} nests too deeply to parse") from None
     if isinstance(data, dict) and "kind" in data:
         return shapespec_from_json(data)
     if isinstance(data, dict) and "vertices" in data:

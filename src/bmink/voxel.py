@@ -252,21 +252,13 @@ def difference(a: GridSet, b: GridSet) -> GridSet:
     return GridSet(a.dim, a.h, lo, av & ~bv)
 
 
-def in_contact(a: GridSet, b: GridSet) -> bool:
-    """True when a and b share a cell or have two cells that share a face.
-
-    For face-connected a and b this holds exactly when their union is
-    face-connected.
-    """
-    _require_same_grid(a, b)
-    _, av, bv = _common_frame(a, b)
-    return _touching(av, bv)
-
-
 def attach(body: GridSet, part: GridSet) -> Optional[GridSet]:
-    """union(body, part) when in_contact(body, part), else None.
+    """union(body, part) when the two are in contact, else None.
 
-    One common frame serves both the contact test and the union.
+    They are in contact when they share a cell or have two cells that share
+    a face.  For face-connected body and part this holds exactly when their
+    union is face-connected.  One common frame serves both the contact test
+    and the union.
     """
     _require_same_grid(body, part)
     lo, av, bv = _common_frame(body, part)
@@ -292,13 +284,6 @@ def is_subset(a: GridSet, b: GridSet) -> bool:
     _require_same_grid(a, b)
     _, av, bv = _common_frame(a, b)
     return not (av & ~bv).any()
-
-
-def reflect(a: GridSet) -> GridSet:
-    """Reflection through the lattice origin (cell i maps to -i)."""
-    occ = a.occ[tuple(slice(None, None, -1) for _ in range(a.dim))]
-    origin = tuple(-(o + n - 1) for o, n in zip(a.origin, a.shape))
-    return GridSet(a.dim, a.h, origin, occ)
 
 
 _PAIR_COST = 8  # pairs per padded FFT cell at dilate's break-even
@@ -391,19 +376,6 @@ def is_boundary_connected(a: GridSet) -> bool:
         a._boundary_connected = bool(bnd.any()) and ndimage.label(
             bnd, structure=np.ones((3,) * a.dim, dtype=int))[1] == 1
     return a._boundary_connected
-
-
-def check_lemma_bc(k: GridSet, t: GridSet) -> bool:
-    """Boundary-containment implication on a grid instance.
-
-    Returns True when "boundary(T) inside interior(K)" implies "T inside
-    interior(K)" for these inputs; vacuously True when the premise fails.
-    """
-    _require_same_grid(k, t)
-    inter_k = interior(k)
-    if not is_subset(boundary(t), inter_k):
-        return True
-    return is_subset(t, inter_k)
 
 
 @dataclass(frozen=True)

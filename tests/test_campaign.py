@@ -81,10 +81,10 @@ def test_violation_counting_and_exit_code(monkeypatch):
     # exit-code contract; honest checkers never produce one.
     import bmink.campaign as camp
 
-    def rigged(*args, **kwargs):
+    def rigged(*args):
         return InequalityReport(theorem_id="thm-av", engine="exact",
                                 lhs=F(0), rhs=F(1), slack=F(-1),
-                                equality=False, seed=0, trial=kwargs.get("trial"))
+                                equality=False)
 
     monkeypatch.setattr(camp, "check_thm_av", rigged)
     s = run_campaign(small_config(trials=3, plant_rate=0.0), out=io.StringIO())
@@ -109,13 +109,13 @@ def test_trials_run_in_order_on_calling_thread(monkeypatch):
     import bmink.campaign as camp
 
     calls = []
-    real = camp.check_thm_av
+    real = camp.trial_rng
 
-    def recording(*args, **kwargs):
-        calls.append((threading.get_ident(), kwargs["trial"]))
-        return real(*args, **kwargs)
+    def recording(seed, k):
+        calls.append((threading.get_ident(), k))
+        return real(seed, k)
 
-    monkeypatch.setattr(camp, "check_thm_av", recording)
+    monkeypatch.setattr(camp, "trial_rng", recording)
     run_campaign(small_config(trials=8), out=io.StringIO())
     assert calls == [(threading.get_ident(), k) for k in range(8)]
 

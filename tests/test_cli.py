@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bmink.cli import main
-from bmink.serialize import shapespec_to_json
+from bmink.serialize import MAX_SPEC_DEPTH, shapespec_to_json
 from bmink.voxel import ShapeSpec
 
 
@@ -62,6 +62,29 @@ def test_verify_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert main(["verify", "rn", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("values", [
+    {"trials": True}, {"trials": 2.9}, {"seed": 1.5}, {"dim": "2"},
+    {"bodies": 3.0}, {"plant_rate": False}, {"out": 2},
+], ids=["trials-bool", "trials-float", "seed-float", "dim-string",
+        "bodies-float", "plant-rate-bool", "out-int"])
+def test_verify_rejects_wrongly_typed_config_values(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert main(["verify", "rn", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_verify_config_accepts_null_out_and_integer_plant_rate(tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": None, "plant_rate": 0, "trials": 2}))
+    assert main(["verify", "thm-av", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_decompose_command(shape_files, capsys):
@@ -160,6 +183,34 @@ def test_shape_file_bad_number_errors_cleanly(tmp_path, capsys):
                              "radius": "x"}))
     assert main(["erode", "--k", str(k), "--t", str(k)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _reflected_box(depth: int) -> str:
+    """Shape file text: a box inside `depth` nested reflected nodes."""
+    return ('{"kind": "reflected", "child": ' * depth
+            + '{"kind": "box", "lo": [0, 0], "hi": [1, 1]}' + "}" * depth)
+
+
+@pytest.mark.parametrize("text", [
+    _reflected_box(MAX_SPEC_DEPTH + 1),
+    _reflected_box(900),
+    "[" * 100_000 + "]" * 100_000,
+], ids=["spec-limit", "spec-900", "json-arrays"])
+def test_deeply_nested_shape_file_errors_cleanly(tmp_path, capsys,
+                                                 shape_files, text):
+    k = tmp_path / "deep.json"
+    k.write_text(text)
+    assert main(["decompose", "--k", str(k), "--t", shape_files[1]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nests" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_shape_file_at_the_nesting_limit_loads(tmp_path):
+    k = tmp_path / "k.json"
+    k.write_text(_reflected_box(MAX_SPEC_DEPTH))
+    assert main(["erode", "--engine", "voxel", "--k", str(k), "--t", str(k),
+                 "--res", "1/8"]) == 0
 
 
 @pytest.mark.parametrize("command", [["erode", "--engine", "voxel"],

@@ -8,7 +8,7 @@ from bmink.exact2d import (ConvexPolygon,
                            boundary_sum_volume, classify_equality, erode,
                            is_centrally_symmetric, minkowski_sum,
                            partial_sum_area, point, reflect, scale,
-                           support_value, translate, width)
+                           translate)
 
 SQUARE = ConvexPolygon.box((-1, -1), (1, 1))
 BIG = ConvexPolygon.box((-2, -2), (2, 2))
@@ -84,27 +84,6 @@ def test_sum_monotonicity_with_small_triangle():
 def test_sum_vertex_count_bound():
     s = minkowski_sum(TRI, DIAMOND)
     assert len(s) <= len(TRI) + len(DIAMOND)
-
-
-# -- support and width ---------------------------------------------------------
-
-def test_support_fixtures():
-    assert support_value(SQUARE, point(1, 0)) == 1
-    assert support_value(SQUARE, point(1, 1)) == 2
-    assert support_value(TRI, point(-1, -1)) == 0
-
-
-def test_width_fixtures():
-    assert width(SQUARE, point(1, 0)) == 2
-    assert width(SQUARE, point(1, 1)) == 4  # direction-scale covariant
-    assert width(TRI, point(1, 0)) == 1
-
-
-def test_zero_direction_rejected():
-    with pytest.raises(GeometryError):
-        support_value(SQUARE, point(0, 0))
-    with pytest.raises(GeometryError):
-        width(SQUARE, point(0, 0))
 
 
 # -- transforms -----------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_thm_av_voxel_engine():
     rng = trial_rng(77, 0)
     k, _ = gen_connected_boundary_set(rng, GridGenParams(), 2, 1 / 32)
     t, _ = gen_connected_boundary_set(rng, GridGenParams(), 2, 1 / 32)
-    r = check_thm_av(k, t, engine="voxel")
+    r = check_thm_av(k, t)
     assert r.slack >= -r.tolerance
     assert r.equality_class is None
 
@@ -76,7 +76,7 @@ def test_cor_multi_voxel_engine():
     rng = trial_rng(78, 0)
     grids = [gen_connected_boundary_set(rng, GridGenParams(), 2, 1 / 16)[0]
              for _ in range(3)]
-    r = check_cor_multi(grids, engine="voxel")
+    r = check_cor_multi(grids)
     assert r.slack >= -r.tolerance
 
 
@@ -111,7 +111,7 @@ def test_thm_bbm_symmetric_under_role_swap():
 def test_thm_bbm_voxel_engine():
     k = ShapeSpec.box((-1, -1), (1, 1))
     t = ShapeSpec.ball((0, 0), 0.75)
-    r = check_thm_bbm(k, t, F(1, 4), engine="voxel", h=1 / 32)
+    r = check_thm_bbm(k, t, F(1, 4), h=1 / 32)
     assert r.slack >= -r.tolerance
 
 

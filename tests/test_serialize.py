@@ -5,18 +5,18 @@ import pytest
 
 from bmink.exact2d import ConvexPolygon, GeometryError
 from bmink.generators import GridGenParams, gen_connected_boundary_set, trial_rng
-from bmink.serialize import (dumps_canonical, frac_to_str, gridset_from_rle_json,
-                             spec_true_area,
-                             gridset_to_rle_json, load_shape_file, parse_number,
-                             polygon_from_json, polygon_to_json,
-                             shapespec_from_json, shapespec_to_json,
-                             spec_from_polygon, spec_to_polygon)
+from bmink.serialize import (dumps_canonical, encode_number,
+                             gridset_from_rle_json, gridset_to_rle_json,
+                             load_shape_file, parse_number, polygon_from_json,
+                             polygon_to_json, shapespec_from_json,
+                             shapespec_to_json, spec_from_polygon,
+                             spec_to_polygon, spec_true_area)
 from bmink.voxel import ShapeSpec, rasterize
 
 
 def test_fraction_strings_roundtrip():
-    assert frac_to_str(F(3, 4)) == "3/4"
-    assert frac_to_str(F(8, 2)) == "4"
+    assert encode_number(F(3, 4)) == "3/4"
+    assert encode_number(F(8, 2)) == "4"
     assert parse_number("3/4") == F(3, 4)
     assert parse_number(7) == 7
     assert parse_number(0.5) == 0.5

@@ -9,10 +9,10 @@ from bmink.exact2d import ConvexPolygon, minkowski_sum
 from bmink.generators import GridGenParams, gen_decomposition_pair, trial_rng
 from bmink.serialize import spec_from_polygon
 from bmink.voxel import (MAX_CELLS, GridError, GridExtentError, GridSet,
-                         ShapeSpec, _check_extent, boundary, check_lemma_bc, decomposition_check,
-                         difference, dilate, erode_open, interior,
-                         intersection, is_boundary_connected, is_subset,
-                         rasterize, reflect, union, volume)
+                         ShapeSpec, _check_extent, boundary,
+                         decomposition_check, difference, dilate, erode_open,
+                         interior, intersection, is_boundary_connected,
+                         is_subset, rasterize, union, volume)
 
 BOX = ShapeSpec.box((-1, -1), (1, 1))
 BIGBOX = ShapeSpec.box((-2, -2), (2, 2))
@@ -26,6 +26,13 @@ def grid_from_cells(cells, dim=2, h=1.0):
     for c in cells - lo:
         occ[tuple(c)] = True
     return GridSet(dim, h, tuple(int(v) for v in lo), occ)
+
+
+def reflect(a: GridSet) -> GridSet:
+    """Reflection through the lattice origin (cell i maps to -i)."""
+    occ = a.occ[tuple(slice(None, None, -1) for _ in range(a.dim))]
+    origin = tuple(-(o + n - 1) for o, n in zip(a.origin, a.shape))
+    return GridSet(a.dim, a.h, origin, occ)
 
 
 # -- rasterization --------------------------------------------------------------
@@ -313,14 +320,16 @@ def test_lemma_bc_nested_boxes():
     k = rasterize(BIGBOX, 1 / 16)
     t = rasterize(ShapeSpec.box((-0.5, -0.5), (0.5, 0.5)), 1 / 16)
     assert is_subset(boundary(t), interior(k))  # premise really holds
-    assert check_lemma_bc(k, t)
+    assert is_subset(t, interior(k))
 
 
 def test_lemma_bc_vacuous_when_straddling():
     k = rasterize(BOX, 1 / 16)
     t = rasterize(ShapeSpec.box((0.5, 0.5), (1.5, 1.5)), 1 / 16)
+    # The premise fails, so the lemma says nothing, and T is indeed not
+    # inside interior(K).
     assert not is_subset(boundary(t), interior(k))
-    assert check_lemma_bc(k, t)
+    assert not is_subset(t, interior(k))
 
 
 def test_lemma_bc_randomized_never_false():
@@ -331,9 +340,10 @@ def test_lemma_bc_randomized_never_false():
         rng = trial_rng(905, i)
         k, _, _, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
         t, _ = gen_box_set(rng, 2, 1 / 16, min_size=0.1, max_size=0.4)
-        if is_subset(boundary(t), interior(k)):
+        inner = interior(k)
+        if is_subset(boundary(t), inner):
             premise_hits += 1
-        assert check_lemma_bc(k, t)
+            assert is_subset(t, inner)
     assert premise_hits > 10  # the implication is exercised, not just vacuous
 
 

@@ -33,8 +33,7 @@ from bmink.restricted import restricted_sum
 from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridSet, ShapeSpec,
                          _convolve, _frames, _interior_array, _pair_sums,
                          _poly_signed_area, attach, difference, dilate,
-                         erode_open, in_contact, is_boundary_connected,
-                         rasterize, union)
+                         erode_open, is_boundary_connected, rasterize, union)
 
 H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
@@ -508,8 +507,9 @@ def primitive_pairs(draw):
 def test_contact_agrees_with_labelling_the_union(case):
     first, second, h = case
     a, b = rasterize(first, h), rasterize(second, h)
-    assert in_contact(a, b) == in_contact(b, a)
-    assert in_contact(a, b) == (face_components(union(a, b)) == 1)
+    touching = attach(a, b) is not None
+    assert touching == (attach(b, a) is not None)
+    assert touching == (face_components(union(a, b)) == 1)
 
 
 @given(primitive_pairs())
@@ -517,7 +517,8 @@ def test_contact_agrees_with_labelling_the_union(case):
 def test_attach_is_contact_then_union(case):
     first, second, h = case
     a, b = rasterize(first, h), rasterize(second, h)
-    assert attach(a, b) == (union(a, b) if in_contact(a, b) else None)
+    joined = union(a, b)
+    assert attach(a, b) == (joined if face_components(joined) == 1 else None)
 
 
 def _box_cells(lo, hi) -> ShapeSpec:
@@ -539,5 +540,5 @@ def _box_cells(lo, hi) -> ShapeSpec:
 def test_contact_rejects_edge_and_corner_meetings(lo, hi, touching):
     a = rasterize(_box_cells((0,) * len(lo), (1,) * len(lo)), 1 / 4)
     b = rasterize(_box_cells(lo, hi), 1 / 4)
-    assert in_contact(a, b) is touching
+    assert (attach(a, b) is not None) is touching
     assert (face_components(union(a, b)) == 1) is touching
