@@ -20,6 +20,12 @@ scaled shape specs on every trial.  They were recorded while rasterization
 still evaluated the specs on a (cells x dim) point matrix, so the open-mesh
 rasterizer must reproduce its occupancy cell for cell.
 
+The 3D pins of thm-bbm and cor-multi at h = 1/16 were recorded while
+every body was still built from one GridSet per rasterized part, every
+kernel output was normalized by its bounding-box projections, and voxel
+thm-bbm re-rasterized K and T from their shape specs.  The 3D cor-multi
+sums take the FFT path, so the pin covers dilate's output frame there.
+
 The resolution pins cover thm-av in 2D at h = 1/10, 3D at h = 1/7 and 4D
 at h = 1/8, and cor-multi in 2D at h = 1/7.  At h = 1/10 and 1/7 the cell
 centres are not exact binary fractions.  They were recorded while the body
@@ -69,6 +75,12 @@ PINNED = [
     (dict(theorem="thm-bbm", engine="voxel", dim=2, h=1 / 64, trials=8,
           seed=34),
      "7d02c0448776d2d937cf5bccaa7dc227a999b3e6ad9bbb2d0397a9f0598bba05"),
+    (dict(theorem="thm-bbm", engine="voxel", dim=3, h=1 / 16, trials=4,
+          seed=35),
+     "779729a9d800761087114cac6414d7dc9bfbd5adec68533f2dc4552d17b1ae13"),
+    (dict(theorem="cor-multi", engine="voxel", dim=3, h=1 / 16, trials=3,
+          seed=36, bodies=3),
+     "335f6c99967521fdf3cdcb15ca772cbcfcffb92e537c5c6892bb1bb8df87a776"),
 ]
 EXACT = [(s, d) for s, d in PINNED if s["engine"] == "exact"]
 VOXEL = [(s, d) for s, d in PINNED if s["engine"] == "voxel"]
