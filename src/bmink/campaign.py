@@ -162,8 +162,8 @@ def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
             kp, tp, shapes, mode = _polygon_pair(config, rng, config.plant_rate)
             reports = [check_thm_bbm(kp, tp, lam)]
         else:
-            _, shapes = _boundary_sets(config, rng, 2)
-            reports = [check_thm_bbm(*shapes, lam, h=config.h)]
+            grids, shapes = _boundary_sets(config, rng, 2)
+            reports = [check_thm_bbm(*zip(grids, shapes), lam)]
 
     elif theorem == "cor-multi":
         if exact:

@@ -2,10 +2,11 @@
 
 Polygons come from convex hulls of points snapped to a rational grid, so
 every generated vertex is exact.  Grid sets are unions of boxes and balls,
-each rasterized once: a part joins the body when it overlaps the body or
-shares a face with it, which keeps the occupancy face-connected (see
-gen_connected_boundary_set for why), and a body is kept when its boundary
-is connected.  Pairs destined for cell-exact decomposition checks
+each rasterized once into its own window: a part joins the body when its
+cells overlap those of an accepted part or share a face with one, which
+keeps the occupancy face-connected (see gen_connected_boundary_set for
+why), the accepted windows become one GridSet, and a body is kept when its
+boundary is connected.  Pairs destined for cell-exact decomposition checks
 additionally restrict the smaller body to a plain box (see
 gen_decomposition_pair).  Because random pairs essentially never achieve
 equality in the volume bounds, the pair generators can deliberately plant
@@ -21,8 +22,8 @@ from typing import Optional
 
 from .exact2d import (ConvexPolygon, GeometryError, Point2, _Lattice, scale,
                       translate)
-from .voxel import (GridSet, ShapeSpec, attach, is_boundary_connected,
-                    rasterize)
+from .voxel import (GridSet, ShapeSpec, _in_contact, _or_windows,
+                    _raster_window, is_boundary_connected, rasterize)
 
 PLANT_TRANSLATE = "translate"
 PLANT_HOMOTHETIC_SYMMETRIC = "homothetic_symmetric"
@@ -182,11 +183,17 @@ def gen_connected_boundary_set(seed_rng: random.Random,
     """Random union of primitives with a face-connected occupancy and a
     connected boundary.
 
-    Each drawn primitive is rasterized once.  A part joins the body when it
-    is empty or when it overlaps the body or shares a face with it; the
+    Each drawn primitive is rasterized once, into its own window (the
+    cells of its bounding box; see voxel._raster_window).  A part joins the
+    body when it is empty or when it overlaps the body or shares a face
+    with it.  The body is the union of the parts accepted so far, so it is
+    in contact with a part exactly when one of those parts is, and the
+    contact test compares the new window with each accepted window in
+    turn.  The accepted windows are ORed into one GridSet at the end.  The
     final body must also pass the boundary-connectivity filter (an annulus
-    made by near-coincident parts would fail it).  Rejected draws are
-    resampled within a bounded budget.
+    made by near-coincident parts would fail it), which builds and caches
+    its boundary for the checkers.  Rejected draws are resampled within a
+    bounded budget.
 
     The contact rule keeps the body face-connected by induction, because a
     nonempty rasterized box or ball is face-connected:
@@ -212,23 +219,27 @@ def gen_connected_boundary_set(seed_rng: random.Random,
         center = [seed_rng.uniform(-params.center_range / 2,
                                    params.center_range / 2) for _ in range(dim)]
         spec = _random_primitive(seed_rng, params, dim, h, center)
-        grid = rasterize(spec, h)
+        window = _raster_window(spec, h)
+        windows = [window] if window[1].any() else []
         parts = 1
         attempts = 0
-        while not grid.is_empty and parts < n_parts and attempts < 8:
+        while windows and parts < n_parts and attempts < 8:
             attempts += 1
             lo, hi = spec.bbox()
             new_center = [seed_rng.uniform(lo[k] - 0.2, hi[k] + 0.2)
                           for k in range(dim)]
             part_spec = _random_primitive(seed_rng, params, dim, h, new_center)
-            part = rasterize(part_spec, h)
-            joined = grid if part.is_empty else attach(grid, part)
-            if joined is not None:
+            window = _raster_window(part_spec, h)
+            empty = not window[1].any()
+            if empty or any(_in_contact(w, window) for w in windows):
                 spec = ShapeSpec.union_of(spec, part_spec)
-                grid = joined
+                if not empty:
+                    windows.append(window)
                 parts += 1
-        if is_boundary_connected(grid):
-            return grid, spec
+        if windows:
+            grid = _or_windows(dim, h, windows)
+            if is_boundary_connected(grid):
+                return grid, spec
     raise GeometryError("grid generator exhausted its rejection budget")
 
 

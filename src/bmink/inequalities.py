@@ -18,6 +18,8 @@ from typing import Optional, Sequence, Union
 from . import exact2d, voxel
 from .exact2d import (ConvexPolygon, EqualityClass, EqualityTag, GeometryError,
                       classify_equality, is_centrally_symmetric, minkowski_sum)
+from .serialize import (REPORT_VERSION, encode_detail, encode_number,
+                        shapespec_to_json)
 from .voxel import GridSet, ShapeSpec, boundary, dilate, is_boundary_connected, volume
 
 Value = Union[Fraction, float]
@@ -58,8 +60,6 @@ class InequalityReport:
         return self.slack < -self.tolerance
 
     def to_json_dict(self) -> dict:
-        from .serialize import REPORT_VERSION, encode_number, shapespec_to_json
-
         eq_class = None
         if self.equality_class is not None:
             eq_class = {"tag": self.equality_class.tag.value}
@@ -84,7 +84,7 @@ class InequalityReport:
             "tolerance": self.tolerance,
             "violation": self.violation,
             "flags": list(self.flags),
-            "details": {k: encode_number(v) if isinstance(v, Fraction) else v
+            "details": {k: encode_detail(v)
                         for k, v in sorted(self.details.items())},
         }
 
@@ -221,15 +221,17 @@ def check_cor_multi(bodies) -> InequalityReport:
 # Weighted two-body product bound
 # ---------------------------------------------------------------------------
 
-def check_thm_bbm(k, t, lam, *, h: Optional[float] = None) -> InequalityReport:
+def check_thm_bbm(k, t, lam) -> InequalityReport:
     """vol(l*bK + (1-l)*bT) * vol(l*bT + (1-l)*bK)
        >= vol(K) vol(T) (1 - |1-2l|^n)^2.
 
     Exact engine: k, t are convex polygons and everything stays rational.
-    Voxel engine: k, t are ShapeSpecs (scaling needs re-rasterization) and h
-    is required.  The engine follows from the type of k.  For l != 1/2, exact-equality pairs that are not
-    translates-of-homothets of a centrally symmetric body are flagged rather
-    than classified.
+    Voxel engine: k, t are (GridSet, ShapeSpec) pairs, a body and the spec
+    it was rasterized from.  The grids give vol K, vol T and the resolution
+    h; the scaled bodies are rasterized from the specs at that h.  The
+    engine follows from the type of k.  For l != 1/2, exact-equality pairs
+    that are not translates-of-homothets of a centrally symmetric body are
+    flagged rather than classified.
     """
     lam = Fraction(lam)
     if not (0 < lam < 1):
@@ -258,21 +260,19 @@ def check_thm_bbm(k, t, lam, *, h: Optional[float] = None) -> InequalityReport:
             lam=lam, flags=tuple(flags),
             details={"factor_kt": f_kt, "factor_tk": f_tk},
         )
-    if h is None:
-        raise GeometryError("voxel engine needs a resolution h")
-    lam_f = float(lam)
-    gk = voxel.rasterize(k, h)
-    gt = voxel.rasterize(t, h)
+    (gk, k_spec), (gt, t_spec) = k, t
+    voxel._require_same_grid(gk, gt)
     _require_connected(gk, gt)
-    n = gk.dim
+    n, h = gk.dim, gk.h
+    lam_f = float(lam)
 
     def weighted(a_spec, b_spec, w):
         ba = boundary(voxel.rasterize(ShapeSpec.scaled(a_spec, w), h))
         bb = boundary(voxel.rasterize(ShapeSpec.scaled(b_spec, 1 - w), h))
         return volume(dilate(ba, bb)), ba.count + bb.count
 
-    f_kt, cells_kt = weighted(k, t, Fraction(lam))
-    f_tk, cells_tk = weighted(t, k, Fraction(lam))
+    f_kt, cells_kt = weighted(k_spec, t_spec, Fraction(lam))
+    f_tk, cells_tk = weighted(t_spec, k_spec, Fraction(lam))
     lhs = f_kt * f_tk
     rhs = (volume(gk) * volume(gt)
            * (1 - abs(1 - 2 * lam_f) ** n) ** 2)

@@ -45,7 +45,7 @@ def restricted_sum(a: GridSet, b: GridSet,
         raise GridError("operands must share dimension and resolution")
     origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
     counts = _convolve(a.occ, b.occ)
-    hole = _embed(erosion, origin, counts.shape)
+    hole = _embed(erosion.origin, erosion.occ, origin, counts.shape)
     admitted = a.count * b.count - int(counts[hole].sum())
     return GridSet(a.dim, a.h, origin, (counts > 0) & ~hole), admitted
 

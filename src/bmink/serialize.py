@@ -33,7 +33,18 @@ def parse_number(value: Any) -> Any:
     raise GeometryError(f"cannot parse number from {value!r}")
 
 
+# isinstance(v, Fraction) goes through ABCMeta, which costs more than the
+# encoding itself, so the encoders test the exact type first.
+_PLAIN = frozenset((int, float))
+_PLAIN_DETAILS = frozenset((bool, int, float, str, type(None)))
+
+
 def encode_number(value: Any) -> Any:
+    cls = type(value)
+    if cls is Fraction:
+        return str(value)
+    if cls in _PLAIN:
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (int, np.integer)):
@@ -43,8 +54,20 @@ def encode_number(value: Any) -> Any:
     raise GeometryError(f"cannot encode number {value!r}")
 
 
+def encode_detail(value: Any) -> Any:
+    """A report's details value: Fractions become "p/q" strings, anything
+    else passes through."""
+    if type(value) in _PLAIN_DETAILS:
+        return value
+    return str(value) if isinstance(value, Fraction) else value
+
+
+# One encoder serves every call; json.dumps would build a new one each time.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 # -- polygons ---------------------------------------------------------------

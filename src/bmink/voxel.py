@@ -56,12 +56,23 @@ class GridSet:
     ``(origin + i + 0.5) * h`` per axis.  Instances are normalized so the
     occupied cells fit strictly inside the array with a one-cell empty
     margin (boundary extraction never clips), which also makes set equality
-    a plain array comparison.  Immutable after construction; the one
-    private slot caches the is_boundary_connected verdict, which the
-    occupancy determines.
+    a plain array comparison.  The empty set is the one instance whose
+    array is a single cell.
+
+    Immutable after construction.  Three private slots cache what the
+    occupancy determines: the cell count, the boundary GridSet and the
+    is_boundary_connected verdict.
+
+    The public constructor normalizes any array: it finds the occupied box
+    by one projection per axis and copies it into a frame with the margin.
+    GridSet._tight skips both for an array that already is normalized: a
+    nonempty bool array of rank dim whose margin is empty and whose inner
+    box ``occ[1:-1, ..., 1:-1]`` has an occupied cell on each of its faces.
+    Only kernels that prove that invariant for their output call it.
     """
 
-    __slots__ = ("dim", "h", "origin", "occ", "_boundary_connected")
+    __slots__ = ("dim", "h", "origin", "occ", "_count", "_boundary",
+                 "_boundary_connected")
 
     def __init__(self, dim: int, h: float, origin: Sequence[int],
                  occupancy: np.ndarray):
@@ -74,11 +85,14 @@ class GridSet:
             raise GridError("occupancy rank does not match dim")
         self.dim = dim
         self.h = float(h)
+        self._count: Optional[int] = None
+        self._boundary: Optional[GridSet] = None
         self._boundary_connected: Optional[bool] = None
         if not occ.any():
             self.origin = (0,) * dim
             self.occ = np.zeros((1,) * dim, dtype=bool)
             self.occ.setflags(write=False)
+            self._count = 0
             return
         lo = []
         hi = []
@@ -95,13 +109,26 @@ class GridSet:
         self.occ.setflags(write=False)
         self.origin = tuple(int(o) + a - 1 for o, a in zip(origin, lo))
 
+    @classmethod
+    def _tight(cls, dim: int, h: float, origin: tuple[int, ...],
+               occ: np.ndarray) -> "GridSet":
+        """A GridSet over occ as it is; occ must already be normalized (see
+        the class docstring).  dim and h come from a valid GridSet."""
+        grid = object.__new__(cls)
+        grid.dim, grid.h, grid.origin, grid.occ = dim, h, origin, occ
+        occ.setflags(write=False)
+        grid._count = grid._boundary = grid._boundary_connected = None
+        return grid
+
     @property
     def count(self) -> int:
-        return int(self.occ.sum())
+        if self._count is None:
+            self._count = int(np.count_nonzero(self.occ))
+        return self._count
 
     @property
     def is_empty(self) -> bool:
-        return not self.occ.any()
+        return self.occ.size == 1
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -134,19 +161,19 @@ def _require_same_grid(a: GridSet, b: GridSet) -> None:
         raise GridError("operands must share dimension and resolution")
 
 
-def _embed(g: GridSet, origin: Sequence[int],
-           shape: Sequence[int]) -> np.ndarray:
-    """g's occupancy in the window with the given origin and shape, clipped
-    to that window."""
+def _embed(src_origin: Sequence[int], src: np.ndarray,
+           origin: Sequence[int], shape: Sequence[int]) -> np.ndarray:
+    """The array src, whose cell 0 sits at src_origin, in the window with
+    the given origin and shape, clipped to that window."""
     out = np.zeros(shape, dtype=bool)
-    src, dst = [], []
-    for o, n, wo, wn in zip(g.origin, g.shape, origin, shape):
+    from_, to = [], []
+    for o, n, wo, wn in zip(src_origin, src.shape, origin, shape):
         lo, hi = max(o, wo), min(o + n, wo + wn)
         if lo >= hi:
             return out
-        src.append(slice(lo - o, hi - o))
-        dst.append(slice(lo - wo, hi - wo))
-    out[tuple(dst)] = g.occ[tuple(src)]
+        from_.append(slice(lo - o, hi - o))
+        to.append(slice(lo - wo, hi - wo))
+    out[tuple(to)] = src[tuple(from_)]
     return out
 
 
@@ -155,7 +182,8 @@ def _common_frame(a: GridSet, b: GridSet):
     hi = np.maximum(np.add(a.origin, a.shape), np.add(b.origin, b.shape))
     shape = tuple(int(n) for n in hi - lo)
     _check_extent(shape)
-    return lo, _embed(a, lo, shape), _embed(b, lo, shape)
+    return (lo, _embed(a.origin, a.occ, lo, shape),
+            _embed(b.origin, b.occ, lo, shape))
 
 
 def _smooth_length(n: int) -> int:
@@ -246,28 +274,28 @@ def intersection(a: GridSet, b: GridSet) -> GridSet:
     return GridSet(a.dim, a.h, lo, av & bv)
 
 
-def difference(a: GridSet, b: GridSet) -> GridSet:
-    _require_same_grid(a, b)
-    lo, av, bv = _common_frame(a, b)
-    return GridSet(a.dim, a.h, lo, av & ~bv)
+# A window is a raw occupancy array with the lattice position of its cell 0:
+# a rasterized shape before it is normalized into a GridSet.
+_Window = tuple[tuple[int, ...], np.ndarray]
 
 
-def attach(body: GridSet, part: GridSet) -> Optional[GridSet]:
-    """union(body, part) when the two are in contact, else None.
+def _in_contact(a: _Window, b: _Window) -> bool:
+    """True when two windows share an occupied cell or have two occupied
+    cells that share a face.
 
-    They are in contact when they share a cell or have two cells that share
-    a face.  For face-connected body and part this holds exactly when their
-    union is face-connected.  One common frame serves both the contact test
-    and the union.
+    Such a pair of cells lies in the box where the windows, each grown by
+    one cell, overlap, so only that box of each is compared: both arrays
+    are clipped to it, and a face contact is an overlap after a one-cell
+    shift along some axis.
     """
-    _require_same_grid(body, part)
-    lo, av, bv = _common_frame(body, part)
-    if not _touching(av, bv):
-        return None
-    return GridSet(body.dim, body.h, lo, av | bv)
-
-
-def _touching(av: np.ndarray, bv: np.ndarray) -> bool:
+    (oa, av), (ob, bv) = a, b
+    lo = [max(p, q) - 1 for p, q in zip(oa, ob)]
+    hi = [min(p + m, q + n) + 1
+          for p, m, q, n in zip(oa, av.shape, ob, bv.shape)]
+    if any(l >= u for l, u in zip(lo, hi)):
+        return False
+    shape = [u - l for l, u in zip(lo, hi)]
+    av, bv = _embed(oa, av, lo, shape), _embed(ob, bv, lo, shape)
     if (av & bv).any():
         return True
     for ax in range(av.ndim):
@@ -306,6 +334,15 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
     and take the pair path.  The 3D voxel-dense sums (14 to 48, break-even
     about 14) and the accumulated multi-body band (63 to 143) stay on the
     FFT.  Either way the result is cell-exact and exactly commutative.
+
+    For two nonempty operands the output needs no normalizing.  Per axis,
+    the smallest cell of A + B is min A + min B, and that sum is attained,
+    by a pair of extreme cells; the same holds for the largest.  Both
+    operands are normalized, so their extreme cells sit at index 1 and
+    index n - 2 of arrays of length n.  Their sums therefore sit at index
+    2 and at the third-to-last index of the full sum frame, shape
+    a.shape + b.shape - 1, and the frame's [1:-1] slice, origin
+    a.origin + b.origin + 1, holds them with an empty one-cell margin.
     """
     _require_same_grid(a, b)
     origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
@@ -314,7 +351,10 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
         occ = _pair_sums(a.occ, b.occ)
     else:
         occ = _convolve(a.occ, b.occ) > 0
-    return GridSet(a.dim, a.h, origin, occ)
+    if a.is_empty or b.is_empty:
+        return GridSet(a.dim, a.h, origin, occ)
+    return GridSet._tight(a.dim, a.h, tuple(o + 1 for o in origin),
+                          occ[(slice(1, -1),) * a.dim])
 
 
 def interior(a: GridSet) -> GridSet:
@@ -323,27 +363,33 @@ def interior(a: GridSet) -> GridSet:
 
 
 def _interior_array(a: GridSet) -> np.ndarray:
+    """interior(a) in a's array.  A margin cell is never interior: it is
+    empty.  So only the inner cells are tested, each against its 2*dim
+    neighbors, which the margin keeps inside the array."""
     occ = a.occ
-    inter = occ.copy()
+    inner = (slice(1, -1),) * a.dim
+    core = occ[inner].copy()
     for ax in range(a.dim):
-        for step in (1, -1):
-            shifted = np.zeros_like(occ)
-            src = [slice(None)] * a.dim
-            dst = [slice(None)] * a.dim
-            if step == 1:
-                src[ax] = slice(1, None)
-                dst[ax] = slice(None, -1)
-            else:
-                src[ax] = slice(None, -1)
-                dst[ax] = slice(1, None)
-            shifted[tuple(dst)] = occ[tuple(src)]
-            inter &= shifted
+        for lo, hi in ((None, -2), (2, None)):
+            core &= occ[inner[:ax] + (slice(lo, hi),) + inner[ax + 1:]]
+    inter = np.zeros_like(occ)
+    inter[inner] = core
     return inter
 
 
 def boundary(a: GridSet) -> GridSet:
-    """Occupied cells with some unoccupied face neighbor (a minus interior)."""
-    return GridSet(a.dim, a.h, a.origin, a.occ & ~_interior_array(a))
+    """Occupied cells with some unoccupied face neighbor (a minus interior).
+
+    An extreme cell of a on some axis has an empty neighbor in the margin,
+    so it is a boundary cell: the boundary keeps a's box and array frame,
+    and needs no normalizing.  It is built once per GridSet and cached.
+    """
+    if a.is_empty:
+        return a
+    if a._boundary is None:
+        a._boundary = GridSet._tight(a.dim, a.h, a.origin,
+                                     a.occ & ~_interior_array(a))
+    return a._boundary
 
 
 def erode_open(a: GridSet, b: GridSet) -> GridSet:
@@ -367,14 +413,14 @@ def is_boundary_connected(a: GridSet) -> bool:
 
     Full (3^dim - 1)-neighborhood adjacency keeps diagonal contacts
     connected; the empty set has no boundary and reports False.  The
-    verdict is cached on the GridSet, so a body is labelled once however
-    many checks ask: the generator's filter and then each checker's
-    precondition.
+    verdict is cached on the GridSet, and so is the boundary it labels, so
+    a body's boundary is built and labelled once however many checks ask:
+    the generator's filter and then each checker's precondition and sums.
     """
     if a._boundary_connected is None:
-        bnd = a.occ & ~_interior_array(a)
-        a._boundary_connected = bool(bnd.any()) and ndimage.label(
-            bnd, structure=np.ones((3,) * a.dim, dtype=int))[1] == 1
+        full = np.ones((3,) * a.dim, dtype=int)
+        a._boundary_connected = (not a.is_empty and ndimage.label(
+            boundary(a).occ, structure=full)[1] == 1)
     return a._boundary_connected
 
 
@@ -621,6 +667,14 @@ def rasterize(spec: ShapeSpec, h: float) -> GridSet:
     (where cell centers stop being exact in float64), raises GridError, as
     does a window beyond the extent caps.
     """
+    origin, occ = _raster_window(spec, h)
+    return GridSet(occ.ndim, h, origin, occ)
+
+
+def _raster_window(spec: ShapeSpec, h: float) -> _Window:
+    """rasterize(spec, h) before normalizing: the occupancy of every cell
+    whose center lies in the spec's bounding box, and the lattice position
+    of the first of them."""
     if not h > 0:
         raise GridError("resolution h must be positive")
     dim = spec.dim()
@@ -628,18 +682,39 @@ def rasterize(spec: ShapeSpec, h: float) -> GridSet:
         raise GridError(f"shape dimension {dim} not in {ALLOWED_DIMS}")
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = spec.bbox()
-        first = np.floor(lo / h - 0.5)
-        last = np.ceil(hi / h - 0.5)
-    if not (np.all(np.abs(first) <= _MAX_INDEX)
-            and np.all(np.abs(last) <= _MAX_INDEX)):
-        raise GridError(f"shape bounding box {lo.tolist()}..{hi.tolist()} at "
-                        f"h={h} is not finite or lies beyond lattice index "
-                        "2**52")
-    imin = [int(i) for i in first]
-    shape = [int(n) for n in last - first + 1]
+    # Float division overflows to inf, and NaN fails the comparison, so a
+    # window that is not finite fails the same test as one beyond 2**52.
+    # Floats beyond 2**52 are integers, so |floor(x)| <= 2**52 exactly when
+    # |x| <= 2**52.
+    first, shape = [], []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        i, j = a / h - 0.5, b / h - 0.5
+        if not (abs(i) <= _MAX_INDEX and abs(j) <= _MAX_INDEX):
+            raise GridError(
+                f"shape bounding box {lo.tolist()}..{hi.tolist()} at h={h} "
+                "is not finite or lies beyond lattice index 2**52")
+        first.append(math.floor(i))
+        shape.append(math.ceil(j) - first[-1] + 1)
     _check_extent([n + 2 for n in shape])
     axes = []
-    for k, (i, n) in enumerate(zip(imin, shape)):
+    for k, (i, n) in enumerate(zip(first, shape)):
         x = (np.arange(i, i + n) + 0.5) * h
         axes.append(x.reshape([n if j == k else 1 for j in range(dim)]))
-    return GridSet(dim, h, imin, spec._on_mesh(axes))
+    return tuple(first), spec._on_mesh(axes)
+
+
+def _or_windows(dim: int, h: float, windows: Sequence[_Window]) -> GridSet:
+    """The GridSet of the union of the windows' occupied cells.
+
+    The windows are ORed into the smallest window that holds them all,
+    which must pass the extent caps with its margin, and normalized once.
+    """
+    lo = [min(o[k] for o, _ in windows) for k in range(dim)]
+    hi = [max(o[k] + w.shape[k] for o, w in windows) for k in range(dim)]
+    shape = [b - a for a, b in zip(lo, hi)]
+    _check_extent([n + 2 for n in shape])
+    out = np.zeros(shape, dtype=bool)
+    for origin, occ in windows:
+        out[tuple(slice(o - a, o - a + n)
+                  for o, a, n in zip(origin, lo, occ.shape))] |= occ
+    return GridSet(dim, h, lo, out)

@@ -1,7 +1,7 @@
 import pytest
 from scipy import ndimage
 
-from bmink import campaign, generators
+from bmink import campaign, generators, voxel
 from bmink.campaign import CampaignConfig, _run_trial
 from bmink.exact2d import EqualityTag, GeometryError, classify_equality, reflect
 from bmink.generators import (GridGenParams, PLANT_HOMOTHETIC_SYMMETRIC,
@@ -103,12 +103,12 @@ def test_decomposition_pair_redraws_when_t_cannot_shrink():
 
 def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
     # Seed 1's first thm-av trial draws both bodies without a retry.  Each
-    # drawn primitive is rasterized once on its own, never as part of a
-    # union spec, and each body's boundary is labelled once, by the
-    # generator: check_thm_av reuses the cached verdict.
+    # drawn primitive is rasterized once, into its own window, never as
+    # part of a union spec, and each body's boundary is labelled once, by
+    # the generator: check_thm_av reuses the cached verdict.
     labels, rasterized, drawn, in_check = [], [], [], []
     label = ndimage.label
-    rasterize = generators.rasterize
+    raster_window = generators._raster_window
     random_primitive = generators._random_primitive
     check_thm_av = campaign.check_thm_av
 
@@ -116,9 +116,9 @@ def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
         labels.append(1)
         return label(*args, **kwargs)
 
-    def counted_rasterize(spec, h):
+    def counted_window(spec, h):
         rasterized.append(spec.kind)
-        return rasterize(spec, h)
+        return raster_window(spec, h)
 
     def counted_primitive(*args):
         drawn.append(1)
@@ -131,7 +131,7 @@ def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
         return report
 
     monkeypatch.setattr(ndimage, "label", counted_label)
-    monkeypatch.setattr(generators, "rasterize", counted_rasterize)
+    monkeypatch.setattr(generators, "_raster_window", counted_window)
     monkeypatch.setattr(generators, "_random_primitive", counted_primitive)
     monkeypatch.setattr(campaign, "check_thm_av", counted_check)
     config = CampaignConfig(theorem="thm-av", engine="voxel", h=1 / 16,
@@ -141,3 +141,36 @@ def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
     assert in_check == [0]
     assert len(rasterized) == len(drawn) == 5
     assert set(rasterized) <= {"box", "ball"}
+
+
+def test_voxel_thm_bbm_checker_reuses_the_generated_bodies(monkeypatch):
+    # The campaign hands check_thm_bbm the grids it generated, so the
+    # checker rasterizes only the four scaled bodies and labels nothing:
+    # both connectivity verdicts are cached by the generator.
+    labels, rasterized, in_check = [], [], []
+    label = ndimage.label
+    rasterize = voxel.rasterize
+    check_thm_bbm = campaign.check_thm_bbm
+
+    def counted_label(*args, **kwargs):
+        labels.append(1)
+        return label(*args, **kwargs)
+
+    def counted_rasterize(spec, h):
+        rasterized.append(spec.kind)
+        return rasterize(spec, h)
+
+    def counted_check(*args, **kwargs):
+        before = len(labels), len(rasterized)
+        report = check_thm_bbm(*args, **kwargs)
+        in_check.append((len(labels) - before[0],
+                         rasterized[before[1]:]))
+        return report
+
+    monkeypatch.setattr(ndimage, "label", counted_label)
+    monkeypatch.setattr(voxel, "rasterize", counted_rasterize)
+    monkeypatch.setattr(campaign, "check_thm_bbm", counted_check)
+    config = CampaignConfig(theorem="thm-bbm", engine="voxel", h=1 / 16,
+                            seed=1)
+    assert [r.theorem_id for r in _run_trial(config, 0)] == ["thm-bbm"]
+    assert in_check == [(0, ["scaled"] * 4)]

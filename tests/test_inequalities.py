@@ -8,7 +8,7 @@ from bmink.generators import GridGenParams, gen_connected_boundary_set, trial_rn
 from bmink.inequalities import (check_cor_multi, check_lemma_pbm, check_rn,
                                 check_thm_av, check_thm_bbm,
                                 multi_boundary_sum_volume, rn_value)
-from bmink.voxel import ShapeSpec
+from bmink.voxel import GridError, ShapeSpec, rasterize
 
 SQUARE = ConvexPolygon.box((-1, -1), (1, 1))
 HALF = ConvexPolygon.box((F(-1, 2), F(-1, 2)), (F(1, 2), F(1, 2)))
@@ -111,8 +111,12 @@ def test_thm_bbm_symmetric_under_role_swap():
 def test_thm_bbm_voxel_engine():
     k = ShapeSpec.box((-1, -1), (1, 1))
     t = ShapeSpec.ball((0, 0), 0.75)
-    r = check_thm_bbm(k, t, F(1, 4), h=1 / 32)
+    h = 1 / 32
+    r = check_thm_bbm((rasterize(k, h), k), (rasterize(t, h), t), F(1, 4))
     assert r.slack >= -r.tolerance
+    with pytest.raises(GridError):
+        check_thm_bbm((rasterize(k, h), k), (rasterize(t, h / 2), t),
+                      F(1, 4))
 
 
 def test_thm_bbm_lambda_validated():

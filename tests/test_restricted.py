@@ -92,19 +92,27 @@ def test_theta_bounds_requires_volume_order():
 def test_one_pass_per_voxel_trial(monkeypatch):
     # One voxel thm-4.2 trial builds bK and bT once, and makes three kernel
     # calls: the open erosion and the K * T restricted sum convolve, and
-    # bK + bT, a sparse boundary sum at this size, scatters pairs.
-    calls = {"_convolve": 0, "_pair_sums": 0, "boundary": 0}
+    # bK + bT, a sparse boundary sum at this size, scatters pairs.  A
+    # boundary is built by the first boundary() call on a body, the
+    # connectivity check's; later calls return the cached GridSet.
+    calls = {"_convolve": 0, "_pair_sums": 0, "boundary builds": 0}
+    originals = {name: getattr(voxel, name)
+                 for name in ("_convolve", "_pair_sums", "boundary")}
 
     def counted(name):
-        original = getattr(voxel, name)
-
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args, **kwargs)
+            return originals[name](*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        wrapper = counted(name)
+    def counted_boundary(a):
+        calls["boundary builds"] += a._boundary is None and not a.is_empty
+        return originals["boundary"](a)
+
+    wrappers = {"_convolve": counted("_convolve"),
+                "_pair_sums": counted("_pair_sums"),
+                "boundary": counted_boundary}
+    for name, wrapper in wrappers.items():
         monkeypatch.setattr(voxel, name, wrapper)
         if hasattr(restricted, name):
             monkeypatch.setattr(restricted, name, wrapper)
@@ -112,7 +120,7 @@ def test_one_pass_per_voxel_trial(monkeypatch):
                             seed=5)
     reports = _run_trial(config, 0)
     assert [r.theorem_id for r in reports] == ["thm-4.2", "eq-4.2", "eq-4.3"]
-    assert calls == {"_convolve": 2, "_pair_sums": 1, "boundary": 2}
+    assert calls == {"_convolve": 2, "_pair_sums": 1, "boundary builds": 2}
 
 
 @pytest.mark.parametrize("dim,h", [(2, 1 / 16), (3, 1 / 8), (4, 1 / 4)])

@@ -1,11 +1,12 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from bmink.exact2d import ConvexPolygon, GeometryError
 from bmink.generators import GridGenParams, gen_connected_boundary_set, trial_rng
-from bmink.serialize import (dumps_canonical, encode_number,
+from bmink.serialize import (dumps_canonical, encode_detail, encode_number,
                              gridset_from_rle_json, gridset_to_rle_json,
                              load_shape_file, parse_number, polygon_from_json,
                              polygon_to_json, shapespec_from_json,
@@ -24,6 +25,28 @@ def test_fraction_strings_roundtrip():
         parse_number(True)
     with pytest.raises(GeometryError):
         parse_number("x")
+
+
+class _Half(F):
+    """A Fraction subclass: the exact-type tests must not miss it."""
+
+
+def test_number_and_detail_encoding_by_type():
+    # Exact types take the fast path; subclasses, bools and numpy scalars
+    # take the isinstance chain and encode as they always have.
+    assert encode_number(3) == 3 and encode_number(0.25) == 0.25
+    assert encode_number(True) == 1 and type(encode_number(True)) is int
+    assert encode_number(_Half(1, 2)) == "1/2"
+    assert type(encode_number(np.int64(5))) is int
+    assert type(encode_number(np.float64(0.5))) is float
+    with pytest.raises(GeometryError):
+        encode_number("1/2")
+    for value in (True, 3, 0.5, "x", None, [1, 2]):
+        assert encode_detail(value) is value
+    assert encode_detail(F(6, 4)) == "3/2"
+    assert encode_detail(_Half(1, 3)) == "1/3"
+    assert dumps_canonical({"b": True, "a": [0.5, None]}) == \
+        '{"a":[0.5,null],"b":true}'
 
 
 def test_polygon_json_roundtrip():

@@ -1,9 +1,12 @@
 """The voxel engine's fast paths against the simple code they replaced.
 
-`dilate_loop`, `erode_open_loop` and `admitted_pair_count_loop` are the
-brute-force per-cell implementations of the kernel-based operations; both
-dilation kernels, pair scattering and the FFT convolution, are checked
-against `dilate_loop` on their own as well as through `dilate`.
+`dilate_loop`, `erode_open_loop`, `boundary_loop` and
+`admitted_pair_count_loop` are the brute-force per-cell implementations of
+the kernel-based operations; both dilation kernels, pair scattering and the
+FFT convolution, are checked against `dilate_loop` on their own as well as
+through `dilate`.  `dilate` and `boundary` build their GridSets without
+normalizing them, so their results are also checked against the same cells
+normalized by the public constructor.
 `contains_points` and `rasterize_points` evaluate a shape spec on a
 (cells x dim) matrix of cell centers, as rasterization did before it moved
 to an open mesh.  `gen_connected_boundary_set_ref` is the body generator
@@ -31,8 +34,9 @@ from bmink.generators import (GridGenParams, _random_primitive,
                               gen_connected_boundary_set, trial_rng)
 from bmink.restricted import restricted_sum
 from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridSet, ShapeSpec,
-                         _convolve, _frames, _interior_array, _pair_sums,
-                         _poly_signed_area, attach, difference, dilate,
+                         _common_frame, _convolve, _frames, _in_contact,
+                         _interior_array, _or_windows, _pair_sums,
+                         _poly_signed_area, _raster_window, boundary, dilate,
                          erode_open, is_boundary_connected, rasterize, union)
 
 H = 0.5
@@ -55,6 +59,24 @@ def dilate_loop(a: GridSet, b: GridSet) -> GridSet:
         out[sl] |= big.occ
     origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
     return GridSet(a.dim, a.h, origin, out)
+
+
+def boundary_loop(a: GridSet) -> GridSet:
+    """Keep each occupied cell that has an unoccupied face neighbor."""
+    cells = {tuple(int(v) for v in c) for c in a.cells()}
+    kept = np.zeros(a.shape, dtype=bool)
+    for c in cells:
+        for k in range(a.dim):
+            for step in (1, -1):
+                if c[:k] + (c[k] + step,) + c[k + 1:] not in cells:
+                    kept[tuple(v - o for v, o in zip(c, a.origin))] = True
+    return GridSet(a.dim, a.h, a.origin, kept)
+
+
+def difference(a: GridSet, b: GridSet) -> GridSet:
+    """Cells of a that are not cells of b."""
+    lo, av, bv = _common_frame(a, b)
+    return GridSet(a.dim, a.h, lo, av & ~bv)
 
 
 def erode_open_loop(a: GridSet, b: GridSet) -> GridSet:
@@ -166,6 +188,42 @@ def test_examples_straddle_cost_rule():
 def test_dilate_matches_cell_loop(pair):
     a, b = pair
     assert dilate(a, b) == dilate_loop(a, b)
+
+
+def _renormalized(g: GridSet) -> GridSet:
+    """The same cells through the public, normalizing constructor."""
+    return GridSet(g.dim, g.h, g.origin, g.occ.copy())
+
+
+@st.composite
+def pairs_with_empties(draw):
+    """Two grids of one dimension, one of them the empty set in about a
+    quarter of the cases."""
+    pair = list(draw(grid_tuples(2)))
+    if draw(st.integers(0, 3)) == 0:
+        pair[draw(st.integers(0, 1))] = _empty(pair[0].dim)
+    return tuple(pair)
+
+
+@given(pairs_with_empties())
+@example((EMPTY, SOLID_5X5))
+@example((SOLID_5X5, EMPTY))
+@example((SINGLE, SINGLE))
+@example(PAIR_SIDE)
+@example(FFT_SIDE)
+@example((SOLID_3D, _grid((0, 0, 0), [[[1, 0, 1]]])))
+@settings(max_examples=150, deadline=None)
+def test_trusted_outputs_are_normalized(pair):
+    a, b = pair
+    total = dilate(a, b)
+    assert total == _renormalized(total) == dilate_loop(a, b)
+    for g in (a, b, total):
+        shell = boundary(g)
+        assert shell == _renormalized(shell) == boundary_loop(g)
+        assert boundary(g) is shell
+        for x in (g, shell):
+            assert x.count == int(x.occ.sum())
+            assert x.is_empty == (x.count == 0)
 
 
 @given(grid_tuples(2))
@@ -506,19 +564,24 @@ def primitive_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_contact_agrees_with_labelling_the_union(case):
     first, second, h = case
-    a, b = rasterize(first, h), rasterize(second, h)
-    touching = attach(a, b) is not None
-    assert touching == (attach(b, a) is not None)
-    assert touching == (face_components(union(a, b)) == 1)
+    a, b = _raster_window(first, h), _raster_window(second, h)
+    touching = _in_contact(a, b)
+    assert touching == _in_contact(b, a)
+    assert touching == (face_components(union(rasterize(first, h),
+                                              rasterize(second, h))) == 1)
 
 
 @given(primitive_pairs())
 @settings(max_examples=100, deadline=None)
-def test_attach_is_contact_then_union(case):
+def test_contact_then_or_is_the_connected_union(case):
+    # The generator's step: a part in contact is ORed into the body.
     first, second, h = case
-    a, b = rasterize(first, h), rasterize(second, h)
-    joined = union(a, b)
-    assert attach(a, b) == (joined if face_components(joined) == 1 else None)
+    a, b = _raster_window(first, h), _raster_window(second, h)
+    joined = union(rasterize(first, h), rasterize(second, h))
+    dim = first.dim()
+    assert _or_windows(dim, h, [a]) == rasterize(first, h)
+    assert ((_or_windows(dim, h, [a, b]) if _in_contact(a, b) else None)
+            == (joined if face_components(joined) == 1 else None))
 
 
 def _box_cells(lo, hi) -> ShapeSpec:
@@ -538,7 +601,26 @@ def _box_cells(lo, hi) -> ShapeSpec:
     ((2,) * 4, (3,) * 4, False),          # 4D corner only
 ])
 def test_contact_rejects_edge_and_corner_meetings(lo, hi, touching):
-    a = rasterize(_box_cells((0,) * len(lo), (1,) * len(lo)), 1 / 4)
-    b = rasterize(_box_cells(lo, hi), 1 / 4)
-    assert (attach(a, b) is not None) is touching
-    assert (face_components(union(a, b)) == 1) is touching
+    first = _box_cells((0,) * len(lo), (1,) * len(lo))
+    second = _box_cells(lo, hi)
+    a, b = _raster_window(first, 1 / 4), _raster_window(second, 1 / 4)
+    assert _in_contact(a, b) is touching
+    assert (face_components(union(rasterize(first, 1 / 4),
+                                  rasterize(second, 1 / 4))) == 1) is touching
+
+
+@pytest.mark.parametrize("offset,touching", [
+    ((2, 0), True), ((0, -1), True), ((2, 2), False), ((-1, 2), False),
+    ((3, 0), False), ((2, 0, 1), True), ((2, 2, 0), False),
+    ((0, 0, 0, -1), True), ((2, 2, 2, 2), False),
+])
+def test_contact_across_abutting_windows(offset, touching):
+    # Windows without an empty rim: a face contact joins cells on the
+    # edges of two windows that do not overlap.
+    dim = len(offset)
+    a = ((0,) * dim, np.ones((2,) * dim, dtype=bool))
+    b = (offset, np.ones((1,) * dim, dtype=bool))
+    assert _in_contact(a, b) is touching
+    assert _in_contact(b, a) is touching
+    joined = union(GridSet(dim, H, *a), GridSet(dim, H, *b))
+    assert (face_components(joined) == 1) is touching
