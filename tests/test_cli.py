@@ -118,6 +118,32 @@ def test_erode_exact_reports_disk_gap(tmp_path, capsys):
     assert 0 < payload["input_approximation_gap"] < 0.01
 
 
+_BOX = '{"kind": "box", "lo": [-2, -2], "hi": [2, 2]}'
+_BALL = '{"kind": "ball", "center": ["1/2", 0], "radius": "3/4"}'
+
+
+@pytest.mark.parametrize("k, t, expected", [
+    (_BOX, _BALL,
+     '{"area":"25/4","empty":false,"engine":"exact",'
+     '"input_approximation_gap":0.00283715393099615,'
+     '"note":"stored region is the closure; the true set is its interior",'
+     '"region":{"vertices":[["-3/4","-5/4"],["7/4","-5/4"],["7/4","5/4"],'
+     '["-3/4","5/4"]]}}'),
+    (_BALL, _BOX,
+     '{"area":"0","empty":true,"engine":"exact",'
+     '"input_approximation_gap":0.0028371539309972604,'
+     '"note":"stored region is the closure; the true set is its interior"}'),
+], ids=["box-by-ball", "ball-by-box"])
+def test_erode_exact_output_bytes(tmp_path, capsys, k, t, expected):
+    # The gap sums K's and T's area deficits in that order, so the two
+    # orders differ in the last digits; both are pinned.
+    (tmp_path / "k.json").write_text(k)
+    (tmp_path / "t.json").write_text(t)
+    assert main(["erode", "--k", str(tmp_path / "k.json"),
+                 "--t", str(tmp_path / "t.json")]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_erode_voxel_command(shape_files, capsys):
     k, t = shape_files
     code = main(["erode", "--k", k, "--t", t, "--engine", "voxel",

@@ -153,3 +153,25 @@ def test_load_shape_file_both_formats(tmp_path):
     bad.write_text(json.dumps({"something": 1}))
     with pytest.raises(GeometryError):
         load_shape_file(str(bad))
+
+
+def test_shapespec_json_bytes_of_every_kind():
+    # Literal bytes: all 8 kinds, with Fraction, float and int payloads.
+    spec = ShapeSpec.union_of(
+        ShapeSpec.translated(ShapeSpec.scaled(
+            ShapeSpec.ball((F(1, 3), 0.5), 1), F(3, 2)), (1, F(-1, 4))),
+        ShapeSpec.union_of(
+            ShapeSpec.reflected(ShapeSpec.box((-1, F(-1, 2)), (0.25, 0))),
+            ShapeSpec.union_of(
+                ShapeSpec.simplex(2),
+                ShapeSpec.polygon([(0, 0), (F(1, 2), 0), (0, 1.5)]))))
+    text = dumps_canonical(shapespec_to_json(spec))
+    assert text == (
+        '{"kind":"union","parts":[{"child":{"child":{"center":["1/3",0.5],'
+        '"kind":"ball","radius":1},"factor":"3/2","kind":"scaled"},'
+        '"kind":"translated","vector":[1,"-1/4"]},{"kind":"union","parts":'
+        '[{"child":{"hi":[0.25,0],"kind":"box","lo":[-1,"-1/2"]},'
+        '"kind":"reflected"},{"kind":"union","parts":[{"dim":2,'
+        '"kind":"simplex"},{"kind":"polygon","vertices":[[0,0],["1/2",0],'
+        '[0,1.5]]}]}]}]}')
+    assert shapespec_from_json(json.loads(text)) == spec
