@@ -23,10 +23,9 @@ from typing import Optional, Sequence
 from . import restricted, voxel
 from .campaign import (THEOREMS, CampaignConfig, print_summary, run_campaign)
 from .exact2d import GeometryError, erode as erode_exact
-from .generators import GridGenParams, PolygonGenParams
 from .render import render_decomposition_svg
 from .serialize import (dumps_canonical, load_shape_file, parse_number,
-                        polygon_to_json, spec_to_polygon, spec_true_area)
+                        polygon_to_json, realize_spec)
 from .voxel import GridError
 
 
@@ -77,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--k", required=True)
     render.add_argument("--t", required=True)
     render.add_argument("--out", required=True)
-    render.add_argument("--disk-sides", type=int, default=64)
 
     demo = sub.add_parser("demo", help="closed-form demonstrations")
     demo.add_argument("name", choices=("remark-4.3",))
@@ -86,16 +84,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VERIFY_DEFAULTS = {
-    "engine": "exact",
-    "trials": 100,
-    "seed": 0,
-    "dim": 2,
-    "res": Fraction(1, 32),
-    "lam": None,
-    "bodies": 3,
-    "plant_rate": 0.0,
-    "out": None,
+def _resolution(res: Fraction) -> float:
+    """The cell size h of a --res flag or config value, whose cell volume
+    h**dim must be a float in every dimension the voxel engine allows."""
+    try:
+        h = float(res)
+        h ** max(voxel.ALLOWED_DIMS)
+    except OverflowError:
+        raise GeometryError("resolution is too large: its cell volume "
+                            "overflows a float") from None
+    return h
+
+
+# The CampaignConfig field each verify flag and config key sets; a field
+# that neither sets keeps CampaignConfig's default.
+_CONFIG_FIELDS = {
+    "engine": "engine", "trials": "trials", "seed": "seed", "dim": "dim",
+    "res": "h", "lam": "lam", "bodies": "bodies", "plant_rate": "plant_rate",
+    "out": "out_path",
 }
 # The JSON types a config file may give a key.  res and lam are read as
 # rationals below, and the engine is checked with the rest of the config.
@@ -108,7 +114,7 @@ _CONFIG_TYPES = {
 
 
 def _verify_config(args: argparse.Namespace) -> CampaignConfig:
-    values = dict(_VERIFY_DEFAULTS)
+    values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
@@ -119,7 +125,7 @@ def _verify_config(args: argparse.Namespace) -> CampaignConfig:
         if not isinstance(file_values, dict):
             raise GeometryError(f"{args.config} must hold a JSON object")
         for key, value in file_values.items():
-            if key not in values:
+            if key not in _CONFIG_FIELDS:
                 raise GeometryError(f"unknown config key {key!r}")
             if key not in _CONFIG_TYPES:
                 continue
@@ -133,24 +139,14 @@ def _verify_config(args: argparse.Namespace) -> CampaignConfig:
         if file_values.get("lam") is not None:
             file_values["lam"] = parse_number(str(file_values["lam"]))
         values.update(file_values)
-    for key in values:
-        flag = getattr(args, key, None)
+    for key in _CONFIG_FIELDS:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    return CampaignConfig(
-        theorem=args.theorem,
-        engine=values["engine"],
-        trials=values["trials"],
-        dim=values["dim"],
-        h=float(values["res"]),
-        lam=values["lam"],
-        bodies=values["bodies"],
-        plant_rate=float(values["plant_rate"]),
-        seed=values["seed"],
-        out_path=values["out"],
-        polygon_params=PolygonGenParams(),
-        grid_params=GridGenParams(),
-    )
+    if "res" in values:
+        values["res"] = _resolution(values["res"])
+    return CampaignConfig(theorem=args.theorem, **{
+        _CONFIG_FIELDS[key]: value for key, value in values.items()})
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -164,7 +160,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    h = float(args.res)
+    h = _resolution(args.res)
     k = voxel.rasterize(load_shape_file(args.k), h)
     t = voxel.rasterize(load_shape_file(args.t), h)
     report = voxel.decomposition_check(k, t)
@@ -179,7 +175,8 @@ def _cmd_erode(args: argparse.Namespace) -> int:
     k_spec = load_shape_file(args.k)
     t_spec = load_shape_file(args.t)
     if args.engine == "exact":
-        k_poly, t_poly = spec_to_polygon(k_spec), spec_to_polygon(t_spec)
+        k_poly, k_area = realize_spec(k_spec)
+        t_poly, t_area = realize_spec(t_spec)
         result = erode_exact(k_poly, t_poly)
         payload = {
             "engine": "exact",
@@ -188,15 +185,14 @@ def _cmd_erode(args: argparse.Namespace) -> int:
             "note": result.openness_note,
         }
         # Balls are realized as regular polygons; surface the area deficit.
-        gap = (spec_true_area(k_spec) - float(k_poly.area)
-               + spec_true_area(t_spec) - float(t_poly.area))
+        gap = k_area - float(k_poly.area) + t_area - float(t_poly.area)
         if gap > 0:
             payload["input_approximation_gap"] = gap
         if result.region is not None:
             payload["region"] = polygon_to_json(result.region)
         print(dumps_canonical(payload))
         return 0
-    h = float(args.res)
+    h = _resolution(args.res)
     k = voxel.rasterize(k_spec, h)
     t = voxel.rasterize(t_spec, h)
     result = voxel.erode_open(k, t)
@@ -212,7 +208,7 @@ def _cmd_erode(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     render_decomposition_svg(load_shape_file(args.k), load_shape_file(args.t),
-                             args.out, disk_sides=args.disk_sides)
+                             args.out)
     print(f"wrote {args.out}")
     return 0
 

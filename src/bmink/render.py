@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .exact2d import ConvexPolygon, GeometryError, erode, minkowski_sum
-from .serialize import spec_to_polygon
+from .exact2d import ConvexPolygon, erode, minkowski_sum
+from .serialize import realize_spec
 from .voxel import ShapeSpec
 
 _PANEL = 220.0
@@ -46,14 +46,11 @@ class _Panel:
 
 
 def render_decomposition_svg(k_spec: ShapeSpec, t_spec: ShapeSpec,
-                             out_path: Optional[str] = None,
-                             disk_sides: int = 64) -> str:
+                             out_path: Optional[str] = None) -> str:
     """Render the pair and its boundary sum; returns (and optionally writes)
     the SVG text."""
-    if k_spec.dim() != 2 or t_spec.dim() != 2:
-        raise GeometryError("rendering requires two-dimensional shapes")
-    k = spec_to_polygon(k_spec, disk_sides)
-    t = spec_to_polygon(t_spec, disk_sides)
+    k, _ = realize_spec(k_spec)
+    t, _ = realize_spec(t_spec)
     total = minkowski_sum(k, t)
     big, small = (k, t) if k.area >= t.area else (t, k)
     hole = erode(big, small)

@@ -21,10 +21,10 @@ from fractions import Fraction
 
 from . import exact2d
 from .exact2d import ConvexPolygon, GeometryError
-from .inequalities import (EXACT, VOXEL, InequalityReport,
+from .inequalities import (EXACT, VOXEL, InequalityReport, _require_connected,
                            voxel_slack_tolerance)
-from .voxel import (GridError, GridSet, _convolve, _embed, boundary, dilate,
-                    erode_open, is_boundary_connected, is_subset, volume)
+from .voxel import (GridError, GridSet, _convolve, _embed, _require_same_grid,
+                    boundary, dilate, erode_open, is_subset, volume)
 
 
 def restricted_sum(a: GridSet, b: GridSet,
@@ -41,8 +41,8 @@ def restricted_sum(a: GridSet, b: GridSet,
     convolution count at x is exactly |B|, and the admitted pairs are
     always |B| (|A| - |erosion|).
     """
-    if not (a.same_grid(b) and erosion.same_grid(a)):
-        raise GridError("operands must share dimension and resolution")
+    _require_same_grid(a, b)
+    _require_same_grid(a, erosion)
     origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
     counts = _convolve(a.occ, b.occ)
     hole = _embed(erosion.origin, erosion.occ, origin, counts.shape)
@@ -64,12 +64,10 @@ def check_thm_4_2_voxel(k: GridSet, t: GridSet) -> list[InequalityReport]:
     eq-4.3 (tolerance): vol(K erosion T)^(1/n) <= vol(K)^(1/n) - vol(T)^(1/n),
     allowing first-order discretization error in the linear scale.
     """
-    if not k.same_grid(t):
-        raise GridError("operands must share dimension and resolution")
+    _require_same_grid(k, t)
     if k.count < t.count:
         raise GridError("requires volume(K) >= volume(T); swap the pair")
-    if not (is_boundary_connected(k) and is_boundary_connected(t)):
-        raise GridError("theta bounds require connected boundaries")
+    _require_connected(k, t)
     n, h = k.dim, k.h
     bk, bt = boundary(k), boundary(t)
     bsum_set = dilate(bk, bt)

@@ -1,4 +1,4 @@
-"""JSON wire formats: polygons, shape specs, grid RLE dumps, report lines.
+"""JSON wire formats: polygons, shape specs and report lines.
 
 Rationals travel as "p/q" strings so exact values survive the round trip;
 plain ints and floats are passed through.  All dumps are deterministic
@@ -8,29 +8,42 @@ plain ints and floats are passed through.  All dumps are deterministic
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from .exact2d import ConvexPolygon, GeometryError, Point2
-from .voxel import GridSet, ShapeSpec
+from .exact2d import (ConvexPolygon, GeometryError, Point2, reflect, scale,
+                      translate)
+from .voxel import ShapeSpec
 
 REPORT_VERSION = 1
 
 
 def parse_number(value: Any) -> Any:
-    """Decode a JSON payload number: "p/q" strings become Fractions."""
+    """Decode a JSON payload number: "p/q" strings become Fractions.
+
+    Both engines turn payload numbers into floats somewhere, so a number
+    beyond the float range, infinities and NaN included, is rejected here.
+    """
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            number = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise GeometryError(f"not a rational number: {value!r}") from None
-    if isinstance(value, bool):
+    elif isinstance(value, bool):
         raise GeometryError("boolean is not a number")
-    if isinstance(value, (int, float)):
-        return value
-    raise GeometryError(f"cannot parse number from {value!r}")
+    elif isinstance(value, (int, float)):
+        number = value
+    else:
+        raise GeometryError(f"cannot parse number from {value!r}")
+    try:
+        if math.isfinite(number):
+            return number
+    except OverflowError:  # an int or a Fraction beyond the float range
+        pass
+    raise GeometryError(f"number {value!r} is not finite as a float")
 
 
 # isinstance(v, Fraction) goes through ABCMeta, which costs more than the
@@ -81,8 +94,9 @@ def polygon_from_json(data: dict) -> ConvexPolygon:
     """Load a polygon, canonicalizing: accepts any vertex order and falls
     back to the convex hull when the ring is not already counterclockwise."""
     try:
-        pts = [(Fraction(x), Fraction(y)) for x, y in data["vertices"]]
-    except (TypeError, KeyError, ValueError, ZeroDivisionError):
+        pts = [(Fraction(parse_number(x)), Fraction(parse_number(y)))
+               for x, y in data["vertices"]]
+    except (TypeError, KeyError, ValueError):
         raise GeometryError("polygon JSON needs a 'vertices' list of "
                             "[x, y] rationals") from None
     try:
@@ -93,31 +107,54 @@ def polygon_from_json(data: dict) -> ConvexPolygon:
 
 # -- shape specs --------------------------------------------------------------
 
+def _dim_in(value, depth: int) -> int:
+    # Compare the type itself: bool is a subclass of int.
+    if type(value) is not int:
+        raise GeometryError(f"simplex dim must be an integer, not {value!r}")
+    return value
+
+
+def _union(parts: list) -> ShapeSpec:
+    if len(parts) != 2:
+        raise GeometryError("union spec needs exactly two parts")
+    return ShapeSpec.union_of(*parts)
+
+
+# The codec of each payload value type: an encoder of (spec, key) and a
+# decoder of (value, depth of the node's children).
+_NUMBER = (lambda spec, key: encode_number(getattr(spec, key)),
+           lambda v, depth: parse_number(v))
+_NUMBERS = (lambda spec, key: [encode_number(v) for v in getattr(spec, key)],
+            lambda vs, depth: [parse_number(v) for v in vs])
+_POINTS = (lambda spec, key: [[encode_number(x), encode_number(y)]
+                              for x, y in spec.vertices],
+           lambda vs, depth: [(parse_number(x), parse_number(y))
+                              for x, y in vs])
+_DIM = (lambda spec, key: spec.ndim, _dim_in)
+_CHILD = (lambda spec, key: shapespec_to_json(spec.children[0]),
+          lambda v, depth: _shapespec_from_json(v, depth))
+_PARTS = (lambda spec, key: [shapespec_to_json(c) for c in spec.children],
+          lambda vs, depth: [_shapespec_from_json(v, depth) for v in vs])
+
+# Each shape kind: its checked constructor and its JSON payload keys, in the
+# constructor's argument order, with their codecs.
+_KINDS = {
+    "box": (ShapeSpec.box, (("lo", _NUMBERS), ("hi", _NUMBERS))),
+    "ball": (ShapeSpec.ball, (("center", _NUMBERS), ("radius", _NUMBER))),
+    "simplex": (ShapeSpec.simplex, (("dim", _DIM),)),
+    "polygon": (ShapeSpec.polygon, (("vertices", _POINTS),)),
+    "scaled": (ShapeSpec.scaled, (("child", _CHILD), ("factor", _NUMBER))),
+    "translated": (ShapeSpec.translated,
+                   (("child", _CHILD), ("vector", _NUMBERS))),
+    "reflected": (ShapeSpec.reflected, (("child", _CHILD),)),
+    "union": (_union, (("parts", _PARTS),)),
+}
+
+
 def shapespec_to_json(spec: ShapeSpec) -> dict:
     out: dict[str, Any] = {"kind": spec.kind}
-    if spec.kind == "box":
-        out["lo"] = [encode_number(v) for v in spec.lo]
-        out["hi"] = [encode_number(v) for v in spec.hi]
-    elif spec.kind == "ball":
-        out["center"] = [encode_number(v) for v in spec.center]
-        out["radius"] = encode_number(spec.radius)
-    elif spec.kind == "simplex":
-        out["dim"] = spec.ndim
-    elif spec.kind == "polygon":
-        out["vertices"] = [[encode_number(x), encode_number(y)]
-                           for x, y in spec.vertices]
-    elif spec.kind == "scaled":
-        out["factor"] = encode_number(spec.factor)
-        out["child"] = shapespec_to_json(spec.children[0])
-    elif spec.kind == "translated":
-        out["vector"] = [encode_number(v) for v in spec.vector]
-        out["child"] = shapespec_to_json(spec.children[0])
-    elif spec.kind == "reflected":
-        out["child"] = shapespec_to_json(spec.children[0])
-    elif spec.kind == "union":
-        out["parts"] = [shapespec_to_json(c) for c in spec.children]
-    else:
-        raise GeometryError(f"unknown shape kind {spec.kind!r}")
+    for key, (encode, _) in _KINDS[spec.kind][1]:
+        out[key] = encode(spec, key)
     return out
 
 
@@ -139,146 +176,61 @@ def _shapespec_from_json(data: dict, depth: int) -> ShapeSpec:
     if depth > MAX_SPEC_DEPTH:
         raise GeometryError(
             f"shape spec nests deeper than {MAX_SPEC_DEPTH} levels")
+    if not isinstance(data, dict):
+        raise GeometryError("shape spec node must be a JSON object")
     kind = data.get("kind")
-    if kind == "box":
-        return ShapeSpec.box([parse_number(v) for v in data["lo"]],
-                             [parse_number(v) for v in data["hi"]])
-    if kind == "ball":
-        return ShapeSpec.ball([parse_number(v) for v in data["center"]],
-                              parse_number(data["radius"]))
-    if kind == "simplex":
-        return ShapeSpec.simplex(int(data["dim"]))
-    if kind == "polygon":
-        return ShapeSpec.polygon([(parse_number(x), parse_number(y))
-                                  for x, y in data["vertices"]])
-    if kind == "scaled":
-        return ShapeSpec.scaled(_shapespec_from_json(data["child"], depth + 1),
-                                parse_number(data["factor"]))
-    if kind == "translated":
-        return ShapeSpec.translated(_shapespec_from_json(data["child"],
-                                                         depth + 1),
-                                    [parse_number(v) for v in data["vector"]])
-    if kind == "reflected":
-        return ShapeSpec.reflected(_shapespec_from_json(data["child"],
-                                                        depth + 1))
-    if kind == "union":
-        parts = [_shapespec_from_json(c, depth + 1) for c in data["parts"]]
-        if len(parts) != 2:
-            raise GeometryError("union spec needs exactly two parts")
-        return ShapeSpec.union_of(parts[0], parts[1])
-    raise GeometryError(f"unknown shape kind {kind!r}")
+    if kind not in _KINDS:
+        raise GeometryError(f"unknown shape kind {kind!r}")
+    build, keys = _KINDS[kind]
+    return build(*[decode(data[key], depth + 1) for key, (_, decode) in keys])
 
 
 def spec_from_polygon(poly: ConvexPolygon) -> ShapeSpec:
     return ShapeSpec.polygon([(p.x, p.y) for p in poly.vertices])
 
 
-def spec_true_area(spec: ShapeSpec) -> float:
-    """Area of the continuum set a convex 2D spec describes.
+DISK_SIDES = 64  # the exact engine realizes a ball as a regular 64-gon
 
-    Used to report the approximation gap when balls are realized as regular
-    polygons; unions are rejected like in spec_to_polygon.
+
+def realize_spec(spec: ShapeSpec) -> tuple[ConvexPolygon, float]:
+    """Realize a convex 2D spec as an exact polygon, with the area of the
+    continuum set it describes.
+
+    Balls become regular DISK_SIDES-gons snapped to rational coordinates, so
+    the polygon's area falls short of the true one by the input
+    approximation gap.  Unions are rejected.
     """
-    import math
-
-    if spec.dim() != 2:
-        raise GeometryError("true area is only defined for 2D specs here")
-    if spec.kind == "box":
-        return float((Fraction(spec.hi[0]) - Fraction(spec.lo[0]))
-                     * (Fraction(spec.hi[1]) - Fraction(spec.lo[1])))
-    if spec.kind == "ball":
-        return math.pi * float(spec.radius) ** 2
-    if spec.kind == "simplex":
-        return 0.5
-    if spec.kind == "polygon":
-        return float(ConvexPolygon.hull([(Fraction(x), Fraction(y))
-                                         for x, y in spec.vertices]).area)
-    if spec.kind == "scaled":
-        return float(spec.factor) ** 2 * spec_true_area(spec.children[0])
-    if spec.kind in ("translated", "reflected"):
-        return spec_true_area(spec.children[0])
-    if spec.kind == "union":
-        raise GeometryError("unions are not convex; exact engine rejects them")
-    raise GeometryError(f"unknown shape kind {spec.kind!r}")
-
-
-def spec_to_polygon(spec: ShapeSpec, disk_sides: int = 64) -> ConvexPolygon:
-    """Realize a convex 2D spec as an exact polygon.
-
-    Balls become regular disk_sides-gons snapped to rational coordinates
-    (the engine stays purely rational); unions are rejected.
-    """
-    from .exact2d import reflect, scale, translate
-
-    if spec.dim() != 2:
+    if spec.ndim != 2:
         raise GeometryError("exact engine is two-dimensional")
-    if spec.kind == "box":
-        return ConvexPolygon.box([Fraction(v) for v in spec.lo],
-                                 [Fraction(v) for v in spec.hi])
-    if spec.kind == "ball":
-        gon = ConvexPolygon.regular_gon(disk_sides, Fraction(spec.radius))
-        center = Point2(Fraction(spec.center[0]), Fraction(spec.center[1]))
-        return translate(gon, center)
-    if spec.kind == "simplex":
-        return ConvexPolygon([(0, 0), (1, 0), (0, 1)])
-    if spec.kind == "polygon":
-        return ConvexPolygon.hull([(Fraction(x), Fraction(y))
-                                   for x, y in spec.vertices])
-    if spec.kind == "scaled":
-        return scale(spec_to_polygon(spec.children[0], disk_sides),
-                     Fraction(spec.factor))
-    if spec.kind == "translated":
-        v = Point2(Fraction(spec.vector[0]), Fraction(spec.vector[1]))
-        return translate(spec_to_polygon(spec.children[0], disk_sides), v)
-    if spec.kind == "reflected":
-        return reflect(spec_to_polygon(spec.children[0], disk_sides))
-    if spec.kind == "union":
+    try:
+        return _realize(spec)
+    except OverflowError:
+        raise GeometryError("shape area is too large for a float") from None
+
+
+def _realize(spec: ShapeSpec) -> tuple[ConvexPolygon, float]:
+    # The exact engine's constructors and transforms convert floats exactly.
+    kind = spec.kind
+    if kind == "ball":
+        gon = ConvexPolygon.regular_gon(DISK_SIDES, spec.radius)
+        return (translate(gon, Point2(*spec.center)),
+                math.pi * float(spec.radius) ** 2)
+    if kind in ("scaled", "translated", "reflected"):
+        poly, true_area = _realize(spec.children[0])
+        if kind == "scaled":
+            return scale(poly, spec.factor), float(spec.factor) ** 2 * true_area
+        if kind == "translated":
+            return translate(poly, Point2(*spec.vector)), true_area
+        return reflect(poly), true_area
+    if kind == "box":
+        poly = ConvexPolygon.box(spec.lo, spec.hi)
+    elif kind == "simplex":
+        poly = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
+    elif kind == "polygon":
+        poly = ConvexPolygon.hull(spec.vertices)
+    else:
         raise GeometryError("unions are not convex; exact engine rejects them")
-    raise GeometryError(f"unknown shape kind {spec.kind!r}")
-
-
-# -- grid sets (debug export) -------------------------------------------------
-
-def gridset_to_rle_json(grid: GridSet) -> dict:
-    """Run-length encode the flattened occupancy (C order, runs alternate
-    empty/occupied starting with empty)."""
-    flat = grid.occ.ravel()
-    runs: list[int] = []
-    current = False
-    length = 0
-    for bit in flat:
-        if bool(bit) == current:
-            length += 1
-        else:
-            runs.append(length)
-            current = not current
-            length = 1
-    runs.append(length)
-    return {
-        "dim": grid.dim,
-        "h": grid.h,
-        "origin": list(grid.origin),
-        "shape": list(grid.shape),
-        "runs": runs,
-    }
-
-
-def gridset_from_rle_json(data: dict) -> GridSet:
-    shape = tuple(int(n) for n in data["shape"])
-    total = int(np.prod(shape))
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    current = False
-    for run in data["runs"]:
-        if current:
-            flat[pos:pos + run] = True
-        pos += run
-        current = not current
-    if pos != total:
-        raise GeometryError("run lengths do not cover the grid")
-    return GridSet(int(data["dim"]), float(data["h"]),
-                   tuple(int(v) for v in data["origin"]),
-                   flat.reshape(shape))
+    return poly, float(poly.area)
 
 
 def load_shape_file(path: str) -> ShapeSpec:

@@ -502,6 +502,7 @@ class ShapeSpec:
     A tagged tree: primitives box / ball / simplex / polygon, combined with
     scaled / translated / reflected / union nodes.  Numeric payloads may be
     Fractions (kept exact through JSON) or floats; evaluation is float64.
+    Every constructor stores its node's dimension in ndim.
     """
 
     kind: str
@@ -523,13 +524,14 @@ class ShapeSpec:
             raise GridError("box corners must share dimension")
         if not all(float(a) < float(b) for a, b in zip(lo, hi)):
             raise GridError("box needs lo < hi on every axis")
-        return ShapeSpec("box", lo=tuple(lo), hi=tuple(hi))
+        return ShapeSpec("box", lo=tuple(lo), hi=tuple(hi), ndim=len(lo))
 
     @staticmethod
     def ball(center: Sequence[Number], radius: Number) -> "ShapeSpec":
         if not float(radius) > 0:
             raise GridError("ball radius must be positive")
-        return ShapeSpec("ball", center=tuple(center), radius=radius)
+        return ShapeSpec("ball", center=tuple(center), radius=radius,
+                         ndim=len(center))
 
     @staticmethod
     def simplex(ndim: int) -> "ShapeSpec":
@@ -541,43 +543,37 @@ class ShapeSpec:
         verts = tuple(tuple(v) for v in vertices)
         if len(verts) < 3 or any(len(v) != 2 for v in verts):
             raise GridError("polygon spec needs >= 3 two-dimensional vertices")
-        return ShapeSpec("polygon", vertices=verts)
+        return ShapeSpec("polygon", vertices=verts, ndim=2)
 
     @staticmethod
     def scaled(child: "ShapeSpec", factor: Number) -> "ShapeSpec":
         if not float(factor) > 0:
             raise GridError("scale factor must be positive")
-        return ShapeSpec("scaled", factor=factor, children=(child,))
+        return ShapeSpec("scaled", factor=factor, children=(child,),
+                         ndim=child.ndim)
 
     @staticmethod
     def translated(child: "ShapeSpec", vector: Sequence[Number]) -> "ShapeSpec":
-        if len(vector) != child.dim():
+        if len(vector) != child.ndim:
             raise GridError("translation vector must match the shape's "
                             "dimension")
-        return ShapeSpec("translated", vector=tuple(vector), children=(child,))
+        return ShapeSpec("translated", vector=tuple(vector), children=(child,),
+                         ndim=child.ndim)
 
     @staticmethod
     def reflected(child: "ShapeSpec") -> "ShapeSpec":
-        return ShapeSpec("reflected", children=(child,))
+        return ShapeSpec("reflected", children=(child,), ndim=child.ndim)
 
     @staticmethod
     def union_of(a: "ShapeSpec", b: "ShapeSpec") -> "ShapeSpec":
-        if a.dim() != b.dim():
+        if a.ndim != b.ndim:
             raise GridError("union parts must share dimension")
-        return ShapeSpec("union", children=(a, b))
+        return ShapeSpec("union", children=(a, b), ndim=a.ndim)
 
     # -- evaluation ----------------------------------------------------------
 
     def dim(self) -> int:
-        if self.kind == "box":
-            return len(self.lo)
-        if self.kind == "ball":
-            return len(self.center)
-        if self.kind == "simplex":
-            return self.ndim
-        if self.kind == "polygon":
-            return 2
-        return self.children[0].dim()
+        return self.ndim
 
     def _on_mesh(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Closed-set membership on an open mesh.

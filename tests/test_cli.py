@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bmink.cli import main
+from bmink.campaign import CampaignConfig
+from bmink.cli import _verify_config, build_parser, main
 from bmink.serialize import MAX_SPEC_DEPTH, shapespec_to_json
 from bmink.voxel import ShapeSpec
 
@@ -259,6 +260,65 @@ def test_non_finite_shape_window_errors_cleanly(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not finite" in err
     assert len(err.splitlines()) == 1
+
+
+def _one_error_line(capsys) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["erode", "--engine", "exact"],
+                                     ["render", "--out", "fig.svg"]],
+                         ids=["erode-exact", "render"])
+@pytest.mark.parametrize("text", [
+    '{"kind": "scaled", "factor": 1, "child": 5}',
+    '{"kind": "union", "parts": [5, 6]}',
+    '{"kind": "simplex", "dim": 1e400}',
+    '{"kind": "simplex", "dim": 2.7}',
+    '{"kind": "box", "lo": [0, 0], "hi": [1e400, 1]}',
+    '{"kind": "ball", "center": [0, 0], "radius": 1e200}',
+    '{"vertices": [[0, 0], [1e400, 0], [0, 1]]}',
+], ids=["scalar-child", "scalar-parts", "infinite-dim", "fractional-dim",
+        "infinite-box", "huge-ball", "infinite-polygon-vertex"])
+def test_malformed_shape_file_errors_cleanly(tmp_path, capsys, monkeypatch,
+                                             command, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.json").write_text(text)
+    (tmp_path / "t.json").write_text(
+        '{"kind": "box", "lo": [0, 0], "hi": [1, 1]}')
+    assert main(command + ["--k", "k.json", "--t", "t.json"]) == 2
+    _one_error_line(capsys)
+    assert not (tmp_path / "fig.svg").exists()
+
+
+_VOXEL_THM_AV = ["verify", "thm-av", "--engine", "voxel", "--trials", "1"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (_VOXEL_THM_AV + ["--res", "1e400"], None),
+    (_VOXEL_THM_AV + ["--res", "1e300"], None),
+    (_VOXEL_THM_AV, {"res": "1e400"}),
+    (_VOXEL_THM_AV, {"res": "1e300"}),
+    (["decompose", "--res", "1e400"], None),
+    (["erode", "--engine", "voxel", "--res", "1e400"], None),
+], ids=["verify-flag", "verify-flag-finite", "verify-config",
+        "verify-config-finite", "decompose", "erode-voxel"])
+def test_oversized_resolution_errors_cleanly(tmp_path, capsys, shape_files,
+                                             argv, config):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    if argv[0] != "verify":
+        argv = argv + ["--k", shape_files[0], "--t", shape_files[1]]
+    assert main(argv) == 2
+    _one_error_line(capsys)
+
+
+def test_flagless_verify_takes_campaign_defaults():
+    args = build_parser().parse_args(["verify", "thm-bbm"])
+    assert _verify_config(args) == CampaignConfig(theorem="thm-bbm")
 
 
 @pytest.mark.parametrize("theorem", ["lemma-pbm", "rn"])

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from bmink.exact2d import ConvexPolygon, GeometryError
-from bmink.generators import GridGenParams, gen_connected_boundary_set, trial_rng
 from bmink.serialize import (dumps_canonical, encode_detail, encode_number,
-                             gridset_from_rle_json, gridset_to_rle_json,
                              load_shape_file, parse_number, polygon_from_json,
-                             polygon_to_json, shapespec_from_json,
-                             shapespec_to_json, spec_from_polygon,
-                             spec_to_polygon, spec_true_area)
-from bmink.voxel import ShapeSpec, rasterize
+                             polygon_to_json, realize_spec,
+                             shapespec_from_json, shapespec_to_json,
+                             spec_from_polygon)
+from bmink.voxel import ShapeSpec
 
 
 def test_fraction_strings_roundtrip():
@@ -89,10 +87,10 @@ def test_shapespec_polygon_and_simplex_roundtrip():
 def test_spec_polygon_conversions():
     p = ConvexPolygon([(0, 0), (2, 0), (1, 2)])
     spec = spec_from_polygon(p)
-    assert spec_to_polygon(spec) == p
-    box = spec_to_polygon(ShapeSpec.box((-1, -1), (1, 1)))
+    assert realize_spec(spec)[0] == p
+    box = realize_spec(ShapeSpec.box((-1, -1), (1, 1)))[0]
     assert box == ConvexPolygon.box((-1, -1), (1, 1))
-    tri = spec_to_polygon(ShapeSpec.simplex(2))
+    tri = realize_spec(ShapeSpec.simplex(2))[0]
     assert tri == ConvexPolygon([(0, 0), (1, 0), (0, 1)])
 
 
@@ -100,40 +98,24 @@ def test_spec_to_polygon_rejects_union():
     u = ShapeSpec.union_of(ShapeSpec.box((0, 0), (1, 1)),
                            ShapeSpec.box((2, 2), (3, 3)))
     with pytest.raises(GeometryError):
-        spec_to_polygon(u)
+        realize_spec(u)
 
 
 def test_spec_to_polygon_disk_area_gap():
     import math
-    gon = spec_to_polygon(ShapeSpec.ball((0, 0), 1), disk_sides=64)
-    gap = math.pi - float(gon.area)
-    assert 0 < gap < 0.01
+    gon, true_area = realize_spec(ShapeSpec.ball((0, 0), 1))
+    assert true_area == math.pi
+    assert 0 < true_area - float(gon.area) < 0.01
 
 
 def test_spec_true_area():
     import math
-    assert spec_true_area(ShapeSpec.box((-1, -1), (1, 1))) == 4.0
-    assert spec_true_area(ShapeSpec.simplex(2)) == 0.5
+    assert realize_spec(ShapeSpec.box((-1, -1), (1, 1)))[1] == 4.0
+    assert realize_spec(ShapeSpec.simplex(2))[1] == 0.5
     ball = ShapeSpec.scaled(ShapeSpec.ball((0, 0), 1), F(1, 2))
-    assert spec_true_area(ball) == pytest.approx(math.pi / 4)
+    assert realize_spec(ball)[1] == pytest.approx(math.pi / 4)
     tri = ShapeSpec.polygon([(0, 0), (2, 0), (0, 2)])
-    assert spec_true_area(ShapeSpec.reflected(tri)) == 2.0
-
-
-def test_gridset_rle_roundtrip():
-    rng = trial_rng(11, 0)
-    g, _ = gen_connected_boundary_set(rng, GridGenParams(), 2, 1 / 16)
-    data = gridset_to_rle_json(g)
-    again = gridset_from_rle_json(data)
-    assert again == g
-
-
-def test_gridset_rle_rejects_bad_runs():
-    g = rasterize(ShapeSpec.box((0, 0), (1, 1)), 1 / 4)
-    data = gridset_to_rle_json(g)
-    data["runs"] = data["runs"][:-1]
-    with pytest.raises(GeometryError):
-        gridset_from_rle_json(data)
+    assert realize_spec(ShapeSpec.reflected(tri))[1] == 2.0
 
 
 def test_load_shape_file_both_formats(tmp_path):
