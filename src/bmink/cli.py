@@ -25,15 +25,15 @@ from .campaign import (THEOREMS, CampaignConfig, print_summary, run_campaign)
 from .exact2d import GeometryError, erode as erode_exact
 from .render import render_decomposition_svg
 from .serialize import (dumps_canonical, load_shape_file, parse_number,
-                        polygon_to_json, realize_spec)
+                        parse_rational, polygon_to_json, realize_spec)
 from .voxel import GridError
 
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        return parse_rational(text)
+    except GeometryError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

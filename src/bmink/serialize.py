@@ -21,6 +21,29 @@ from .voxel import ShapeSpec
 REPORT_VERSION = 1
 
 
+# Fraction computes 10**exponent exactly, at a cost in time and memory that
+# grows with the exponent, so a longer one is rejected before it is parsed.
+# The bound lies far outside the float range, and matches the longest digit
+# string that int() parses by default.
+MAX_DECIMAL_EXPONENT = 4300
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational number from text such as "3/4", "0.25" or "1e-3"."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        bounded = not e or abs(int(exponent)) <= MAX_DECIMAL_EXPONENT
+    except ValueError:  # not an exponent: Fraction rejects the text
+        bounded = True
+    if not bounded:
+        raise GeometryError(f"decimal exponent of {text!r} is beyond "
+                            f"+-{MAX_DECIMAL_EXPONENT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise GeometryError(f"not a rational number: {text!r}") from None
+
+
 def parse_number(value: Any) -> Any:
     """Decode a JSON payload number: "p/q" strings become Fractions.
 
@@ -28,10 +51,7 @@ def parse_number(value: Any) -> Any:
     beyond the float range, infinities and NaN included, is rejected here.
     """
     if isinstance(value, str):
-        try:
-            number = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise GeometryError(f"not a rational number: {value!r}") from None
+        number = parse_rational(value)
     elif isinstance(value, bool):
         raise GeometryError("boolean is not a number")
     elif isinstance(value, (int, float)):
@@ -83,6 +103,14 @@ def dumps_canonical(obj: Any) -> str:
     return _CANONICAL.encode(obj)
 
 
+def _array(value: Any) -> list:
+    """A payload list, which must be a JSON array: iterating a string or an
+    object would read its characters or keys as the list's items."""
+    if type(value) is not list:
+        raise GeometryError(f"expected a JSON array, not {value!r}")
+    return value
+
+
 # -- polygons ---------------------------------------------------------------
 
 def polygon_to_json(poly: ConvexPolygon) -> dict:
@@ -95,7 +123,7 @@ def polygon_from_json(data: dict) -> ConvexPolygon:
     back to the convex hull when the ring is not already counterclockwise."""
     try:
         pts = [(Fraction(parse_number(x)), Fraction(parse_number(y)))
-               for x, y in data["vertices"]]
+               for x, y in map(_array, _array(data["vertices"]))]
     except (TypeError, KeyError, ValueError):
         raise GeometryError("polygon JSON needs a 'vertices' list of "
                             "[x, y] rationals") from None
@@ -125,16 +153,17 @@ def _union(parts: list) -> ShapeSpec:
 _NUMBER = (lambda spec, key: encode_number(getattr(spec, key)),
            lambda v, depth: parse_number(v))
 _NUMBERS = (lambda spec, key: [encode_number(v) for v in getattr(spec, key)],
-            lambda vs, depth: [parse_number(v) for v in vs])
+            lambda vs, depth: [parse_number(v) for v in _array(vs)])
 _POINTS = (lambda spec, key: [[encode_number(x), encode_number(y)]
                               for x, y in spec.vertices],
            lambda vs, depth: [(parse_number(x), parse_number(y))
-                              for x, y in vs])
+                              for x, y in map(_array, _array(vs))])
 _DIM = (lambda spec, key: spec.ndim, _dim_in)
 _CHILD = (lambda spec, key: shapespec_to_json(spec.children[0]),
           lambda v, depth: _shapespec_from_json(v, depth))
 _PARTS = (lambda spec, key: [shapespec_to_json(c) for c in spec.children],
-          lambda vs, depth: [_shapespec_from_json(v, depth) for v in vs])
+          lambda vs, depth: [_shapespec_from_json(v, depth)
+                             for v in _array(vs)])
 
 # Each shape kind: its checked constructor and its JSON payload keys, in the
 # constructor's argument order, with their codecs.

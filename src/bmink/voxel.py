@@ -2,7 +2,9 @@
 
 A GridSet is a dense boolean occupancy array over a bounded window of the
 integer lattice, scaled by a cell size h.  Open erosion thresholds the
-convolution of two occupancy arrays as exact integer cell counts.
+convolution of two occupancy arrays as exact integer cell counts, and
+transforms only its fit window: the part of the sum frame, at most the
+eroded array's shape per axis, that can hold an erosion cell.
 Dilation (discrete Minkowski sum) scatters every pair of occupied cells
 when the operands are sparse, and thresholds the same convolution when
 they are dense.  Interior and boundary come from face-neighbor shifts.
@@ -206,20 +208,38 @@ def _frames(a: np.ndarray, b: np.ndarray
     return shape, tuple(_smooth_length(n) for n in shape)
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two boolean arrays as exact cell counts.
+def _convolve(a: np.ndarray, b: np.ndarray,
+              window: Optional[Sequence[tuple[int, int]]] = None
+              ) -> np.ndarray:
+    """Linear convolution of two boolean arrays as exact cell counts, over a
+    window of the full sum frame.
 
-    Entry i of the result (shape a.shape + b.shape - 1) counts the pairs of
-    occupied cells (p, q) of a and b with p + q = i.  The counts are
-    integers held exactly in float64.  They are computed by FFT over
-    5-smooth padded lengths and rounded to the nearest integer.  The
-    rounding is safe because the FFT's absolute error is at most about
-    eps * log2(N) * sqrt(|a| * |b|) for N padded cells and |a|, |b|
-    occupied cells, which stays below 1e-7 under MAX_CELLS.  Any entry
-    farther than 0.25 from an integer raises GridError instead of being
-    rounded.
+    Entry j of the full sum frame (shape a.shape + b.shape - 1) counts the
+    pairs of occupied cells (p, q) of a and b with p + q = j.  window gives
+    per axis the first index and the end index (exclusive) of the entries
+    returned, first < end <= full length; by default the whole frame.
+
+    Each axis is transformed at L, the smallest 5-smooth length at least
+    max(end, full length - first), and cropped to the window right after
+    its inverse transform.  No aliasing: a length-L transform computes the
+    circular convolution, which adds full entry j into entry j - L when
+    j >= L.  Every j <= full length - 1 < L + first, so a wrapped entry
+    lands below first, outside the window; and every window index is below
+    end <= L, so none is wrapped.  For the whole frame L is the frame's
+    5-smooth padding: the plain linear convolution.
+
+    The counts are integers held exactly in float64.  They are rounded to
+    the nearest integer.  The rounding is safe because the FFT's absolute
+    error is at most about eps * log2(N) * sqrt(|a| * |b|) for N padded
+    cells and |a|, |b| occupied cells, which stays below 1e-7 under
+    MAX_CELLS.  Any entry of the window farther than 0.25 from an integer
+    raises GridError instead of being rounded.
     """
-    shape, fshape = _frames(a, b)
+    shape = tuple(m + n - 1 for m, n in zip(a.shape, b.shape))
+    if window is None:
+        window = tuple((0, n) for n in shape)
+    fshape = tuple(_smooth_length(max(end, n - first))
+                   for n, (first, end) in zip(shape, window))
     _check_extent(fshape)
     axes = tuple(range(a.ndim))
     spectrum = np.fft.rfftn(a, fshape, axes=axes)
@@ -227,10 +247,11 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # The inverse runs axis by axis, rebinding `spectrum`, so at most two
     # spectra are alive at once; np.fft.irfftn would also keep the product.
     for ax in axes[:-1]:
-        spectrum = np.fft.ifft(spectrum, axis=ax)
-    counts = np.fft.irfft(spectrum, fshape[-1], axis=-1)
+        spectrum = np.fft.ifft(spectrum, axis=ax)[
+            (slice(None),) * ax + (slice(*window[ax]),)]
+    counts = np.fft.irfft(spectrum, fshape[-1], axis=-1)[
+        ..., slice(*window[-1])]
     del spectrum  # freed before the rounding temporaries are allocated
-    counts = counts[tuple(slice(0, n) for n in shape)]
     rounded = np.rint(counts)
     counts -= rounded
     np.abs(counts, out=counts)
@@ -399,12 +420,26 @@ def erode_open(a: GridSet, b: GridSet) -> GridSet:
     of -B must land strictly inside A.  The convolution of interior(a) with
     b counts, at each x, the cells b with x - b in interior(a); x is in the
     erosion exactly when that count is |b|.  The empty result is allowed.
+
+    Only the fit window of the full sum frame is convolved: indices n - 1
+    to m - 1 per axis, for arrays of length m (a) and n (b), which _convolve
+    transforms at the 5-smooth length of m.  The window holds every erosion
+    cell.  a is normalized, so its occupied cells lie in [1, m - 2], and an
+    interior cell, whose face neighbors are occupied, in [2, m - 3].  b's
+    extreme cells sit at indices 1 and n - 2.  An erosion cell j has
+    j - (n - 2) and j - 1 both in [2, m - 3], so j lies in [n, m - 2],
+    inside the window with a one-cell margin.  When some axis has m < n the
+    window is empty, and so is the erosion: no transform is needed.
     """
     _require_same_grid(a, b)
     if b.is_empty:
         raise GridError("erosion by the empty set is unbounded")
-    counts = _convolve(_interior_array(a), b.occ)
-    origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
+    if any(m < n for m, n in zip(a.shape, b.shape)):
+        return GridSet(a.dim, a.h, a.origin, np.zeros((1,) * a.dim, bool))
+    counts = _convolve(_interior_array(a), b.occ,
+                       [(n - 1, m) for m, n in zip(a.shape, b.shape)])
+    origin = tuple(oa + ob + n - 1
+                   for oa, ob, n in zip(a.origin, b.origin, b.shape))
     return GridSet(a.dim, a.h, origin, counts == b.count)
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import numpy as np
@@ -280,8 +281,12 @@ def _one_error_line(capsys) -> None:
     '{"kind": "box", "lo": [0, 0], "hi": [1e400, 1]}',
     '{"kind": "ball", "center": [0, 0], "radius": 1e200}',
     '{"vertices": [[0, 0], [1e400, 0], [0, 1]]}',
+    '{"kind": "box", "lo": "00", "hi": "12"}',
+    '{"kind": "polygon", "vertices": ["00", "10", "01"]}',
+    '{"vertices": ["00", "10", "01"]}',
 ], ids=["scalar-child", "scalar-parts", "infinite-dim", "fractional-dim",
-        "infinite-box", "huge-ball", "infinite-polygon-vertex"])
+        "infinite-box", "huge-ball", "infinite-polygon-vertex",
+        "string-corners", "string-points", "string-polygon-file-points"])
 def test_malformed_shape_file_errors_cleanly(tmp_path, capsys, monkeypatch,
                                              command, text):
     monkeypatch.chdir(tmp_path)
@@ -314,6 +319,35 @@ def test_oversized_resolution_errors_cleanly(tmp_path, capsys, shape_files,
         argv = argv + ["--k", shape_files[0], "--t", shape_files[1]]
     assert main(argv) == 2
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("number", ["1e9999999", "1E-9999999"])
+@pytest.mark.parametrize("where", ["flag", "shape-file", "config"])
+def test_huge_decimal_exponent_errors_quickly(tmp_path, capsys, shape_files,
+                                             where, number):
+    # Fraction computes 10**exponent exactly: about 10 s for these inputs
+    # without the exponent bound.
+    start = time.monotonic()
+    if where == "flag":
+        with pytest.raises(SystemExit) as exit_:
+            main(["demo", "remark-4.3", "--a", number])
+        code = exit_.value.code
+        err = capsys.readouterr().err.splitlines()[-1]
+    else:
+        if where == "shape-file":
+            k = tmp_path / "k.json"
+            k.write_text(json.dumps({"kind": "ball", "center": [0, number],
+                                     "radius": 1}))
+            argv = ["erode", "--k", str(k), "--t", shape_files[1]]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"res": number}))
+            argv = _VOXEL_THM_AV + ["--config", str(tmp_path / "cfg.json")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "error:" in err and "exponent" in err
 
 
 def test_flagless_verify_takes_campaign_defaults():

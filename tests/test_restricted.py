@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from bmink import restricted, voxel
@@ -121,6 +122,38 @@ def test_one_pass_per_voxel_trial(monkeypatch):
     reports = _run_trial(config, 0)
     assert [r.theorem_id for r in reports] == ["thm-4.2", "eq-4.2", "eq-4.3"]
     assert calls == {"_convolve": 2, "_pair_sums": 1, "boundary builds": 2}
+
+
+# Trial 0 of the 3D campaign draws a K narrower than T on one axis, whose
+# erosion is empty without a transform; trial 1 does not.
+@pytest.mark.parametrize("dim,h,trial", [(2, 1 / 16, 0), (3, 1 / 8, 1)])
+def test_voxel_trial_erodes_in_the_fit_frame(monkeypatch, dim, h, trial):
+    # The open erosion K erosion T of one voxel thm-4.2 trial transforms its
+    # fit window, at most the 5-smooth padding of K's array per axis, not
+    # the padded sum frame of K and T.
+    frames, eroded = [], []
+    forward, erode = np.fft.rfftn, restricted.erode_open
+
+    def recorded_rfftn(x, s=None, *args, **kwargs):
+        if eroded:
+            frames.append((eroded[-1], tuple(s)))
+        return forward(x, s, *args, **kwargs)
+
+    def recorded_erode_open(k, t):
+        eroded.append(k.shape)
+        try:
+            return erode(k, t)
+        finally:
+            eroded.pop()
+
+    monkeypatch.setattr(np.fft, "rfftn", recorded_rfftn)
+    monkeypatch.setattr(restricted, "erode_open", recorded_erode_open)
+    _run_trial(CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim,
+                              h=h, seed=5), trial)
+    assert len(frames) == 2
+    for k_shape, frame in frames:
+        assert all(f <= voxel._smooth_length(m)
+                   for f, m in zip(frame, k_shape))
 
 
 @pytest.mark.parametrize("dim,h", [(2, 1 / 16), (3, 1 / 8), (4, 1 / 4)])

@@ -4,9 +4,11 @@
 `admitted_pair_count_loop` are the brute-force per-cell implementations of
 the kernel-based operations; both dilation kernels, pair scattering and the
 FFT convolution, are checked against `dilate_loop` on their own as well as
-through `dilate`.  `dilate` and `boundary` build their GridSets without
-normalizing them, so their results are also checked against the same cells
-normalized by the public constructor.
+through `dilate`.  `convolve_loop` counts the pairs at every cell of the
+full sum frame, and the FFT convolution over any window of that frame must
+return the same counts there.  `dilate` and `boundary` build their
+GridSets without normalizing them, so their results are also checked
+against the same cells normalized by the public constructor.
 `contains_points` and `rasterize_points` evaluate a shape spec on a
 (cells x dim) matrix of cell centers, as rasterization did before it moved
 to an open mesh.  `gen_connected_boundary_set_ref` is the body generator
@@ -43,14 +45,16 @@ H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
 
 
-def _empty(dim: int) -> GridSet:
-    return GridSet(dim, H, (0,) * dim, np.zeros((1,) * dim, bool))
+def _empty(like: GridSet) -> GridSet:
+    """The empty set on the grid of `like`."""
+    return GridSet(like.dim, like.h, (0,) * like.dim,
+                   np.zeros((1,) * like.dim, bool))
 
 
 def dilate_loop(a: GridSet, b: GridSet) -> GridSet:
     """OR a translate of the larger operand per occupied cell of the smaller."""
     if a.is_empty or b.is_empty:
-        return _empty(a.dim)
+        return _empty(a)
     small, big = (a, b) if a.count <= b.count else (b, a)
     out_shape = tuple(m + n - 1 for m, n in zip(a.shape, b.shape))
     out = np.zeros(out_shape, dtype=bool)
@@ -79,10 +83,20 @@ def difference(a: GridSet, b: GridSet) -> GridSet:
     return GridSet(a.dim, a.h, lo, av & ~bv)
 
 
+def convolve_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pair counts over the full sum frame: add a translate of b per
+    occupied cell of a."""
+    out = np.zeros([m + n - 1 for m, n in zip(a.shape, b.shape)], dtype=int)
+    for cell in np.argwhere(a):
+        out[tuple(slice(int(c), int(c) + n)
+                  for c, n in zip(cell, b.shape))] += b
+    return out
+
+
 def erode_open_loop(a: GridSet, b: GridSet) -> GridSet:
     """AND a shifted copy of interior(a) per occupied cell of b."""
     if a.is_empty:
-        return _empty(a.dim)
+        return _empty(a)
     inter = _interior_array(a)
     cells = np.argwhere(b.occ)
     b0 = cells[0]
@@ -201,7 +215,7 @@ def pairs_with_empties(draw):
     quarter of the cases."""
     pair = list(draw(grid_tuples(2)))
     if draw(st.integers(0, 3)) == 0:
-        pair[draw(st.integers(0, 1))] = _empty(pair[0].dim)
+        pair[draw(st.integers(0, 1))] = _empty(pair[0])
     return tuple(pair)
 
 
@@ -247,7 +261,65 @@ def test_convolution_dilation_matches_cell_loop(pair):
             == dilate_loop(a, b))
 
 
+@st.composite
+def windowed_pairs(draw):
+    """Two arrays and a window of their full sum frame: per axis a first
+    and an end index, first < end <= the frame's length."""
+    a, b = draw(grid_tuples(2))
+    window = []
+    for m, n in zip(a.shape, b.shape):
+        first = draw(st.integers(0, m + n - 2))
+        window.append((first, draw(st.integers(first + 1, m + n - 1))))
+    return a.occ, b.occ, tuple(window)
+
+
+def _fit_window(a: GridSet, b: GridSet) -> tuple:
+    return a.occ, b.occ, tuple((n - 1, m) for m, n in zip(a.shape, b.shape))
+
+
+@given(windowed_pairs())
+@example(_fit_window(SOLID_8X8, SOLID_5X5))  # transformed at 10 of 16
+@example(_fit_window(SOLID_3D, _grid((0, 0, 0), [[[1, 1]]])))
+@example(_fit_window(SOLID_5X5, SOLID_5X5))  # one-entry window
+@settings(max_examples=150, deadline=None)
+def test_windowed_convolution_crops_the_full_frame(case):
+    # Per axis the window may start anywhere and end anywhere after it, so
+    # the transform length, the 5-smooth length at least max(end, full
+    # length - first), often falls short of the full frame and the circular
+    # convolution wraps.
+    a, b, window = case
+    expected = convolve_loop(a, b)[tuple(slice(*w) for w in window)]
+    assert np.array_equal(_convolve(a, b, window), expected)
+
+
+# Solids at an exact fit: T fits in interior(K) at one position only.
+EXACT_FITS = (
+    (SOLID_5X5, _grid((0, 0), np.ones((3, 3)))),
+    (SOLID_3D, _grid((2, 0, 1), np.ones((2, 2, 2)))),
+    (_grid((0,) * 4, np.ones((4,) * 4)), _grid((-1,) * 4, np.ones((2,) * 4))),
+)
+# T as wide as interior(K) on axis 0 only: an exact fit there, with room on
+# axis 1.  T as wide as K on axis 0 only: the fit window is one entry long
+# there and holds no erosion cell.
+FIT_ON_ONE_AXIS = (SOLID_5X5, _grid((1, 0), np.ones((3, 1))))
+AS_WIDE_AS_K = (SOLID_5X5, _grid((1, 0), np.ones((5, 1))))
+
+
+def test_fit_examples_erode_to_the_expected_cells():
+    for k, t in EXACT_FITS:
+        assert erode_open(k, t).count == 1
+    assert erode_open(*FIT_ON_ONE_AXIS).count == 3
+    assert erode_open(*AS_WIDE_AS_K).is_empty
+
+
 @given(grid_tuples(2))
+@example(EXACT_FITS[0])
+@example(EXACT_FITS[1])
+@example(EXACT_FITS[2])
+@example(FIT_ON_ONE_AXIS)
+@example(AS_WIDE_AS_K)
+@example((GridSet(2, 0.25, (0, 0), np.zeros((1, 1), bool)),
+          GridSet(2, 0.25, (0, 0), np.ones((2, 2), bool))))
 @example((EMPTY, SINGLE))
 @example((SOLID_2X2, SINGLE))
 @example((SOLID_5X5, SINGLE))
