@@ -18,7 +18,7 @@ from .voxel import (DecompositionReport, GridError, GridExtentError, GridSet,
 from .inequalities import (InequalityReport, check_cor_multi, check_lemma_pbm,
                            check_rn, check_thm_av, check_thm_bbm, rn_value)
 from .restricted import (check_arithmetic_bm, check_thm_4_2_voxel,
-                         restricted_sum, shrinking_pair_demo)
+                         shrinking_pair_demo)
 from .generators import (GridGenParams, PolygonGenParams,
                          gen_connected_boundary_set, gen_convex_polygon,
                          gen_polygon_pair, gen_symmetric_polygon, trial_rng)
@@ -38,8 +38,7 @@ __all__ = [
     "interior", "is_boundary_connected", "rasterize", "volume",
     "InequalityReport", "check_cor_multi", "check_lemma_pbm", "check_rn",
     "check_thm_av", "check_thm_bbm", "rn_value",
-    "check_arithmetic_bm", "check_thm_4_2_voxel", "restricted_sum",
-    "shrinking_pair_demo",
+    "check_arithmetic_bm", "check_thm_4_2_voxel", "shrinking_pair_demo",
     "GridGenParams", "PolygonGenParams", "gen_connected_boundary_set",
     "gen_convex_polygon", "gen_polygon_pair", "gen_symmetric_polygon",
     "trial_rng",

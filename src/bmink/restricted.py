@@ -2,16 +2,16 @@
 
 A restriction admits only certain (x, y) cell pairs of K x T into the sum.
 The supported restriction is the complement of the erosion fit ("x not in
-(erosion - y)"), whose sum lands inside the boundary sum.  The admitted-pair
-set is never materialized in 2n dimensions: the convolution of K with T
-counts, at each cell z, the pairs (x, y) with x + y = z, so the excluded
-pairs are that count summed over the erosion's cells and memory stays
-linear in the grid.
+(erosion - y)"), whose sum set is (K + T) minus the erosion; eq-4.2 asks
+that it land inside the boundary sum bK + bT.  Neither the admitted-pair
+set nor K + T is ever materialized: on voxels the admitted pair count is
+an identity, and the containment is decided by labelling the gaps of
+bK + bT (_restricted_sum_contained).
 
 On voxels, thm-4.2 and its restricted-sum bounds eq-4.2 and eq-4.3 are
-checked in one pass per pair (check_thm_4_2_voxel): bK, bT and bK + bT,
-the erosion and the K * T convolution are each built once and shared by
-the three reports.  check_arithmetic_bm is thm-4.2 on the exact engine.
+checked in one pass per pair (check_thm_4_2_voxel): bK, bT and bK + bT
+and the erosion are each built once and shared by the three reports.
+check_arithmetic_bm is thm-4.2 on the exact engine.
 """
 
 from __future__ import annotations
@@ -19,35 +19,61 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+from scipy import ndimage
+
 from . import exact2d
 from .exact2d import ConvexPolygon, GeometryError
 from .inequalities import (EXACT, VOXEL, InequalityReport, _require_connected,
                            voxel_slack_tolerance)
-from .voxel import (GridError, GridSet, _convolve, _embed, _require_same_grid,
-                    boundary, dilate, erode_open, is_subset, volume)
+from .voxel import (GridError, GridSet, _embed, _require_same_grid, boundary,
+                    dilate, erode_open, volume)
 
 
-def restricted_sum(a: GridSet, b: GridSet,
-                   erosion: GridSet) -> tuple[GridSet, int]:
-    """Sum {x + y} over the pairs of A x B with x outside (erosion - y),
-    and the number of those admitted pairs.
+def _restricted_sum_contained(k: GridSet, t: GridSet, erosion: GridSet,
+                              bsum: GridSet) -> bool:
+    """Whether (K + T) minus the erosion lies inside bsum = bK + bT, for
+    bK, bT the face boundaries and the erosion erode_open(K, T).
 
-    The sum set is dilate(A, B) minus the erosion.  One convolution of A
-    with B gives both: its positive cells are dilate(A, B), and its counts
-    summed over the erosion's cells are the excluded pairs.
+    Neither K + T nor a convolution of K with T is formed.  The verdict
+    rests on a lattice lemma that holds for all finite K and T (nonempty
+    T), connected boundaries or not:
 
-    For the open erosion, erode_open(A, B), the count is an identity: every
-    erosion cell x has x - B inside interior(A), a subset of A, so the
-    convolution count at x is exactly |B|, and the admitted pairs are
-    always |B| (|A| - |erosion|).
+    1. If w is in K + T and w + e is not, for a signed unit vector e, then
+       w is in bK + bT.  Write w = x + y with x in K, y in T.  Then x + e
+       is not in K and y + e is not in T, else w + e would be in K + T; so
+       x and y each have an empty face neighbor, and lie in bK and bT.
+    2. So a face-connected set of cells outside bK + bT lies wholly inside
+       K + T or wholly outside it: a step that left K + T would start
+       from a cell of bK + bT.  Every cell of K + T lies inside the box of
+       bK + bT (walk from it along +e or -e until K + T ends: the last
+       cell is in bK + bT by 1), so the empty margin of bsum's array lies
+       outside K + T.  The margin is one face-connected shell, so the
+       component of the complement that holds it lies outside.
+    3. The erosion lies inside K + T: for x in it and any y in T, x - y is
+       in interior(K), a subset of K, and x = (x - y) + y.
+
+    So containment fails exactly when some other (bounded) face component
+    of the complement has a cell z outside the erosion with z in K + T.
+    By 2 one such cell per component decides it; z is in K + T exactly
+    when z - T meets K, an O(|T|) test.  The lemma needs face adjacency:
+    labelling with full (3^n - 1) adjacency joins gaps across diagonal
+    contacts, where step 1 does not apply.  A wider boundary (one that
+    holds the face boundary) keeps every step.
     """
-    _require_same_grid(a, b)
-    _require_same_grid(a, erosion)
-    origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
-    counts = _convolve(a.occ, b.occ)
-    hole = _embed(erosion.origin, erosion.occ, origin, counts.shape)
-    admitted = a.count * b.count - int(counts[hole].sum())
-    return GridSet(a.dim, a.h, origin, (counts > 0) & ~hole), admitted
+    gaps = ndimage.label(~bsum.occ)[0]  # the default structure: faces
+    hole = _embed(erosion.origin, erosion.occ, bsum.origin, bsum.shape)
+    cells = np.flatnonzero((gaps != gaps[(0,) * bsum.dim]) & ~bsum.occ & ~hole)
+    _, first = np.unique(gaps.ravel()[cells], return_index=True)
+    # k's array index of z - y, for z in bsum's array and y in t's array
+    shifts = (np.subtract(bsum.origin, np.add(k.origin, t.origin))
+              - np.argwhere(t.occ))
+    for z in np.transpose(np.unravel_index(cells[first], bsum.shape)):
+        idx = z + shifts
+        inside = ((idx >= 0) & (idx < k.shape)).all(axis=1)
+        if k.occ[tuple(idx[inside].T)].any():
+            return False
+    return True
 
 
 def check_thm_4_2_voxel(k: GridSet, t: GridSet) -> list[InequalityReport]:
@@ -58,9 +84,12 @@ def check_thm_4_2_voxel(k: GridSet, t: GridSet) -> list[InequalityReport]:
     eq-4.2 (cell-exact): admitted pairs >= |T| (|K| - |K erosion T|) for
     the erosion-complement restriction; its sum set must lie inside
     bK + bT, else the report is flagged containment_failed.  On voxels the
-    pair count holds with equality by construction (see restricted_sum):
-    the slack is always 0 and equality always true, so eq-4.2 carries only
-    the containment verdict.
+    pair count holds with equality by construction: every erosion cell x
+    has x - T inside interior(K), a subset of K, so exactly |T| pairs of
+    K x T sum to x, and the admitted pairs are always |T| (|K| - |K erosion
+    T|).  The slack is always 0 and equality always true, so eq-4.2
+    carries only the containment verdict, which _restricted_sum_contained
+    decides from bK + bT and the erosion without convolving K with T.
     eq-4.3 (tolerance): vol(K erosion T)^(1/n) <= vol(K)^(1/n) - vol(T)^(1/n),
     allowing first-order discretization error in the linear scale.
     """
@@ -89,15 +118,13 @@ def check_thm_4_2_voxel(k: GridSet, t: GridSet) -> list[InequalityReport]:
                  "ratio_ok": ratio_ok, "ratio": ratio})
 
     erosion = erode_open(k, t)
-    sum_set, admitted = restricted_sum(k, t, erosion)
-    contained = is_subset(sum_set, bsum_set)
+    admitted = t.count * (k.count - erosion.count)  # the identity above
+    contained = _restricted_sum_contained(k, t, erosion, bsum_set)
     vols = {"vol_k": vol_k, "vol_t": vol_t, "vol_erosion": volume(erosion),
             "vol_theta": admitted * h ** (2 * n)}  # product-measure units
-    pair_floor = t.count * (k.count - erosion.count)
     pairs = InequalityReport(
         theorem_id="eq-4.2", engine=VOXEL,
-        lhs=admitted, rhs=pair_floor, slack=admitted - pair_floor,
-        equality=(admitted == pair_floor),
+        lhs=admitted, rhs=admitted, slack=0, equality=True,
         flags=() if contained else ("containment_failed",),
         details={**vols, "admitted_pairs": admitted,
                  "containment_verdict": contained})
@@ -127,12 +154,17 @@ def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon) -> InequalityReport:
     slack = lhs - rhs
     ratio = vol_k / vol_t
     ratio_ok = Fraction(1, 2) <= ratio <= 2  # (r^(1/2) in [1/sqrt2, sqrt2])
+    try:
+        ratio_value = float(ratio)
+    except OverflowError:
+        raise GeometryError("the area ratio vol(K)/vol(T) is too large: it "
+                            "overflows a float") from None
     return InequalityReport(
         theorem_id="thm-4.2", engine=EXACT,
         lhs=lhs, rhs=rhs, slack=slack, equality=(slack == 0),
         flags=() if ratio_ok else ("ratio_condition_violated",),
         details={"vol_k": vol_k, "vol_t": vol_t,
-                 "ratio_ok": ratio_ok, "ratio": float(ratio)},
+                 "ratio_ok": ratio_ok, "ratio": ratio_value},
     )
 
 

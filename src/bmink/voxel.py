@@ -329,12 +329,6 @@ def _in_contact(a: _Window, b: _Window) -> bool:
     return False
 
 
-def is_subset(a: GridSet, b: GridSet) -> bool:
-    _require_same_grid(a, b)
-    _, av, bv = _common_frame(a, b)
-    return not (av & ~bv).any()
-
-
 _PAIR_COST = 8  # pairs per padded FFT cell at dilate's break-even
 
 

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bmink
 from bmink.campaign import CampaignConfig
 from bmink.cli import _verify_config, build_parser, main
 from bmink.serialize import MAX_SPEC_DEPTH, shapespec_to_json
@@ -348,6 +353,28 @@ def test_huge_decimal_exponent_errors_quickly(tmp_path, capsys, shape_files,
     assert time.monotonic() - start < 1.0
     assert code == 2
     assert "error:" in err and "exponent" in err
+
+
+def test_demo_ratio_beyond_float_range_errors_cleanly(capsys):
+    # The report records the area ratio 1/a^2 as a float: beyond the float
+    # range at a = 1e-160, still within it at a = 1e-150.
+    assert main(["demo", "remark-4.3", "--a", "1e-160"]) == 2
+    _one_error_line(capsys)
+    assert main(["demo", "remark-4.3", "--a", "1e-150"]) == 0
+    assert "FAILS, as expected" in capsys.readouterr().out
+
+
+def test_python_m_bmink_runs_the_cli():
+    # A checkout runs the CLI without installing it: PYTHONPATH names the
+    # directory that holds the package, and `python -m bmink` finds main.
+    src = str(Path(bmink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "bmink", "demo", "remark-4.3", "--a", "1/100"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert "4.0004" in run.stdout and "FAILS, as expected" in run.stdout
 
 
 def test_flagless_verify_takes_campaign_defaults():

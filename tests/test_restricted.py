@@ -8,9 +8,11 @@ from bmink.campaign import CampaignConfig, _run_trial, run_campaign
 from bmink.exact2d import ConvexPolygon, scale
 from bmink.generators import GridGenParams, gen_decomposition_pair, trial_rng
 from bmink.restricted import (check_arithmetic_bm, check_thm_4_2_voxel,
-                              restricted_sum, shrinking_pair_demo)
+                              shrinking_pair_demo)
 from bmink.voxel import (GridError, ShapeSpec, boundary, dilate, erode_open,
-                         is_subset, rasterize)
+                         rasterize)
+
+from test_voxel_oracle import is_subset, restricted_sum
 
 SQUARE = ConvexPolygon.box((-1, -1), (1, 1))
 
@@ -91,12 +93,15 @@ def test_theta_bounds_requires_volume_order():
 
 
 def test_one_pass_per_voxel_trial(monkeypatch):
-    # One voxel thm-4.2 trial builds bK and bT once, and makes three kernel
-    # calls: the open erosion and the K * T restricted sum convolve, and
-    # bK + bT, a sparse boundary sum at this size, scatters pairs.  A
-    # boundary is built by the first boundary() call on a body, the
-    # connectivity check's; later calls return the cached GridSet.
-    calls = {"_convolve": 0, "_pair_sums": 0, "boundary builds": 0}
+    # One voxel thm-4.2 trial builds bK and bT once, and convolves for the
+    # open erosion only, never K with T.  bK + bT is a sparse boundary sum
+    # in the 2D trial, which scatters pairs, and a dense one in the 3D
+    # trial, which convolves.  A boundary is built by the first boundary()
+    # call on a body, the connectivity check's; later calls return the
+    # cached GridSet.  Trial 0 of the 3D campaign draws a K narrower than
+    # T on one axis, whose erosion is empty without a transform, so the 3D
+    # case is trial 1.
+    calls = {}
     originals = {name: getattr(voxel, name)
                  for name in ("_convolve", "_pair_sums", "boundary")}
 
@@ -117,11 +122,15 @@ def test_one_pass_per_voxel_trial(monkeypatch):
         monkeypatch.setattr(voxel, name, wrapper)
         if hasattr(restricted, name):
             monkeypatch.setattr(restricted, name, wrapper)
-    config = CampaignConfig(theorem="thm-4.2", engine="voxel", h=1 / 16,
-                            seed=5)
-    reports = _run_trial(config, 0)
-    assert [r.theorem_id for r in reports] == ["thm-4.2", "eq-4.2", "eq-4.3"]
-    assert calls == {"_convolve": 2, "_pair_sums": 1, "boundary builds": 2}
+    for dim, trial, convolutions, pair_sums in ((2, 0, 1, 1), (3, 1, 2, 0)):
+        calls.update({"_convolve": 0, "_pair_sums": 0, "boundary builds": 0})
+        config = CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim,
+                                h=1 / 16, seed=5)
+        reports = _run_trial(config, trial)
+        assert [r.theorem_id for r in reports] == [
+            "thm-4.2", "eq-4.2", "eq-4.3"]
+        assert calls == {"_convolve": convolutions, "_pair_sums": pair_sums,
+                         "boundary builds": 2}
 
 
 # Trial 0 of the 3D campaign draws a K narrower than T on one axis, whose
@@ -159,23 +168,26 @@ def test_voxel_trial_erodes_in_the_fit_frame(monkeypatch, dim, h, trial):
 @pytest.mark.parametrize("dim,h", [(2, 1 / 16), (3, 1 / 8), (4, 1 / 4)])
 def test_voxel_pair_count_is_an_identity(dim, h):
     # Every erosion cell x has x - T inside int K, so the K * T count there
-    # is |T|: the admitted pairs are exactly |T| (|K| - |K erosion T|).
-    config = CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim, h=h,
-                            seed=5)
-    reports = [_run_trial(config, trial)[1] for trial in range(30)]
+    # is |T|: the admitted pairs are exactly |T| (|K| - |K erosion T|).  The
+    # report takes them from that identity; the oracle counts them from the
+    # convolution of K with T.
+    bodies = [gen_decomposition_pair(trial_rng(5, trial), GridGenParams(),
+                                     dim, h)[::2] for trial in range(30)]
     # Generated 4D pairs all have empty erosions; nested boxes do not.
-    k = rasterize(ShapeSpec.box((-2,) * dim, (2,) * dim), h)
-    t = rasterize(ShapeSpec.box((-1,) * dim, (1,) * dim), h)
-    nested = check_thm_4_2_voxel(k, t)[1]
-    assert nested.details["vol_erosion"] > 0
-    for pairs in reports + [nested]:
+    nested = (rasterize(ShapeSpec.box((-2,) * dim, (2,) * dim), h),
+              rasterize(ShapeSpec.box((-1,) * dim, (1,) * dim), h))
+    assert not erode_open(*nested).is_empty
+    for k, t in bodies + [nested]:
+        pairs = check_thm_4_2_voxel(k, t)[1]
         assert pairs.slack == 0 and pairs.equality
+        assert pairs.lhs == restricted_sum(k, t, erode_open(k, t))[1]
 
 
 def test_containment_failure_is_flagged_violation(monkeypatch):
     # The eq-4.2 report carries containment_failed itself, and the campaign
     # counts it as a violation.
-    monkeypatch.setattr(restricted, "is_subset", lambda a, b: False)
+    monkeypatch.setattr(restricted, "_restricted_sum_contained",
+                        lambda k, t, erosion, bsum: False)
     k, t = fixture_pair()
     _, pairs, _ = check_thm_4_2_voxel(k, t)
     assert pairs.flags == ("containment_failed",)

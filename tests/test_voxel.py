@@ -12,9 +12,9 @@ from bmink.voxel import (MAX_CELLS, GridError, GridExtentError, GridSet,
                          ShapeSpec, _check_extent, boundary,
                          decomposition_check, dilate, erode_open,
                          interior, intersection, is_boundary_connected,
-                         is_subset, rasterize, union, volume)
+                         rasterize, union, volume)
 
-from test_voxel_oracle import difference
+from test_voxel_oracle import difference, is_subset
 
 BOX = ShapeSpec.box((-1, -1), (1, 1))
 BIGBOX = ShapeSpec.box((-2, -2), (2, 2))

@@ -4,9 +4,13 @@
 `admitted_pair_count_loop` are the brute-force per-cell implementations of
 the kernel-based operations; both dilation kernels, pair scattering and the
 FFT convolution, are checked against `dilate_loop` on their own as well as
-through `dilate`.  `convolve_loop` counts the pairs at every cell of the
-full sum frame, and the FFT convolution over any window of that frame must
-return the same counts there.  `dilate` and `boundary` build their
+through `dilate`.  `restricted_sum` forms the restricted sum set and its
+admitted pair count from the convolution of K with T, and `is_subset`
+compares two cell sets; together they are the oracle for the eq-4.2
+containment verdict, which the engine decides without that convolution.
+`convolve_loop` counts the pairs at every cell of the full sum frame, and
+the FFT convolution over any window of that frame must return the same
+counts there.  `dilate` and `boundary` build their
 GridSets without normalizing them, so their results are also checked
 against the same cells normalized by the public constructor.
 `contains_points` and `rasterize_points` evaluate a shape spec on a
@@ -34,12 +38,13 @@ from scipy import ndimage
 from bmink.exact2d import GeometryError
 from bmink.generators import (GridGenParams, _random_primitive,
                               gen_connected_boundary_set, trial_rng)
-from bmink.restricted import restricted_sum
+from bmink.restricted import _restricted_sum_contained
 from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridSet, ShapeSpec,
-                         _common_frame, _convolve, _frames, _in_contact,
-                         _interior_array, _or_windows, _pair_sums,
-                         _poly_signed_area, _raster_window, boundary, dilate,
-                         erode_open, is_boundary_connected, rasterize, union)
+                         _common_frame, _convolve, _embed, _frames,
+                         _in_contact, _interior_array, _or_windows,
+                         _pair_sums, _poly_signed_area, _raster_window,
+                         _require_same_grid, boundary, dilate, erode_open,
+                         is_boundary_connected, rasterize, union)
 
 H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
@@ -81,6 +86,31 @@ def difference(a: GridSet, b: GridSet) -> GridSet:
     """Cells of a that are not cells of b."""
     lo, av, bv = _common_frame(a, b)
     return GridSet(a.dim, a.h, lo, av & ~bv)
+
+
+def is_subset(a: GridSet, b: GridSet) -> bool:
+    """Every cell of a is a cell of b."""
+    _require_same_grid(a, b)
+    _, av, bv = _common_frame(a, b)
+    return not (av & ~bv).any()
+
+
+def restricted_sum(a: GridSet, b: GridSet,
+                   erosion: GridSet) -> tuple[GridSet, int]:
+    """Sum {x + y} over the pairs of A x B with x outside (erosion - y),
+    and the number of those admitted pairs.
+
+    The sum set is dilate(A, B) minus the erosion.  One convolution of A
+    with B gives both: its positive cells are dilate(A, B), and its counts
+    summed over the erosion's cells are the excluded pairs.
+    """
+    _require_same_grid(a, b)
+    _require_same_grid(a, erosion)
+    origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
+    counts = _convolve(a.occ, b.occ)
+    hole = _embed(erosion.origin, erosion.occ, origin, counts.shape)
+    admitted = a.count * b.count - int(counts[hole].sum())
+    return GridSet(a.dim, a.h, origin, (counts > 0) & ~hole), admitted
 
 
 def convolve_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -347,6 +377,67 @@ def test_restricted_sum_matches_cell_loop(triple):
         sum_set, admitted = restricted_sum(k, t, erosion)
         assert admitted == admitted_pair_count_loop(k, t, erosion)
         assert sum_set == difference(dilate_loop(k, t), erosion)
+
+
+def _rows(rows) -> GridSet:
+    """A 2D grid at origin 0 and h = 1 from rows of 0/1."""
+    return GridSet(2, 1.0, (0, 0), np.array(rows, dtype=bool))
+
+
+# (K, T) pairs whose verdicts single out wrong ways to decide containment.
+# The first is contained, though a hole of K + T is a bounded gap of
+# bK + bT outside the erosion: a point test that always fails gets it
+# wrong.  In the second a bounded gap lies inside K + T, so a verdict that
+# never runs the point test gets it wrong.  The last two are not contained
+# either, and labelling the gaps with full (3^n - 1) adjacency calls them
+# contained.
+CONTAINMENT_CASES = (
+    (_rows([[0, 0, 1, 1, 1], [1, 1, 0, 0, 1], [0, 0, 0, 1, 0],
+            [1, 0, 1, 0, 1], [0, 1, 0, 0, 1]]), _rows([[1, 1]])),
+    (_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0], [1, 0, 0]]),
+     _rows(np.ones((3, 3)))),
+    (_rows([[1, 1, 0, 0, 1, 1], [1, 1, 0, 1, 1, 0], [1, 1, 1, 1, 1, 1],
+            [1, 1, 0, 0, 0, 1]]), _rows([[1], [1], [0], [1]])),
+    (_rows([[1, 1, 1, 1], [1, 0, 1, 1], [1, 0, 1, 1], [1, 1, 1, 0],
+            [1, 1, 1, 1], [1, 0, 1, 1]]), _rows([[1, 0, 0, 1]])),
+)
+
+
+def _containment(k: GridSet, t: GridSet) -> tuple[bool, bool]:
+    """The engine's eq-4.2 containment verdict and the oracle's."""
+    erosion = erode_open(k, t)
+    bsum = dilate(boundary(k), boundary(t))
+    return (_restricted_sum_contained(k, t, erosion, bsum),
+            is_subset(restricted_sum(k, t, erosion)[0], bsum))
+
+
+def test_containment_cases_have_their_verdicts():
+    assert [_containment(k, t)[1] for k, t in CONTAINMENT_CASES] == [
+        True, False, False, False]
+
+
+@st.composite
+def generated_pairs(draw):
+    """Two bodies of the voxel campaigns' generator, in dims 2-4."""
+    dim = draw(st.sampled_from(ALLOWED_DIMS))
+    h = {2: 1 / 16, 3: 1 / 8, 4: 1 / 4}[dim]
+    return tuple(gen_connected_boundary_set(
+        random.Random(draw(st.integers(0, 2 ** 32))), GridGenParams(),
+        dim, h)[0] for _ in range(2))
+
+
+@given(st.one_of(grid_tuples(2), generated_pairs()))
+@example(CONTAINMENT_CASES[0])
+@example(CONTAINMENT_CASES[1])
+@example(CONTAINMENT_CASES[2])
+@example(CONTAINMENT_CASES[3])
+@settings(max_examples=200, deadline=None)
+def test_containment_verdict_matches_restricted_sum(pair):
+    # Any K and T, their boundaries connected or not, either one larger.
+    k, t = pair
+    assume(not t.is_empty)
+    got, expected = _containment(k, t)
+    assert got == expected
 
 
 def contains_points(spec: ShapeSpec, points: np.ndarray) -> np.ndarray:
