@@ -4,21 +4,24 @@ Exact rational engine for convex polygons in the plane, a voxel engine for
 general compact sets in dimensions 2-4, checkers for the boundary-sum
 volume inequalities with their equality cases, restricted sums, and a
 reproducible campaign harness with a CLI.
+
+The voxel engine (bmink.voxel and bmink.restricted, the only modules that
+import numpy and scipy) loads on first use of one of its names here, so
+`import bmink` and the exact and scalar checks never load it.
 """
+
+import importlib
 
 from .exact2d import (ConvexPolygon, EngineInconsistencyError, EqualityClass,
                       EqualityTag, ErosionResult, GeometryError, Point2,
                       area, boundary_sum_volume, classify_equality, erode,
                       is_centrally_symmetric, minkowski_sum, partial_sum_area,
                       point, reflect, scale, translate)
-from .voxel import (DecompositionReport, GridError, GridExtentError, GridSet,
-                    ShapeSpec, boundary, decomposition_check, dilate,
-                    erode_open, interior, is_boundary_connected, rasterize,
-                    volume)
-from .inequalities import (InequalityReport, check_cor_multi, check_lemma_pbm,
-                           check_rn, check_thm_av, check_thm_bbm, rn_value)
-from .restricted import (check_arithmetic_bm, check_thm_4_2_voxel,
-                         shrinking_pair_demo)
+from .serialize import GridError, ShapeSpec
+from .inequalities import (InequalityReport, check_arithmetic_bm,
+                           check_cor_multi, check_lemma_pbm, check_rn,
+                           check_thm_av, check_thm_bbm, rn_value,
+                           shrinking_pair_demo)
 from .generators import (GridGenParams, PolygonGenParams,
                          gen_connected_boundary_set, gen_convex_polygon,
                          gen_polygon_pair, gen_symmetric_polygon, trial_rng)
@@ -26,6 +29,27 @@ from .campaign import CampaignConfig, CampaignSummary, run_campaign
 from .render import render_decomposition_svg
 
 __version__ = "0.1.0"
+
+# The names served by the voxel engine, each with its home module.
+_LAZY = {
+    **dict.fromkeys(
+        ("DecompositionReport", "GridExtentError", "GridSet", "boundary",
+         "decomposition_check", "dilate", "erode_open",
+         "is_boundary_connected", "rasterize", "volume"), "voxel"),
+    "check_thm_4_2_voxel": "restricted",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "ConvexPolygon", "EngineInconsistencyError", "EqualityClass",
@@ -35,7 +59,7 @@ __all__ = [
     "reflect", "scale", "translate",
     "DecompositionReport", "GridError", "GridExtentError", "GridSet",
     "ShapeSpec", "boundary", "decomposition_check", "dilate", "erode_open",
-    "interior", "is_boundary_connected", "rasterize", "volume",
+    "is_boundary_connected", "rasterize", "volume",
     "InequalityReport", "check_cor_multi", "check_lemma_pbm", "check_rn",
     "check_thm_av", "check_thm_bbm", "rn_value",
     "check_arithmetic_bm", "check_thm_4_2_voxel", "shrinking_pair_demo",

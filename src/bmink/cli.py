@@ -9,7 +9,8 @@ Subcommands:
 
 Campaign trials run in order on one thread.  A JSON config file can pre-set
 any `verify` flag; explicit flags win over the file.  Malformed input ends
-in a one-line `error:` message and exit code 2.
+in a one-line `error:` message and exit code 2.  Only `decompose`, `erode
+--engine voxel` and voxel campaigns load the voxel engine.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import restricted, voxel
 from .campaign import (THEOREMS, CampaignConfig, print_summary, run_campaign)
 from .exact2d import GeometryError, erode as erode_exact
+from .inequalities import shrinking_pair_demo
 from .render import render_decomposition_svg
-from .serialize import (dumps_canonical, load_shape_file, parse_number,
-                        parse_rational, polygon_to_json, realize_spec)
-from .voxel import GridError
+from .serialize import (ALLOWED_DIMS, GridError, dumps_canonical,
+                        load_shape_file, parse_number, parse_rational,
+                        polygon_to_json, realize_spec)
 
 
 def _fraction(text: str) -> Fraction:
@@ -89,7 +90,7 @@ def _resolution(res: Fraction) -> float:
     h**dim must be a float in every dimension the voxel engine allows."""
     try:
         h = float(res)
-        h ** max(voxel.ALLOWED_DIMS)
+        h ** max(ALLOWED_DIMS)
     except OverflowError:
         raise GeometryError("resolution is too large: its cell volume "
                             "overflows a float") from None
@@ -160,6 +161,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from . import voxel
     h = _resolution(args.res)
     k = voxel.rasterize(load_shape_file(args.k), h)
     t = voxel.rasterize(load_shape_file(args.t), h)
@@ -192,6 +194,7 @@ def _cmd_erode(args: argparse.Namespace) -> int:
             payload["region"] = polygon_to_json(result.region)
         print(dumps_canonical(payload))
         return 0
+    from . import voxel
     h = _resolution(args.res)
     k = voxel.rasterize(k_spec, h)
     t = voxel.rasterize(t_spec, h)
@@ -215,7 +218,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     if args.name == "remark-4.3":
-        demo = restricted.shrinking_pair_demo(args.a)
+        demo = shrinking_pair_demo(args.a)
         lhs, rhs = demo["lhs"], demo["rhs"]
         print(f"a = {demo['a']}")
         print(f"boundary-sum volume (lhs) = {float(lhs):.6g} "

@@ -11,6 +11,9 @@ additionally restrict the smaller body to a plain box (see
 gen_decomposition_pair).  Because random pairs essentially never achieve
 equality in the volume bounds, the pair generators can deliberately plant
 translate and symmetric-homothet pairs at a configured rate.
+
+The grid generators look up bmink.voxel when they run, so drawing
+polygons never loads numpy or scipy.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .exact2d import (ConvexPolygon, GeometryError, Point2, _Lattice, scale,
                       translate)
-from .voxel import (GridSet, ShapeSpec, _in_contact, _or_windows,
-                    _raster_window, is_boundary_connected, rasterize)
+from .serialize import ShapeSpec
+
+if TYPE_CHECKING:
+    from .voxel import GridSet
 
 PLANT_TRANSLATE = "translate"
 PLANT_HOMOTHETIC_SYMMETRIC = "homothetic_symmetric"
@@ -213,32 +218,33 @@ def gen_connected_boundary_set(seed_rng: random.Random,
     other.  So the rule accepts exactly the parts whose union with the body
     is face-connected, and the returned grid equals ``rasterize(spec, h)``.
     """
+    from . import voxel
     params.validate()
     for _ in range(params.max_retries):
         n_parts = seed_rng.randint(1, params.max_primitives)
         center = [seed_rng.uniform(-params.center_range / 2,
                                    params.center_range / 2) for _ in range(dim)]
         spec = _random_primitive(seed_rng, params, dim, h, center)
-        window = _raster_window(spec, h)
+        window = voxel._raster_window(spec, h)
         windows = [window] if window[1].any() else []
         parts = 1
         attempts = 0
         while windows and parts < n_parts and attempts < 8:
             attempts += 1
-            lo, hi = spec.bbox()
+            lo, hi = voxel.bbox(spec)
             new_center = [seed_rng.uniform(lo[k] - 0.2, hi[k] + 0.2)
                           for k in range(dim)]
             part_spec = _random_primitive(seed_rng, params, dim, h, new_center)
-            window = _raster_window(part_spec, h)
+            window = voxel._raster_window(part_spec, h)
             empty = not window[1].any()
-            if empty or any(_in_contact(w, window) for w in windows):
+            if empty or any(voxel._in_contact(w, window) for w in windows):
                 spec = ShapeSpec.union_of(spec, part_spec)
                 if not empty:
                     windows.append(window)
                 parts += 1
         if windows:
-            grid = _or_windows(dim, h, windows)
-            if is_boundary_connected(grid):
+            grid = voxel._or_windows(dim, h, windows)
+            if voxel.is_boundary_connected(grid):
                 return grid, spec
     raise GeometryError("grid generator exhausted its rejection budget")
 
@@ -247,12 +253,13 @@ def gen_box_set(rng: random.Random, dim: int, h: float,
                 min_size: float = 0.3, max_size: float = 0.9
                 ) -> tuple[GridSet, ShapeSpec]:
     """Single axis-aligned box, randomly placed and sized."""
+    from . import voxel
     center = [rng.uniform(-0.3, 0.3) for _ in range(dim)]
     half = [max(rng.uniform(min_size, max_size) / 2, 2.5 * h)
             for _ in range(dim)]
     spec = ShapeSpec.box([_snap(c - w, h) for c, w in zip(center, half)],
                          [_snap(c + w, h) for c, w in zip(center, half)])
-    return rasterize(spec, h), spec
+    return voxel.rasterize(spec, h), spec
 
 
 def gen_decomposition_pair(rng: random.Random, params: GridGenParams,
@@ -272,11 +279,12 @@ def gen_decomposition_pair(rng: random.Random, params: GridGenParams,
     from shrinking further, K is too small for any such box and the pair
     is redrawn, within the generator's retry budget.
     """
+    from . import voxel
     for _ in range(params.max_retries):
         k_grid, k_spec = gen_connected_boundary_set(rng, params, dim, h)
         t_grid, t_spec = gen_box_set(rng, dim, h)
         while t_grid.count > k_grid.count:
-            lo, hi = t_spec.bbox()
+            lo, hi = voxel.bbox(t_spec)
             shrink = 0.8 * (k_grid.count / t_grid.count) ** (1.0 / dim)
             center = (lo + hi) / 2
             half = (hi - lo) / 2 * shrink
@@ -285,7 +293,7 @@ def gen_decomposition_pair(rng: random.Random, params: GridGenParams,
                                     for c, w in zip(center, half)],
                                    [_snap(float(c + w), h)
                                     for c, w in zip(center, half)])
-            shrunk = rasterize(t_spec, h)
+            shrunk = voxel.rasterize(t_spec, h)
             if shrunk.count == t_grid.count:
                 break
             t_grid = shrunk

@@ -6,6 +6,11 @@ eliminated by raising both sides to matching powers, so every comparison is
 a rational comparison and equality detection is exact.  On the voxel engine
 sides are binary64 and a discretization tolerance (first order in the cell
 size, scaled by a perimeter proxy) separates findings from noise.
+
+Every exact checker lives here, thm-4.2's in the plane (check_arithmetic_bm)
+included; voxel thm-4.2 is restricted.check_thm_4_2_voxel.  A checker's
+voxel branch looks up bmink.voxel when it runs, so the exact and scalar
+checks never load numpy or scipy.
 """
 
 from __future__ import annotations
@@ -15,12 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import exact2d, voxel
+from . import exact2d
 from .exact2d import (ConvexPolygon, EqualityClass, EqualityTag, GeometryError,
                       classify_equality, is_centrally_symmetric, minkowski_sum)
-from .serialize import (REPORT_VERSION, encode_detail, encode_number,
-                        shapespec_to_json)
-from .voxel import GridSet, ShapeSpec, boundary, dilate, is_boundary_connected, volume
+from .serialize import (REPORT_VERSION, ShapeSpec, encode_detail,
+                        encode_number, shapespec_to_json)
 
 Value = Union[Fraction, float]
 
@@ -123,25 +127,20 @@ def check_thm_av(k, t) -> InequalityReport:
             equality=(slack == 0), equality_class=eq_class,
             details={"boundary_sum_volume": bsv},
         )
-    _require_connected(k, t)
-    bk, bt = boundary(k), boundary(t)
+    from . import voxel
+    voxel._require_connected(k, t)
+    bk, bt = voxel.boundary(k), voxel.boundary(t)
     n = k.dim
-    lhs = volume(dilate(bk, bt)) / 2 ** n
-    rhs = math.sqrt(volume(k) * volume(t))
+    lhs = voxel.volume(voxel.dilate(bk, bt)) / 2 ** n
+    rhs = math.sqrt(voxel.volume(k) * voxel.volume(t))
     tol = voxel_slack_tolerance(n, k.h, bk.count + bt.count)
     slack = lhs - rhs
     return InequalityReport(
         theorem_id="thm-av", engine=VOXEL,
         lhs=lhs, rhs=rhs, slack=slack,
         equality=(abs(slack) <= tol), tolerance=tol,
-        details={"vol_k": volume(k), "vol_t": volume(t)},
+        details={"vol_k": voxel.volume(k), "vol_t": voxel.volume(t)},
     )
-
-
-def _require_connected(*grids: GridSet) -> None:
-    for g in grids:
-        if not is_boundary_connected(g):
-            raise voxel.GridError("voxel checks require connected boundaries")
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +196,17 @@ def check_cor_multi(bodies) -> InequalityReport:
             equality=(slack == 0), equality_class=eq_class,
             details={"m": m, "scaled_boundary_sum_volume": lhs_side},
         )
-    _require_connected(*bodies)
+    from . import voxel
+    voxel._require_connected(*bodies)
     n = bodies[0].dim
-    acc = boundary(bodies[0])
+    acc = voxel.boundary(bodies[0])
     bcells = acc.count
     for b in bodies[1:]:
-        bb = boundary(b)
+        bb = voxel.boundary(b)
         bcells += bb.count
-        acc = dilate(acc, bb)
-    lhs = volume(acc) / m ** n
-    rhs = math.prod(volume(b) for b in bodies) ** (1.0 / m)
+        acc = voxel.dilate(acc, bb)
+    lhs = voxel.volume(acc) / m ** n
+    rhs = math.prod(voxel.volume(b) for b in bodies) ** (1.0 / m)
     tol = voxel_slack_tolerance(n, bodies[0].h, bcells)
     slack = lhs - rhs
     return InequalityReport(
@@ -260,21 +260,23 @@ def check_thm_bbm(k, t, lam) -> InequalityReport:
             lam=lam, flags=tuple(flags),
             details={"factor_kt": f_kt, "factor_tk": f_tk},
         )
+    from . import voxel
     (gk, k_spec), (gt, t_spec) = k, t
     voxel._require_same_grid(gk, gt)
-    _require_connected(gk, gt)
+    voxel._require_connected(gk, gt)
     n, h = gk.dim, gk.h
     lam_f = float(lam)
 
     def weighted(a_spec, b_spec, w):
-        ba = boundary(voxel.rasterize(ShapeSpec.scaled(a_spec, w), h))
-        bb = boundary(voxel.rasterize(ShapeSpec.scaled(b_spec, 1 - w), h))
-        return volume(dilate(ba, bb)), ba.count + bb.count
+        ba = voxel.boundary(voxel.rasterize(ShapeSpec.scaled(a_spec, w), h))
+        bb = voxel.boundary(voxel.rasterize(ShapeSpec.scaled(b_spec, 1 - w),
+                                            h))
+        return voxel.volume(voxel.dilate(ba, bb)), ba.count + bb.count
 
     f_kt, cells_kt = weighted(k_spec, t_spec, Fraction(lam))
     f_tk, cells_tk = weighted(t_spec, k_spec, Fraction(lam))
     lhs = f_kt * f_tk
-    rhs = (volume(gk) * volume(gt)
+    rhs = (voxel.volume(gk) * voxel.volume(gt)
            * (1 - abs(1 - 2 * lam_f) ** n) ** 2)
     vol_tol = voxel_slack_tolerance(n, h, cells_kt + cells_tk)
     # Error in a product of volumes is first order: dV * (|f1| + |f2|).
@@ -286,6 +288,63 @@ def check_thm_bbm(k, t, lam) -> InequalityReport:
         equality=(abs(slack) <= tol), tolerance=tol,
         lam=lam, details={"factor_kt": f_kt, "factor_tk": f_tk},
     )
+
+
+# ---------------------------------------------------------------------------
+# The arithmetic bound thm-4.2 in the plane
+# ---------------------------------------------------------------------------
+
+def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon) -> InequalityReport:
+    """vol(bK + bT) >= vol(K) + vol(T) on exact polygons, ratio-tagged
+    (thm-4.2 in the plane, where the exponent 2/n is 1).
+
+    The volume-ratio window (vol K / vol T)^(1/n) in [1/sqrt(n), sqrt(n)]
+    is recorded but not enforced: out-of-window pairs are admitted to map
+    where the unconditioned inequality fails, and their failures are tagged
+    expected findings instead of violations.
+    """
+    vol_k, vol_t = k.area, t.area
+    lhs = exact2d.partial_sum_area(k, t)
+    rhs = vol_k + vol_t
+    slack = lhs - rhs
+    ratio = vol_k / vol_t
+    ratio_ok = Fraction(1, 2) <= ratio <= 2  # (r^(1/2) in [1/sqrt2, sqrt2])
+    try:
+        ratio_value = float(ratio)
+    except OverflowError:
+        raise GeometryError("the area ratio vol(K)/vol(T) is too large: it "
+                            "overflows a float") from None
+    return InequalityReport(
+        theorem_id="thm-4.2", engine=EXACT,
+        lhs=lhs, rhs=rhs, slack=slack, equality=(slack == 0),
+        flags=() if ratio_ok else ("ratio_condition_violated",),
+        details={"vol_k": vol_k, "vol_t": vol_t,
+                 "ratio_ok": ratio_ok, "ratio": ratio_value},
+    )
+
+
+def shrinking_pair_demo(a: Fraction = Fraction(1, 100)) -> dict:
+    """Closed-form counterexample to the unconditioned arithmetic bound.
+
+    For the square [-1,1]^2 paired with its a-scaled copy the boundary-sum
+    volume is 16a (vanishing with a) while the right side stays near the
+    square's volume, so the inequality must fail for small a: the ratio
+    condition cannot be dropped.
+    """
+    a = Fraction(a)
+    if not 0 < a < 1:
+        raise GeometryError("demo scale must lie strictly between 0 and 1")
+    square = ConvexPolygon.box((-1, -1), (1, 1))
+    small = exact2d.scale(square, a)
+    report = check_arithmetic_bm(square, small)
+    return {
+        "a": a,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "holds": not report.slack < 0,
+        "ratio_ok": report.details["ratio_ok"],
+        "report": report,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .exact2d import ConvexPolygon, erode, minkowski_sum
-from .serialize import realize_spec
-from .voxel import ShapeSpec
+from .serialize import ShapeSpec, realize_spec
 
 _PANEL = 220.0
 _MARGIN = 26.0

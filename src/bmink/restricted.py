@@ -1,4 +1,4 @@
-"""Restricted Minkowski sums and the arithmetic bound thm-4.2.
+"""Restricted Minkowski sums and the arithmetic bound thm-4.2 on voxels.
 
 A restriction admits only certain (x, y) cell pairs of K x T into the sum.
 The supported restriction is the complement of the erosion fit ("x not in
@@ -11,23 +11,26 @@ bK + bT (_restricted_sum_contained).
 On voxels, thm-4.2 and its restricted-sum bounds eq-4.2 and eq-4.3 are
 checked in one pass per pair (check_thm_4_2_voxel): bK, bT and bK + bT
 and the erosion are each built once and shared by the three reports.
-check_arithmetic_bm is thm-4.2 on the exact engine.
+
+This is a voxel module: it and voxel.py are the only modules of the
+package that import numpy or scipy.  thm-4.2 on the exact engine,
+check_arithmetic_bm, and its closed-form demo shrinking_pair_demo live in
+inequalities.py beside the other exact checkers; both names stay
+importable from here.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
 
-from . import exact2d
-from .exact2d import ConvexPolygon, GeometryError
-from .inequalities import (EXACT, VOXEL, InequalityReport, _require_connected,
-                           voxel_slack_tolerance)
-from .voxel import (GridError, GridSet, _embed, _require_same_grid, boundary,
-                    dilate, erode_open, volume)
+from .inequalities import VOXEL, InequalityReport, voxel_slack_tolerance
+from .inequalities import (  # noqa: F401  (re-exported from their old home)
+    check_arithmetic_bm, shrinking_pair_demo)
+from .voxel import (GridError, GridSet, _embed, _require_connected,
+                    _require_same_grid, boundary, dilate, erode_open, volume)
 
 
 def _restricted_sum_contained(k: GridSet, t: GridSet, erosion: GridSet,
@@ -137,56 +140,3 @@ def check_thm_4_2_voxel(k: GridSet, t: GridSet) -> list[InequalityReport]:
         equality=(abs(root_gap - root_erosion) <= 3.0 * n * h),
         tolerance=3.0 * n * h, details=vols)
     return [arithmetic, pairs, roots]
-
-
-def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon) -> InequalityReport:
-    """vol(bK + bT) >= vol(K) + vol(T) on exact polygons, ratio-tagged
-    (thm-4.2 in the plane, where the exponent 2/n is 1).
-
-    The volume-ratio window (vol K / vol T)^(1/n) in [1/sqrt(n), sqrt(n)]
-    is recorded but not enforced: out-of-window pairs are admitted to map
-    where the unconditioned inequality fails, and their failures are tagged
-    expected findings instead of violations.
-    """
-    vol_k, vol_t = k.area, t.area
-    lhs = exact2d.partial_sum_area(k, t)
-    rhs = vol_k + vol_t
-    slack = lhs - rhs
-    ratio = vol_k / vol_t
-    ratio_ok = Fraction(1, 2) <= ratio <= 2  # (r^(1/2) in [1/sqrt2, sqrt2])
-    try:
-        ratio_value = float(ratio)
-    except OverflowError:
-        raise GeometryError("the area ratio vol(K)/vol(T) is too large: it "
-                            "overflows a float") from None
-    return InequalityReport(
-        theorem_id="thm-4.2", engine=EXACT,
-        lhs=lhs, rhs=rhs, slack=slack, equality=(slack == 0),
-        flags=() if ratio_ok else ("ratio_condition_violated",),
-        details={"vol_k": vol_k, "vol_t": vol_t,
-                 "ratio_ok": ratio_ok, "ratio": ratio_value},
-    )
-
-
-def shrinking_pair_demo(a: Fraction = Fraction(1, 100)) -> dict:
-    """Closed-form counterexample to the unconditioned arithmetic bound.
-
-    For the square [-1,1]^2 paired with its a-scaled copy the boundary-sum
-    volume is 16a (vanishing with a) while the right side stays near the
-    square's volume, so the inequality must fail for small a: the ratio
-    condition cannot be dropped.
-    """
-    a = Fraction(a)
-    if not 0 < a < 1:
-        raise GeometryError("demo scale must lie strictly between 0 and 1")
-    square = ConvexPolygon.box((-1, -1), (1, 1))
-    small = exact2d.scale(square, a)
-    report = check_arithmetic_bm(square, small)
-    return {
-        "a": a,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "holds": not report.slack < 0,
-        "ratio_ok": report.details["ratio_ok"],
-        "report": report,
-    }

@@ -1,4 +1,13 @@
-"""JSON wire formats: polygons, shape specs and report lines.
+"""Shape specs, and the JSON wire formats of polygons, shape specs and
+report lines.
+
+A ShapeSpec is the engine-neutral description of a test shape.  Its data,
+its checked constructors and GridError live here, beside the kind table
+that encodes and realizes it, so the exact engine reads shape files
+without loading the voxel engine; voxel.py rasterizes specs and
+re-exports both names.  This module imports no numpy: numpy scalars in
+voxel reports encode through the numbers ABCs that numpy registers them
+with.
 
 Rationals travel as "p/q" strings so exact values survive the round trip;
 plain ints and floats are passed through.  All dumps are deterministic
@@ -9,16 +18,100 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
-
-import numpy as np
+from typing import Any, Optional, Sequence, Union
 
 from .exact2d import (ConvexPolygon, GeometryError, Point2, reflect, scale,
                       translate)
-from .voxel import ShapeSpec
 
 REPORT_VERSION = 1
+
+ALLOWED_DIMS = (2, 3, 4)  # the dimensions of voxel grids
+
+Number = Union[int, float, Fraction]
+
+
+class GridError(Exception):
+    """Invalid grid input or operation."""
+
+
+@dataclass(frozen=True)
+class ShapeSpec:
+    """Constructive, serializable description of a test shape.
+
+    A tagged tree: primitives box / ball / simplex / polygon, combined with
+    scaled / translated / reflected / union nodes.  Numeric payloads may be
+    Fractions (kept exact through JSON) or floats; evaluation is float64.
+    Every constructor stores its node's dimension in ndim.
+    """
+
+    kind: str
+    lo: Optional[tuple] = None
+    hi: Optional[tuple] = None
+    center: Optional[tuple] = None
+    radius: Optional[Number] = None
+    ndim: Optional[int] = None
+    vertices: Optional[tuple] = None
+    factor: Optional[Number] = None
+    vector: Optional[tuple] = None
+    children: tuple = ()
+
+    @staticmethod
+    def box(lo: Sequence[Number], hi: Sequence[Number]) -> "ShapeSpec":
+        if len(lo) != len(hi):
+            raise GridError("box corners must share dimension")
+        if not all(float(a) < float(b) for a, b in zip(lo, hi)):
+            raise GridError("box needs lo < hi on every axis")
+        return ShapeSpec("box", lo=tuple(lo), hi=tuple(hi), ndim=len(lo))
+
+    @staticmethod
+    def ball(center: Sequence[Number], radius: Number) -> "ShapeSpec":
+        if not float(radius) > 0:
+            raise GridError("ball radius must be positive")
+        return ShapeSpec("ball", center=tuple(center), radius=radius,
+                         ndim=len(center))
+
+    @staticmethod
+    def simplex(ndim: int) -> "ShapeSpec":
+        """Standard simplex: x >= 0 componentwise with sum(x) <= 1."""
+        return ShapeSpec("simplex", ndim=int(ndim))
+
+    @staticmethod
+    def polygon(vertices: Sequence[Sequence[Number]]) -> "ShapeSpec":
+        verts = tuple(tuple(v) for v in vertices)
+        if len(verts) < 3 or any(len(v) != 2 for v in verts):
+            raise GridError("polygon spec needs >= 3 two-dimensional vertices")
+        return ShapeSpec("polygon", vertices=verts, ndim=2)
+
+    @staticmethod
+    def scaled(child: "ShapeSpec", factor: Number) -> "ShapeSpec":
+        if not float(factor) > 0:
+            raise GridError("scale factor must be positive")
+        return ShapeSpec("scaled", factor=factor, children=(child,),
+                         ndim=child.ndim)
+
+    @staticmethod
+    def translated(child: "ShapeSpec", vector: Sequence[Number]) -> "ShapeSpec":
+        if len(vector) != child.ndim:
+            raise GridError("translation vector must match the shape's "
+                            "dimension")
+        return ShapeSpec("translated", vector=tuple(vector), children=(child,),
+                         ndim=child.ndim)
+
+    @staticmethod
+    def reflected(child: "ShapeSpec") -> "ShapeSpec":
+        return ShapeSpec("reflected", children=(child,), ndim=child.ndim)
+
+    @staticmethod
+    def union_of(a: "ShapeSpec", b: "ShapeSpec") -> "ShapeSpec":
+        if a.ndim != b.ndim:
+            raise GridError("union parts must share dimension")
+        return ShapeSpec("union", children=(a, b), ndim=a.ndim)
+
+    def dim(self) -> int:
+        return self.ndim
 
 
 # Fraction computes 10**exponent exactly, at a cost in time and memory that
@@ -80,9 +173,11 @@ def encode_number(value: Any) -> Any:
         return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (int, np.integer)):
+    # numpy registers its integer scalars as Integral and its floating
+    # ones as Real; numpy.bool_ is neither, and is rejected.
+    if isinstance(value, numbers.Integral):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return float(value)
     raise GeometryError(f"cannot encode number {value!r}")
 

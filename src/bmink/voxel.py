@@ -13,29 +13,30 @@ conversion from cell counts to volumes involves floating point.
 
 This engine doubles as the brute-force oracle for the exact polygon engine
 and is the only engine for non-convex sets.
+
+It and restricted.py are the only modules of the package that import
+numpy or scipy.  The exact and scalar checks never load it: the other
+modules look it up at call time, in their voxel branches, and a voxel
+campaign loads it when its config is validated.  ShapeSpec and GridError
+live in serialize.py and are re-exported here; rasterize evaluates a spec
+through bbox and _on_mesh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
 
+from .serialize import ALLOWED_DIMS, GridError, ShapeSpec
+
 MAX_EXTENT = 4096
 MAX_CELLS = 2 ** 24  # 4096^2: every 2D grid within MAX_EXTENT stays legal
 _MAX_INDEX = 2 ** 52  # beyond it, i + 0.5 is not exact in float64
-ALLOWED_DIMS = (2, 3, 4)
-
-Number = Union[int, float, Fraction]
-
-
-class GridError(Exception):
-    """Invalid grid input or operation."""
 
 
 class GridExtentError(GridError):
@@ -372,15 +373,11 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
                           occ[(slice(1, -1),) * a.dim])
 
 
-def interior(a: GridSet) -> GridSet:
-    """Cells whose 2*dim face neighbors are all occupied."""
-    return GridSet(a.dim, a.h, a.origin, _interior_array(a))
-
-
 def _interior_array(a: GridSet) -> np.ndarray:
-    """interior(a) in a's array.  A margin cell is never interior: it is
-    empty.  So only the inner cells are tested, each against its 2*dim
-    neighbors, which the margin keeps inside the array."""
+    """The cells of a whose 2*dim face neighbors are all occupied, in a's
+    array.  A margin cell is never interior: it is empty.  So only the
+    inner cells are tested, each against its 2*dim neighbors, which the
+    margin keeps inside the array."""
     occ = a.occ
     inner = (slice(1, -1),) * a.dim
     core = occ[inner].copy()
@@ -453,6 +450,13 @@ def is_boundary_connected(a: GridSet) -> bool:
     return a._boundary_connected
 
 
+def _require_connected(*grids: GridSet) -> None:
+    """The precondition of the voxel checkers: every boundary connected."""
+    for g in grids:
+        if not is_boundary_connected(g):
+            raise GridError("voxel checks require connected boundaries")
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     """Cell-exact verdicts for the sum decomposition of a pair of grids.
@@ -521,160 +525,84 @@ def decomposition_check(k: GridSet, t: GridSet) -> DecompositionReport:
 
 
 # ---------------------------------------------------------------------------
-# Constructive shape descriptions and rasterization
+# Rasterization of shape specs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShapeSpec:
-    """Constructive, serializable description of a test shape.
+def _on_mesh(spec: ShapeSpec, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Closed-set membership of spec on an open mesh.
 
-    A tagged tree: primitives box / ball / simplex / polygon, combined with
-    scaled / translated / reflected / union nodes.  Numeric payloads may be
-    Fractions (kept exact through JSON) or floats; evaluation is float64.
-    Every constructor stores its node's dimension in ndim.
+    axes[k] holds the coordinates along axis k, shaped to broadcast along
+    that axis only; the result broadcasts to the full mesh.  Each mesh
+    point goes through the float operations of evaluating the spec at that
+    one point, and sums over axes run left to right.
     """
+    kind = spec.kind
+    if kind == "box":
+        return reduce(np.logical_and,
+                      [(x >= float(a)) & (x <= float(b))
+                       for x, a, b in zip(axes, spec.lo, spec.hi)])
+    if kind == "ball":
+        r = float(spec.radius)
+        return reduce(np.add, [(x - float(c)) ** 2 for x, c
+                               in zip(axes, spec.center)]) <= r * r
+    if kind == "simplex":
+        return (reduce(np.logical_and, [x >= 0.0 for x in axes])
+                & (reduce(np.add, axes) <= 1.0))
+    if kind == "polygon":
+        verts = np.array([[float(x), float(y)] for x, y in spec.vertices])
+        if _poly_signed_area(verts) < 0:
+            verts = verts[::-1]
+        x, y = axes
+        ok = True
+        for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+            e = b - a
+            ok = ok & (e[0] * (y - a[1]) - e[1] * (x - a[0]) >= 0.0)
+        return ok
+    if kind == "scaled":
+        f = float(spec.factor)
+        return _on_mesh(spec.children[0], [x / f for x in axes])
+    if kind == "translated":
+        return _on_mesh(spec.children[0], [x - float(v) for x, v
+                                           in zip(axes, spec.vector)])
+    if kind == "reflected":
+        return _on_mesh(spec.children[0], [-x for x in axes])
+    if kind == "union":
+        return (_on_mesh(spec.children[0], axes)
+                | _on_mesh(spec.children[1], axes))
+    raise GridError(f"unknown shape kind {kind!r}")
 
-    kind: str
-    lo: Optional[tuple] = None
-    hi: Optional[tuple] = None
-    center: Optional[tuple] = None
-    radius: Optional[Number] = None
-    ndim: Optional[int] = None
-    vertices: Optional[tuple] = None
-    factor: Optional[Number] = None
-    vector: Optional[tuple] = None
-    children: tuple = ()
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def box(lo: Sequence[Number], hi: Sequence[Number]) -> "ShapeSpec":
-        if len(lo) != len(hi):
-            raise GridError("box corners must share dimension")
-        if not all(float(a) < float(b) for a, b in zip(lo, hi)):
-            raise GridError("box needs lo < hi on every axis")
-        return ShapeSpec("box", lo=tuple(lo), hi=tuple(hi), ndim=len(lo))
-
-    @staticmethod
-    def ball(center: Sequence[Number], radius: Number) -> "ShapeSpec":
-        if not float(radius) > 0:
-            raise GridError("ball radius must be positive")
-        return ShapeSpec("ball", center=tuple(center), radius=radius,
-                         ndim=len(center))
-
-    @staticmethod
-    def simplex(ndim: int) -> "ShapeSpec":
-        """Standard simplex: x >= 0 componentwise with sum(x) <= 1."""
-        return ShapeSpec("simplex", ndim=int(ndim))
-
-    @staticmethod
-    def polygon(vertices: Sequence[Sequence[Number]]) -> "ShapeSpec":
-        verts = tuple(tuple(v) for v in vertices)
-        if len(verts) < 3 or any(len(v) != 2 for v in verts):
-            raise GridError("polygon spec needs >= 3 two-dimensional vertices")
-        return ShapeSpec("polygon", vertices=verts, ndim=2)
-
-    @staticmethod
-    def scaled(child: "ShapeSpec", factor: Number) -> "ShapeSpec":
-        if not float(factor) > 0:
-            raise GridError("scale factor must be positive")
-        return ShapeSpec("scaled", factor=factor, children=(child,),
-                         ndim=child.ndim)
-
-    @staticmethod
-    def translated(child: "ShapeSpec", vector: Sequence[Number]) -> "ShapeSpec":
-        if len(vector) != child.ndim:
-            raise GridError("translation vector must match the shape's "
-                            "dimension")
-        return ShapeSpec("translated", vector=tuple(vector), children=(child,),
-                         ndim=child.ndim)
-
-    @staticmethod
-    def reflected(child: "ShapeSpec") -> "ShapeSpec":
-        return ShapeSpec("reflected", children=(child,), ndim=child.ndim)
-
-    @staticmethod
-    def union_of(a: "ShapeSpec", b: "ShapeSpec") -> "ShapeSpec":
-        if a.ndim != b.ndim:
-            raise GridError("union parts must share dimension")
-        return ShapeSpec("union", children=(a, b), ndim=a.ndim)
-
-    # -- evaluation ----------------------------------------------------------
-
-    def dim(self) -> int:
-        return self.ndim
-
-    def _on_mesh(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Closed-set membership on an open mesh.
-
-        axes[k] holds the coordinates along axis k, shaped to broadcast
-        along that axis only; the result broadcasts to the full mesh.  Each
-        mesh point goes through the float operations of evaluating the spec
-        at that one point, and sums over axes run left to right.
-        """
-        if self.kind == "box":
-            return reduce(np.logical_and,
-                          [(x >= float(a)) & (x <= float(b))
-                           for x, a, b in zip(axes, self.lo, self.hi)])
-        if self.kind == "ball":
-            r = float(self.radius)
-            return reduce(np.add, [(x - float(c)) ** 2 for x, c
-                                   in zip(axes, self.center)]) <= r * r
-        if self.kind == "simplex":
-            return (reduce(np.logical_and, [x >= 0.0 for x in axes])
-                    & (reduce(np.add, axes) <= 1.0))
-        if self.kind == "polygon":
-            verts = np.array([[float(x), float(y)] for x, y in self.vertices])
-            if _poly_signed_area(verts) < 0:
-                verts = verts[::-1]
-            x, y = axes
-            ok = True
-            for a, b in zip(verts, np.roll(verts, -1, axis=0)):
-                e = b - a
-                ok = ok & (e[0] * (y - a[1]) - e[1] * (x - a[0]) >= 0.0)
-            return ok
-        if self.kind == "scaled":
-            f = float(self.factor)
-            return self.children[0]._on_mesh([x / f for x in axes])
-        if self.kind == "translated":
-            return self.children[0]._on_mesh(
-                [x - float(v) for x, v in zip(axes, self.vector)])
-        if self.kind == "reflected":
-            return self.children[0]._on_mesh([-x for x in axes])
-        if self.kind == "union":
-            return (self.children[0]._on_mesh(axes)
-                    | self.children[1]._on_mesh(axes))
-        raise GridError(f"unknown shape kind {self.kind!r}")
-
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == "box":
-            return (np.array([float(v) for v in self.lo]),
-                    np.array([float(v) for v in self.hi]))
-        if self.kind == "ball":
-            c = np.array([float(v) for v in self.center])
-            r = float(self.radius)
-            return c - r, c + r
-        if self.kind == "simplex":
-            return np.zeros(self.ndim), np.ones(self.ndim)
-        if self.kind == "polygon":
-            verts = np.array([[float(x), float(y)] for x, y in self.vertices])
-            return verts.min(axis=0), verts.max(axis=0)
-        if self.kind == "scaled":
-            lo, hi = self.children[0].bbox()
-            f = float(self.factor)
-            return lo * f, hi * f
-        if self.kind == "translated":
-            lo, hi = self.children[0].bbox()
-            v = np.array([float(x) for x in self.vector])
-            return lo + v, hi + v
-        if self.kind == "reflected":
-            lo, hi = self.children[0].bbox()
-            return -hi, -lo
-        if self.kind == "union":
-            lo_a, hi_a = self.children[0].bbox()
-            lo_b, hi_b = self.children[1].bbox()
-            return np.minimum(lo_a, lo_b), np.maximum(hi_a, hi_b)
-        raise GridError(f"unknown shape kind {self.kind!r}")
+def bbox(spec: ShapeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The corners (lo, hi) of the axis-aligned box that holds spec."""
+    kind = spec.kind
+    if kind == "box":
+        return (np.array([float(v) for v in spec.lo]),
+                np.array([float(v) for v in spec.hi]))
+    if kind == "ball":
+        c = np.array([float(v) for v in spec.center])
+        r = float(spec.radius)
+        return c - r, c + r
+    if kind == "simplex":
+        return np.zeros(spec.ndim), np.ones(spec.ndim)
+    if kind == "polygon":
+        verts = np.array([[float(x), float(y)] for x, y in spec.vertices])
+        return verts.min(axis=0), verts.max(axis=0)
+    if kind == "scaled":
+        lo, hi = bbox(spec.children[0])
+        f = float(spec.factor)
+        return lo * f, hi * f
+    if kind == "translated":
+        lo, hi = bbox(spec.children[0])
+        v = np.array([float(x) for x in spec.vector])
+        return lo + v, hi + v
+    if kind == "reflected":
+        lo, hi = bbox(spec.children[0])
+        return -hi, -lo
+    if kind == "union":
+        lo_a, hi_a = bbox(spec.children[0])
+        lo_b, hi_b = bbox(spec.children[1])
+        return np.minimum(lo_a, lo_b), np.maximum(hi_a, hi_b)
+    raise GridError(f"unknown shape kind {kind!r}")
 
 
 def _poly_signed_area(verts: np.ndarray) -> float:
@@ -706,7 +634,7 @@ def _raster_window(spec: ShapeSpec, h: float) -> _Window:
     if dim not in ALLOWED_DIMS:
         raise GridError(f"shape dimension {dim} not in {ALLOWED_DIMS}")
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = spec.bbox()
+        lo, hi = bbox(spec)
     # Float division overflows to inf, and NaN fails the comparison, so a
     # window that is not finite fails the same test as one beyond 2**52.
     # Floats beyond 2**52 are integers, so |floor(x)| <= 2**52 exactly when
@@ -725,7 +653,7 @@ def _raster_window(spec: ShapeSpec, h: float) -> _Window:
     for k, (i, n) in enumerate(zip(first, shape)):
         x = (np.arange(i, i + n) + 0.5) * h
         axes.append(x.reshape([n if j == k else 1 for j in range(dim)]))
-    return tuple(first), spec._on_mesh(axes)
+    return tuple(first), _on_mesh(spec, axes)
 
 
 def _or_windows(dim: int, h: float, windows: Sequence[_Window]) -> GridSet:

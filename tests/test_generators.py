@@ -108,7 +108,7 @@ def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
     # the generator: check_thm_av reuses the cached verdict.
     labels, rasterized, drawn, in_check = [], [], [], []
     label = ndimage.label
-    raster_window = generators._raster_window
+    raster_window = voxel._raster_window
     random_primitive = generators._random_primitive
     check_thm_av = campaign.check_thm_av
 
@@ -131,7 +131,7 @@ def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
         return report
 
     monkeypatch.setattr(ndimage, "label", counted_label)
-    monkeypatch.setattr(generators, "_raster_window", counted_window)
+    monkeypatch.setattr(voxel, "_raster_window", counted_window)
     monkeypatch.setattr(generators, "_random_primitive", counted_primitive)
     monkeypatch.setattr(campaign, "check_thm_av", counted_check)
     config = CampaignConfig(theorem="thm-av", engine="voxel", h=1 / 16,

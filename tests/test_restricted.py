@@ -7,8 +7,8 @@ from bmink import restricted, voxel
 from bmink.campaign import CampaignConfig, _run_trial, run_campaign
 from bmink.exact2d import ConvexPolygon, scale
 from bmink.generators import GridGenParams, gen_decomposition_pair, trial_rng
-from bmink.restricted import (check_arithmetic_bm, check_thm_4_2_voxel,
-                              shrinking_pair_demo)
+from bmink.inequalities import check_arithmetic_bm, shrinking_pair_demo
+from bmink.restricted import check_thm_4_2_voxel
 from bmink.voxel import (GridError, ShapeSpec, boundary, dilate, erode_open,
                          rasterize)
 

@@ -47,6 +47,26 @@ def test_number_and_detail_encoding_by_type():
         '{"a":[0.5,null],"b":true}'
 
 
+@pytest.mark.parametrize("value,expected", [
+    (np.int32(-7), -7),
+    (np.int64(2 ** 40), 2 ** 40),
+    (np.float32(0.1), 0.10000000149011612),
+    (np.float64(0.1), 0.1),
+], ids=lambda v: type(v).__name__)
+def test_numpy_scalars_encode_as_plain_numbers(value, expected):
+    # Voxel reports carry numpy scalars; they encode as the plain Python
+    # number of the same value, and exactly as in the JSON bytes.
+    encoded = encode_number(value)
+    assert type(encoded) is type(expected) and encoded == expected
+    assert dumps_canonical(encoded) == dumps_canonical(expected)
+
+
+def test_numpy_bool_is_not_a_number():
+    for value in (np.bool_(True), np.bool_(False)):
+        with pytest.raises(GeometryError, match="cannot encode number"):
+            encode_number(value)
+
+
 def test_polygon_json_roundtrip():
     p = ConvexPolygon([(F(-1, 3), 0), (1, F(1, 7)), (0, 2)])
     data = polygon_to_json(p)

@@ -11,10 +11,10 @@ from bmink.serialize import spec_from_polygon
 from bmink.voxel import (MAX_CELLS, GridError, GridExtentError, GridSet,
                          ShapeSpec, _check_extent, boundary,
                          decomposition_check, dilate, erode_open,
-                         interior, intersection, is_boundary_connected,
-                         rasterize, union, volume)
+                         intersection, is_boundary_connected, rasterize,
+                         union, volume)
 
-from test_voxel_oracle import difference, is_subset
+from test_voxel_oracle import difference, interior, is_subset
 
 BOX = ShapeSpec.box((-1, -1), (1, 1))
 BIGBOX = ShapeSpec.box((-2, -2), (2, 2))

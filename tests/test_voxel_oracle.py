@@ -43,8 +43,8 @@ from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridSet, ShapeSpec,
                          _common_frame, _convolve, _embed, _frames,
                          _in_contact, _interior_array, _or_windows,
                          _pair_sums, _poly_signed_area, _raster_window,
-                         _require_same_grid, boundary, dilate, erode_open,
-                         is_boundary_connected, rasterize, union)
+                         _require_same_grid, bbox, boundary, dilate,
+                         erode_open, is_boundary_connected, rasterize, union)
 
 H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
@@ -86,6 +86,11 @@ def difference(a: GridSet, b: GridSet) -> GridSet:
     """Cells of a that are not cells of b."""
     lo, av, bv = _common_frame(a, b)
     return GridSet(a.dim, a.h, lo, av & ~bv)
+
+
+def interior(a: GridSet) -> GridSet:
+    """Cells whose 2*dim face neighbors are all occupied."""
+    return GridSet(a.dim, a.h, a.origin, _interior_array(a))
 
 
 def is_subset(a: GridSet, b: GridSet) -> bool:
@@ -480,7 +485,7 @@ def rasterize_points(spec: ShapeSpec, h: float) -> GridSet:
     """Cell-center rasterization through a (cells x dim) matrix of all cell
     centers, the rasterizer before the open mesh."""
     dim = spec.dim()
-    lo, hi = spec.bbox()
+    lo, hi = bbox(spec)
     imin = np.floor(lo / h - 0.5).astype(int)
     imax = np.ceil(hi / h - 0.5).astype(int)
     shape = tuple(int(n) for n in imax - imin + 1)
@@ -564,7 +569,7 @@ TRIANGLE = [(0, 0), (0.5, 0), (0, 0.5)]
 @settings(max_examples=200, deadline=None)
 def test_rasterize_matches_point_matrix(case):
     spec, h = case
-    lo, hi = spec.bbox()
+    lo, hi = bbox(spec)
     assume(np.prod(np.ceil(hi / h) - np.floor(lo / h) + 1) <= 200_000)
     assert rasterize(spec, h) == rasterize_points(spec, h)
 
@@ -626,7 +631,7 @@ def gen_connected_boundary_set_ref(seed_rng: random.Random,
         attempts = 0
         while ok and parts < n_parts and attempts < 8:
             attempts += 1
-            lo, hi = spec.bbox()
+            lo, hi = bbox(spec)
             new_center = [seed_rng.uniform(lo[k] - 0.2, hi[k] + 0.2)
                           for k in range(dim)]
             candidate = ShapeSpec.union_of(
@@ -692,7 +697,7 @@ def primitives(draw, dim, h, near=None):
     if near is None:
         center = [draw(st.floats(-1, 1)) for _ in range(dim)]
     else:
-        lo, hi = near.bbox()
+        lo, hi = bbox(near)
         center = [draw(st.floats(float(a) - 0.2, float(b) + 0.2))
                   for a, b in zip(lo, hi)]
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
