@@ -5,9 +5,9 @@ general compact sets in dimensions 2-4, checkers for the boundary-sum
 volume inequalities with their equality cases, restricted sums, and a
 reproducible campaign harness with a CLI.
 
-The voxel engine (bmink.voxel and bmink.restricted, the only modules that
-import numpy and scipy) loads on first use of one of its names here, so
-`import bmink` and the exact and scalar checks never load it.
+The voxel engine (bmink.voxel, the only module that imports numpy and
+scipy) loads on first use of one of its names here, so `import bmink` and
+the exact and scalar checks never load it.
 """
 
 import importlib
@@ -20,8 +20,8 @@ from .exact2d import (ConvexPolygon, EngineInconsistencyError, EqualityClass,
 from .serialize import GridError, ShapeSpec
 from .inequalities import (InequalityReport, check_arithmetic_bm,
                            check_cor_multi, check_lemma_pbm, check_rn,
-                           check_thm_av, check_thm_bbm, rn_value,
-                           shrinking_pair_demo)
+                           check_thm_4_2_voxel, check_thm_av, check_thm_bbm,
+                           rn_value, shrinking_pair_demo)
 from .generators import (GridGenParams, PolygonGenParams,
                          gen_connected_boundary_set, gen_convex_polygon,
                          gen_polygon_pair, gen_symmetric_polygon, trial_rng)
@@ -30,20 +30,15 @@ from .render import render_decomposition_svg
 
 __version__ = "0.1.0"
 
-# The names served by the voxel engine, each with its home module.
-_LAZY = {
-    **dict.fromkeys(
-        ("DecompositionReport", "GridExtentError", "GridSet", "boundary",
+# The names served by the voxel engine.
+_LAZY = ("DecompositionReport", "GridExtentError", "GridSet", "boundary",
          "decomposition_check", "dilate", "erode_open",
-         "is_boundary_connected", "rasterize", "volume"), "voxel"),
-    "check_thm_4_2_voxel": "restricted",
-}
+         "is_boundary_connected", "rasterize", "volume")
 
 
 def __getattr__(name: str):
     if name in _LAZY:
-        module = importlib.import_module(f".{_LAZY[name]}", __name__)
-        return getattr(module, name)
+        return getattr(importlib.import_module(".voxel", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -7,9 +7,9 @@ Trials run in order on the calling thread, so identical configurations
 produce byte-identical output.  The exit-code contract is nonzero exactly
 when some report is a beyond-tolerance violation.
 
-Validating a voxel config loads the voxel engine (bmink.voxel and
-bmink.restricted), so its import is paid in set-up, not in the first
-trial; exact and scalar campaigns never load it.
+Validating a voxel config loads the voxel engine, bmink.voxel, so its
+import is paid in set-up, not in the first trial; exact and scalar
+campaigns never load it.
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ from .generators import (GridGenParams, PLANT_TRANSLATE, PolygonGenParams,
                          gen_polygon_pair, random_lattice_shift, trial_rng)
 from .inequalities import (EXACT, VOXEL, InequalityReport, check_arithmetic_bm,
                            check_cor_multi, check_lemma_pbm, check_rn,
-                           check_thm_av, check_thm_bbm)
+                           check_thm_4_2_voxel, check_thm_av, check_thm_bbm)
 from .serialize import dumps_canonical, spec_from_polygon
 
 THEOREMS = ("thm-av", "thm-bbm", "cor-multi", "lemma-pbm", "rn", "thm-4.2")
 
 VIOLATION_FLAGS = ("containment_failed",)
+
+POLYGON_PARAMS = PolygonGenParams()  # the exact engine's polygon generator
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ class CampaignConfig:
     plant_rate: float = 0.0
     seed: int = 0
     out_path: Optional[str] = None
-    polygon_params: PolygonGenParams = field(default_factory=PolygonGenParams)
     grid_params: GridGenParams = field(default_factory=GridGenParams)
 
     def validate(self) -> None:
@@ -68,7 +69,7 @@ class CampaignConfig:
             # Bodies in [-r, r]^2 have areas up to (2r)^2, so the m-th power
             # slack is at most (2r)^(2m).  Capping m at 512 keeps the power
             # small: for 2r >= 2 it already exceeds the float range there.
-            span = 2 * self.polygon_params.coord_range
+            span = 2 * POLYGON_PARAMS.coord_range
             if span ** (2 * min(self.bodies, 512)) > sys.float_info.max:
                 raise GeometryError(
                     f"exact cor-multi with {self.bodies} bodies: the slack "
@@ -82,7 +83,7 @@ class CampaignConfig:
             raise GeometryError(f"{self.theorem} checks scalars and has no "
                                 "voxel engine")
         if self.engine == VOXEL:
-            from . import restricted, voxel  # noqa: F401  (see module doc)
+            from . import voxel  # noqa: F401  (see module doc)
 
 
 @dataclass
@@ -129,9 +130,9 @@ def _random_lambda(rng) -> Fraction:
     return Fraction(rng.randint(1, 15), 16)
 
 
-def _polygon_pair(config: CampaignConfig, rng, plant_rate: float):
+def _polygon_pair(rng, plant_rate: float):
     """An exact (K, T) pair, its shape specs and its planted mode."""
-    kp, tp, mode = gen_polygon_pair(rng, config.polygon_params, plant_rate)
+    kp, tp, mode = gen_polygon_pair(rng, POLYGON_PARAMS, plant_rate)
     return kp, tp, (spec_from_polygon(kp), spec_from_polygon(tp)), mode
 
 
@@ -155,7 +156,7 @@ def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
 
     if theorem == "thm-av":
         if exact:
-            kp, tp, shapes, mode = _polygon_pair(config, rng, config.plant_rate)
+            kp, tp, shapes, mode = _polygon_pair(rng, config.plant_rate)
             reports = [check_thm_av(kp, tp)]
         else:
             grids, shapes = _boundary_sets(config, rng, 2)
@@ -164,7 +165,7 @@ def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
     elif theorem == "thm-bbm":
         lam = config.lam if config.lam is not None else _random_lambda(rng)
         if exact:
-            kp, tp, shapes, mode = _polygon_pair(config, rng, config.plant_rate)
+            kp, tp, shapes, mode = _polygon_pair(rng, config.plant_rate)
             reports = [check_thm_bbm(kp, tp, lam)]
         else:
             grids, shapes = _boundary_sets(config, rng, 2)
@@ -174,14 +175,14 @@ def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
         if exact:
             if rng.random() < config.plant_rate:
                 base, first, mode = gen_polygon_pair(
-                    rng, config.polygon_params, 1.0,
+                    rng, POLYGON_PARAMS, 1.0,
                     plant_mode=PLANT_TRANSLATE)
                 bodies = [base, first]
                 while len(bodies) < config.bodies:
                     bodies.append(translate(
-                        base, random_lattice_shift(rng, config.polygon_params)))
+                        base, random_lattice_shift(rng, POLYGON_PARAMS)))
             else:
-                bodies = [gen_polygon_pair(rng, config.polygon_params, 0.0)[0]
+                bodies = [gen_polygon_pair(rng, POLYGON_PARAMS, 0.0)[0]
                           for _ in range(config.bodies)]
             shapes = tuple(spec_from_polygon(b) for b in bodies)
             reports = [check_cor_multi(bodies)]
@@ -203,14 +204,13 @@ def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
 
     elif theorem == "thm-4.2":
         if exact:
-            kp, tp, shapes, _ = _polygon_pair(config, rng, 0.0)
+            kp, tp, shapes, _ = _polygon_pair(rng, 0.0)
             reports = [check_arithmetic_bm(kp, tp)]
         else:
-            from . import restricted
             gk, sk, gt, st = gen_decomposition_pair(rng, config.grid_params,
                                                     config.dim, config.h)
             shapes = (sk, st)
-            reports = restricted.check_thm_4_2_voxel(gk, gt)
+            reports = check_thm_4_2_voxel(gk, gt)
 
     else:
         raise GeometryError(f"unknown theorem {config.theorem!r}")

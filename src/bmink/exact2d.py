@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import ClassVar, Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 IntPoint = tuple[int, int]
@@ -354,17 +354,21 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
 
 @dataclass(frozen=True)
 class ErosionResult:
-    """Closure of an erosion K (-) T, plus an emptiness flag.
+    """Closure of an erosion K (-) T, or None when the erosion is empty.
 
     The erosion itself is open by definition; we store its closure because
-    Lebesgue area is insensitive to the boundary.  `is_empty` is decided by
+    Lebesgue area is insensitive to the boundary.  Emptiness is decided by
     strict feasibility: the result is empty exactly when the half-plane
     intersection has no interior.
     """
 
     region: Optional[ConvexPolygon]
-    is_empty: bool
-    openness_note: str = "stored region is the closure; the true set is its interior"
+    openness_note: ClassVar[str] = (
+        "stored region is the closure; the true set is its interior")
+
+    @property
+    def is_empty(self) -> bool:
+        return self.region is None
 
     @property
     def area(self) -> Fraction:
@@ -421,12 +425,12 @@ def erode(k: ConvexPolygon, t: ConvexPolygon) -> ErosionResult:
         c = ax * ux + ay * uy + min(x * ux + y * uy for x, y in tr)
         ring = _clip_halfplane(ring, ux, uy, c)
         if not ring:
-            return ErosionResult(None, True)
+            return ErosionResult(None)
     m = lcm(*(w for _, _, w in ring))
     pts = [(x * (m // w), y * (m // w)) for x, y, w in ring]
     if _area2(pts) == 0:
-        return ErosionResult(None, True)
-    return ErosionResult(ConvexPolygon(_Lattice(pts, den * m)), False)
+        return ErosionResult(None)
+    return ErosionResult(ConvexPolygon(_Lattice(pts, den * m)))
 
 
 def partial_sum_area(a: ConvexPolygon, b: ConvexPolygon) -> Fraction:

@@ -153,7 +153,6 @@ class GridGenParams:
     min_size: float = 0.4
     max_size: float = 1.0
     center_range: float = 0.6
-    allow_balls: bool = True
     max_retries: int = 60
 
     def validate(self) -> None:
@@ -173,7 +172,7 @@ def _snap(value: float, h: float) -> float:
 def _random_primitive(rng: random.Random, params: GridGenParams, dim: int,
                       h: float, center: list[float]) -> ShapeSpec:
     size = rng.uniform(params.min_size, params.max_size)
-    if params.allow_balls and rng.random() < 0.5:
+    if rng.random() < 0.5:
         return ShapeSpec.ball([_snap(c, h) for c in center],
                               _snap(max(size / 2, 2.5 * h), h))
     half = [max(rng.uniform(0.4, 1.0) * size / 2, 2.5 * h) for _ in range(dim)]

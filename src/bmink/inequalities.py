@@ -7,10 +7,11 @@ a rational comparison and equality detection is exact.  On the voxel engine
 sides are binary64 and a discretization tolerance (first order in the cell
 size, scaled by a perimeter proxy) separates findings from noise.
 
-Every exact checker lives here, thm-4.2's in the plane (check_arithmetic_bm)
-included; voxel thm-4.2 is restricted.check_thm_4_2_voxel.  A checker's
-voxel branch looks up bmink.voxel when it runs, so the exact and scalar
-checks never load numpy or scipy.
+Every checker lives here, thm-4.2's on both engines included
+(check_arithmetic_bm in the plane, check_thm_4_2_voxel on grids).  A
+voxel checker looks up bmink.voxel when it runs and calls its kernels as
+attributes of that module, so the exact and scalar checks never load numpy
+or scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Sequence, Union
 from . import exact2d
 from .exact2d import (ConvexPolygon, EqualityClass, EqualityTag, GeometryError,
                       classify_equality, is_centrally_symmetric, minkowski_sum)
-from .serialize import (REPORT_VERSION, ShapeSpec, encode_detail,
+from .serialize import (REPORT_VERSION, GridError, ShapeSpec, encode_detail,
                         encode_number, shapespec_to_json)
 
 Value = Union[Fraction, float]
@@ -291,7 +292,7 @@ def check_thm_bbm(k, t, lam) -> InequalityReport:
 
 
 # ---------------------------------------------------------------------------
-# The arithmetic bound thm-4.2 in the plane
+# The arithmetic bound thm-4.2 and the restricted-sum bounds eq-4.2, eq-4.3
 # ---------------------------------------------------------------------------
 
 def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon) -> InequalityReport:
@@ -321,6 +322,77 @@ def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon) -> InequalityReport:
         details={"vol_k": vol_k, "vol_t": vol_t,
                  "ratio_ok": ratio_ok, "ratio": ratio_value},
     )
+
+
+def check_thm_4_2_voxel(k, t) -> list[InequalityReport]:
+    """The reports thm-4.2, eq-4.2 and eq-4.3 of one voxel pair, in order.
+
+    thm-4.2 (tolerance): vol(bK + bT)^(2/n) >= vol(K)^(2/n) + vol(T)^(2/n),
+    ratio-tagged as in check_arithmetic_bm.
+    eq-4.2 (cell-exact): admitted pairs >= |T| (|K| - |K erosion T|) for
+    the erosion-complement restriction, which admits the pairs (x, y) of
+    K x T with x not in (erosion - y); its sum set, (K + T) minus the
+    erosion, must lie inside bK + bT, else the report is flagged
+    containment_failed.  On voxels the pair count holds with equality by
+    construction: every erosion cell x has x - T inside interior(K), a
+    subset of K, so exactly |T| pairs of K x T sum to x, and the admitted
+    pairs are always |T| (|K| - |K erosion T|).  The slack is always 0 and
+    equality always true, so eq-4.2 carries only the containment verdict,
+    which voxel._restricted_sum_contained decides from bK + bT and the
+    erosion; neither the admitted-pair set nor K + T is ever formed.
+    eq-4.3 (tolerance): vol(K erosion T)^(1/n) <= vol(K)^(1/n) - vol(T)^(1/n),
+    allowing first-order discretization error in the linear scale.
+
+    bK, bT, bK + bT and the erosion are each built once and shared by the
+    three reports.
+    """
+    from . import voxel
+    voxel._require_same_grid(k, t)
+    if k.count < t.count:
+        raise GridError("requires volume(K) >= volume(T); swap the pair")
+    voxel._require_connected(k, t)
+    n, h = k.dim, k.h
+    bk, bt = voxel.boundary(k), voxel.boundary(t)
+    bsum_set = voxel.dilate(bk, bt)
+    vol_k, vol_t = voxel.volume(k), voxel.volume(t)
+    bsum = voxel.volume(bsum_set)
+
+    lhs = bsum ** (2.0 / n)
+    rhs = vol_k ** (2.0 / n) + vol_t ** (2.0 / n)
+    vol_tol = voxel_slack_tolerance(n, h, bk.count + bt.count)
+    vref = max(min(vol_k, vol_t, max(bsum, 1e-12)), 1e-12)
+    tol = vol_tol * (2.0 / n) * vref ** (2.0 / n - 1.0)
+    ratio = (vol_k / vol_t) ** (1.0 / n) if vol_t > 0 else math.inf
+    ratio_ok = (1.0 / math.sqrt(n)) <= ratio <= math.sqrt(n)
+    arithmetic = InequalityReport(
+        theorem_id="thm-4.2", engine=VOXEL,
+        lhs=lhs, rhs=rhs, slack=lhs - rhs,
+        equality=abs(lhs - rhs) <= tol, tolerance=tol,
+        flags=() if ratio_ok else ("ratio_condition_violated",),
+        details={"vol_k": vol_k, "vol_t": vol_t,
+                 "ratio_ok": ratio_ok, "ratio": ratio})
+
+    erosion = voxel.erode_open(k, t)
+    admitted = t.count * (k.count - erosion.count)  # the identity above
+    contained = voxel._restricted_sum_contained(k, t, erosion, bsum_set)
+    vols = {"vol_k": vol_k, "vol_t": vol_t,
+            "vol_erosion": voxel.volume(erosion),
+            "vol_theta": admitted * h ** (2 * n)}  # product-measure units
+    pairs = InequalityReport(
+        theorem_id="eq-4.2", engine=VOXEL,
+        lhs=admitted, rhs=admitted, slack=0, equality=True,
+        flags=() if contained else ("containment_failed",),
+        details={**vols, "admitted_pairs": admitted,
+                 "containment_verdict": contained})
+
+    root_gap = vol_k ** (1.0 / n) - vol_t ** (1.0 / n)
+    root_erosion = vols["vol_erosion"] ** (1.0 / n)
+    roots = InequalityReport(
+        theorem_id="eq-4.3", engine=VOXEL,
+        lhs=root_gap, rhs=root_erosion, slack=root_gap - root_erosion,
+        equality=(abs(root_gap - root_erosion) <= 3.0 * n * h),
+        tolerance=3.0 * n * h, details=vols)
+    return [arithmetic, pairs, roots]
 
 
 def shrinking_pair_demo(a: Fraction = Fraction(1, 100)) -> dict:

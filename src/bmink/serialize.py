@@ -110,9 +110,6 @@ class ShapeSpec:
             raise GridError("union parts must share dimension")
         return ShapeSpec("union", children=(a, b), ndim=a.ndim)
 
-    def dim(self) -> int:
-        return self.ndim
-
 
 # Fraction computes 10**exponent exactly, at a cost in time and memory that
 # grows with the exponent, so a longer one is rejected before it is parsed.
@@ -214,18 +211,15 @@ def polygon_to_json(poly: ConvexPolygon) -> dict:
 
 
 def polygon_from_json(data: dict) -> ConvexPolygon:
-    """Load a polygon, canonicalizing: accepts any vertex order and falls
-    back to the convex hull when the ring is not already counterclockwise."""
+    """Load a polygon as the convex hull of its vertices, so any vertex
+    order, orientation or collinear vertex gives the same polygon."""
     try:
         pts = [(Fraction(parse_number(x)), Fraction(parse_number(y)))
                for x, y in map(_array, _array(data["vertices"]))]
     except (TypeError, KeyError, ValueError):
         raise GeometryError("polygon JSON needs a 'vertices' list of "
                             "[x, y] rationals") from None
-    try:
-        return ConvexPolygon(pts)
-    except GeometryError:
-        return ConvexPolygon.hull(pts)
+    return ConvexPolygon.hull(pts)
 
 
 # -- shape specs --------------------------------------------------------------

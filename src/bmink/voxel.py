@@ -14,12 +14,14 @@ conversion from cell counts to volumes involves floating point.
 This engine doubles as the brute-force oracle for the exact polygon engine
 and is the only engine for non-convex sets.
 
-It and restricted.py are the only modules of the package that import
-numpy or scipy.  The exact and scalar checks never load it: the other
-modules look it up at call time, in their voxel branches, and a voxel
-campaign loads it when its config is validated.  ShapeSpec and GridError
-live in serialize.py and are re-exported here; rasterize evaluates a spec
-through bbox and _on_mesh.
+The containment verdict of eq-4.2 (_restricted_sum_contained) labels the
+gaps of a boundary sum, so the restricted sum it bounds is never built.
+
+It is the only module of the package that imports numpy or scipy.  The
+exact and scalar checks never load it: the other modules look it up at
+call time, in their voxel branches, and a voxel campaign loads it when its
+config is validated.  ShapeSpec and GridError live in serialize.py and are
+re-exported here; rasterize evaluates a spec through bbox and _on_mesh.
 """
 
 from __future__ import annotations
@@ -181,8 +183,12 @@ def _embed(src_origin: Sequence[int], src: np.ndarray,
 
 
 def _common_frame(a: GridSet, b: GridSet):
-    lo = np.minimum(a.origin, b.origin)
-    hi = np.maximum(np.add(a.origin, a.shape), np.add(b.origin, b.shape))
+    """The smallest frame that holds the arrays of both operands, and each
+    operand's array in it.  The empty set's one-cell array sits at the
+    lattice origin, so an empty operand adds nothing to the frame."""
+    frames = [g for g in (a, b) if not g.is_empty] or [a]
+    lo = np.min([g.origin for g in frames], axis=0)
+    hi = np.max([np.add(g.origin, g.shape) for g in frames], axis=0)
     shape = tuple(int(n) for n in hi - lo)
     _check_extent(shape)
     return (lo, _embed(a.origin, a.occ, lo, shape),
@@ -288,12 +294,6 @@ def union(a: GridSet, b: GridSet) -> GridSet:
     _require_same_grid(a, b)
     lo, av, bv = _common_frame(a, b)
     return GridSet(a.dim, a.h, lo, av | bv)
-
-
-def intersection(a: GridSet, b: GridSet) -> GridSet:
-    _require_same_grid(a, b)
-    lo, av, bv = _common_frame(a, b)
-    return GridSet(a.dim, a.h, lo, av & bv)
 
 
 # A window is a raw occupancy array with the lattice position of its cell 0:
@@ -457,6 +457,52 @@ def _require_connected(*grids: GridSet) -> None:
             raise GridError("voxel checks require connected boundaries")
 
 
+def _restricted_sum_contained(k: GridSet, t: GridSet, erosion: GridSet,
+                              bsum: GridSet) -> bool:
+    """Whether (K + T) minus the erosion lies inside bsum = bK + bT, for
+    bK, bT the face boundaries and the erosion erode_open(K, T).
+
+    Neither K + T nor a convolution of K with T is formed.  The verdict
+    rests on a lattice lemma that holds for all finite K and T (nonempty
+    T), connected boundaries or not:
+
+    1. If w is in K + T and w + e is not, for a signed unit vector e, then
+       w is in bK + bT.  Write w = x + y with x in K, y in T.  Then x + e
+       is not in K and y + e is not in T, else w + e would be in K + T; so
+       x and y each have an empty face neighbor, and lie in bK and bT.
+    2. So a face-connected set of cells outside bK + bT lies wholly inside
+       K + T or wholly outside it: a step that left K + T would start
+       from a cell of bK + bT.  Every cell of K + T lies inside the box of
+       bK + bT (walk from it along +e or -e until K + T ends: the last
+       cell is in bK + bT by 1), so the empty margin of bsum's array lies
+       outside K + T.  The margin is one face-connected shell, so the
+       component of the complement that holds it lies outside.
+    3. The erosion lies inside K + T: for x in it and any y in T, x - y is
+       in interior(K), a subset of K, and x = (x - y) + y.
+
+    So containment fails exactly when some other (bounded) face component
+    of the complement has a cell z outside the erosion with z in K + T.
+    By 2 one such cell per component decides it; z is in K + T exactly
+    when z - T meets K, an O(|T|) test.  The lemma needs face adjacency:
+    labelling with full (3^n - 1) adjacency joins gaps across diagonal
+    contacts, where step 1 does not apply.  A wider boundary (one that
+    holds the face boundary) keeps every step.
+    """
+    gaps = ndimage.label(~bsum.occ)[0]  # the default structure: faces
+    hole = _embed(erosion.origin, erosion.occ, bsum.origin, bsum.shape)
+    cells = np.flatnonzero((gaps != gaps[(0,) * bsum.dim]) & ~bsum.occ & ~hole)
+    _, first = np.unique(gaps.ravel()[cells], return_index=True)
+    # k's array index of z - y, for z in bsum's array and y in t's array
+    shifts = (np.subtract(bsum.origin, np.add(k.origin, t.origin))
+              - np.argwhere(t.occ))
+    for z in np.transpose(np.unravel_index(cells[first], bsum.shape)):
+        idx = z + shifts
+        inside = ((idx >= 0) & (idx < k.shape)).all(axis=1)
+        if k.occ[tuple(idx[inside].T)].any():
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     """Cell-exact verdicts for the sum decomposition of a pair of grids.
@@ -507,11 +553,13 @@ def decomposition_check(k: GridSet, t: GridSet) -> DecompositionReport:
     full = dilate(k, t)
     bsum = dilate(bk, bt)
     hole = erode_open(k, t)
+    parts = union(bsum, hole)
     report = DecompositionReport(
         swapped=swapped,
         full_vs_boundary=(full == dilate(k, bt)),
-        full_vs_union=(full == union(bsum, hole)),
-        union_disjoint=intersection(bsum, hole).is_empty,
+        full_vs_union=(full == parts),
+        # disjoint exactly when no cell is counted twice
+        union_disjoint=(parts.count == bsum.count + hole.count),
         boundary_vs_mixed=(bsum == dilate(bk, t)),
         volumes={
             "k": volume(k),
@@ -630,7 +678,7 @@ def _raster_window(spec: ShapeSpec, h: float) -> _Window:
     of the first of them."""
     if not h > 0:
         raise GridError("resolution h must be positive")
-    dim = spec.dim()
+    dim = spec.ndim
     if dim not in ALLOWED_DIMS:
         raise GridError(f"shape dimension {dim} not in {ALLOWED_DIMS}")
     with np.errstate(over="ignore", invalid="ignore"):

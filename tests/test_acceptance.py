@@ -18,8 +18,7 @@ from bmink.exact2d import ConvexPolygon, minkowski_sum, scale
 from bmink.generators import (GridGenParams, PolygonGenParams,
                               gen_decomposition_pair, gen_polygon_pair,
                               trial_rng)
-from bmink.inequalities import check_thm_bbm, rn_value
-from bmink.restricted import check_thm_4_2_voxel
+from bmink.inequalities import check_thm_4_2_voxel, check_thm_bbm, rn_value
 from bmink.serialize import spec_from_polygon
 from bmink.voxel import (ShapeSpec, decomposition_check, dilate, erode_open,
                          rasterize, volume)

@@ -103,6 +103,21 @@ def test_decompose_command(shape_files, capsys):
     assert "volume[sum]" in out
 
 
+@pytest.mark.parametrize("lo", [0, 100])
+def test_decompose_far_from_the_origin(tmp_path, capsys, lo):
+    # A box paired with itself has an empty erosion.  The empty set's array
+    # sits at the lattice origin, and must not stretch the frame of the
+    # union (bK + bT) | erosion from there to a box far away.
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(shapespec_to_json(
+        ShapeSpec.box((lo, lo), (lo + 1, lo + 1)))))
+    code = main(["decompose", "--k", str(far), "--t", str(far),
+                 "--res", "1/32"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.count("pass") == 4
+
+
 def test_erode_exact_command(shape_files, capsys):
     k, t = shape_files
     code = main(["erode", "--k", k, "--t", t])

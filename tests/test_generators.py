@@ -71,7 +71,7 @@ def test_grid_generator_deterministic_and_valid():
 
 def test_grid_generator_dimension_three():
     g, spec = gen_connected_boundary_set(trial_rng(8, 0), GridGenParams(), 3, 1 / 16)
-    assert g.dim == 3 and spec.dim() == 3
+    assert g.dim == 3 and spec.ndim == 3
     assert is_boundary_connected(g)
 
 

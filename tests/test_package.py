@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -30,7 +31,7 @@ def test_checkers_take_only_their_mathematical_inputs(checker):
 
 # -- the voxel engine loads only for voxel work ------------------------------
 
-ENGINE_MODULES = ("numpy", "scipy", "bmink.voxel", "bmink.restricted")
+ENGINE_MODULES = ("numpy", "scipy", "bmink.voxel")
 
 
 def _fresh(body: str, cwd) -> dict:
@@ -90,19 +91,37 @@ def test_validating_a_voxel_config_loads_the_voxel_engine(tmp_path):
 
 def test_lazy_exports_are_their_home_modules_names(tmp_path):
     # dir() lists every exported name without loading the voxel engine;
-    # each lazy name then resolves to the object of its home module.
+    # each lazy name then resolves to the object of bmink.voxel.
     result = _fresh("""
 import importlib
 import bmink
 out['unlisted'] = sorted(set(bmink.__all__) - set(dir(bmink)))
 out['loaded_by_dir'] = 'bmink.voxel' in sys.modules
 out['not_exported'] = sorted(set(bmink._LAZY) - set(bmink.__all__))
-out['foreign'] = [name for name, home in bmink._LAZY.items()
-                  if getattr(bmink, name) is not getattr(
-                      importlib.import_module('bmink.' + home), name)]
+out['foreign'] = [name for name in bmink._LAZY if getattr(bmink, name)
+                  is not getattr(importlib.import_module('bmink.voxel'), name)]
 """, tmp_path)
     assert result == {"unlisted": [], "loaded_by_dir": False,
                       "not_exported": [], "foreign": [],
                       "loaded": list(ENGINE_MODULES)}
     with pytest.raises(AttributeError, match="no_such_name"):
         bmink.no_such_name
+
+
+def _imported_modules(tree: ast.AST):
+    """The absolute module names a parsed module imports, at any nesting
+    level: in functions, branches and TYPE_CHECKING blocks alike."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_voxel_is_the_only_module_that_imports_numpy_or_scipy():
+    package = Path(bmink.__file__).resolve().parent
+    importers = sorted(
+        path.name for path in package.glob("*.py")
+        if any(name.split(".")[0] in ("numpy", "scipy") for name in
+               _imported_modules(ast.parse(path.read_text(encoding="utf-8")))))
+    assert importers == ["voxel.py"]

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from bmink import restricted, voxel
+from bmink import voxel
 from bmink.campaign import CampaignConfig, _run_trial, run_campaign
 from bmink.exact2d import ConvexPolygon, scale
 from bmink.generators import GridGenParams, gen_decomposition_pair, trial_rng
-from bmink.inequalities import check_arithmetic_bm, shrinking_pair_demo
-from bmink.restricted import check_thm_4_2_voxel
+from bmink.inequalities import (check_arithmetic_bm, check_thm_4_2_voxel,
+                                shrinking_pair_demo)
 from bmink.voxel import (GridError, ShapeSpec, boundary, dilate, erode_open,
                          rasterize)
 
@@ -120,8 +120,6 @@ def test_one_pass_per_voxel_trial(monkeypatch):
                 "boundary": counted_boundary}
     for name, wrapper in wrappers.items():
         monkeypatch.setattr(voxel, name, wrapper)
-        if hasattr(restricted, name):
-            monkeypatch.setattr(restricted, name, wrapper)
     for dim, trial, convolutions, pair_sums in ((2, 0, 1, 1), (3, 1, 2, 0)):
         calls.update({"_convolve": 0, "_pair_sums": 0, "boundary builds": 0})
         config = CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim,
@@ -141,7 +139,7 @@ def test_voxel_trial_erodes_in_the_fit_frame(monkeypatch, dim, h, trial):
     # fit window, at most the 5-smooth padding of K's array per axis, not
     # the padded sum frame of K and T.
     frames, eroded = [], []
-    forward, erode = np.fft.rfftn, restricted.erode_open
+    forward, erode = np.fft.rfftn, voxel.erode_open
 
     def recorded_rfftn(x, s=None, *args, **kwargs):
         if eroded:
@@ -156,7 +154,7 @@ def test_voxel_trial_erodes_in_the_fit_frame(monkeypatch, dim, h, trial):
             eroded.pop()
 
     monkeypatch.setattr(np.fft, "rfftn", recorded_rfftn)
-    monkeypatch.setattr(restricted, "erode_open", recorded_erode_open)
+    monkeypatch.setattr(voxel, "erode_open", recorded_erode_open)
     _run_trial(CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim,
                               h=h, seed=5), trial)
     assert len(frames) == 2
@@ -186,7 +184,7 @@ def test_voxel_pair_count_is_an_identity(dim, h):
 def test_containment_failure_is_flagged_violation(monkeypatch):
     # The eq-4.2 report carries containment_failed itself, and the campaign
     # counts it as a violation.
-    monkeypatch.setattr(restricted, "_restricted_sum_contained",
+    monkeypatch.setattr(voxel, "_restricted_sum_contained",
                         lambda k, t, erosion, bsum: False)
     k, t = fixture_pair()
     _, pairs, _ = check_thm_4_2_voxel(k, t)

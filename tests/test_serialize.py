@@ -79,6 +79,25 @@ def test_polygon_json_canonicalizes_clockwise_input():
     assert polygon_from_json(data) == ConvexPolygon.box((-1, -1), (1, 1))
 
 
+PENTAGON = [["2", "0"], ["0", "2"], ["-2", "1"], ["-1", "-2"], ["1", "-2"]]
+
+
+@pytest.mark.parametrize("ring", [
+    PENTAGON,
+    PENTAGON[::-1],
+    PENTAGON[2:] + PENTAGON[:2],
+    PENTAGON[:1] + [["1", "1"]] + PENTAGON[1:4] + [["0", "-2"]] + PENTAGON[4:],
+    # every turn of the star is a left turn, but its ring winds twice
+    [PENTAGON[i] for i in (0, 2, 4, 1, 3)],
+], ids=["ccw", "cw", "rotated", "collinear", "pentagram"])
+def test_polygon_file_loads_as_the_hull_of_its_vertices(tmp_path, ring):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"vertices": ring}))
+    hull = ConvexPolygon.hull([(F(x), F(y)) for x, y in PENTAGON])
+    assert load_shape_file(str(path)) == spec_from_polygon(hull)
+    assert hull.area == F(21, 2)
+
+
 def test_polygon_json_rejects_garbage():
     with pytest.raises(GeometryError):
         polygon_from_json({"not_vertices": []})

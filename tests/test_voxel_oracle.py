@@ -38,13 +38,13 @@ from scipy import ndimage
 from bmink.exact2d import GeometryError
 from bmink.generators import (GridGenParams, _random_primitive,
                               gen_connected_boundary_set, trial_rng)
-from bmink.restricted import _restricted_sum_contained
 from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridSet, ShapeSpec,
                          _common_frame, _convolve, _embed, _frames,
                          _in_contact, _interior_array, _or_windows,
                          _pair_sums, _poly_signed_area, _raster_window,
-                         _require_same_grid, bbox, boundary, dilate,
-                         erode_open, is_boundary_connected, rasterize, union)
+                         _require_same_grid, _restricted_sum_contained, bbox,
+                         boundary, dilate, erode_open, is_boundary_connected,
+                         rasterize, union)
 
 H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
@@ -484,7 +484,7 @@ def contains_points(spec: ShapeSpec, points: np.ndarray) -> np.ndarray:
 def rasterize_points(spec: ShapeSpec, h: float) -> GridSet:
     """Cell-center rasterization through a (cells x dim) matrix of all cell
     centers, the rasterizer before the open mesh."""
-    dim = spec.dim()
+    dim = spec.ndim
     lo, hi = bbox(spec)
     imin = np.floor(lo / h - 0.5).astype(int)
     imax = np.ceil(hi / h - 0.5).astype(int)
@@ -746,7 +746,7 @@ def test_contact_then_or_is_the_connected_union(case):
     first, second, h = case
     a, b = _raster_window(first, h), _raster_window(second, h)
     joined = union(rasterize(first, h), rasterize(second, h))
-    dim = first.dim()
+    dim = first.ndim
     assert _or_windows(dim, h, [a]) == rasterize(first, h)
     assert ((_or_windows(dim, h, [a, b]) if _in_contact(a, b) else None)
             == (joined if face_components(joined) == 1 else None))
