@@ -3,9 +3,19 @@
 A campaign draws independent trials from a root seed (per-trial streams are
 derived by counter, so any single trial can be replayed in isolation), runs
 one theorem checker per trial and streams one JSON report line per check.
-Trials run in order on the calling thread, so identical configurations
-produce byte-identical output.  The exit-code contract is nonzero exactly
-when some report is a beyond-tolerance violation.
+The exit-code contract is nonzero exactly when some report is a
+beyond-tolerance violation.
+
+Trials run on every CPU the process may use.  The trial range is cut into
+contiguous blocks; a pool of worker processes, forked once per process at
+the first campaign with more than one block and reused by later ones, runs
+each block and returns every report as its JSON line plus the facts the
+summary keeps.  The calling process merges the blocks in trial order, so
+identical configurations produce byte-identical files and summaries
+whatever the number of workers.  With one CPU, one block, or no
+`os.sched_getaffinity` (outside Linux), the trials run in order on the
+calling thread and nothing is forked.  The process machinery is imported
+when the pool is first built, so set-up never pays for it.
 
 Validating a voxel config loads the voxel engine, bmink.voxel, so its
 import is paid in set-up, not in the first trial; exact and scalar
@@ -14,11 +24,14 @@ campaigns never load it.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Optional, Sequence
+from itertools import islice
+from typing import IO, Iterator, Optional, Sequence
 
 from .exact2d import GeometryError, translate
 from .generators import (GridGenParams, PLANT_TRANSLATE, PolygonGenParams,
@@ -120,10 +133,34 @@ class CampaignSummary:
         }
 
 
+# A block is a contiguous run of trials, the unit a worker runs and returns.
+# Several blocks per worker even out trials of unequal cost; the size cap
+# and the window of blocks in flight bound the reports the calling process
+# holds, whatever the trial count.
+_BLOCKS_PER_WORKER = 4
+_MAX_BLOCK = 256
+_IN_FLIGHT_PER_WORKER = 2
+
+_POOL = None  # the worker processes, built by the first campaign that uses them
+
+
+def _workers() -> int:
+    """One worker per CPU this process may run on; 1 where the affinity
+    mask is unknown (outside Linux), so nothing is forked there."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _block_size(trials: int, workers: int) -> int:
+    return min(_MAX_BLOCK, -(-trials // (workers * _BLOCKS_PER_WORKER)))
+
+
 def worker_count(trials: int) -> int:
-    """Always 1: campaigns run serially.  Kept because bench/worker.py
-    records it for every benchmark run."""
-    return 1
+    """The processes a campaign of `trials` trials runs on: one per CPU, at
+    most one per block, and 1 (the calling process) for a single block."""
+    workers = _workers()
+    return min(workers, -(-trials // _block_size(trials, workers)))
 
 
 def _random_lambda(rng) -> Fraction:
@@ -236,12 +273,17 @@ def run_campaign(config: CampaignConfig,
     """Run all trials, stream JSONL reports and return the summary.
 
     Reports go to `out` when given, else to config.out_path, else they are
-    only aggregated.  Trials run in order on the calling thread, so
-    identical configs give byte-identical files.
+    only aggregated.  Lines are written in trial order whatever the number
+    of workers, so identical configs give byte-identical files.  A trial
+    that raises ends the campaign with its exception, after the lines of
+    every earlier trial.
     """
     config.validate()
     summary = CampaignSummary(theorem=config.theorem, engine=config.engine)
     start = time.perf_counter()
+    workers = worker_count(config.trials)
+    # Fork before opening the report file, so no worker inherits it.
+    pool = _pool() if workers > 1 else None
 
     stream: Optional[IO[str]] = out
     close_after = False
@@ -250,8 +292,12 @@ def run_campaign(config: CampaignConfig,
         close_after = True
 
     try:
-        for k in range(config.trials):
-            _consume(summary, _run_trial(config, k), stream)
+        if pool is None:
+            for trial in _encoded_trials(config, 0, config.trials,
+                                         stream is not None):
+                _consume(summary, trial, stream)
+        else:
+            _run_blocks(pool, workers, config, summary, stream)
     finally:
         if stream is not None:
             stream.flush()
@@ -262,29 +308,148 @@ def run_campaign(config: CampaignConfig,
     return summary
 
 
-def _consume(summary: CampaignSummary, batch: Sequence[InequalityReport],
+def _pool():
+    """The process pool, built at first use with one worker per CPU.
+
+    Workers are forked, not spawned, so they start with every module the
+    calling process has loaded instead of importing numpy and scipy again;
+    they keep the code as it was at fork time.  The executor shuts its
+    workers down when the interpreter exits.
+    """
+    global _POOL
+    if _POOL is None:
+        import atexit
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _POOL = ProcessPoolExecutor(
+            _workers(), mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(os.getpid(),))
+        atexit.register(_drop_pool)
+    return _POOL
+
+
+def _drop_pool() -> None:
+    # Release the executor while the modules it uses at collection are
+    # still loaded; its workers have already stopped by now.
+    global _POOL
+    if _POOL is not None:
+        _POOL.shutdown()
+        _POOL = None
+
+
+def _start_worker(parent: int) -> None:
+    """Worker set-up.  Ctrl-C reaches the whole process group; the calling
+    process handles it, and its pool then stops the workers.  A calling
+    process that is killed cannot stop them, so each worker also watches
+    its parent and exits once it is gone."""
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
+
+
+def _exit_with(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _run_blocks(pool, workers: int, config: CampaignConfig,
+                summary: CampaignSummary, stream: Optional[IO[str]]) -> None:
+    """Run the campaign's blocks on the pool and merge them in trial order,
+    with at most _IN_FLIGHT_PER_WORKER blocks per worker submitted and not
+    yet merged."""
+    global _POOL
+    from concurrent.futures.process import BrokenProcessPool
+
+    size, lines = _block_size(config.trials, workers), stream is not None
+    blocks = (pool.submit(_run_block, config, k,
+                          min(k + size, config.trials), lines)
+              for k in range(0, config.trials, size))
+    window: deque = deque()
+    try:
+        window.extend(islice(blocks, _IN_FLIGHT_PER_WORKER * workers))
+        while window:
+            trials, error, trace = window.popleft().result()
+            window.extend(islice(blocks, 1))
+            for trial in trials:
+                _consume(summary, trial, stream)
+            if error is not None:
+                raise error from _WorkerTraceback(trace)
+    except BrokenProcessPool:
+        _POOL = None  # a worker died; the next campaign forks a fresh pool
+        raise
+    finally:
+        for future in window:
+            future.cancel()
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception a worker raised, as the cause of its
+    copy in the calling process."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _run_block(config: CampaignConfig, start: int, stop: int, lines: bool):
+    """Worker side: the encoded trials start .. stop-1, and the exception
+    that ended the block early (with its traceback as text), if any."""
+    done = []
+    try:
+        for trial in _encoded_trials(config, start, stop, lines):
+            done.append(trial)
+    except Exception as exc:
+        import traceback
+
+        return done, exc, "".join(traceback.format_exception(
+            type(exc), exc, exc.__traceback__))
+    return done, None, None
+
+
+def _encoded_trials(config: CampaignConfig, start: int, stop: int,
+                    lines: bool) -> Iterator[list[tuple]]:
+    for k in range(start, stop):
+        yield [_encode(report, lines) for report in _run_trial(config, k)]
+
+
+def _encode(report: InequalityReport, lines: bool) -> tuple:
+    """A report as its JSON line (None unless `lines`) plus what the
+    summary keeps of it: theorem_id, slack, planted, equality, the class
+    tag, the violation verdict and, for a violation, the witness dict."""
+    violation = _is_violation(report)
+    doc = report.to_json_dict() if lines or violation else None
+    equality = bool(report.equality)
+    tag = (report.equality_class.tag.value
+           if equality and report.equality_class is not None else None)
+    return (dumps_canonical(doc) if lines else None, report.theorem_id,
+            float(report.slack), bool(report.details.get("planted")),
+            equality, tag, violation, doc if violation else None)
+
+
+def _consume(summary: CampaignSummary, trial: Sequence[tuple],
              stream: Optional[IO[str]]) -> None:
+    """Merge one trial's encoded reports into the summary and the stream."""
     summary.trials += 1
-    for report in batch:
+    for line, tid, slack, planted, equality, tag, violation, witness in trial:
         summary.reports += 1
-        slack = float(report.slack)
-        tid = report.theorem_id
         if tid not in summary.min_slack or slack < summary.min_slack[tid]:
             summary.min_slack[tid] = slack
-        if report.details.get("planted"):
+        if planted:
             summary.planted += 1
-        if report.equality:
+        if equality:
             summary.equality_hits += 1
-            if report.equality_class is not None:
-                tag = report.equality_class.tag.value
+            if tag is not None:
                 summary.equality_classes[tag] = \
                     summary.equality_classes.get(tag, 0) + 1
-        if _is_violation(report):
+        if violation:
             summary.violations += 1
             if len(summary.violation_witnesses) < 10:
-                summary.violation_witnesses.append(report.to_json_dict())
+                summary.violation_witnesses.append(witness)
         if stream is not None:
-            stream.write(dumps_canonical(report.to_json_dict()))
+            stream.write(line)
             stream.write("\n")
 
 

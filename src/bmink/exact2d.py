@@ -125,8 +125,10 @@ def _canonical_ring(ring: Sequence[IntPoint], den: int
     """Collapse duplicates/collinear triples, rotate to the lex-min vertex
     and reduce ring and denominator to lowest terms.
 
-    The input must be a counterclockwise ring.  Raises GeometryError if fewer
-    than three vertices survive or a clockwise turn is found.
+    The input must be a counterclockwise ring that goes round once.  Raises
+    GeometryError if fewer than three vertices survive, or if the ring
+    turns clockwise, doubles back on itself or winds more than once (a
+    pentagram turns left at every vertex).
     """
     # Drop consecutive duplicates (with wrap-around).
     dedup: list[IntPoint] = []
@@ -136,28 +138,45 @@ def _canonical_ring(ring: Sequence[IntPoint], den: int
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     # Collapse collinear middle vertices until stable.
-    changed = True
+    changed, doubles_back = True, False
     while changed and len(dedup) >= 3:
         changed = False
         out: list[IntPoint] = []
         n = len(dedup)
         for i in range(n):
-            turn = _turn(dedup[i - 1], dedup[i], dedup[(i + 1) % n])
+            a, b, c = dedup[i - 1], dedup[i], dedup[(i + 1) % n]
+            turn = _turn(a, b, c)
             if turn < 0:
                 raise GeometryError("vertex ring is not counterclockwise convex")
             if turn == 0:
                 changed = True
+                # A straight turn that reverses direction is a spike.
+                doubles_back |= ((b[0] - a[0]) * (c[0] - b[0])
+                                 + (b[1] - a[1]) * (c[1] - b[1]) < 0)
                 continue
-            out.append(dedup[i])
+            out.append(b)
         dedup = out
     if len(dedup) < 3:
         raise GeometryError("polygon needs at least 3 non-collinear vertices")
     k = dedup.index(min(dedup))
     canon = dedup[k:] + dedup[:k]
-    n = len(canon)
-    for i in range(n):
-        if _turn(canon[i - 1], canon[i], canon[(i + 1) % n]) <= 0:
+    # Every turn is a left turn of less than half a revolution, so the ring
+    # winds once exactly when its edge direction passes the +x axis once:
+    # when an edge points into the upper half-plane of directions [0, pi)
+    # right after one in the lower half-plane [pi, 2 pi).
+    crossings = 0
+    (ax, ay), (bx, by) = canon[-2], canon[-1]
+    ux, uy = bx - ax, by - ay
+    was_up = uy > 0 or (uy == 0 and ux > 0)
+    for cx, cy in canon:
+        vx, vy = cx - bx, cy - by
+        if ux * vy - uy * vx <= 0:
             raise EngineInconsistencyError("canonical ring not strictly convex")
+        up = vy > 0 or (vy == 0 and vx > 0)
+        crossings += up and not was_up
+        bx, by, ux, uy, was_up = cx, cy, vx, vy, up
+    if doubles_back or crossings != 1:
+        raise GeometryError("vertex ring is not counterclockwise convex")
     g = gcd(den, *(c for p in canon for c in p))
     if g != 1:
         return tuple((x // g, y // g) for x, y in canon), den // g

@@ -78,8 +78,11 @@ def test_exact_cor_multi_body_limit():
 
 def test_violation_counting_and_exit_code(monkeypatch):
     # Force a rigged negative-slack report through the pipeline to check the
-    # exit-code contract; honest checkers never produce one.
+    # exit-code contract; honest checkers never produce one.  Forked
+    # workers would run the unpatched checker, so the trials run inline.
     import bmink.campaign as camp
+
+    monkeypatch.setattr(camp, "_workers", lambda: 1)
 
     def rigged(*args):
         return InequalityReport(theorem_id="thm-av", engine="exact",
@@ -106,8 +109,10 @@ def test_ratio_tagged_failures_are_not_violations():
 
 
 def test_trials_run_in_order_on_calling_thread(monkeypatch):
+    # With one worker the trials run in order on the calling thread.
     import bmink.campaign as camp
 
+    monkeypatch.setattr(camp, "_workers", lambda: 1)
     calls = []
     real = camp.trial_rng
 
@@ -162,3 +167,184 @@ def test_summary_json_shape():
                       "equality_classes", "planted", "min_slack",
                       "wall_time_s"}
     assert d["min_slack"] == {}
+
+
+# -- trials on worker processes ---------------------------------------------------
+
+# Every (theorem, engine) pair, with trial counts that are not a multiple of
+# the block size at two workers.
+POOL_CASES = [
+    dict(theorem="thm-av", engine="exact", trials=19, plant_rate=0.3),
+    dict(theorem="thm-bbm", engine="exact", trials=11, plant_rate=0.3),
+    dict(theorem="cor-multi", engine="exact", trials=11, plant_rate=0.3),
+    dict(theorem="lemma-pbm", engine="exact", trials=37),
+    dict(theorem="rn", engine="exact", trials=37),
+    dict(theorem="thm-4.2", engine="exact", trials=11),
+    dict(theorem="thm-av", engine="voxel", trials=11, h=1 / 16),
+    dict(theorem="thm-bbm", engine="voxel", trials=11, h=1 / 16),
+    dict(theorem="cor-multi", engine="voxel", trials=11, h=1 / 16),
+    dict(theorem="thm-4.2", engine="voxel", trials=11, h=1 / 16),
+    dict(theorem="thm-4.2", engine="voxel", trials=11, dim=3, h=1 / 8),
+]
+
+
+def _bytes_and_summary(config):
+    buf = io.StringIO()
+    summary = run_campaign(config, out=buf).to_json_dict()
+    del summary["wall_time_s"]
+    return buf.getvalue(), summary
+
+
+@pytest.mark.parametrize("case", POOL_CASES, ids=lambda c: "-".join(
+    [c["theorem"], c["engine"], f"{c.get('dim', 2)}d"]))
+def test_pool_and_one_worker_give_the_same_bytes(monkeypatch, case):
+    import bmink.campaign as camp
+
+    config = CampaignConfig(seed=3, **case)
+    monkeypatch.setattr(camp, "_workers", lambda: 2)
+    assert camp.worker_count(config.trials) == 2
+    assert config.trials % camp._block_size(config.trials, 2) != 0
+    pooled = _bytes_and_summary(config)
+    monkeypatch.setattr(camp, "_workers", lambda: 1)
+    assert camp.worker_count(config.trials) == 1
+    assert pooled == _bytes_and_summary(config)
+    assert pooled[0].count("\n") == pooled[1]["reports"] > 0
+
+
+def test_worker_count_follows_cpus_and_blocks(monkeypatch):
+    import bmink.campaign as camp
+
+    monkeypatch.setattr(camp, "_workers", lambda: 4)
+    assert [camp.worker_count(t) for t in (1, 2, 3, 4, 5, 10 ** 6)] == [
+        1, 2, 3, 4, 4, 4]
+    monkeypatch.setattr(camp, "_workers", lambda: 1)
+    assert camp.worker_count(10 ** 6) == 1
+
+
+RAISING_TRIAL = """
+from bmink import campaign
+from bmink.campaign import CampaignConfig, run_campaign
+from bmink.exact2d import GeometryError
+
+run_trial = campaign._run_trial
+
+def rigged(config, k):
+    # Every fifth trial is a violation; trial 23 raises.
+    if config.theorem == "thm-bbm" and k == 23:
+        raise GeometryError(f"trial {k} of seed {config.seed} failed")
+    reports = run_trial(config, k)
+    if k % 5 == 0:
+        reports[0].flags += ("containment_failed",)
+    return reports
+
+campaign._run_trial = rigged  # before any worker is forked
+for workers in (2, 1):
+    campaign._workers = lambda: workers
+    side = out[str(workers)] = {}
+    buf = io.StringIO()
+    summary = run_campaign(CampaignConfig(theorem="thm-av", trials=61,
+                                          seed=4), out=buf).to_json_dict()
+    del summary["wall_time_s"]
+    side["summary"], side["bytes"] = summary, buf.getvalue()
+    buf = io.StringIO()
+    try:
+        run_campaign(CampaignConfig(theorem="thm-bbm", trials=50, seed=4),
+                     out=buf)
+    except GeometryError as exc:
+        side["error"] = [type(exc).__name__, str(exc)]
+    side["partial"] = buf.getvalue()
+import multiprocessing
+out["forked"] = len(multiprocessing.active_children())
+"""
+
+
+def test_violations_and_a_raising_trial_match_one_worker(tmp_path):
+    # In a fresh interpreter, so the patched trial code precedes the fork.
+    from test_package import _fresh
+
+    result = _fresh(RAISING_TRIAL, tmp_path)
+    pooled, inline = result["2"], result["1"]
+    assert result["forked"] == 2
+    assert pooled == inline
+    assert inline["summary"]["violations"] == 13
+    assert len(inline["summary"]["violation_witnesses"]) == 10
+    assert inline["error"] == ["GeometryError", "trial 23 of seed 4 failed"]
+    assert [json.loads(line)["trial"] for line in
+            inline["partial"].splitlines()] == list(range(23))
+
+
+class _RecordingPool:
+    """Runs each block when it is submitted and counts the blocks submitted
+    but not yet merged."""
+
+    def __init__(self):
+        self.open = self.most = 0
+        self.blocks = []
+
+    def submit(self, fn, config, start, stop, *args):
+        self.open += 1
+        self.most = max(self.most, self.open)
+        self.blocks.append((start, stop))
+        return _Done(self, fn(config, start, stop, *args))
+
+
+class _Done:
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.open -= 1
+        return self.value
+
+    def cancel(self):
+        return False
+
+
+def test_blocks_in_flight_stay_bounded(monkeypatch):
+    import bmink.campaign as camp
+
+    pool = _RecordingPool()
+    monkeypatch.setattr(camp, "_pool", lambda: pool)
+    monkeypatch.setattr(camp, "_workers", lambda: 3)
+    config = CampaignConfig(theorem="rn", trials=6000, seed=2)
+    pooled = _bytes_and_summary(config)
+    assert pool.most == 2 * 3 and pool.open == 0
+    starts, stops = zip(*pool.blocks)
+    assert starts == (0,) + stops[:-1] and stops[-1] == 6000
+    assert max(b - a for a, b in pool.blocks) == camp._MAX_BLOCK
+    monkeypatch.setattr(camp, "_workers", lambda: 1)
+    assert pooled == _bytes_and_summary(config)
+
+
+DEAD_WORKER = """
+import multiprocessing, os, signal
+from bmink import campaign
+from bmink.campaign import CampaignConfig, run_campaign
+
+campaign._workers = lambda: 2
+campaign_config = CampaignConfig(theorem="thm-av", trials=40, seed=1)
+
+def run():
+    buf = io.StringIO()
+    run_campaign(campaign_config, out=buf)
+    return buf.getvalue()
+
+first = run()
+victim = multiprocessing.active_children()[0]
+os.kill(victim.pid, signal.SIGKILL)
+victim.join(10)
+try:
+    run()
+except Exception as exc:
+    out["error"] = type(exc).__name__
+out["same"] = run() == first
+"""
+
+
+def test_a_dead_worker_drops_the_pool(tmp_path):
+    # The campaign that finds the pool broken raises; the next one forks a
+    # fresh pool and gives the same bytes.
+    from test_package import _fresh
+
+    assert _fresh(DEAD_WORKER, tmp_path) == {
+        "error": "BrokenProcessPool", "same": True, "loaded": []}

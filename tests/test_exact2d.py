@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bmink.exact2d import (ConvexPolygon,
                            EqualityTag, GeometryError, Point2,
@@ -47,6 +47,62 @@ def test_hull_builds_canonical_polygon():
     assert p == ConvexPolygon.box((0, 0), (2, 2))
     with pytest.raises(GeometryError):
         ConvexPolygon.hull([(0, 0), (1, 1)])
+
+
+PENTAGRAM = [(2, 0), (-2, 1), (1, -2), (0, 2), (-1, -2)]
+
+
+def test_ring_that_winds_twice_rejected():
+    # The pentagram turns left at every vertex but goes round twice: taken
+    # as a polygon it had area 13/2 and a Minkowski square of area 26,
+    # where the hull of its vertices has 21/2 and 42.
+    assert ConvexPolygon.hull(PENTAGRAM).area == F(21, 2)
+    with pytest.raises(GeometryError):
+        ConvexPolygon(PENTAGRAM)
+    with pytest.raises(GeometryError):
+        ConvexPolygon(TRI.vertices * 2)
+
+
+def test_ring_that_doubles_back_rejected():
+    # A spike from (2, 0) into the square and back turns straight at its
+    # tip; dropping the tip as a collinear vertex left a triangle.
+    with pytest.raises(GeometryError):
+        ConvexPolygon([(0, 0), (2, 0), (1, 1), (2, 0), (2, 2), (0, 2)])
+
+
+@st.composite
+def vertex_rings(draw):
+    """Rings over the vertices of a convex polygon: round it once, as a star
+    that winds several times, or clockwise, with repeated vertices, edge
+    midpoints and stray points of the draw inserted."""
+    pts = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                        min_size=3, max_size=8, unique=True))
+    try:
+        hull = list(ConvexPolygon.hull(pts).vertices)
+    except GeometryError:
+        assume(False)
+    n = len(hull)
+    step = draw(st.integers(1, n - 1))
+    ring = [hull[i * step % n] for i in range(n * draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        ring.reverse()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(ring) - 1))
+        a, b = ring[i], ring[(i + 1) % len(ring)]
+        ring.insert(i + 1, draw(st.sampled_from(
+            [a, (F(a[0] + b[0], 2), F(a[1] + b[1], 2)), *pts])))
+    return ring
+
+
+@given(vertex_rings())
+@example(PENTAGRAM)
+@settings(max_examples=300, deadline=None)
+def test_constructed_ring_is_its_hull(ring):
+    try:
+        polygon = ConvexPolygon(ring)
+    except GeometryError:
+        return
+    assert polygon == ConvexPolygon.hull(ring)
 
 
 # -- areas --------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -34,18 +35,22 @@ def test_checkers_take_only_their_mathematical_inputs(checker):
 ENGINE_MODULES = ("numpy", "scipy", "bmink.voxel")
 
 
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports this bmink."""
+    src = str(Path(bmink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _fresh(body: str, cwd) -> dict:
     """Run body in a fresh interpreter in cwd; the result holds the engine
     modules loaded at the end and the body's own `out` dict."""
-    src = str(Path(bmink.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "\n".join([
         "import contextlib, io, json, sys", "out = {}", body,
         f"out['loaded'] = [m for m in {ENGINE_MODULES!r} if m in sys.modules]",
         "print(json.dumps(out))"])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120, cwd=cwd,
-                         env={**os.environ, "PYTHONPATH": path})
+                         text=True, timeout=120, cwd=cwd, env=_env())
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout.splitlines()[-1])
 
@@ -125,3 +130,68 @@ def test_voxel_is_the_only_module_that_imports_numpy_or_scipy():
         if any(name.split(".")[0] in ("numpy", "scipy") for name in
                _imported_modules(ast.parse(path.read_text(encoding="utf-8")))))
     assert importers == ["voxel.py"]
+
+
+# -- worker processes -------------------------------------------------------------
+
+PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def test_validating_configs_loads_no_process_machinery(tmp_path):
+    result = _fresh(f"""
+import bmink
+from bmink.campaign import CampaignConfig
+for theorem in ("thm-av", "rn"):
+    CampaignConfig(theorem=theorem).validate()
+out['process'] = [m for m in {PROCESS_MODULES!r} if m in sys.modules]
+""", tmp_path)
+    assert result == {"process": [], "loaded": []}
+
+
+def test_no_worker_outlives_the_cli(tmp_path):
+    result = _fresh("""
+import multiprocessing
+from bmink.cli import main
+with contextlib.redirect_stderr(io.StringIO()):
+    out['code'] = main(['verify', 'thm-av', '--trials', '64', '--out',
+                        'r.jsonl'])
+out['children'] = [p.pid for p in multiprocessing.active_children()]
+""", tmp_path)
+    from bmink.campaign import worker_count
+
+    assert result["code"] == 0
+    expected = worker_count(64)
+    assert len(result["children"]) == (expected if expected > 1 else 0)
+    for pid in result["children"]:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_exit_when_the_calling_process_is_killed(tmp_path):
+    # A killed interpreter runs no exit handler; its workers notice that
+    # their parent is gone and exit by themselves.
+    code = "\n".join([
+        "import multiprocessing, os, signal",
+        "from bmink import campaign",
+        "from bmink.campaign import CampaignConfig, run_campaign",
+        "campaign._workers = lambda: 2",
+        "run_campaign(CampaignConfig(theorem='thm-av', trials=40))",
+        "print(*(p.pid for p in multiprocessing.active_children()), flush=True)",
+        "os.kill(os.getpid(), signal.SIGKILL)"])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, cwd=tmp_path, env=_env())
+    pids = [int(pid) for pid in run.stdout.split()]
+    assert run.returncode == -9 and len(pids) == 2
+    deadline = time.monotonic() + 10
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not any(map(_alive, pids))

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from bmink import voxel
+from bmink import campaign, voxel
 from bmink.campaign import CampaignConfig, _run_trial, run_campaign
 from bmink.exact2d import ConvexPolygon, scale
 from bmink.generators import GridGenParams, gen_decomposition_pair, trial_rng
@@ -183,7 +183,9 @@ def test_voxel_pair_count_is_an_identity(dim, h):
 
 def test_containment_failure_is_flagged_violation(monkeypatch):
     # The eq-4.2 report carries containment_failed itself, and the campaign
-    # counts it as a violation.
+    # counts it as a violation.  Forked workers would run the unpatched
+    # kernel, so the campaign runs inline.
+    monkeypatch.setattr(campaign, "_workers", lambda: 1)
     monkeypatch.setattr(voxel, "_restricted_sum_contained",
                         lambda k, t, erosion, bsum: False)
     k, t = fixture_pair()
