@@ -167,6 +167,20 @@ out['children'] = [p.pid for p in multiprocessing.active_children()]
             os.kill(pid, 0)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs CPU affinity")
+def test_one_cpu_forks_nothing(tmp_path):
+    result = _fresh(f"""
+import os
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+from bmink.campaign import CampaignConfig, run_campaign, worker_count
+out['workers'] = worker_count(64)
+out['trials'] = run_campaign(CampaignConfig(theorem='thm-av', trials=64)).trials
+out['process'] = [m for m in {PROCESS_MODULES!r} if m in sys.modules]
+""", tmp_path)
+    assert result == {"workers": 1, "trials": 64, "process": [], "loaded": []}
+
+
 def _alive(pid: int) -> bool:
     try:
         with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
