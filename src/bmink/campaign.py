@@ -1,10 +1,10 @@
 """Campaign runner: randomized verification sweeps with JSONL reports.
 
-A campaign draws independent trials from a root seed (per-trial streams are
-derived by counter, so any single trial can be replayed in isolation), runs
-one theorem checker per trial and streams one JSON report line per check.
-The exit-code contract is nonzero exactly when some report is a
-beyond-tolerance violation.
+A (theorem, engine) campaign is one `_TRIALS` entry, a trial function run
+on independent trials of a root seed (per-trial streams are derived by
+counter, so any single trial can be replayed in isolation); it streams one
+JSON report line per check.  The exit-code contract is nonzero exactly when
+some report is a beyond-tolerance violation.
 
 Trials run on every CPU the process may use.  The trial range is cut into
 contiguous blocks; a pool of worker processes, forked once per process at
@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import IO, Iterator, Optional, Sequence
@@ -41,10 +41,6 @@ from .inequalities import (EXACT, VOXEL, InequalityReport, check_arithmetic_bm,
                            check_cor_multi, check_lemma_pbm, check_rn,
                            check_thm_4_2_voxel, check_thm_av, check_thm_bbm)
 from .serialize import dumps_canonical, spec_from_polygon
-
-THEOREMS = ("thm-av", "thm-bbm", "cor-multi", "lemma-pbm", "rn", "thm-4.2")
-
-VIOLATION_FLAGS = ("containment_failed",)
 
 POLYGON_PARAMS = PolygonGenParams()  # the exact engine's polygon generator
 
@@ -92,7 +88,7 @@ class CampaignConfig:
             raise GeometryError("dimension must be 2, 3 or 4")
         if self.engine == EXACT and self.dim != 2:
             raise GeometryError("the exact engine is two-dimensional")
-        if self.engine == VOXEL and self.theorem in ("lemma-pbm", "rn"):
+        if (self.theorem, self.engine) not in _TRIALS:  # a scalar check
             raise GeometryError(f"{self.theorem} checks scalars and has no "
                                 "voxel engine")
         if self.engine == VOXEL:
@@ -118,19 +114,9 @@ class CampaignSummary:
         return 1 if self.violations else 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "engine": self.engine,
-            "trials": self.trials,
-            "reports": self.reports,
-            "violations": self.violations,
-            "violation_witnesses": self.violation_witnesses,
-            "equality_hits": self.equality_hits,
-            "equality_classes": self.equality_classes,
-            "planted": self.planted,
-            "min_slack": self.min_slack,
-            "wall_time_s": round(self.wall_time, 3),
-        }
+        doc = asdict(self)
+        doc["wall_time_s"] = round(doc.pop("wall_time"), 3)
+        return doc
 
 
 # A block is a contiguous run of trials, the unit a worker runs and returns.
@@ -163,10 +149,6 @@ def worker_count(trials: int) -> int:
     return min(workers, -(-trials // _block_size(trials, workers)))
 
 
-def _random_lambda(rng) -> Fraction:
-    return Fraction(rng.randint(1, 15), 16)
-
-
 def _polygon_pair(rng, plant_rate: float):
     """An exact (K, T) pair, its shape specs and its planted mode."""
     kp, tp, mode = gen_polygon_pair(rng, POLYGON_PARAMS, plant_rate)
@@ -180,92 +162,111 @@ def _boundary_sets(config: CampaignConfig, rng, m: int):
     return [g for g, _ in bodies], tuple(s for _, s in bodies)
 
 
-# Exact trials of these theorems record their planted mode in the report.
-_PLANTED = ("thm-av", "thm-bbm", "cor-multi")
+def _thm_av_exact(config, rng):
+    kp, tp, shapes, mode = _polygon_pair(rng, config.plant_rate)
+    return [check_thm_av(kp, tp)], shapes, mode
+
+
+def _thm_av_voxel(config, rng):
+    grids, shapes = _boundary_sets(config, rng, 2)
+    return [check_thm_av(*grids)], shapes
+
+
+def _thm_bbm_exact(config, rng):
+    lam = config.lam or Fraction(rng.randint(1, 15), 16)
+    kp, tp, shapes, mode = _polygon_pair(rng, config.plant_rate)
+    return [check_thm_bbm(kp, tp, lam)], shapes, mode
+
+
+def _thm_bbm_voxel(config, rng):
+    lam = config.lam or Fraction(rng.randint(1, 15), 16)
+    grids, shapes = _boundary_sets(config, rng, 2)
+    return [check_thm_bbm(*zip(grids, shapes), lam)], shapes
+
+
+def _cor_multi_exact(config, rng):
+    if rng.random() < config.plant_rate:
+        base, first, mode = gen_polygon_pair(rng, POLYGON_PARAMS, 1.0,
+                                             plant_mode=PLANT_TRANSLATE)
+        bodies = [base, first] + [
+            translate(base, random_lattice_shift(rng, POLYGON_PARAMS))
+            for _ in range(config.bodies - 2)]
+    else:
+        mode = None
+        bodies = [gen_polygon_pair(rng, POLYGON_PARAMS, 0.0)[0]
+                  for _ in range(config.bodies)]
+    shapes = tuple(spec_from_polygon(b) for b in bodies)
+    return [check_cor_multi(bodies)], shapes, mode
+
+
+def _cor_multi_voxel(config, rng):
+    grids, shapes = _boundary_sets(config, rng, config.bodies)
+    return [check_cor_multi(grids)], shapes
+
+
+def _lemma_pbm(config, rng):
+    m = rng.randint(1, 4)
+    prefix = [rng.uniform(0.01, 2.0) for _ in range(m)]
+    last = sum(prefix) / rng.uniform(0.05, 1.0)
+    return [check_lemma_pbm(prefix + [last])], ()
+
+
+def _rn(config, rng):
+    n = rng.choice([2, 3, 4, 5, 6])
+    lam = rng.uniform(0.01, 0.99)
+    x = 10.0 ** rng.uniform(-2.0, 2.0)
+    return [check_rn(n, lam, x)], ()
+
+
+def _thm_4_2_exact(config, rng):
+    kp, tp, shapes, _ = _polygon_pair(rng, 0.0)
+    return [check_arithmetic_bm(kp, tp)], shapes
+
+
+def _thm_4_2_voxel(config, rng):
+    gk, sk, gt, st = gen_decomposition_pair(rng, config.grid_params,
+                                            config.dim, config.h)
+    return check_thm_4_2_voxel(gk, gt), (sk, st)
+
+
+# One trial per (theorem, engine) campaign a config may ask for.  Trials
+# look checkers and generators up as module globals at call time, so
+# rebinding one here reaches every trial.
+_TRIALS = {
+    ("thm-av", EXACT): _thm_av_exact,
+    ("thm-av", VOXEL): _thm_av_voxel,
+    ("thm-bbm", EXACT): _thm_bbm_exact,
+    ("thm-bbm", VOXEL): _thm_bbm_voxel,
+    ("cor-multi", EXACT): _cor_multi_exact,
+    ("cor-multi", VOXEL): _cor_multi_voxel,
+    ("lemma-pbm", EXACT): _lemma_pbm,
+    ("rn", EXACT): _rn,
+    ("thm-4.2", EXACT): _thm_4_2_exact,
+    ("thm-4.2", VOXEL): _thm_4_2_voxel,
+}
+
+THEOREMS = tuple(dict.fromkeys(theorem for theorem, _ in _TRIALS))
 
 
 def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
     """The reports of trial k, stamped with the campaign seed, the trial
-    index and the shape specs the trial drew."""
-    rng = trial_rng(config.seed, k)
-    theorem, exact = config.theorem, config.engine == EXACT
-    shapes, mode = (), None
-
-    if theorem == "thm-av":
-        if exact:
-            kp, tp, shapes, mode = _polygon_pair(rng, config.plant_rate)
-            reports = [check_thm_av(kp, tp)]
-        else:
-            grids, shapes = _boundary_sets(config, rng, 2)
-            reports = [check_thm_av(*grids)]
-
-    elif theorem == "thm-bbm":
-        lam = config.lam if config.lam is not None else _random_lambda(rng)
-        if exact:
-            kp, tp, shapes, mode = _polygon_pair(rng, config.plant_rate)
-            reports = [check_thm_bbm(kp, tp, lam)]
-        else:
-            grids, shapes = _boundary_sets(config, rng, 2)
-            reports = [check_thm_bbm(*zip(grids, shapes), lam)]
-
-    elif theorem == "cor-multi":
-        if exact:
-            if rng.random() < config.plant_rate:
-                base, first, mode = gen_polygon_pair(
-                    rng, POLYGON_PARAMS, 1.0,
-                    plant_mode=PLANT_TRANSLATE)
-                bodies = [base, first]
-                while len(bodies) < config.bodies:
-                    bodies.append(translate(
-                        base, random_lattice_shift(rng, POLYGON_PARAMS)))
-            else:
-                bodies = [gen_polygon_pair(rng, POLYGON_PARAMS, 0.0)[0]
-                          for _ in range(config.bodies)]
-            shapes = tuple(spec_from_polygon(b) for b in bodies)
-            reports = [check_cor_multi(bodies)]
-        else:
-            grids, shapes = _boundary_sets(config, rng, config.bodies)
-            reports = [check_cor_multi(grids)]
-
-    elif theorem == "lemma-pbm":
-        m = rng.randint(1, 4)
-        prefix = [rng.uniform(0.01, 2.0) for _ in range(m)]
-        last = sum(prefix) / rng.uniform(0.05, 1.0)
-        reports = [check_lemma_pbm(prefix + [last])]
-
-    elif theorem == "rn":
-        n = rng.choice([2, 3, 4, 5, 6])
-        lam = rng.uniform(0.01, 0.99)
-        x = 10.0 ** rng.uniform(-2.0, 2.0)
-        reports = [check_rn(n, lam, x)]
-
-    elif theorem == "thm-4.2":
-        if exact:
-            kp, tp, shapes, _ = _polygon_pair(rng, 0.0)
-            reports = [check_arithmetic_bm(kp, tp)]
-        else:
-            gk, sk, gt, st = gen_decomposition_pair(rng, config.grid_params,
-                                                    config.dim, config.h)
-            shapes = (sk, st)
-            reports = check_thm_4_2_voxel(gk, gt)
-
-    else:
-        raise GeometryError(f"unknown theorem {config.theorem!r}")
-
-    tagged = exact and theorem in _PLANTED
+    index and the shape specs the trial drew.  The exact polygon trials,
+    which can plant an equality case, also return the planted mode (None
+    included), and only their reports record it."""
+    reports, shapes, *planted = _TRIALS[config.theorem, config.engine](
+        config, trial_rng(config.seed, k))
     for report in reports:
         report.seed, report.trial, report.shapes = config.seed, k, shapes
-        if tagged:
-            report.details["planted"] = mode
+        if planted:
+            report.details["planted"] = planted[0]
     return reports
 
 
 def _is_violation(report: InequalityReport) -> bool:
-    if report.theorem_id == "thm-4.2" and not report.details.get("ratio_ok", True):
-        # Outside the ratio window the bound is expected to fail; those are
-        # findings, not violations.
-        return any(f in VIOLATION_FLAGS for f in report.flags)
-    return report.violation or any(f in VIOLATION_FLAGS for f in report.flags)
+    # A ratio-tagged thm-4.2 failure lies outside the window where the bound
+    # is claimed: a finding, not a violation.
+    return "containment_failed" in report.flags or (
+        report.violation and "ratio_condition_violated" not in report.flags)
 
 
 def run_campaign(config: CampaignConfig,
@@ -285,11 +286,9 @@ def run_campaign(config: CampaignConfig,
     # Fork before opening the report file, so no worker inherits it.
     pool = _pool() if workers > 1 else None
 
-    stream: Optional[IO[str]] = out
-    close_after = False
-    if stream is None and config.out_path is not None:
-        stream = open(config.out_path, "w", encoding="utf-8")
-        close_after = True
+    close_after = out is None and config.out_path is not None
+    stream = (open(config.out_path, "w", encoding="utf-8") if close_after
+              else out)
 
     try:
         if pool is None:
@@ -330,8 +329,8 @@ def _pool():
 
 
 def _drop_pool() -> None:
-    # Release the executor while the modules it uses at collection are
-    # still loaded; its workers have already stopped by now.
+    # Shut the executor down and wait for its workers: at exit, while the
+    # modules it uses at collection are still loaded, or once it broke.
     global _POOL
     if _POOL is not None:
         _POOL.shutdown()
@@ -360,30 +359,35 @@ def _run_blocks(pool, workers: int, config: CampaignConfig,
                 summary: CampaignSummary, stream: Optional[IO[str]]) -> None:
     """Run the campaign's blocks on the pool and merge them in trial order,
     with at most _IN_FLIGHT_PER_WORKER blocks per worker submitted and not
-    yet merged."""
-    global _POOL
+    yet merged.  A pool that breaks before the first merge lost a worker
+    between campaigns: the campaign runs once more on a fresh pool, forked
+    with the report file open.  Breaking again, or later, raises."""
     from concurrent.futures.process import BrokenProcessPool
 
     size, lines = _block_size(config.trials, workers), stream is not None
-    blocks = (pool.submit(_run_block, config, k,
-                          min(k + size, config.trials), lines)
-              for k in range(0, config.trials, size))
-    window: deque = deque()
-    try:
-        window.extend(islice(blocks, _IN_FLIGHT_PER_WORKER * workers))
-        while window:
-            trials, error, trace = window.popleft().result()
-            window.extend(islice(blocks, 1))
-            for trial in trials:
-                _consume(summary, trial, stream)
-            if error is not None:
-                raise error from _WorkerTraceback(trace)
-    except BrokenProcessPool:
-        _POOL = None  # a worker died; the next campaign forks a fresh pool
-        raise
-    finally:
-        for future in window:
-            future.cancel()
+    for retry in (True, False):
+        blocks = (pool.submit(_run_block, config, k,
+                              min(k + size, config.trials), lines)
+                  for k in range(0, config.trials, size))
+        window: deque = deque()
+        try:
+            window.extend(islice(blocks, _IN_FLIGHT_PER_WORKER * workers))
+            while window:
+                trials, error, trace = window.popleft().result()
+                window.extend(islice(blocks, 1))
+                for trial in trials:
+                    _consume(summary, trial, stream)
+                if error is not None:
+                    raise error from _WorkerTraceback(trace)
+            return
+        except BrokenProcessPool:
+            _drop_pool()  # and wait until its workers are gone
+            if summary.trials or not retry:
+                raise
+        finally:
+            for future in window:
+                future.cancel()
+        pool = _pool()
 
 
 class _WorkerTraceback(Exception):
@@ -404,8 +408,7 @@ def _run_block(config: CampaignConfig, start: int, stop: int, lines: bool):
     except Exception as exc:
         import traceback
 
-        return done, exc, "".join(traceback.format_exception(
-            type(exc), exc, exc.__traceback__))
+        return done, exc, "".join(traceback.format_exception(exc))
     return done, None, None
 
 
@@ -451,7 +454,3 @@ def _consume(summary: CampaignSummary, trial: Sequence[tuple],
         if stream is not None:
             stream.write(line)
             stream.write("\n")
-
-
-def print_summary(summary: CampaignSummary, file: IO[str] = sys.stdout) -> None:
-    file.write(dumps_canonical(summary.to_json_dict()) + "\n")

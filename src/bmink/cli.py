@@ -7,10 +7,10 @@ Subcommands:
   render     draw the boundary-sum decomposition of a pair as SVG
   demo       closed-form demonstration runs
 
-Campaign trials run in order on one thread.  A JSON config file can pre-set
-any `verify` flag; explicit flags win over the file.  Malformed input ends
-in a one-line `error:` message and exit code 2.  Only `decompose`, `erode
---engine voxel` and voxel campaigns load the voxel engine.
+Campaign trials run on a forked worker per CPU, merged in trial order.  A JSON
+config file can pre-set any `verify` flag; explicit flags win over the file.
+Malformed input ends in a one-line `error:` message and exit code 2.  Only
+`decompose`, `erode --engine voxel` and voxel campaigns load the voxel engine.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .campaign import (THEOREMS, CampaignConfig, print_summary, run_campaign)
+from .campaign import THEOREMS, CampaignConfig, run_campaign
 from .exact2d import GeometryError, erode as erode_exact
 from .inequalities import shrinking_pair_demo
 from .render import render_decomposition_svg
@@ -156,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         summary = run_campaign(config, out=sys.stdout)
     else:
         summary = run_campaign(config)
-    print_summary(summary, sys.stderr)
+    print(dumps_canonical(summary.to_json_dict()), file=sys.stderr)
     return summary.exit_code
 
 

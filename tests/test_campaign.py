@@ -1,14 +1,15 @@
 import io
 import json
 import threading
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from bmink.campaign import (CampaignConfig, CampaignSummary, _is_violation,
-                            run_campaign)
+from bmink.campaign import (THEOREMS, _TRIALS, CampaignConfig,
+                            CampaignSummary, _is_violation, run_campaign)
 from bmink.exact2d import GeometryError
-from bmink.inequalities import InequalityReport
+from bmink.inequalities import InequalityReport, shrinking_pair_demo
 
 
 def small_config(**kw):
@@ -43,6 +44,9 @@ def test_campaign_summary_contents():
     assert all(l["theorem_id"] == "thm-av" for l in lines)
     assert all(l["seed"] == 7 for l in lines)
     assert [l["trial"] for l in lines] == list(range(25))
+    tags = Counter(l["equality_class"]["tag"] for l in lines if l["equality"])
+    assert len(tags) == 2
+    assert s.to_json_dict()["equality_classes"] == dict(tags)
 
 
 def test_campaign_writes_file(tmp_path):
@@ -106,6 +110,19 @@ def test_ratio_tagged_failures_are_not_violations():
                             lhs=0.1, rhs=4.0, slack=-3.9, equality=False,
                             details={"ratio_ok": True})
     assert _is_violation(hard)
+    # The exact engine's out-of-window failure: the square [-1, 1]^2 and its
+    # 1/100 copy.
+    exact = shrinking_pair_demo()["report"]
+    assert exact.engine == "exact" and exact.violation
+    assert exact.flags == ("ratio_condition_violated",)
+    assert not _is_violation(exact)
+    # A failed containment is a violation inside or outside the window.
+    both = InequalityReport(theorem_id="thm-4.2", engine="voxel",
+                            lhs=0.1, rhs=4.0, slack=-3.9, equality=False,
+                            flags=("ratio_condition_violated",
+                                   "containment_failed"),
+                            details={"ratio_ok": False})
+    assert _is_violation(both)
 
 
 def test_trials_run_in_order_on_calling_thread(monkeypatch):
@@ -167,6 +184,70 @@ def test_summary_json_shape():
                       "equality_classes", "planted", "min_slack",
                       "wall_time_s"}
     assert d["min_slack"] == {}
+
+
+# -- the trial table ----------------------------------------------------------
+
+# The checker each (theorem, engine) campaign runs.
+CHECKERS = {
+    ("thm-av", "exact"): "check_thm_av", ("thm-av", "voxel"): "check_thm_av",
+    ("thm-bbm", "exact"): "check_thm_bbm",
+    ("thm-bbm", "voxel"): "check_thm_bbm",
+    ("cor-multi", "exact"): "check_cor_multi",
+    ("cor-multi", "voxel"): "check_cor_multi",
+    ("lemma-pbm", "exact"): "check_lemma_pbm", ("rn", "exact"): "check_rn",
+    ("thm-4.2", "exact"): "check_arithmetic_bm",
+    ("thm-4.2", "voxel"): "check_thm_4_2_voxel",
+}
+
+
+def test_the_table_holds_the_ten_campaigns_in_cli_order():
+    assert set(_TRIALS) == set(CHECKERS)
+    assert THEOREMS == ("thm-av", "thm-bbm", "cor-multi", "lemma-pbm", "rn",
+                        "thm-4.2")
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4))
+@pytest.mark.parametrize("engine", ("exact", "voxel"))
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_validate_accepts_exactly_the_table(theorem, engine, dim):
+    # The exact engine is planar; the voxel engine takes 2 to 4 dimensions.
+    config = CampaignConfig(theorem=theorem, engine=engine, dim=dim,
+                            trials=1, seed=5, h=1 / 16)
+    if (theorem, engine) not in _TRIALS or (engine == "exact" and dim != 2):
+        with pytest.raises(GeometryError):
+            config.validate()
+        return
+    config.validate()
+    if dim == 2:
+        buf = io.StringIO()
+        assert run_campaign(config, out=buf).trials == 1
+        assert buf.getvalue().count("\n") >= 1
+
+
+@pytest.mark.parametrize("key", sorted(CHECKERS), ids="-".join)
+def test_every_trial_calls_its_checker_through_the_module_global(
+        monkeypatch, key):
+    # The bench's per-layer spans and the tests that rig a checker rebind
+    # these globals; a trial that held its own reference would bypass them.
+    import bmink.campaign as camp
+
+    called = []
+
+    def recording(name, checker):
+        def wrapper(*args):
+            called.append(name)
+            return checker(*args)
+        return wrapper
+
+    for name in set(CHECKERS.values()):
+        monkeypatch.setattr(camp, name, recording(name, getattr(camp, name)))
+    theorem, engine = key
+    config = CampaignConfig(theorem=theorem, engine=engine, trials=1, seed=2,
+                            h=1 / 16)
+    config.validate()
+    assert camp._run_trial(config, 0)
+    assert called == [CHECKERS[key]]
 
 
 # -- trials on worker processes ---------------------------------------------------
@@ -334,17 +415,54 @@ victim = multiprocessing.active_children()[0]
 os.kill(victim.pid, signal.SIGKILL)
 victim.join(10)
 try:
-    run()
+    out["same"] = run() == first
 except Exception as exc:
     out["error"] = type(exc).__name__
-out["same"] = run() == first
 """
 
 
 def test_a_dead_worker_drops_the_pool(tmp_path):
-    # The campaign that finds the pool broken raises; the next one forks a
-    # fresh pool and gives the same bytes.
+    # A worker that died between campaigns breaks the pool before the next
+    # campaign merges anything, so that campaign runs again on a fresh pool
+    # and gives the same bytes.
     from test_package import _fresh
 
-    assert _fresh(DEAD_WORKER, tmp_path) == {
-        "error": "BrokenProcessPool", "same": True, "loaded": []}
+    assert _fresh(DEAD_WORKER, tmp_path) == {"same": True, "loaded": []}
+
+
+WORKER_EXIT = """
+import multiprocessing, os
+from concurrent.futures.process import BrokenProcessPool
+from bmink import campaign
+from bmink.campaign import CampaignConfig, run_campaign
+
+run_trial, parent = campaign._run_trial, os.getpid()
+
+def rigged(config, k):
+    # The worker that runs trial 0 exits, leaving a mark, on every pool.
+    if k == 0 and os.getpid() != parent:
+        open(f"exit-{os.getpid()}", "w").close()
+        os._exit(3)
+    return run_trial(config, k)
+
+campaign._run_trial = rigged  # before any worker is forked
+campaign._workers = lambda: 2
+buf = io.StringIO()
+try:
+    run_campaign(CampaignConfig(theorem="rn", trials=40, seed=1), out=buf)
+except BrokenProcessPool as exc:
+    out["error"] = type(exc).__name__
+out["bytes"] = buf.getvalue()
+out["exits"] = len([f for f in os.listdir() if f.startswith("exit-")])
+out["children"] = len(multiprocessing.active_children())
+"""
+
+
+def test_a_worker_lost_in_the_campaign_breaks_it_after_one_retry(tmp_path):
+    # The first block's worker dies on the first pool and on the fresh one:
+    # the campaign raises, writes nothing and leaves no worker behind.
+    from test_package import _fresh
+
+    assert _fresh(WORKER_EXIT, tmp_path) == {
+        "error": "BrokenProcessPool", "bytes": "", "exits": 2, "children": 0,
+        "loaded": []}
