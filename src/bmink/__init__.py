@@ -2,8 +2,9 @@
 
 Exact rational engine for convex polygons in the plane, a voxel engine for
 general compact sets in dimensions 2-4, checkers for the boundary-sum
-volume inequalities with their equality cases, restricted sums, and a
-reproducible campaign harness with a CLI.
+volume inequalities with their equality cases (thm-4.2 with the bounds
+eq-4.2 and eq-4.3 of its proof included), and a reproducible campaign
+harness with a CLI.
 
 The voxel engine (bmink.voxel, the only module that imports numpy and
 scipy) loads on first use of one of its names here, so `import bmink` and
@@ -14,7 +15,7 @@ import importlib
 
 from .exact2d import (ConvexPolygon, EngineInconsistencyError, EqualityClass,
                       EqualityTag, ErosionResult, GeometryError, Point2,
-                      area, boundary_sum_volume, classify_equality, erode,
+                      boundary_sum_volume, classify_equality, erode,
                       is_centrally_symmetric, minkowski_sum, partial_sum_area,
                       point, reflect, scale, translate)
 from .serialize import GridError, ShapeSpec
@@ -48,7 +49,7 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "ConvexPolygon", "EngineInconsistencyError", "EqualityClass",
-    "EqualityTag", "ErosionResult", "GeometryError", "Point2", "area",
+    "EqualityTag", "ErosionResult", "GeometryError", "Point2",
     "boundary_sum_volume", "classify_equality", "erode",
     "is_centrally_symmetric", "minkowski_sum", "partial_sum_area", "point",
     "reflect", "scale", "translate",

@@ -12,7 +12,11 @@ the first campaign with more than one block and reused by later ones, runs
 each block and returns every report as its JSON line plus the facts the
 summary keeps.  The calling process merges the blocks in trial order, so
 identical configurations produce byte-identical files and summaries
-whatever the number of workers.  With one CPU, one block, or no
+whatever the number of workers.  A block stops at its first trial that
+raises, and no exception leaves a worker: the calling process reruns that
+trial itself, which raises there after the lines of every earlier trial.
+Each trial is a pure function of the config and its index, so the rerun
+draws what the worker drew.  With one CPU, one block, or no
 `os.sched_getaffinity` (outside Linux), the trials run in order on the
 calling thread and nothing is forked.  The process machinery is imported
 when the pool is first built, so set-up never pays for it.
@@ -24,13 +28,15 @@ campaigns never load it.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import time
 from collections import deque
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import IO, Iterator, Optional, Sequence
 
 from .exact2d import GeometryError, translate
@@ -292,8 +298,7 @@ def run_campaign(config: CampaignConfig,
 
     try:
         if pool is None:
-            for trial in _encoded_trials(config, 0, config.trials,
-                                         stream is not None):
+            for trial in _encoded_trials(config, 0, config.trials):
                 _consume(summary, trial, stream)
         else:
             _run_blocks(pool, workers, config, summary, stream)
@@ -359,84 +364,74 @@ def _run_blocks(pool, workers: int, config: CampaignConfig,
                 summary: CampaignSummary, stream: Optional[IO[str]]) -> None:
     """Run the campaign's blocks on the pool and merge them in trial order,
     with at most _IN_FLIGHT_PER_WORKER blocks per worker submitted and not
-    yet merged.  A pool that breaks before the first merge lost a worker
-    between campaigns: the campaign runs once more on a fresh pool, forked
-    with the report file open.  Breaking again, or later, raises."""
+    yet merged.  A block that a trial cut short is finished here, so that
+    trial raises in this process.  A pool that breaks before the first
+    merge lost a worker between campaigns: the campaign runs once more on
+    a fresh pool, forked with the report file open.  Breaking again, or
+    later, raises."""
     from concurrent.futures.process import BrokenProcessPool
 
-    size, lines = _block_size(config.trials, workers), stream is not None
+    size = _block_size(config.trials, workers)
     for retry in (True, False):
-        blocks = (pool.submit(_run_block, config, k,
-                              min(k + size, config.trials), lines)
+        bounds = ((k, min(k + size, config.trials))
                   for k in range(0, config.trials, size))
+        blocks = ((start, stop, pool.submit(_run_block, config, start, stop))
+                  for start, stop in bounds)
         window: deque = deque()
         try:
             window.extend(islice(blocks, _IN_FLIGHT_PER_WORKER * workers))
             while window:
-                trials, error, trace = window.popleft().result()
+                start, stop, future = window.popleft()
+                done = future.result()
                 window.extend(islice(blocks, 1))
-                for trial in trials:
+                for trial in chain(done, _encoded_trials(
+                        config, start + len(done), stop)):
                     _consume(summary, trial, stream)
-                if error is not None:
-                    raise error from _WorkerTraceback(trace)
             return
         except BrokenProcessPool:
             _drop_pool()  # and wait until its workers are gone
             if summary.trials or not retry:
                 raise
         finally:
-            for future in window:
+            for *_, future in window:
                 future.cancel()
         pool = _pool()
 
 
-class _WorkerTraceback(Exception):
-    """The traceback of an exception a worker raised, as the cause of its
-    copy in the calling process."""
-
-    def __str__(self) -> str:
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _run_block(config: CampaignConfig, start: int, stop: int, lines: bool):
-    """Worker side: the encoded trials start .. stop-1, and the exception
-    that ended the block early (with its traceback as text), if any."""
+def _run_block(config: CampaignConfig, start: int, stop: int) -> list:
+    """Worker side: the encoded trials start .. stop-1, up to the first
+    that raises.  Nothing of the exception leaves the worker; the calling
+    process reruns that trial and raises it there."""
     done = []
-    try:
-        for trial in _encoded_trials(config, start, stop, lines):
+    with suppress(Exception):
+        for trial in _encoded_trials(config, start, stop):
             done.append(trial)
-    except Exception as exc:
-        import traceback
-
-        return done, exc, "".join(traceback.format_exception(exc))
-    return done, None, None
+    return done
 
 
-def _encoded_trials(config: CampaignConfig, start: int, stop: int,
-                    lines: bool) -> Iterator[list[tuple]]:
+def _encoded_trials(config: CampaignConfig, start: int,
+                    stop: int) -> Iterator[list[tuple]]:
     for k in range(start, stop):
-        yield [_encode(report, lines) for report in _run_trial(config, k)]
+        yield [_encode(report) for report in _run_trial(config, k)]
 
 
-def _encode(report: InequalityReport, lines: bool) -> tuple:
-    """A report as its JSON line (None unless `lines`) plus what the
-    summary keeps of it: theorem_id, slack, planted, equality, the class
-    tag, the violation verdict and, for a violation, the witness dict."""
-    violation = _is_violation(report)
-    doc = report.to_json_dict() if lines or violation else None
+def _encode(report: InequalityReport) -> tuple:
+    """A report as its JSON line plus what the summary keeps of it:
+    theorem_id, slack, planted, equality, the class tag and the violation
+    verdict."""
     equality = bool(report.equality)
     tag = (report.equality_class.tag.value
            if equality and report.equality_class is not None else None)
-    return (dumps_canonical(doc) if lines else None, report.theorem_id,
+    return (dumps_canonical(report.to_json_dict()), report.theorem_id,
             float(report.slack), bool(report.details.get("planted")),
-            equality, tag, violation, doc if violation else None)
+            equality, tag, _is_violation(report))
 
 
 def _consume(summary: CampaignSummary, trial: Sequence[tuple],
              stream: Optional[IO[str]]) -> None:
     """Merge one trial's encoded reports into the summary and the stream."""
     summary.trials += 1
-    for line, tid, slack, planted, equality, tag, violation, witness in trial:
+    for line, tid, slack, planted, equality, tag, violation in trial:
         summary.reports += 1
         if tid not in summary.min_slack or slack < summary.min_slack[tid]:
             summary.min_slack[tid] = slack
@@ -450,7 +445,7 @@ def _consume(summary: CampaignSummary, trial: Sequence[tuple],
         if violation:
             summary.violations += 1
             if len(summary.violation_witnesses) < 10:
-                summary.violation_witnesses.append(witness)
+                summary.violation_witnesses.append(json.loads(line))
         if stream is not None:
             stream.write(line)
             stream.write("\n")

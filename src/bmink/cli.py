@@ -166,7 +166,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     k = voxel.rasterize(load_shape_file(args.k), h)
     t = voxel.rasterize(load_shape_file(args.t), h)
     report = voxel.decomposition_check(k, t)
-    for name, verdict in report.verdicts().items():
+    for name, verdict in report.verdicts.items():
         print(f"{name}: {'pass' if verdict else 'FAIL'}")
     for name, value in sorted(report.volumes.items()):
         print(f"volume[{name}] = {value:.6g}")

@@ -301,10 +301,6 @@ class ConvexPolygon:
         return f"ConvexPolygon[{vs}]"
 
 
-def area(p: ConvexPolygon) -> Fraction:
-    return p.area
-
-
 def scale(p: ConvexPolygon, factor: Scalar) -> ConvexPolygon:
     f = Fraction(factor)
     n = f.numerator

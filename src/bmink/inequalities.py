@@ -37,8 +37,9 @@ VOXEL = "voxel"
 class InequalityReport:
     """Outcome of one inequality check.
 
-    lhs/rhs/slack are in the comparable form (see module docstring); slack
-    is lhs - rhs, so a pass means slack >= -tolerance.  A negative slack
+    lhs/rhs are in the comparable form (see module docstring).  The
+    verdict follows from them: slack is lhs - rhs, equality is |slack| <=
+    tolerance and a pass means slack >= -tolerance.  A negative slack
     beyond tolerance marks the report as a violation; it is recorded, never
     dropped.  equality_class is populated on the exact engine only.
     shapes, seed and trial identify the trial: checkers leave them empty
@@ -49,8 +50,8 @@ class InequalityReport:
     engine: str
     lhs: Value
     rhs: Value
-    slack: Value
-    equality: bool
+    slack: Value = field(init=False)
+    equality: bool = field(init=False)
     equality_class: Optional[EqualityClass] = None
     shapes: tuple[ShapeSpec, ...] = ()
     lam: Optional[Fraction] = None
@@ -59,6 +60,10 @@ class InequalityReport:
     tolerance: float = 0.0
     flags: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.slack = self.lhs - self.rhs
+        self.equality = abs(self.slack) <= self.tolerance
 
     @property
     def violation(self) -> bool:
@@ -120,12 +125,9 @@ def check_thm_av(k, t) -> InequalityReport:
         bsv = exact2d.boundary_sum_volume(k, t, Fraction(1, 2))
         lhs = bsv * bsv
         rhs = k.area * t.area
-        slack = lhs - rhs
-        eq_class = classify_equality(k, t)
         return InequalityReport(
-            theorem_id="thm-av", engine=EXACT,
-            lhs=lhs, rhs=rhs, slack=slack,
-            equality=(slack == 0), equality_class=eq_class,
+            theorem_id="thm-av", engine=EXACT, lhs=lhs, rhs=rhs,
+            equality_class=classify_equality(k, t),
             details={"boundary_sum_volume": bsv},
         )
     from . import voxel
@@ -135,11 +137,8 @@ def check_thm_av(k, t) -> InequalityReport:
     lhs = voxel.volume(voxel.dilate(bk, bt)) / 2 ** n
     rhs = math.sqrt(voxel.volume(k) * voxel.volume(t))
     tol = voxel_slack_tolerance(n, k.h, bk.count + bt.count)
-    slack = lhs - rhs
     return InequalityReport(
-        theorem_id="thm-av", engine=VOXEL,
-        lhs=lhs, rhs=rhs, slack=slack,
-        equality=(abs(slack) <= tol), tolerance=tol,
+        theorem_id="thm-av", engine=VOXEL, lhs=lhs, rhs=rhs, tolerance=tol,
         details={"vol_k": voxel.volume(k), "vol_t": voxel.volume(t)},
     )
 
@@ -185,16 +184,14 @@ def check_cor_multi(bodies) -> InequalityReport:
         rhs = Fraction(1)
         for b in bodies:
             rhs *= b.area
-        slack = lhs - rhs
         all_translates = all(
             classify_equality(bodies[0], b).tag is EqualityTag.TRANSLATE
             for b in bodies[1:])
         eq_class = EqualityClass(EqualityTag.TRANSLATE) if all_translates \
             else EqualityClass(EqualityTag.NO_EQUALITY)
         return InequalityReport(
-            theorem_id="cor-multi", engine=EXACT,
-            lhs=lhs, rhs=rhs, slack=slack,
-            equality=(slack == 0), equality_class=eq_class,
+            theorem_id="cor-multi", engine=EXACT, lhs=lhs, rhs=rhs,
+            equality_class=eq_class,
             details={"m": m, "scaled_boundary_sum_volume": lhs_side},
         )
     from . import voxel
@@ -209,12 +206,9 @@ def check_cor_multi(bodies) -> InequalityReport:
     lhs = voxel.volume(acc) / m ** n
     rhs = math.prod(voxel.volume(b) for b in bodies) ** (1.0 / m)
     tol = voxel_slack_tolerance(n, bodies[0].h, bcells)
-    slack = lhs - rhs
     return InequalityReport(
-        theorem_id="cor-multi", engine=VOXEL,
-        lhs=lhs, rhs=rhs, slack=slack,
-        equality=(abs(slack) <= tol), tolerance=tol,
-        details={"m": m},
+        theorem_id="cor-multi", engine=VOXEL, lhs=lhs, rhs=rhs,
+        tolerance=tol, details={"m": m},
     )
 
 
@@ -243,11 +237,9 @@ def check_thm_bbm(k, t, lam) -> InequalityReport:
         f_tk = exact2d.boundary_sum_volume(t, k, lam)
         lhs = f_kt * f_tk
         rhs = k.area * t.area * (1 - abs(1 - 2 * lam) ** n) ** 2
-        slack = lhs - rhs
-        eq = slack == 0
         eq_class = classify_equality(k, t)
         flags = []
-        if eq and lam != Fraction(1, 2):
+        if lhs == rhs and lam != Fraction(1, 2):
             translate_symmetric = (eq_class.tag is EqualityTag.TRANSLATE
                                    and is_centrally_symmetric(k))
             homothet_symmetric = (
@@ -255,10 +247,8 @@ def check_thm_bbm(k, t, lam) -> InequalityReport:
             if not (translate_symmetric or homothet_symmetric):
                 flags.append("equality_outside_characterization")
         return InequalityReport(
-            theorem_id="thm-bbm", engine=EXACT,
-            lhs=lhs, rhs=rhs, slack=slack,
-            equality=eq, equality_class=eq_class,
-            lam=lam, flags=tuple(flags),
+            theorem_id="thm-bbm", engine=EXACT, lhs=lhs, rhs=rhs,
+            equality_class=eq_class, lam=lam, flags=tuple(flags),
             details={"factor_kt": f_kt, "factor_tk": f_tk},
         )
     from . import voxel
@@ -282,11 +272,8 @@ def check_thm_bbm(k, t, lam) -> InequalityReport:
     vol_tol = voxel_slack_tolerance(n, h, cells_kt + cells_tk)
     # Error in a product of volumes is first order: dV * (|f1| + |f2|).
     tol = vol_tol * (f_kt + f_tk + 1.0)
-    slack = lhs - rhs
     return InequalityReport(
-        theorem_id="thm-bbm", engine=VOXEL,
-        lhs=lhs, rhs=rhs, slack=slack,
-        equality=(abs(slack) <= tol), tolerance=tol,
+        theorem_id="thm-bbm", engine=VOXEL, lhs=lhs, rhs=rhs, tolerance=tol,
         lam=lam, details={"factor_kt": f_kt, "factor_tk": f_tk},
     )
 
@@ -307,7 +294,6 @@ def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon) -> InequalityReport:
     vol_k, vol_t = k.area, t.area
     lhs = exact2d.partial_sum_area(k, t)
     rhs = vol_k + vol_t
-    slack = lhs - rhs
     ratio = vol_k / vol_t
     ratio_ok = Fraction(1, 2) <= ratio <= 2  # (r^(1/2) in [1/sqrt2, sqrt2])
     try:
@@ -316,8 +302,7 @@ def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon) -> InequalityReport:
         raise GeometryError("the area ratio vol(K)/vol(T) is too large: it "
                             "overflows a float") from None
     return InequalityReport(
-        theorem_id="thm-4.2", engine=EXACT,
-        lhs=lhs, rhs=rhs, slack=slack, equality=(slack == 0),
+        theorem_id="thm-4.2", engine=EXACT, lhs=lhs, rhs=rhs,
         flags=() if ratio_ok else ("ratio_condition_violated",),
         details={"vol_k": vol_k, "vol_t": vol_t,
                  "ratio_ok": ratio_ok, "ratio": ratio_value},
@@ -365,9 +350,7 @@ def check_thm_4_2_voxel(k, t) -> list[InequalityReport]:
     ratio = (vol_k / vol_t) ** (1.0 / n) if vol_t > 0 else math.inf
     ratio_ok = (1.0 / math.sqrt(n)) <= ratio <= math.sqrt(n)
     arithmetic = InequalityReport(
-        theorem_id="thm-4.2", engine=VOXEL,
-        lhs=lhs, rhs=rhs, slack=lhs - rhs,
-        equality=abs(lhs - rhs) <= tol, tolerance=tol,
+        theorem_id="thm-4.2", engine=VOXEL, lhs=lhs, rhs=rhs, tolerance=tol,
         flags=() if ratio_ok else ("ratio_condition_violated",),
         details={"vol_k": vol_k, "vol_t": vol_t,
                  "ratio_ok": ratio_ok, "ratio": ratio})
@@ -379,8 +362,7 @@ def check_thm_4_2_voxel(k, t) -> list[InequalityReport]:
             "vol_erosion": voxel.volume(erosion),
             "vol_theta": admitted * h ** (2 * n)}  # product-measure units
     pairs = InequalityReport(
-        theorem_id="eq-4.2", engine=VOXEL,
-        lhs=admitted, rhs=admitted, slack=0, equality=True,
+        theorem_id="eq-4.2", engine=VOXEL, lhs=admitted, rhs=admitted,
         flags=() if contained else ("containment_failed",),
         details={**vols, "admitted_pairs": admitted,
                  "containment_verdict": contained})
@@ -388,9 +370,7 @@ def check_thm_4_2_voxel(k, t) -> list[InequalityReport]:
     root_gap = vol_k ** (1.0 / n) - vol_t ** (1.0 / n)
     root_erosion = vols["vol_erosion"] ** (1.0 / n)
     roots = InequalityReport(
-        theorem_id="eq-4.3", engine=VOXEL,
-        lhs=root_gap, rhs=root_erosion, slack=root_gap - root_erosion,
-        equality=(abs(root_gap - root_erosion) <= 3.0 * n * h),
+        theorem_id="eq-4.3", engine=VOXEL, lhs=root_gap, rhs=root_erosion,
         tolerance=3.0 * n * h, details=vols)
     return [arithmetic, pairs, roots]
 
@@ -445,12 +425,9 @@ def check_rn(n: int, lam: float, x: float) -> InequalityReport:
     """R_n(x) >= R_n(1); equality at x = 1 and everywhere for n = 2."""
     value = rn_value(n, lam, x)
     base = rn_value(n, lam, 1.0)
-    slack = value - base
-    tol = 1e-9 * max(1.0, abs(base))
     return InequalityReport(
-        theorem_id="rn", engine="float",
-        lhs=value, rhs=base, slack=slack,
-        equality=(abs(slack) <= tol), tolerance=tol,
+        theorem_id="rn", engine="float", lhs=value, rhs=base,
+        tolerance=1e-9 * max(1.0, abs(base)),
         details={"n": n, "lam": lam, "x": x},
     )
 
@@ -475,12 +452,9 @@ def check_lemma_pbm(xs: Sequence[float]) -> InequalityReport:
         raise GeometryError("constraint sum(x_1..x_m) <= x_{m+1} violated")
     lhs = (2.0 / (m + 1)) * math.sqrt(prefix * last)
     rhs = math.prod(xs) ** (1.0 / (m + 1))
-    slack = lhs - rhs
-    tol = 1e-12 * max(1.0, lhs, rhs)
     strict_expected = m > 1 and last > 0 and prefix > 0
     return InequalityReport(
-        theorem_id="lemma-pbm", engine="float",
-        lhs=lhs, rhs=rhs, slack=slack,
-        equality=(abs(slack) <= tol), tolerance=tol,
+        theorem_id="lemma-pbm", engine="float", lhs=lhs, rhs=rhs,
+        tolerance=1e-12 * max(1.0, lhs, rhs),
         details={"m": m, "strict_expected": strict_expected},
     )

@@ -507,7 +507,7 @@ def _restricted_sum_contained(k: GridSet, t: GridSet, erosion: GridSet,
 class DecompositionReport:
     """Cell-exact verdicts for the sum decomposition of a pair of grids.
 
-    The four verdicts, for K the larger-volume body:
+    The four verdicts, in order, for K the larger-volume body:
       full_vs_boundary:  K+T equals K+boundary(T)
       full_vs_union:     K+T equals (bK+bT) union erode_open(K,T)
       union_disjoint:    those two union parts are disjoint
@@ -515,24 +515,12 @@ class DecompositionReport:
     """
 
     swapped: bool
-    full_vs_boundary: bool
-    full_vs_union: bool
-    union_disjoint: bool
-    boundary_vs_mixed: bool
+    verdicts: dict
     volumes: dict = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
-        return (self.full_vs_boundary and self.full_vs_union
-                and self.union_disjoint and self.boundary_vs_mixed)
-
-    def verdicts(self) -> dict:
-        return {
-            "full_vs_boundary": self.full_vs_boundary,
-            "full_vs_union": self.full_vs_union,
-            "union_disjoint": self.union_disjoint,
-            "boundary_vs_mixed": self.boundary_vs_mixed,
-        }
+        return all(self.verdicts.values())
 
 
 def decomposition_check(k: GridSet, t: GridSet) -> DecompositionReport:
@@ -554,13 +542,15 @@ def decomposition_check(k: GridSet, t: GridSet) -> DecompositionReport:
     bsum = dilate(bk, bt)
     hole = erode_open(k, t)
     parts = union(bsum, hole)
-    report = DecompositionReport(
+    return DecompositionReport(
         swapped=swapped,
-        full_vs_boundary=(full == dilate(k, bt)),
-        full_vs_union=(full == parts),
-        # disjoint exactly when no cell is counted twice
-        union_disjoint=(parts.count == bsum.count + hole.count),
-        boundary_vs_mixed=(bsum == dilate(bk, t)),
+        verdicts={
+            "full_vs_boundary": full == dilate(k, bt),
+            "full_vs_union": full == parts,
+            # disjoint exactly when no cell is counted twice
+            "union_disjoint": parts.count == bsum.count + hole.count,
+            "boundary_vs_mixed": bsum == dilate(bk, t),
+        },
         volumes={
             "k": volume(k),
             "t": volume(t),
@@ -569,7 +559,6 @@ def decomposition_check(k: GridSet, t: GridSet) -> DecompositionReport:
             "erosion": volume(hole),
         },
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,7 @@ def test_violation_counting_and_exit_code(monkeypatch):
 
     def rigged(*args):
         return InequalityReport(theorem_id="thm-av", engine="exact",
-                                lhs=F(0), rhs=F(1), slack=F(-1),
-                                equality=False)
+                                lhs=F(0), rhs=F(1))
 
     monkeypatch.setattr(camp, "check_thm_av", rigged)
     s = run_campaign(small_config(trials=3, plant_rate=0.0), out=io.StringIO())
@@ -102,13 +101,12 @@ def test_violation_counting_and_exit_code(monkeypatch):
 
 def test_ratio_tagged_failures_are_not_violations():
     report = InequalityReport(theorem_id="thm-4.2", engine="voxel",
-                              lhs=0.1, rhs=4.0, slack=-3.9, equality=False,
+                              lhs=0.1, rhs=4.0,
                               flags=("ratio_condition_violated",),
                               details={"ratio_ok": False})
     assert not _is_violation(report)
     hard = InequalityReport(theorem_id="thm-4.2", engine="voxel",
-                            lhs=0.1, rhs=4.0, slack=-3.9, equality=False,
-                            details={"ratio_ok": True})
+                            lhs=0.1, rhs=4.0, details={"ratio_ok": True})
     assert _is_violation(hard)
     # The exact engine's out-of-window failure: the square [-1, 1]^2 and its
     # 1/100 copy.
@@ -118,7 +116,7 @@ def test_ratio_tagged_failures_are_not_violations():
     assert not _is_violation(exact)
     # A failed containment is a violation inside or outside the window.
     both = InequalityReport(theorem_id="thm-4.2", engine="voxel",
-                            lhs=0.1, rhs=4.0, slack=-3.9, equality=False,
+                            lhs=0.1, rhs=4.0,
                             flags=("ratio_condition_violated",
                                    "containment_failed"),
                             details={"ratio_ok": False})
@@ -352,6 +350,58 @@ def test_violations_and_a_raising_trial_match_one_worker(tmp_path):
     assert inline["error"] == ["GeometryError", "trial 23 of seed 4 failed"]
     assert [json.loads(line)["trial"] for line in
             inline["partial"].splitlines()] == list(range(23))
+
+
+ODD_EXCEPTION = """
+from bmink import campaign
+from bmink.campaign import CampaignConfig, run_campaign
+
+class Odd(Exception):
+    # Pickled, it keeps only its message, so a copy cannot be rebuilt.
+    def __init__(self, trial, seed):
+        super().__init__(f"trial {trial} of seed {seed} is odd")
+
+run_trial = campaign._run_trial
+
+def rigged(config, k):
+    if config.seed == 4 and k == 23:
+        raise Odd(k, config.seed)
+    return run_trial(config, k)
+
+campaign._run_trial = rigged  # before any worker is forked
+for workers in (2, 1):
+    campaign._workers = lambda: workers
+    side = out[str(workers)] = {}
+    buf = io.StringIO()
+    try:
+        run_campaign(CampaignConfig(theorem="rn", trials=50, seed=4), out=buf)
+    except Odd as exc:
+        side["error"] = [type(exc).__name__, str(exc)]
+    side["partial"] = buf.getvalue()
+    pool = campaign._POOL
+    buf = io.StringIO()
+    run_campaign(CampaignConfig(theorem="rn", trials=50, seed=5), out=buf)
+    side["next"] = buf.getvalue()
+    side["same_pool"] = pool is not None and campaign._POOL is pool
+"""
+
+
+def test_an_exception_that_cannot_be_pickled_is_raised_as_on_one_worker(
+        tmp_path):
+    # A pooled campaign raises a trial's own exception after the same lines
+    # as one worker, and leaves the pool working for the next campaign.
+    from test_package import _fresh
+
+    result = _fresh(ODD_EXCEPTION, tmp_path)
+    pooled, inline = result["2"], result["1"]
+    assert pooled["error"] == inline["error"] == [
+        "Odd", "trial 23 of seed 4 is odd"]
+    assert pooled["partial"] == inline["partial"]
+    assert [json.loads(line)["trial"] for line in
+            inline["partial"].splitlines()] == list(range(23))
+    assert pooled["next"] == inline["next"]
+    assert inline["next"].count("\n") == 50
+    assert pooled["same_pool"]  # the campaign after it ran with no retry
 
 
 class _RecordingPool:

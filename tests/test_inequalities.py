@@ -5,14 +5,66 @@ import pytest
 from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, point,
                            scale, translate)
 from bmink.generators import GridGenParams, gen_connected_boundary_set, trial_rng
-from bmink.inequalities import (check_cor_multi, check_lemma_pbm, check_rn,
-                                check_thm_av, check_thm_bbm,
-                                multi_boundary_sum_volume, rn_value)
+from bmink.inequalities import (InequalityReport, check_cor_multi,
+                                check_lemma_pbm, check_rn, check_thm_av,
+                                check_thm_bbm, multi_boundary_sum_volume,
+                                rn_value)
+from bmink.serialize import dumps_canonical
 from bmink.voxel import GridError, ShapeSpec, rasterize
 
 SQUARE = ConvexPolygon.box((-1, -1), (1, 1))
 HALF = ConvexPolygon.box((F(-1, 2), F(-1, 2)), (F(1, 2), F(1, 2)))
 TRI = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
+
+
+# -- the verdict a report derives from its sides ---------------------------------
+
+def report(lhs, rhs, tolerance=0.0):
+    return InequalityReport(theorem_id="thm-av", engine="exact", lhs=lhs,
+                            rhs=rhs, tolerance=tolerance)
+
+
+def test_exact_sides_give_equality_only_when_equal():
+    same = report(F(9, 4), F(9, 4))
+    assert same.slack == 0 and type(same.slack) is F and same.equality
+    tiny = F(1, 10 ** 30)  # far below any float tolerance's resolution
+    above = report(F(9, 4) + tiny, F(9, 4))
+    below = report(F(9, 4), F(9, 4) + tiny)
+    assert above.slack == tiny and not above.equality and not above.violation
+    assert below.slack == -tiny and not below.equality and below.violation
+
+
+def test_float_sides_give_equality_within_the_tolerance():
+    # Dyadic values, so every difference is exact.
+    inside = report(1.0, 1.25, tolerance=0.5)
+    assert inside.slack == -0.25 and inside.equality and not inside.violation
+    outside = report(2.0, 1.25, tolerance=0.5)
+    assert outside.slack == 0.75 and not outside.equality
+    assert not outside.violation
+
+
+def test_a_violation_lies_strictly_beyond_minus_the_tolerance():
+    edge = report(0.75, 1.25, tolerance=0.5)
+    assert edge.slack == -0.5 and edge.equality and not edge.violation
+    beyond = report(0.5, 1.25, tolerance=0.5)
+    assert beyond.slack == -0.75 and not beyond.equality and beyond.violation
+
+
+def test_integer_sides_keep_an_integer_slack():
+    # eq-4.2 compares two pair counts; its line shows the slack as 0.
+    pairs = InequalityReport(theorem_id="eq-4.2", engine="voxel", lhs=7, rhs=7)
+    assert pairs.slack == 0 and type(pairs.slack) is int and pairs.equality
+    line = dumps_canonical(pairs.to_json_dict())
+    assert '"slack":0,' in line and '"equality":true,' in line
+
+
+def test_a_report_takes_no_verdict():
+    with pytest.raises(TypeError):
+        InequalityReport(theorem_id="rn", engine="float", lhs=1.0, rhs=1.0,
+                         slack=0.0)
+    with pytest.raises(TypeError):
+        InequalityReport(theorem_id="rn", engine="float", lhs=1.0, rhs=1.0,
+                         equality=True)
 
 
 # -- average-of-boundaries bound ------------------------------------------------

@@ -363,7 +363,7 @@ def test_decomposition_square_disk_fixture():
     k = rasterize(BIGBOX, 1 / 16)
     t = rasterize(ShapeSpec.ball((0, 0), 1.0), 1 / 16)
     report = decomposition_check(k, t)
-    assert report.all_pass, report.verdicts()
+    assert report.all_pass, report.verdicts
 
 
 def test_decomposition_equal_boxes():
@@ -379,7 +379,7 @@ def test_decomposition_lshape_with_small_box():
         1 / 16)
     t = rasterize(ShapeSpec.box((-0.25, -0.25), (0.25, 0.25)), 1 / 16)
     report = decomposition_check(k, t)
-    assert report.all_pass, report.verdicts()
+    assert report.all_pass, report.verdicts
 
 
 def test_decomposition_requires_connected_boundaries():
