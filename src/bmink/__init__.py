@@ -17,7 +17,7 @@ from .exact2d import (ConvexPolygon, EngineInconsistencyError, EqualityClass,
                       EqualityTag, ErosionResult, GeometryError, Point2,
                       boundary_sum_volume, classify_equality, erode,
                       is_centrally_symmetric, minkowski_sum, partial_sum_area,
-                      point, reflect, scale, translate)
+                      reflect, scale, translate)
 from .serialize import GridError, ShapeSpec
 from .inequalities import (InequalityReport, check_arithmetic_bm,
                            check_cor_multi, check_lemma_pbm, check_rn,
@@ -51,7 +51,7 @@ __all__ = [
     "ConvexPolygon", "EngineInconsistencyError", "EqualityClass",
     "EqualityTag", "ErosionResult", "GeometryError", "Point2",
     "boundary_sum_volume", "classify_equality", "erode",
-    "is_centrally_symmetric", "minkowski_sum", "partial_sum_area", "point",
+    "is_centrally_symmetric", "minkowski_sum", "partial_sum_area",
     "reflect", "scale", "translate",
     "DecompositionReport", "GridError", "GridExtentError", "GridSet",
     "ShapeSpec", "boundary", "decomposition_check", "dilate", "erode_open",

@@ -46,7 +46,7 @@ from .generators import (GridGenParams, PLANT_TRANSLATE, PolygonGenParams,
 from .inequalities import (EXACT, VOXEL, InequalityReport, check_arithmetic_bm,
                            check_cor_multi, check_lemma_pbm, check_rn,
                            check_thm_4_2_voxel, check_thm_av, check_thm_bbm)
-from .serialize import dumps_canonical, spec_from_polygon
+from .serialize import ALLOWED_DIMS, dumps_canonical, spec_from_polygon
 
 POLYGON_PARAMS = PolygonGenParams()  # the exact engine's polygon generator
 
@@ -90,7 +90,7 @@ class CampaignConfig:
                     f"exact cor-multi with {self.bodies} bodies: the slack "
                     f"can reach {span}**{2 * self.bodies}, beyond the float "
                     "range of the campaign summary")
-        if self.dim not in (2, 3, 4):
+        if self.dim not in ALLOWED_DIMS:
             raise GeometryError("dimension must be 2, 3 or 4")
         if self.engine == EXACT and self.dim != 2:
             raise GeometryError("the exact engine is two-dimensional")

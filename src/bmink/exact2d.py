@@ -62,11 +62,6 @@ class Point2(NamedTuple):
         return self.x * other.y - self.y * other.x
 
 
-def point(x: Scalar, y: Scalar) -> Point2:
-    """Build a Point2, coercing ints/strings through Fraction."""
-    return Point2(Fraction(x), Fraction(y))
-
-
 class _Lattice(NamedTuple):
     """Integer points (x, y) standing for (x/den, y/den), den > 0."""
 
@@ -129,54 +124,40 @@ def _canonical_ring(ring: Sequence[IntPoint], den: int
     GeometryError if fewer than three vertices survive, or if the ring
     turns clockwise, doubles back on itself or winds more than once (a
     pentagram turns left at every vertex).
+
+    One pass is enough: dropping a vertex where the ring goes straight on
+    leaves every edge direction, hence every other turn, unchanged, so the
+    kept vertices turn strictly left; a ring that reverses at a straight
+    vertex doubles back and is rejected.  With left turns of less than
+    half a revolution, the ring winds once exactly when its edge direction
+    passes the +x axis once, from [pi, 2 pi) into [0, pi).
     """
-    # Drop consecutive duplicates (with wrap-around).
-    dedup: list[IntPoint] = []
-    for p in ring:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    # Collapse collinear middle vertices until stable.
-    changed, doubles_back = True, False
-    while changed and len(dedup) >= 3:
-        changed = False
-        out: list[IntPoint] = []
-        n = len(dedup)
-        for i in range(n):
-            a, b, c = dedup[i - 1], dedup[i], dedup[(i + 1) % n]
-            turn = _turn(a, b, c)
-            if turn < 0:
-                raise GeometryError("vertex ring is not counterclockwise convex")
-            if turn == 0:
-                changed = True
-                # A straight turn that reverses direction is a spike.
-                doubles_back |= ((b[0] - a[0]) * (c[0] - b[0])
-                                 + (b[1] - a[1]) * (c[1] - b[1]) < 0)
-                continue
-            out.append(b)
-        dedup = out
-    if len(dedup) < 3:
+    ring = [p for i, p in enumerate(ring) if p != ring[i - 1]]
+    if len(ring) < 3:
         raise GeometryError("polygon needs at least 3 non-collinear vertices")
-    k = dedup.index(min(dedup))
-    canon = dedup[k:] + dedup[:k]
-    # Every turn is a left turn of less than half a revolution, so the ring
-    # winds once exactly when its edge direction passes the +x axis once:
-    # when an edge points into the upper half-plane of directions [0, pi)
-    # right after one in the lower half-plane [pi, 2 pi).
-    crossings = 0
-    (ax, ay), (bx, by) = canon[-2], canon[-1]
+    kept: list[IntPoint] = []
+    doubles_back, crossings = False, 0
+    (ax, ay), (bx, by) = ring[-2], ring[-1]
     ux, uy = bx - ax, by - ay
     was_up = uy > 0 or (uy == 0 and ux > 0)
-    for cx, cy in canon:
+    for cx, cy in ring:
         vx, vy = cx - bx, cy - by
-        if ux * vy - uy * vx <= 0:
-            raise EngineInconsistencyError("canonical ring not strictly convex")
+        turn = ux * vy - uy * vx
+        if turn < 0:
+            raise GeometryError("vertex ring is not counterclockwise convex")
+        if turn > 0:
+            kept.append((bx, by))
+        else:
+            doubles_back |= ux * vx + uy * vy < 0
         up = vy > 0 or (vy == 0 and vx > 0)
         crossings += up and not was_up
         bx, by, ux, uy, was_up = cx, cy, vx, vy, up
+    if len(kept) < 3:
+        raise GeometryError("polygon needs at least 3 non-collinear vertices")
     if doubles_back or crossings != 1:
         raise GeometryError("vertex ring is not counterclockwise convex")
+    k = kept.index(min(kept))
+    canon = kept[k:] + kept[:k]
     g = gcd(den, *(c for p in canon for c in p))
     if g != 1:
         return tuple((x // g, y // g) for x, y in canon), den // g
@@ -490,21 +471,6 @@ class EqualityClass:
     translation: Optional[Point2] = None
     ratio: Optional[Fraction] = None
 
-    def __bool__(self) -> bool:
-        return self.tag is not EqualityTag.NO_EQUALITY
-
-
-def _translation_witness(k: ConvexPolygon, t: ConvexPolygon) -> Optional[Point2]:
-    # Canonical rotation survives translation, so vertices pair up in order.
-    if len(k) != len(t):
-        return None
-    kr, tr, den = _common(k._ring, k._den, t._ring, t._den)
-    sx, sy = tr[0][0] - kr[0][0], tr[0][1] - kr[0][1]
-    for (ax, ay), (bx, by) in zip(kr, tr):
-        if ax + sx != bx or ay + sy != by:
-            return None
-    return Point2(Fraction(sx, den), Fraction(sy, den))
-
 
 def _homothety_witness(
         k: ConvexPolygon, t: ConvexPolygon) -> Optional[tuple[Fraction, Point2]]:
@@ -532,22 +498,27 @@ def _homothety_witness(
 
 
 def is_centrally_symmetric(p: ConvexPolygon) -> bool:
-    """True when some translate of P equals -P."""
-    return _translation_witness(p, reflect(p)) is not None
+    """True when some translate of P equals -P.
+
+    -P has the area of P, so a positive homothety from P onto -P has ratio 1.
+    """
+    return _homothety_witness(p, reflect(p)) is not None
 
 
 def classify_equality(k: ConvexPolygon, t: ConvexPolygon) -> EqualityClass:
     """Classify the pair for equality in the boundary-average volume bound.
 
-    Translate: T is an exact translate of K.  The homothetic class needs
-    both a positive homothety K -> T and central symmetry of K (hence of T).
+    Translate: T is an exact translate of K, a homothety of ratio 1.  The
+    homothetic class needs a positive homothety K -> T of any other ratio
+    and central symmetry of K (hence of T).
     """
-    shift = _translation_witness(k, t)
-    if shift is not None:
-        return EqualityClass(EqualityTag.TRANSLATE, translation=shift)
     hom = _homothety_witness(k, t)
-    if hom is not None and is_centrally_symmetric(k):
-        ratio, shift = hom
+    if hom is None:
+        return EqualityClass(EqualityTag.NO_EQUALITY)
+    ratio, shift = hom
+    if ratio == 1:
+        return EqualityClass(EqualityTag.TRANSLATE, translation=shift)
+    if is_centrally_symmetric(k):
         return EqualityClass(EqualityTag.HOMOTHETIC_CENTRALLY_SYMMETRIC_2D,
                              translation=shift, ratio=ratio)
     return EqualityClass(EqualityTag.NO_EQUALITY)

@@ -7,7 +7,7 @@ from bmink.exact2d import (ConvexPolygon,
                            EqualityTag, GeometryError, Point2,
                            boundary_sum_volume, classify_equality, erode,
                            is_centrally_symmetric, minkowski_sum,
-                           partial_sum_area, point, reflect, scale,
+                           partial_sum_area, reflect, scale,
                            translate)
 
 SQUARE = ConvexPolygon.box((-1, -1), (1, 1))
@@ -22,7 +22,7 @@ DIAMOND = ConvexPolygon([(1, 0), (0, 1), (-1, 0), (0, -1)])
 def test_canonical_rotation_and_equality():
     rotated = ConvexPolygon([(1, -1), (1, 1), (-1, 1), (-1, -1)])
     assert rotated == SQUARE
-    assert rotated.vertices[0] == point(-1, -1)
+    assert rotated.vertices[0] == Point2(-1, -1)
 
 
 def test_collinear_vertices_collapse():
@@ -40,6 +40,24 @@ def test_too_few_vertices_rejected():
         ConvexPolygon([(0, 0), (1, 0)])
     with pytest.raises(GeometryError):
         ConvexPolygon([(0, 0), (1, 1), (2, 2)])
+
+
+FEW = "polygon needs at least 3 non-collinear vertices"
+NOT_CONVEX = "vertex ring is not counterclockwise convex"
+
+
+def test_degenerate_rings_rejected():
+    # Empty, single-point, collinear and back-and-forth rings, and a spike
+    # whose tip is a vertex of the ring: a GeometryError, not an IndexError.
+    for ring, message in [
+            ([], FEW), ([(0, 0)], FEW), ([(0, 0)] * 3, FEW),
+            ([(0, 0), (1, 0)], FEW), ([(0, 0), (1, 1), (2, 2)], FEW),
+            ([(0, 0), (2, 0), (1, 0)], FEW),
+            ([(0, 0), (2, 0), (0, 0), (2, 0)], FEW),
+            ([(0, 0), (1, 0), (1, 1), (1, 0)], NOT_CONVEX)]:
+        with pytest.raises(GeometryError) as info:
+            ConvexPolygon(ring)
+        assert str(info.value) == message, ring
 
 
 def test_hull_builds_canonical_polygon():
@@ -68,6 +86,13 @@ def test_ring_that_doubles_back_rejected():
     # tip; dropping the tip as a collinear vertex left a triangle.
     with pytest.raises(GeometryError):
         ConvexPolygon([(0, 0), (2, 0), (1, 1), (2, 0), (2, 2), (0, 2)])
+
+
+def test_spike_back_to_a_vertex_rejected_as_not_convex():
+    # A triangle with a spike from (2, 2) out to (-1, 1) and back: the ring
+    # doubles back, though three of its vertices are not collinear.
+    with pytest.raises(GeometryError, match=NOT_CONVEX):
+        ConvexPolygon([(-1, 1), (2, 2), (1, 2), (0, -1), (2, 2)])
 
 
 @st.composite
@@ -156,7 +181,7 @@ def test_scale_triangle():
 
 
 def test_translate_reflect_commutation():
-    v = point(F(3, 2), -2)
+    v = Point2(F(3, 2), -2)
     a = reflect(translate(TRI, v))
     b = translate(reflect(TRI), -v)
     assert a == b
@@ -223,9 +248,9 @@ def test_boundary_sum_lambda_validated():
 # -- equality classifier --------------------------------------------------------------
 
 def test_classify_translate():
-    cls = classify_equality(SQUARE, translate(SQUARE, point(3, 5)))
+    cls = classify_equality(SQUARE, translate(SQUARE, Point2(3, 5)))
     assert cls.tag is EqualityTag.TRANSLATE
-    assert cls.translation == point(3, 5)
+    assert cls.translation == Point2(3, 5)
 
 
 def test_classify_homothetic_symmetric():
@@ -241,7 +266,7 @@ def test_classify_non_symmetric_homothets():
 
 def test_central_symmetry_predicate():
     assert is_centrally_symmetric(SQUARE)
-    assert is_centrally_symmetric(translate(DIAMOND, point(7, -3)))
+    assert is_centrally_symmetric(translate(DIAMOND, Point2(7, -3)))
     assert not is_centrally_symmetric(TRI)
 
 
@@ -326,7 +351,7 @@ def test_only_the_larger_body_erodes(p, q):
 @given(polygons(), st.integers(-6, 6), st.integers(-6, 6), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_equal_area_pairs_have_empty_erosions(p, dx, dy, reflected):
-    t = translate(reflect(p) if reflected else p, point(F(dx, 3), dy))
+    t = translate(reflect(p) if reflected else p, Point2(F(dx, 3), dy))
     assert erode(p, t).is_empty and erode(t, p).is_empty
     assert partial_sum_area(p, t) == minkowski_sum(p, t).area
 
@@ -358,6 +383,6 @@ def test_erosion_maximality_on_edges(k, t):
 @given(polygons(), st.integers(-6, 6), st.integers(-6, 6))
 @settings(max_examples=40, deadline=None)
 def test_translate_pairs_reach_equality(p, dx, dy):
-    t = translate(p, point(dx, dy))
+    t = translate(p, Point2(dx, dy))
     bsv = boundary_sum_volume(p, t, F(1, 2))
     assert bsv * bsv == p.area * t.area

@@ -20,8 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 from bmink.exact2d import (ConvexPolygon, EngineInconsistencyError,
                            EqualityTag, GeometryError, Point2,
                            boundary_sum_volume, classify_equality, erode,
-                           minkowski_sum, partial_sum_area, reflect, scale,
-                           translate)
+                           is_centrally_symmetric, minkowski_sum,
+                           partial_sum_area, reflect, scale, translate)
 
 Ring = tuple[Point2, ...]
 
@@ -447,3 +447,12 @@ def test_classify_equality_matches_reference(pair):
         got = classify_equality(a, b)
         assert (got.tag, got.translation, got.ratio) == \
             ref_classify(a.vertices, b.vertices)
+
+
+@given(st.one_of(polygons(), symmetric_polygons()))
+@settings(max_examples=150, deadline=None)
+def test_central_symmetry_matches_reference(p):
+    ring = p.vertices
+    reflected = ref_canonical_ring([-v for v in ring])
+    assert is_centrally_symmetric(p) == \
+        (ref_translation_witness(ring, reflected) is not None)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, point,
+from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, Point2,
                            scale, translate)
 from bmink.generators import GridGenParams, gen_connected_boundary_set, trial_rng
 from bmink.inequalities import (InequalityReport, check_cor_multi,
@@ -103,7 +103,7 @@ def test_thm_av_voxel_engine():
 # -- multi-body bound --------------------------------------------------------------
 
 def test_cor_multi_translates_equality():
-    bodies = [SQUARE, translate(SQUARE, point(2, 3)), translate(SQUARE, point(-1, 4))]
+    bodies = [SQUARE, translate(SQUARE, Point2(2, 3)), translate(SQUARE, Point2(-1, 4))]
     r = check_cor_multi(bodies)
     assert r.equality
     assert r.details["scaled_boundary_sum_volume"] == 4
@@ -149,7 +149,7 @@ def test_thm_bbm_half_reduces_to_av():
 
 
 def test_thm_bbm_strict_for_non_symmetric():
-    r = check_thm_bbm(TRI, translate(scale(TRI, 2), point(1, 1)), F(1, 3))
+    r = check_thm_bbm(TRI, translate(scale(TRI, 2), Point2(1, 1)), F(1, 3))
     assert r.slack > 0 and not r.equality
 
 
