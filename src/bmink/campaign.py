@@ -7,19 +7,26 @@ JSON report line per check.  The exit-code contract is nonzero exactly when
 some report is a beyond-tolerance violation.
 
 Trials run on every CPU the process may use.  The trial range is cut into
-contiguous blocks; a pool of worker processes, forked once per process at
-the first campaign with more than one block and reused by later ones, runs
-each block and returns every report as its JSON line plus the facts the
-summary keeps.  The calling process merges the blocks in trial order, so
-identical configurations produce byte-identical files and summaries
+contiguous blocks.  The first campaign with more than one block forks one
+worker per CPU, joined to the calling process by one duplex pipe, and
+later campaigns reuse them.  A worker runs one block at a time and answers
+with one block message: the trials done, their report lines as one
+string, the facts the summary keeps of each report, and the lines of the
+first violations.  The calling process keeps at most two blocks per
+worker sent and not yet merged, and merges the messages in trial order,
+so identical configurations produce byte-identical files and summaries
 whatever the number of workers.  A block stops at its first trial that
 raises, and no exception leaves a worker: the calling process reruns that
 trial itself, which raises there after the lines of every earlier trial.
 Each trial is a pure function of the config and its index, so the rerun
-draws what the worker drew.  With one CPU, one block, or no
-`os.sched_getaffinity` (outside Linux), the trials run in order on the
-calling thread and nothing is forked.  The process machinery is imported
-when the pool is first built, so set-up never pays for it.
+draws what the worker drew.  A worker exits when its pipe ends, so the
+workers go with the calling process even when it is killed; one that
+dies breaks the pool, and the campaign raises BrokenProcessPool (after
+one retry on a fresh pool if nothing was merged yet).  With one CPU, one
+block, or no `os.sched_getaffinity` (outside Linux), the blocks run in
+order on the calling thread and nothing is forked.  The process machinery
+is imported when the pool is first built, so set-up never pays for it,
+and the calling process starts no thread.
 
 Validating a voxel config loads the voxel engine, bmink.voxel, so its
 import is paid in set-up, not in the first trial; exact and scalar
@@ -36,8 +43,7 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
-from typing import IO, Iterator, Optional, Sequence
+from typing import IO, Iterator, Optional
 
 from .exact2d import GeometryError, translate
 from .generators import (GridGenParams, PLANT_TRANSLATE, PolygonGenParams,
@@ -125,15 +131,16 @@ class CampaignSummary:
         return doc
 
 
-# A block is a contiguous run of trials, the unit a worker runs and returns.
-# Several blocks per worker even out trials of unequal cost; the size cap
-# and the window of blocks in flight bound the reports the calling process
-# holds, whatever the trial count.
+# A block is a contiguous run of trials, the unit a worker runs and returns
+# as one message.  Several blocks per worker even out trials of unequal
+# cost; the size cap and the window of blocks in flight bound the reports
+# the calling process holds, whatever the trial count.
 _BLOCKS_PER_WORKER = 4
 _MAX_BLOCK = 256
 _IN_FLIGHT_PER_WORKER = 2
+_WITNESSES = 10  # violation reports the summary keeps in full
 
-_POOL = None  # the worker processes, built by the first campaign that uses them
+_POOL = None  # [(pipe end, worker process)], built by the first pooled campaign
 
 
 def _workers() -> int:
@@ -298,8 +305,9 @@ def run_campaign(config: CampaignConfig,
 
     try:
         if pool is None:
-            for trial in _encoded_trials(config, 0, config.trials):
-                _consume(summary, trial, stream)
+            for first, stop in _bounds(config.trials, workers):
+                _merge(summary, config, first, stop,
+                       _run_block(config, first, stop), stream)
         else:
             _run_blocks(pool, workers, config, summary, stream)
     finally:
@@ -312,127 +320,209 @@ def run_campaign(config: CampaignConfig,
     return summary
 
 
-def _pool():
-    """The process pool, built at first use with one worker per CPU.
+def _bounds(trials: int, workers: int) -> Iterator[tuple[int, int]]:
+    """The (start, stop) trial bounds of a campaign's blocks, in order."""
+    size = _block_size(trials, workers)
+    return ((k, min(k + size, trials)) for k in range(0, trials, size))
+
+
+def _pool() -> list:
+    """The worker processes as (pipe end, process) pairs, forked at first
+    use, one per CPU.
 
     Workers are forked, not spawned, so they start with every module the
     calling process has loaded instead of importing numpy and scipy again;
-    they keep the code as it was at fork time.  The executor shuts its
-    workers down when the interpreter exits.
+    they keep the code as it was at fork time.  bmink starts no thread in
+    the calling process, which keeps forking safe.  The pool is dropped
+    when the interpreter exits.
     """
     global _POOL
     if _POOL is None:
         import atexit
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        _POOL = ProcessPoolExecutor(
-            _workers(), mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(os.getpid(),))
+        context = multiprocessing.get_context("fork")
+        _POOL = []
+        atexit.unregister(_drop_pool)  # registered once, however many pools
         atexit.register(_drop_pool)
+        try:
+            for _ in range(_workers()):
+                ours, theirs = context.Pipe()
+                worker = context.Process(target=_serve, daemon=True, args=(
+                    theirs, [end for end, _ in _POOL] + [ours]))
+                worker.start()
+                theirs.close()
+                _POOL.append((ours, worker))
+        except BaseException:
+            _drop_pool()
+            raise
     return _POOL
 
 
 def _drop_pool() -> None:
-    # Shut the executor down and wait for its workers: at exit, while the
-    # modules it uses at collection are still loaded, or once it broke.
+    # Close the pipes, stop the workers and wait until they are gone: at
+    # exit, once the pool broke, or when a campaign ended with blocks in
+    # flight, whose replies no later campaign may read.
     global _POOL
-    if _POOL is not None:
-        _POOL.shutdown()
-        _POOL = None
+    pool, _POOL = _POOL or (), None
+    for end, worker in pool:
+        end.close()
+        worker.terminate()
+    for _, worker in pool:
+        worker.join()
 
 
-def _start_worker(parent: int) -> None:
-    """Worker set-up.  Ctrl-C reaches the whole process group; the calling
-    process handles it, and its pool then stops the workers.  A calling
-    process that is killed cannot stop them, so each worker also watches
-    its parent and exits once it is gone."""
+def _serve(conn, inherited: list) -> None:
+    """Worker loop: answer each block request with its block message, until
+    the calling process closes its end of the pipe or dies.
+
+    Ctrl-C reaches the whole process group; the calling process handles
+    it, and the worker ignores it.  The worker first closes the calling
+    process's ends of its own pipe and of the pipes of the workers forked
+    before it, so that every pipe ends, and every worker exits, however
+    the calling process exits.
+    """
     import signal
-    import threading
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
-
-
-def _exit_with(parent: int) -> None:
-    while os.getppid() == parent:
-        time.sleep(0.5)
-    os._exit(1)
+    for end in inherited:
+        end.close()
+    with suppress(EOFError, BrokenPipeError, ConnectionResetError):
+        while True:
+            conn.send(_run_block(*conn.recv()))
 
 
 def _run_blocks(pool, workers: int, config: CampaignConfig,
                 summary: CampaignSummary, stream: Optional[IO[str]]) -> None:
-    """Run the campaign's blocks on the pool and merge them in trial order,
-    with at most _IN_FLIGHT_PER_WORKER blocks per worker submitted and not
-    yet merged.  A block that a trial cut short is finished here, so that
-    trial raises in this process.  A pool that breaks before the first
-    merge lost a worker between campaigns: the campaign runs once more on
-    a fresh pool, forked with the report file open.  Breaking again, or
-    later, raises."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    size = _block_size(config.trials, workers)
+    """Run the campaign's blocks on the pool's first `workers` workers and
+    merge them in trial order.  A pool that breaks (a pipe ends) before
+    the first merge lost a worker between campaigns: the campaign runs
+    once more on a fresh pool, forked with the report file open.  Breaking
+    again, or later, raises BrokenProcessPool."""
     for retry in (True, False):
-        bounds = ((k, min(k + size, config.trials))
-                  for k in range(0, config.trials, size))
-        blocks = ((start, stop, pool.submit(_run_block, config, start, stop))
-                  for start, stop in bounds)
-        window: deque = deque()
+        replies = _replies([end for end, _ in pool[:workers]], config,
+                           workers)
         try:
-            window.extend(islice(blocks, _IN_FLIGHT_PER_WORKER * workers))
-            while window:
-                start, stop, future = window.popleft()
-                done = future.result()
-                window.extend(islice(blocks, 1))
-                for trial in chain(done, _encoded_trials(
-                        config, start + len(done), stop)):
-                    _consume(summary, trial, stream)
-            return
-        except BrokenProcessPool:
-            _drop_pool()  # and wait until its workers are gone
-            if summary.trials or not retry:
-                raise
+            while True:
+                try:
+                    block = next(replies, None)
+                except (EOFError, BrokenPipeError,
+                        ConnectionResetError) as exc:
+                    lost = exc
+                    break
+                if block is None:
+                    return
+                _merge(summary, config, *block, stream)
         finally:
-            for *_, future in window:
-                future.cancel()
+            replies.close()
+        _drop_pool()  # and wait until its workers are gone
+        if summary.trials or not retry:
+            from concurrent.futures.process import BrokenProcessPool
+
+            raise BrokenProcessPool(
+                "a campaign worker process ended unexpectedly") from lost
         pool = _pool()
 
 
-def _run_block(config: CampaignConfig, start: int, stop: int) -> list:
-    """Worker side: the encoded trials start .. stop-1, up to the first
-    that raises.  Nothing of the exception leaves the worker; the calling
-    process reruns that trial and raises it there."""
-    done = []
+def _replies(conns: list, config: CampaignConfig,
+             workers: int) -> Iterator[list]:
+    """The campaign's blocks as [start, stop, block message], in trial
+    order.  A worker runs one block at a time and gets the next one as soon
+    as it answers, so a slow block holds up no other worker; at most
+    _IN_FLIGHT_PER_WORKER blocks per worker are sent and not yet yielded.
+    Once the next block to yield is one that a trial cut short, no block
+    is sent until every reply in flight is in, so the rerun of that trial
+    can raise with no block in flight.  A generator closed with blocks in
+    flight drops the pool."""
+    from multiprocessing.connection import wait
+
+    bounds = _bounds(config.trials, workers)
+    cap = _IN_FLIGHT_PER_WORKER * len(conns)
+    busy = {}  # pipe end -> the block its worker is running
+    window: deque = deque()  # sent and not yet yielded, in trial order
+    try:
+        while True:
+            start, stop, reply = window[0] if window else (0, 0, None)
+            cut = reply is not None and reply[0] < stop - start
+            for conn in conns:
+                if cut or len(window) == cap:
+                    break
+                if conn in busy:
+                    continue
+                bound = next(bounds, None)
+                if bound is None:
+                    break
+                conn.send((config, *bound))
+                busy[conn] = [*bound, None]
+                window.append(busy[conn])
+            if not window:
+                return
+            if window[0][2] is None or (cut and busy):
+                for conn in wait(list(busy)):
+                    busy[conn][2] = conn.recv()
+                    del busy[conn]
+            else:
+                yield window.popleft()
+    finally:
+        if busy:
+            _drop_pool()
+
+
+def _merge(summary: CampaignSummary, config: CampaignConfig, start: int,
+           stop: int, block: tuple, stream: Optional[IO[str]]) -> None:
+    """Merge the block message of trials start .. stop-1.  A block that a
+    trial cut short is finished here, so that trial raises in this
+    process; each trial is a pure function of the config and its index,
+    so the rerun draws what the block drew."""
+    while True:
+        _consume(summary, block, stream)
+        start += block[0]
+        if start == stop:
+            return
+        _run_trial(config, start)  # raises, as it did in the block
+        block = _run_block(config, start, stop)  # if not, run on here
+
+
+def _run_block(config: CampaignConfig, start: int, stop: int) -> tuple:
+    """The block message of trials start .. stop-1, up to the first that
+    raises: the number of trials done, their report lines as one string,
+    the summary facts of each report, and the lines of the first
+    violations, for the witnesses.  Nothing of the exception leaves the
+    block; whoever merges it reruns that trial and raises it there."""
+    lines, facts, witnesses = [], [], []
+    done = 0
     with suppress(Exception):
-        for trial in _encoded_trials(config, start, stop):
-            done.append(trial)
-    return done
+        for k in range(start, stop):
+            for line, fact in [_encode(report)
+                               for report in _run_trial(config, k)]:
+                lines.append(line)
+                facts.append(fact)
+                if fact[-1] and len(witnesses) < _WITNESSES:
+                    witnesses.append(line)
+            done += 1
+    return done, "".join(f"{line}\n" for line in lines), facts, witnesses
 
 
-def _encoded_trials(config: CampaignConfig, start: int,
-                    stop: int) -> Iterator[list[tuple]]:
-    for k in range(start, stop):
-        yield [_encode(report) for report in _run_trial(config, k)]
-
-
-def _encode(report: InequalityReport) -> tuple:
+def _encode(report: InequalityReport) -> tuple[str, tuple]:
     """A report as its JSON line plus what the summary keeps of it:
     theorem_id, slack, planted, equality, the class tag and the violation
     verdict."""
     equality = bool(report.equality)
     tag = (report.equality_class.tag.value
            if equality and report.equality_class is not None else None)
-    return (dumps_canonical(report.to_json_dict()), report.theorem_id,
-            float(report.slack), bool(report.details.get("planted")),
-            equality, tag, _is_violation(report))
+    return dumps_canonical(report.to_json_dict()), (
+        report.theorem_id, float(report.slack),
+        bool(report.details.get("planted")), equality, tag,
+        _is_violation(report))
 
 
-def _consume(summary: CampaignSummary, trial: Sequence[tuple],
+def _consume(summary: CampaignSummary, block: tuple,
              stream: Optional[IO[str]]) -> None:
-    """Merge one trial's encoded reports into the summary and the stream."""
-    summary.trials += 1
-    for line, tid, slack, planted, equality, tag, violation in trial:
-        summary.reports += 1
+    """Merge one block message into the summary and the stream."""
+    done, text, facts, witnesses = block
+    summary.trials += done
+    summary.reports += len(facts)
+    for tid, slack, planted, equality, tag, violation in facts:
         if tid not in summary.min_slack or slack < summary.min_slack[tid]:
             summary.min_slack[tid] = slack
         if planted:
@@ -444,8 +534,7 @@ def _consume(summary: CampaignSummary, trial: Sequence[tuple],
                     summary.equality_classes.get(tag, 0) + 1
         if violation:
             summary.violations += 1
-            if len(summary.violation_witnesses) < 10:
-                summary.violation_witnesses.append(json.loads(line))
-        if stream is not None:
-            stream.write(line)
-            stream.write("\n")
+    room = _WITNESSES - len(summary.violation_witnesses)
+    summary.violation_witnesses.extend(map(json.loads, witnesses[:room]))
+    if stream is not None and text:
+        stream.write(text)

@@ -1,6 +1,8 @@
+import errno
 import io
 import json
 import threading
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -404,45 +406,70 @@ def test_an_exception_that_cannot_be_pickled_is_raised_as_on_one_worker(
     assert pooled["same_pool"]  # the campaign after it ran with no retry
 
 
-class _RecordingPool:
-    """Runs each block when it is submitted and counts the blocks submitted
-    but not yet merged."""
+class _Recording:
+    """A worker's pipe end that records each block sent through it; the
+    blocks sent and not yet merged are counted across all the workers."""
 
+    def __init__(self, conn, log):
+        self.conn, self.log = conn, log
+
+    def fileno(self):
+        return self.conn.fileno()
+
+    def send(self, request):
+        _, start, stop = request
+        self.log.open += 1
+        self.log.most = max(self.log.most, self.log.open)
+        self.log.blocks.append((start, stop))
+        self.conn.send(request)
+
+    def recv(self):
+        return self.conn.recv()
+
+
+class _Log:
     def __init__(self):
         self.open = self.most = 0
         self.blocks = []
 
-    def submit(self, fn, config, start, stop, *args):
-        self.open += 1
-        self.most = max(self.most, self.open)
-        self.blocks.append((start, stop))
-        return _Done(self, fn(config, start, stop, *args))
-
-
-class _Done:
-    def __init__(self, pool, value):
-        self.pool, self.value = pool, value
-
-    def result(self):
-        self.pool.open -= 1
-        return self.value
-
-    def cancel(self):
-        return False
-
 
 def test_blocks_in_flight_stay_bounded(monkeypatch):
+    # Trial 0 is slow on the workers, so the others run ahead of its block
+    # until the window of blocks sent and not yet merged is full.
     import bmink.campaign as camp
 
-    pool = _RecordingPool()
-    monkeypatch.setattr(camp, "_pool", lambda: pool)
+    run_trial = camp._run_trial
+
+    def slow_start(config, k):
+        if k == 0:
+            time.sleep(0.5)
+        return run_trial(config, k)
+
     monkeypatch.setattr(camp, "_workers", lambda: 3)
-    config = CampaignConfig(theorem="rn", trials=6000, seed=2)
-    pooled = _bytes_and_summary(config)
-    assert pool.most == 2 * 3 and pool.open == 0
-    starts, stops = zip(*pool.blocks)
+    camp._drop_pool()
+    monkeypatch.setattr(camp, "_run_trial", slow_start)
+    real, log = camp._pool(), _Log()
+    monkeypatch.setattr(camp, "_run_trial", run_trial)
+    try:
+        monkeypatch.setattr(camp, "_pool", lambda: [
+            (_Recording(end, log), worker) for end, worker in real])
+        consume = camp._consume
+
+        def merged(summary, block, stream):
+            log.open -= 1
+            consume(summary, block, stream)
+
+        monkeypatch.setattr(camp, "_consume", merged)
+        config = CampaignConfig(theorem="rn", trials=6000, seed=2)
+        pooled = _bytes_and_summary(config)
+        assert camp._POOL is real  # no block was left in flight
+    finally:
+        camp._drop_pool()
+    assert log.most == 2 * 3 and log.open == 0
+    starts, stops = zip(*log.blocks)
     assert starts == (0,) + stops[:-1] and stops[-1] == 6000
-    assert max(b - a for a, b in pool.blocks) == camp._MAX_BLOCK
+    assert max(b - a for a, b in log.blocks) == camp._MAX_BLOCK
+    monkeypatch.setattr(camp, "_consume", consume)
     monkeypatch.setattr(camp, "_workers", lambda: 1)
     assert pooled == _bytes_and_summary(config)
 
@@ -516,3 +543,48 @@ def test_a_worker_lost_in_the_campaign_breaks_it_after_one_retry(tmp_path):
     assert _fresh(WORKER_EXIT, tmp_path) == {
         "error": "BrokenProcessPool", "bytes": "", "exits": 2, "children": 0,
         "loaded": []}
+
+
+THREADS = """
+import multiprocessing, threading
+from bmink import campaign
+from bmink.campaign import CampaignConfig, run_campaign
+
+campaign._workers = lambda: 2
+out["before"] = threading.active_count()
+out["trials"] = run_campaign(CampaignConfig(theorem="rn", trials=40)).trials
+out["after"] = threading.active_count()
+out["forked"] = len(multiprocessing.active_children())
+"""
+
+
+def test_a_pooled_campaign_starts_no_thread(tmp_path):
+    from test_package import _fresh
+
+    assert _fresh(THREADS, tmp_path) == {
+        "before": 1, "trials": 40, "after": 1, "forked": 2, "loaded": []}
+
+
+class _FullDisk(io.StringIO):
+    """A report stream that fails as a full disk would on the write that
+    takes it past 30 lines."""
+
+    def write(self, text):
+        if self.getvalue().count("\n") + text.count("\n") > 30:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+
+def test_an_interrupted_campaign_leaves_no_stale_block(monkeypatch):
+    # The write fails with later blocks in flight; the next campaign must
+    # read none of their replies.
+    import bmink.campaign as camp
+
+    monkeypatch.setattr(camp, "_workers", lambda: 2)
+    with pytest.raises(OSError):
+        run_campaign(CampaignConfig(theorem="thm-av", trials=200, seed=1),
+                     out=_FullDisk())
+    config = CampaignConfig(theorem="thm-av", trials=200, seed=2)
+    pooled = _bytes_and_summary(config)
+    monkeypatch.setattr(camp, "_workers", lambda: 1)
+    assert pooled == _bytes_and_summary(config)

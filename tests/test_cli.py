@@ -421,3 +421,40 @@ def test_verify_rejects_exact_cor_multi_beyond_float_slack(bodies, capsys):
                  "--trials", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+LOST_WORKER = """
+import os
+from bmink import campaign
+from bmink.cli import main
+
+out['process'] = [m for m in ("multiprocessing", "concurrent.futures")
+                  if m in sys.modules]
+run_trial, parent = campaign._run_trial, os.getpid()
+
+def rigged(config, k):
+    # The worker that runs trial 0 exits, on the first pool and the retry.
+    if k == 0 and os.getpid() != parent:
+        os._exit(3)
+    return run_trial(config, k)
+
+campaign._run_trial = rigged  # before any worker is forked
+campaign._workers = lambda: 2
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    out['code'] = main(['verify', 'rn', '--trials', '40', '--out', 'r.jsonl'])
+out['err'] = err.getvalue()
+import multiprocessing
+out['children'] = len(multiprocessing.active_children())
+"""
+
+
+def test_a_lost_worker_ends_verify_with_one_error_line(tmp_path):
+    # Importing the CLI loads no process machinery, and a campaign whose
+    # worker dies ends in a one-line error, not a traceback.
+    from test_package import _fresh
+
+    result = _fresh(LOST_WORKER, tmp_path)
+    assert result.pop("err").startswith("error: ")
+    assert result == {"process": [], "code": 2, "children": 0, "loaded": []}
+    assert (tmp_path / "r.jsonl").read_text() == ""

@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -172,6 +173,7 @@ out['children'] = [p.pid for p in multiprocessing.active_children()]
 def test_one_cpu_forks_nothing(tmp_path):
     result = _fresh(f"""
 import os
+import signal
 os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
 from bmink.campaign import CampaignConfig, run_campaign, worker_count
 out['workers'] = worker_count(64)
@@ -209,3 +211,35 @@ def test_workers_exit_when_the_calling_process_is_killed(tmp_path):
     while any(map(_alive, pids)) and time.monotonic() < deadline:
         time.sleep(0.1)
     assert not any(map(_alive, pids))
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_worker_exits_with_the_caller_while_a_later_one_is_stopped(
+        tmp_path):
+    # Each worker closes the calling process's pipe ends it inherited, so
+    # the first worker's pipe ends with the calling process even while the
+    # worker forked after it, which inherited that end, cannot run.
+    code = "\n".join([
+        "import os, signal",
+        "from bmink import campaign",
+        "from bmink.campaign import CampaignConfig, run_campaign",
+        "campaign._workers = lambda: 2",
+        "run_campaign(CampaignConfig(theorem='rn', trials=40))",
+        "first, last = (worker.pid for _, worker in campaign._POOL)",
+        "print(first, last, flush=True)",
+        "os.kill(last, signal.SIGSTOP)",
+        "os.kill(os.getpid(), signal.SIGKILL)"])
+    # The stopped worker keeps the interpreter's stdout open: use a file.
+    with open(tmp_path / "pids", "w+", encoding="ascii") as pids:
+        run = subprocess.run([sys.executable, "-c", code], stdout=pids,
+                             timeout=60, cwd=tmp_path, env=_env())
+        pids.seek(0)
+        first, last = (int(pid) for pid in pids.read().split())
+    try:
+        assert run.returncode == -9
+        deadline = time.monotonic() + 10
+        while _alive(first) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _alive(first)
+    finally:
+        os.kill(last, signal.SIGKILL)
