@@ -20,13 +20,17 @@ raises, and no exception leaves a worker: the calling process reruns that
 trial itself, which raises there after the lines of every earlier trial.
 Each trial is a pure function of the config and its index, so the rerun
 draws what the worker drew.  A worker exits when its pipe ends, so the
-workers go with the calling process even when it is killed; one that
-dies breaks the pool, and the campaign raises BrokenProcessPool (after
-one retry on a fresh pool if nothing was merged yet).  With one CPU, one
-block, or no `os.sched_getaffinity` (outside Linux), the blocks run in
-order on the calling thread and nothing is forked.  The process machinery
-is imported when the pool is first built, so set-up never pays for it,
-and the calling process starts no thread.
+workers go with the calling process even when it is killed.
+
+A pooled campaign that ends early, for any reason (a trial that raises, a
+failed write, Ctrl-C, a lost worker), drops the pool if blocks are still
+in flight, so no later campaign reads their replies.  A pool with a dead
+worker is re-forked before it is reused, and a worker lost during a
+campaign ends it with ChildProcessError.  With one CPU, one block, or no
+`os.sched_getaffinity` (outside Linux), the blocks run in order on the
+calling thread and nothing is forked.  The process machinery is imported
+when the pool is first built, so set-up never pays for it, and the
+calling process starts no thread.
 
 Validating a voxel config loads the voxel engine, bmink.voxel, so its
 import is paid in set-up, not in the first trial; exact and scalar
@@ -40,7 +44,7 @@ import os
 import sys
 import time
 from collections import deque
-from contextlib import suppress
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import IO, Iterator, Optional
@@ -327,24 +331,23 @@ def _bounds(trials: int, workers: int) -> Iterator[tuple[int, int]]:
 
 
 def _pool() -> list:
-    """The worker processes as (pipe end, process) pairs, forked at first
-    use, one per CPU.
+    """The worker processes as (pipe end, process) pairs, one per CPU,
+    forked at first use and forked again once one of them has died.
 
     Workers are forked, not spawned, so they start with every module the
     calling process has loaded instead of importing numpy and scipy again;
     they keep the code as it was at fork time.  bmink starts no thread in
-    the calling process, which keeps forking safe.  The pool is dropped
-    when the interpreter exits.
+    the calling process, which keeps forking safe.  The workers are
+    daemons, so multiprocessing stops them when the interpreter exits.
     """
     global _POOL
+    if _POOL is not None and not all(w.is_alive() for _, w in _POOL):
+        _drop_pool()
     if _POOL is None:
-        import atexit
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
         _POOL = []
-        atexit.unregister(_drop_pool)  # registered once, however many pools
-        atexit.register(_drop_pool)
         try:
             for _ in range(_workers()):
                 ours, theirs = context.Pipe()
@@ -360,9 +363,9 @@ def _pool() -> list:
 
 
 def _drop_pool() -> None:
-    # Close the pipes, stop the workers and wait until they are gone: at
-    # exit, once the pool broke, or when a campaign ended with blocks in
-    # flight, whose replies no later campaign may read.
+    # Close the pipes, stop the workers and wait until they are gone: when
+    # forking failed, when a worker died, or when a campaign ended with
+    # blocks in flight, whose replies no later campaign may read.
     global _POOL
     pool, _POOL = _POOL or (), None
     for end, worker in pool:
@@ -395,33 +398,21 @@ def _serve(conn, inherited: list) -> None:
 def _run_blocks(pool, workers: int, config: CampaignConfig,
                 summary: CampaignSummary, stream: Optional[IO[str]]) -> None:
     """Run the campaign's blocks on the pool's first `workers` workers and
-    merge them in trial order.  A pool that breaks (a pipe ends) before
-    the first merge lost a worker between campaigns: the campaign runs
-    once more on a fresh pool, forked with the report file open.  Breaking
-    again, or later, raises BrokenProcessPool."""
-    for retry in (True, False):
-        replies = _replies([end for end, _ in pool[:workers]], config,
-                           workers)
-        try:
-            while True:
-                try:
-                    block = next(replies, None)
-                except (EOFError, BrokenPipeError,
-                        ConnectionResetError) as exc:
-                    lost = exc
-                    break
-                if block is None:
-                    return
-                _merge(summary, config, *block, stream)
-        finally:
-            replies.close()
-        _drop_pool()  # and wait until its workers are gone
-        if summary.trials or not retry:
-            from concurrent.futures.process import BrokenProcessPool
-
-            raise BrokenProcessPool(
-                "a campaign worker process ended unexpectedly") from lost
-        pool = _pool()
+    merge them in trial order.  A pipe that ends lost a worker: the pool is
+    dropped and the campaign raises ChildProcessError.  Errors from merging
+    or writing a block are raised as they are."""
+    with closing(_replies([end for end, _ in pool[:workers]], config,
+                          workers)) as replies:
+        while True:
+            try:
+                block = next(replies, None)
+            except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
+                _drop_pool()
+                raise ChildProcessError(
+                    "a campaign worker process ended unexpectedly") from exc
+            if block is None:
+                return
+            _merge(summary, config, *block, stream)
 
 
 def _replies(conns: list, config: CampaignConfig,
@@ -430,10 +421,8 @@ def _replies(conns: list, config: CampaignConfig,
     order.  A worker runs one block at a time and gets the next one as soon
     as it answers, so a slow block holds up no other worker; at most
     _IN_FLIGHT_PER_WORKER blocks per worker are sent and not yet yielded.
-    Once the next block to yield is one that a trial cut short, no block
-    is sent until every reply in flight is in, so the rerun of that trial
-    can raise with no block in flight.  A generator closed with blocks in
-    flight drops the pool."""
+    A generator that ends, for any reason, with blocks in flight drops the
+    pool."""
     from multiprocessing.connection import wait
 
     bounds = _bounds(config.trials, workers)
@@ -442,10 +431,8 @@ def _replies(conns: list, config: CampaignConfig,
     window: deque = deque()  # sent and not yet yielded, in trial order
     try:
         while True:
-            start, stop, reply = window[0] if window else (0, 0, None)
-            cut = reply is not None and reply[0] < stop - start
             for conn in conns:
-                if cut or len(window) == cap:
+                if len(window) == cap:
                     break
                 if conn in busy:
                     continue
@@ -457,7 +444,7 @@ def _replies(conns: list, config: CampaignConfig,
                 window.append(busy[conn])
             if not window:
                 return
-            if window[0][2] is None or (cut and busy):
+            if window[0][2] is None:
                 for conn in wait(list(busy)):
                     busy[conn][2] = conn.recv()
                     del busy[conn]

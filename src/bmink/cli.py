@@ -11,8 +11,9 @@ Campaign trials run on a forked worker per CPU, each joined by one pipe and
 answering each block of trials with one message; the blocks are merged in
 trial order.  A JSON config file can pre-set any `verify` flag; explicit
 flags win over the file.  Malformed input ends in a one-line `error:`
-message and exit code 2, and so does a campaign whose worker dies.  Only
-`decompose`, `erode --engine voxel` and voxel campaigns load the voxel engine.
+message and exit code 2, and so does a campaign whose worker dies, which
+raises ChildProcessError, an OSError.  Only `decompose`, `erode --engine
+voxel` and voxel campaigns load the voxel engine.
 """
 
 from __future__ import annotations
@@ -250,14 +251,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     except (GeometryError, GridError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # A campaign worker that died raises BrokenProcessPool, whose module
-        # is loaded only then; importing it here would load it every time.
-        process = sys.modules.get("concurrent.futures.process")
-        if process is None or not isinstance(exc, process.BrokenProcessPool):
-            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

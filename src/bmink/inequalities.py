@@ -197,6 +197,11 @@ def check_cor_multi(bodies) -> InequalityReport:
     from . import voxel
     voxel._require_connected(*bodies)
     n = bodies[0].dim
+    # Per axis, A + B spans e_A + e_B - 1 occupied cells, so the sum's
+    # extent (with its margin) is known before the first dilation: a sum
+    # beyond the caps fails now, not after m - 2 dilations.
+    voxel._check_extent([sum(b.shape[ax] - 2 for b in bodies) - (m - 1) + 2
+                         for ax in range(n)])
     acc = voxel.boundary(bodies[0])
     bcells = acc.count
     for b in bodies[1:]:

@@ -303,6 +303,7 @@ def test_worker_count_follows_cpus_and_blocks(monkeypatch):
 
 
 RAISING_TRIAL = """
+import multiprocessing
 from bmink import campaign
 from bmink.campaign import CampaignConfig, run_campaign
 from bmink.exact2d import GeometryError
@@ -325,6 +326,9 @@ for workers in (2, 1):
     buf = io.StringIO()
     summary = run_campaign(CampaignConfig(theorem="thm-av", trials=61,
                                           seed=4), out=buf).to_json_dict()
+    if workers == 2:
+        # Read before the raising campaign, which may drop the pool.
+        out["forked"] = len(multiprocessing.active_children())
     del summary["wall_time_s"]
     side["summary"], side["bytes"] = summary, buf.getvalue()
     buf = io.StringIO()
@@ -334,8 +338,6 @@ for workers in (2, 1):
     except GeometryError as exc:
         side["error"] = [type(exc).__name__, str(exc)]
     side["partial"] = buf.getvalue()
-import multiprocessing
-out["forked"] = len(multiprocessing.active_children())
 """
 
 
@@ -380,18 +382,16 @@ for workers in (2, 1):
     except Odd as exc:
         side["error"] = [type(exc).__name__, str(exc)]
     side["partial"] = buf.getvalue()
-    pool = campaign._POOL
     buf = io.StringIO()
     run_campaign(CampaignConfig(theorem="rn", trials=50, seed=5), out=buf)
     side["next"] = buf.getvalue()
-    side["same_pool"] = pool is not None and campaign._POOL is pool
 """
 
 
 def test_an_exception_that_cannot_be_pickled_is_raised_as_on_one_worker(
         tmp_path):
     # A pooled campaign raises a trial's own exception after the same lines
-    # as one worker, and leaves the pool working for the next campaign.
+    # as one worker, and the next campaign runs as on one worker.
     from test_package import _fresh
 
     result = _fresh(ODD_EXCEPTION, tmp_path)
@@ -403,7 +403,6 @@ def test_an_exception_that_cannot_be_pickled_is_raised_as_on_one_worker(
             inline["partial"].splitlines()] == list(range(23))
     assert pooled["next"] == inline["next"]
     assert inline["next"].count("\n") == 50
-    assert pooled["same_pool"]  # the campaign after it ran with no retry
 
 
 class _Recording:
@@ -499,9 +498,9 @@ except Exception as exc:
 
 
 def test_a_dead_worker_drops_the_pool(tmp_path):
-    # A worker that died between campaigns breaks the pool before the next
-    # campaign merges anything, so that campaign runs again on a fresh pool
-    # and gives the same bytes.
+    # A worker that died between campaigns is found before the next
+    # campaign sends it a block, so that campaign runs on a fresh pool and
+    # gives the same bytes.
     from test_package import _fresh
 
     assert _fresh(DEAD_WORKER, tmp_path) == {"same": True, "loaded": []}
@@ -509,14 +508,13 @@ def test_a_dead_worker_drops_the_pool(tmp_path):
 
 WORKER_EXIT = """
 import multiprocessing, os
-from concurrent.futures.process import BrokenProcessPool
 from bmink import campaign
 from bmink.campaign import CampaignConfig, run_campaign
 
 run_trial, parent = campaign._run_trial, os.getpid()
 
 def rigged(config, k):
-    # The worker that runs trial 0 exits, leaving a mark, on every pool.
+    # The worker that runs trial 0 exits, leaving a mark.
     if k == 0 and os.getpid() != parent:
         open(f"exit-{os.getpid()}", "w").close()
         os._exit(3)
@@ -527,22 +525,23 @@ campaign._workers = lambda: 2
 buf = io.StringIO()
 try:
     run_campaign(CampaignConfig(theorem="rn", trials=40, seed=1), out=buf)
-except BrokenProcessPool as exc:
+except ChildProcessError as exc:
     out["error"] = type(exc).__name__
 out["bytes"] = buf.getvalue()
 out["exits"] = len([f for f in os.listdir() if f.startswith("exit-")])
 out["children"] = len(multiprocessing.active_children())
+out["futures"] = "concurrent.futures" in sys.modules
 """
 
 
-def test_a_worker_lost_in_the_campaign_breaks_it_after_one_retry(tmp_path):
-    # The first block's worker dies on the first pool and on the fresh one:
-    # the campaign raises, writes nothing and leaves no worker behind.
+def test_a_worker_lost_in_the_campaign_breaks_it(tmp_path):
+    # The first block's worker dies: the campaign raises at once, with no
+    # second try, writes nothing and leaves no worker behind.
     from test_package import _fresh
 
     assert _fresh(WORKER_EXIT, tmp_path) == {
-        "error": "BrokenProcessPool", "bytes": "", "exits": 2, "children": 0,
-        "loaded": []}
+        "error": "ChildProcessError", "bytes": "", "exits": 1, "children": 0,
+        "futures": False, "loaded": []}
 
 
 THREADS = """
@@ -565,26 +564,47 @@ def test_a_pooled_campaign_starts_no_thread(tmp_path):
         "before": 1, "trials": 40, "after": 1, "forked": 2, "loaded": []}
 
 
-class _FullDisk(io.StringIO):
-    """A report stream that fails as a full disk would on the write that
-    takes it past 30 lines."""
+class _FailingStream(io.StringIO):
+    """A report stream that raises `error` on the write that takes it past
+    30 lines."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
 
     def write(self, text):
         if self.getvalue().count("\n") + text.count("\n") > 30:
-            raise OSError(errno.ENOSPC, "No space left on device")
+            raise self.error
         return super().write(text)
 
 
-def test_an_interrupted_campaign_leaves_no_stale_block(monkeypatch):
-    # The write fails with later blocks in flight; the next campaign must
-    # read none of their replies.
+def _failing_write_then_next_campaign(monkeypatch, error):
+    """Run a pooled campaign whose 31st line fails to write with `error`,
+    then check that the next pooled campaign gives the bytes of one
+    worker."""
     import bmink.campaign as camp
 
     monkeypatch.setattr(camp, "_workers", lambda: 2)
-    with pytest.raises(OSError):
+    with pytest.raises(OSError) as raised:
         run_campaign(CampaignConfig(theorem="thm-av", trials=200, seed=1),
-                     out=_FullDisk())
+                     out=_FailingStream(error))
+    assert raised.value is error
     config = CampaignConfig(theorem="thm-av", trials=200, seed=2)
     pooled = _bytes_and_summary(config)
     monkeypatch.setattr(camp, "_workers", lambda: 1)
     assert pooled == _bytes_and_summary(config)
+
+
+def test_an_interrupted_campaign_leaves_no_stale_block(monkeypatch):
+    # A full disk fails the write with later blocks in flight; the next
+    # campaign must read none of their replies.
+    _failing_write_then_next_campaign(
+        monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
+
+
+def test_a_closed_report_pipe_is_not_a_lost_worker(monkeypatch):
+    # `bmink verify ... | head` closes the report pipe: the campaign raises
+    # that BrokenPipeError, not ChildProcessError, and the next campaign
+    # gives the bytes of one worker.
+    _failing_write_then_next_campaign(
+        monkeypatch, BrokenPipeError(errno.EPIPE, "Broken pipe"))

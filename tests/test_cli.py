@@ -423,6 +423,17 @@ def test_verify_rejects_exact_cor_multi_beyond_float_slack(bodies, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_verify_rejects_a_voxel_cor_multi_sum_beyond_the_caps_early(capsys):
+    # The sum of the 1100 bodies spans 7401 cells per axis, beyond the cap
+    # of 4096: the check stops before its first dilation, not its last.
+    start = time.perf_counter()
+    assert main(["verify", "cor-multi", "--engine", "voxel", "--bodies",
+                 "1100", "--trials", "1", "--res", "1/8", "--seed", "1"]) == 2
+    assert time.perf_counter() - start < 15
+    err = capsys.readouterr().err
+    assert err.startswith("error: extent") and len(err.splitlines()) == 1
+
+
 LOST_WORKER = """
 import os
 from bmink import campaign
@@ -433,7 +444,7 @@ out['process'] = [m for m in ("multiprocessing", "concurrent.futures")
 run_trial, parent = campaign._run_trial, os.getpid()
 
 def rigged(config, k):
-    # The worker that runs trial 0 exits, on the first pool and the retry.
+    # The worker that runs trial 0 exits.
     if k == 0 and os.getpid() != parent:
         os._exit(3)
     return run_trial(config, k)
