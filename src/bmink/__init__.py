@@ -23,8 +23,7 @@ from .inequalities import (InequalityReport, check_arithmetic_bm,
                            check_cor_multi, check_lemma_pbm, check_rn,
                            check_thm_4_2_voxel, check_thm_av, check_thm_bbm,
                            rn_value, shrinking_pair_demo)
-from .generators import (GridGenParams, PolygonGenParams,
-                         gen_connected_boundary_set, gen_convex_polygon,
+from .generators import (gen_connected_boundary_set, gen_convex_polygon,
                          gen_polygon_pair, gen_symmetric_polygon, trial_rng)
 from .campaign import CampaignConfig, CampaignSummary, run_campaign
 from .render import render_decomposition_svg
@@ -59,9 +58,8 @@ __all__ = [
     "InequalityReport", "check_cor_multi", "check_lemma_pbm", "check_rn",
     "check_thm_av", "check_thm_bbm", "rn_value",
     "check_arithmetic_bm", "check_thm_4_2_voxel", "shrinking_pair_demo",
-    "GridGenParams", "PolygonGenParams", "gen_connected_boundary_set",
-    "gen_convex_polygon", "gen_polygon_pair", "gen_symmetric_polygon",
-    "trial_rng",
+    "gen_connected_boundary_set", "gen_convex_polygon", "gen_polygon_pair",
+    "gen_symmetric_polygon", "trial_rng",
     "CampaignConfig", "CampaignSummary", "run_campaign",
     "render_decomposition_svg",
 ]

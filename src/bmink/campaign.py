@@ -50,15 +50,14 @@ from fractions import Fraction
 from typing import IO, Iterator, Optional
 
 from .exact2d import GeometryError, translate
-from .generators import (GridGenParams, PLANT_TRANSLATE, PolygonGenParams,
-                         gen_connected_boundary_set, gen_decomposition_pair,
-                         gen_polygon_pair, random_lattice_shift, trial_rng)
+from . import generators
+from .generators import (PLANT_TRANSLATE, gen_connected_boundary_set,
+                         gen_decomposition_pair, gen_polygon_pair,
+                         random_lattice_shift, trial_rng)
 from .inequalities import (EXACT, VOXEL, InequalityReport, check_arithmetic_bm,
                            check_cor_multi, check_lemma_pbm, check_rn,
                            check_thm_4_2_voxel, check_thm_av, check_thm_bbm)
 from .serialize import ALLOWED_DIMS, dumps_canonical, spec_from_polygon
-
-POLYGON_PARAMS = PolygonGenParams()  # the exact engine's polygon generator
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ class CampaignConfig:
     plant_rate: float = 0.0
     seed: int = 0
     out_path: Optional[str] = None
-    grid_params: GridGenParams = field(default_factory=GridGenParams)
 
     def validate(self) -> None:
         if self.theorem not in THEOREMS:
@@ -94,7 +92,7 @@ class CampaignConfig:
             # Bodies in [-r, r]^2 have areas up to (2r)^2, so the m-th power
             # slack is at most (2r)^(2m).  Capping m at 512 keeps the power
             # small: for 2r >= 2 it already exceeds the float range there.
-            span = 2 * POLYGON_PARAMS.coord_range
+            span = 2 * generators.COORD_RANGE
             if span ** (2 * min(self.bodies, 512)) > sys.float_info.max:
                 raise GeometryError(
                     f"exact cor-multi with {self.bodies} bodies: the slack "
@@ -168,14 +166,14 @@ def worker_count(trials: int) -> int:
 
 def _polygon_pair(rng, plant_rate: float):
     """An exact (K, T) pair, its shape specs and its planted mode."""
-    kp, tp, mode = gen_polygon_pair(rng, POLYGON_PARAMS, plant_rate)
+    kp, tp, mode = gen_polygon_pair(rng, plant_rate)
     return kp, tp, (spec_from_polygon(kp), spec_from_polygon(tp)), mode
 
 
 def _boundary_sets(config: CampaignConfig, rng, m: int):
     """m voxel bodies with connected boundaries, and their shape specs."""
-    bodies = [gen_connected_boundary_set(rng, config.grid_params, config.dim,
-                                         config.h) for _ in range(m)]
+    bodies = [gen_connected_boundary_set(rng, config.dim, config.h)
+              for _ in range(m)]
     return [g for g, _ in bodies], tuple(s for _, s in bodies)
 
 
@@ -203,15 +201,13 @@ def _thm_bbm_voxel(config, rng):
 
 def _cor_multi_exact(config, rng):
     if rng.random() < config.plant_rate:
-        base, first, mode = gen_polygon_pair(rng, POLYGON_PARAMS, 1.0,
+        base, first, mode = gen_polygon_pair(rng, 1.0,
                                              plant_mode=PLANT_TRANSLATE)
-        bodies = [base, first] + [
-            translate(base, random_lattice_shift(rng, POLYGON_PARAMS))
-            for _ in range(config.bodies - 2)]
+        bodies = [base, first] + [translate(base, random_lattice_shift(rng))
+                                  for _ in range(config.bodies - 2)]
     else:
         mode = None
-        bodies = [gen_polygon_pair(rng, POLYGON_PARAMS, 0.0)[0]
-                  for _ in range(config.bodies)]
+        bodies = [gen_polygon_pair(rng)[0] for _ in range(config.bodies)]
     shapes = tuple(spec_from_polygon(b) for b in bodies)
     return [check_cor_multi(bodies)], shapes, mode
 
@@ -241,8 +237,7 @@ def _thm_4_2_exact(config, rng):
 
 
 def _thm_4_2_voxel(config, rng):
-    gk, sk, gt, st = gen_decomposition_pair(rng, config.grid_params,
-                                            config.dim, config.h)
+    gk, sk, gt, st = gen_decomposition_pair(rng, config.dim, config.h)
     return check_thm_4_2_voxel(gk, gt), (sk, st)
 
 

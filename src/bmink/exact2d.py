@@ -221,9 +221,8 @@ class ConvexPolygon:
         return cls([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
 
     @classmethod
-    def regular_gon(cls, sides: int, radius: Scalar = 1,
-                    snap_denominator: int = 2 ** 20) -> "ConvexPolygon":
-        """Regular polygon with vertices snapped onto a rational grid.
+    def regular_gon(cls, sides: int, radius: Scalar = 1) -> "ConvexPolygon":
+        """Regular polygon with vertices snapped onto the grid of step 2**-20.
 
         Stands in for disks, which have no exact rational representation;
         the area deficit versus the true disk is the approximation gap.
@@ -236,10 +235,8 @@ class ConvexPolygon:
         pts = []
         for k in range(sides):
             ang = 2 * math.pi * k / sides
-            pts.append((r * Fraction(round(math.cos(ang) * snap_denominator),
-                                     snap_denominator),
-                        r * Fraction(round(math.sin(ang) * snap_denominator),
-                                     snap_denominator)))
+            pts.append((r * Fraction(round(math.cos(ang) * 2 ** 20), 2 ** 20),
+                        r * Fraction(round(math.sin(ang) * 2 ** 20), 2 ** 20)))
         return cls.hull(pts)
 
     @property

@@ -12,6 +12,9 @@ gen_decomposition_pair).  Because random pairs essentially never achieve
 equality in the volume bounds, the pair generators can deliberately plant
 translate and symmetric-homothet pairs at a configured rate.
 
+The generator settings are the module constants below; each generator
+reads them when it runs.
+
 The grid generators look up bmink.voxel when they run, so drawing
 polygons never loads numpy or scipy.
 """
@@ -19,7 +22,6 @@ polygons never loads numpy or scipy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -33,85 +35,74 @@ if TYPE_CHECKING:
 PLANT_TRANSLATE = "translate"
 PLANT_HOMOTHETIC_SYMMETRIC = "homothetic_symmetric"
 
+# Polygons: hulls of MIN_VERTICES + 3 to MAX_VERTICES + 3 points with
+# coordinates in [-COORD_RANGE, COORD_RANGE], on the grid of step 1/SNAP.
+MIN_VERTICES = 3
+MAX_VERTICES = 10
+COORD_RANGE = 3
+SNAP = 16
+POLYGON_RETRIES = 64
+
+# Grid sets: unions of 1 to MAX_PRIMITIVES boxes and balls of size MIN_SIZE
+# to MAX_SIZE, the first centred in a cube of side CENTER_RANGE.
+MAX_PRIMITIVES = 3
+MIN_SIZE = 0.4
+MAX_SIZE = 1.0
+CENTER_RANGE = 0.6
+GRID_RETRIES = 60
+
 
 def trial_rng(root_seed: int, trial: int) -> random.Random:
     """Independent stream for one trial, reproducible in isolation."""
     return random.Random(f"{root_seed}:{trial}")
 
 
-@dataclass(frozen=True)
-class PolygonGenParams:
-    min_vertices: int = 3
-    max_vertices: int = 10
-    coord_range: int = 3          # coordinates drawn from [-range, range]
-    snap_denominator: int = 16
-    max_retries: int = 64
-
-    def validate(self) -> None:
-        if not (3 <= self.min_vertices <= self.max_vertices):
-            raise GeometryError("vertex count range must satisfy 3 <= lo <= hi")
-        if self.coord_range <= 0 or self.snap_denominator <= 0:
-            raise GeometryError("coordinate range and snap must be positive")
-
-
-def _snapped_point(rng: random.Random, params: PolygonGenParams
-                   ) -> tuple[int, int]:
-    """A point of the snap grid as integers over params.snap_denominator."""
-    span = params.coord_range * params.snap_denominator
+def _snapped_point(rng: random.Random) -> tuple[int, int]:
+    """A point of the snap grid as integers over SNAP."""
+    span = COORD_RANGE * SNAP
     return rng.randint(-span, span), rng.randint(-span, span)
 
 
-def gen_convex_polygon(rng: random.Random,
-                       params: PolygonGenParams = PolygonGenParams()
-                       ) -> ConvexPolygon:
+def gen_convex_polygon(rng: random.Random) -> ConvexPolygon:
     """Random convex polygon: hull of snapped points, vertex count bounded.
 
     Degenerate draws (hull too thin or too many vertices) are retried up to
-    the configured budget.
+    POLYGON_RETRIES times.
     """
-    params.validate()
-    for _ in range(params.max_retries):
-        n_points = rng.randint(params.min_vertices, params.max_vertices) + 3
-        pts = [_snapped_point(rng, params) for _ in range(n_points)]
+    for _ in range(POLYGON_RETRIES):
+        n_points = rng.randint(MIN_VERTICES, MAX_VERTICES) + 3
+        pts = [_snapped_point(rng) for _ in range(n_points)]
         try:
-            poly = ConvexPolygon.hull(_Lattice(pts, params.snap_denominator))
+            poly = ConvexPolygon.hull(_Lattice(pts, SNAP))
         except GeometryError:
             continue
-        if params.min_vertices <= len(poly) <= params.max_vertices:
+        if MIN_VERTICES <= len(poly) <= MAX_VERTICES:
             return poly
     raise GeometryError("polygon generator exhausted its retry budget")
 
 
-def gen_symmetric_polygon(rng: random.Random,
-                          params: PolygonGenParams = PolygonGenParams()
-                          ) -> ConvexPolygon:
+def gen_symmetric_polygon(rng: random.Random) -> ConvexPolygon:
     """Random centrally symmetric polygon (hull of a point set and its
     reflection, so -P equals P exactly)."""
-    params.validate()
-    for _ in range(params.max_retries):
-        half = max(2, rng.randint(params.min_vertices, params.max_vertices) // 2)
-        pts = [_snapped_point(rng, params) for _ in range(half + 1)]
+    for _ in range(POLYGON_RETRIES):
+        half = max(2, rng.randint(MIN_VERTICES, MAX_VERTICES) // 2)
+        pts = [_snapped_point(rng) for _ in range(half + 1)]
         pts += [(-x, -y) for x, y in pts]
         try:
-            poly = ConvexPolygon.hull(_Lattice(pts, params.snap_denominator))
+            poly = ConvexPolygon.hull(_Lattice(pts, SNAP))
         except GeometryError:
             continue
-        if len(poly) <= params.max_vertices + 2:
+        if len(poly) <= MAX_VERTICES + 2:
             return poly
     raise GeometryError("symmetric polygon generator exhausted its retry budget")
 
 
-def random_lattice_shift(rng: random.Random,
-                         params: PolygonGenParams) -> Point2:
-    d = params.snap_denominator
-    span = params.coord_range * d
-    return Point2(Fraction(rng.randint(-span, span), d),
-                  Fraction(rng.randint(-span, span), d))
+def random_lattice_shift(rng: random.Random) -> Point2:
+    x, y = _snapped_point(rng)
+    return Point2(Fraction(x, SNAP), Fraction(y, SNAP))
 
 
-def gen_polygon_pair(rng: random.Random,
-                     params: PolygonGenParams = PolygonGenParams(),
-                     plant_rate: float = 0.0,
+def gen_polygon_pair(rng: random.Random, plant_rate: float = 0.0,
                      plant_mode: Optional[str] = None
                      ) -> tuple[ConvexPolygon, ConvexPolygon, Optional[str]]:
     """Generate (K, T) with optional equality-case planting.
@@ -127,40 +118,23 @@ def gen_polygon_pair(rng: random.Random,
         mode = plant_mode or rng.choice(
             [PLANT_TRANSLATE, PLANT_HOMOTHETIC_SYMMETRIC])
         if mode == PLANT_TRANSLATE:
-            k = gen_convex_polygon(rng, params)
-            t = translate(k, random_lattice_shift(rng, params))
+            k = gen_convex_polygon(rng)
+            t = translate(k, random_lattice_shift(rng))
             return k, t, mode
         if mode == PLANT_HOMOTHETIC_SYMMETRIC:
-            k = gen_symmetric_polygon(rng, params)
-            d = params.snap_denominator
-            ratio = Fraction(rng.randint(1, 2 * d), d)
+            k = gen_symmetric_polygon(rng)
+            ratio = Fraction(rng.randint(1, 2 * SNAP), SNAP)
             if ratio == 1:
-                ratio = Fraction(d + 1, d)
-            t = translate(scale(k, ratio), random_lattice_shift(rng, params))
+                ratio = Fraction(SNAP + 1, SNAP)
+            t = translate(scale(k, ratio), random_lattice_shift(rng))
             return k, t, mode
         raise GeometryError(f"unknown plant mode {mode!r}")
-    return (gen_convex_polygon(rng, params),
-            gen_convex_polygon(rng, params), None)
+    return gen_convex_polygon(rng), gen_convex_polygon(rng), None
 
 
 # ---------------------------------------------------------------------------
 # Connected-boundary grid sets
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridGenParams:
-    max_primitives: int = 3
-    min_size: float = 0.4
-    max_size: float = 1.0
-    center_range: float = 0.6
-    max_retries: int = 60
-
-    def validate(self) -> None:
-        if not (0 < self.min_size <= self.max_size):
-            raise GeometryError("size range must satisfy 0 < lo <= hi")
-        if self.max_primitives < 1:
-            raise GeometryError("need at least one primitive")
-
 
 def _snap(value: float, h: float) -> float:
     # Snap world coordinates to quarter cells: keeps specs reproducible in
@@ -169,9 +143,9 @@ def _snap(value: float, h: float) -> float:
     return round(value / q) * q
 
 
-def _random_primitive(rng: random.Random, params: GridGenParams, dim: int,
-                      h: float, center: list[float]) -> ShapeSpec:
-    size = rng.uniform(params.min_size, params.max_size)
+def _random_primitive(rng: random.Random, dim: int, h: float,
+                      center: list[float]) -> ShapeSpec:
+    size = rng.uniform(MIN_SIZE, MAX_SIZE)
     if rng.random() < 0.5:
         return ShapeSpec.ball([_snap(c, h) for c in center],
                               _snap(max(size / 2, 2.5 * h), h))
@@ -180,9 +154,7 @@ def _random_primitive(rng: random.Random, params: GridGenParams, dim: int,
                          [_snap(c + w, h) for c, w in zip(center, half)])
 
 
-def gen_connected_boundary_set(seed_rng: random.Random,
-                               params: GridGenParams,
-                               dim: int, h: float
+def gen_connected_boundary_set(seed_rng: random.Random, dim: int, h: float
                                ) -> tuple[GridSet, ShapeSpec]:
     """Random union of primitives with a face-connected occupancy and a
     connected boundary.
@@ -218,12 +190,11 @@ def gen_connected_boundary_set(seed_rng: random.Random,
     is face-connected, and the returned grid equals ``rasterize(spec, h)``.
     """
     from . import voxel
-    params.validate()
-    for _ in range(params.max_retries):
-        n_parts = seed_rng.randint(1, params.max_primitives)
-        center = [seed_rng.uniform(-params.center_range / 2,
-                                   params.center_range / 2) for _ in range(dim)]
-        spec = _random_primitive(seed_rng, params, dim, h, center)
+    for _ in range(GRID_RETRIES):
+        n_parts = seed_rng.randint(1, MAX_PRIMITIVES)
+        center = [seed_rng.uniform(-CENTER_RANGE / 2, CENTER_RANGE / 2)
+                  for _ in range(dim)]
+        spec = _random_primitive(seed_rng, dim, h, center)
         window = voxel._raster_window(spec, h)
         windows = [window] if window[1].any() else []
         parts = 1
@@ -233,7 +204,7 @@ def gen_connected_boundary_set(seed_rng: random.Random,
             lo, hi = voxel.bbox(spec)
             new_center = [seed_rng.uniform(lo[k] - 0.2, hi[k] + 0.2)
                           for k in range(dim)]
-            part_spec = _random_primitive(seed_rng, params, dim, h, new_center)
+            part_spec = _random_primitive(seed_rng, dim, h, new_center)
             window = voxel._raster_window(part_spec, h)
             empty = not window[1].any()
             if empty or any(voxel._in_contact(w, window) for w in windows):
@@ -248,21 +219,18 @@ def gen_connected_boundary_set(seed_rng: random.Random,
     raise GeometryError("grid generator exhausted its rejection budget")
 
 
-def gen_box_set(rng: random.Random, dim: int, h: float,
-                min_size: float = 0.3, max_size: float = 0.9
+def gen_box_set(rng: random.Random, dim: int, h: float
                 ) -> tuple[GridSet, ShapeSpec]:
     """Single axis-aligned box, randomly placed and sized."""
     from . import voxel
     center = [rng.uniform(-0.3, 0.3) for _ in range(dim)]
-    half = [max(rng.uniform(min_size, max_size) / 2, 2.5 * h)
-            for _ in range(dim)]
+    half = [max(rng.uniform(0.3, 0.9) / 2, 2.5 * h) for _ in range(dim)]
     spec = ShapeSpec.box([_snap(c - w, h) for c, w in zip(center, half)],
                          [_snap(c + w, h) for c, w in zip(center, half)])
     return voxel.rasterize(spec, h), spec
 
 
-def gen_decomposition_pair(rng: random.Random, params: GridGenParams,
-                           dim: int, h: float
+def gen_decomposition_pair(rng: random.Random, dim: int, h: float
                            ) -> tuple[GridSet, ShapeSpec, GridSet, ShapeSpec]:
     """Pair (K, T) safe for cell-exact decomposition checks: K is a random
     connected-boundary union, T a plain box no larger than K.
@@ -276,11 +244,11 @@ def gen_decomposition_pair(rng: random.Random, params: GridGenParams,
 
     T is shrunk until |T| <= |K|.  When the 2h half-width floor stops it
     from shrinking further, K is too small for any such box and the pair
-    is redrawn, within the generator's retry budget.
+    is redrawn, up to GRID_RETRIES times.
     """
     from . import voxel
-    for _ in range(params.max_retries):
-        k_grid, k_spec = gen_connected_boundary_set(rng, params, dim, h)
+    for _ in range(GRID_RETRIES):
+        k_grid, k_spec = gen_connected_boundary_set(rng, dim, h)
         t_grid, t_spec = gen_box_set(rng, dim, h)
         while t_grid.count > k_grid.count:
             lo, hi = voxel.bbox(t_spec)

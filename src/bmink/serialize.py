@@ -231,6 +231,12 @@ def _dim_in(value, depth: int) -> int:
     return value
 
 
+def _polygon(points: list) -> ShapeSpec:
+    # The hull of the vertices, as for a polygon file, so that any vertex
+    # order gives the same body on both engines.
+    return spec_from_polygon(ConvexPolygon.hull(points))
+
+
 def _union(parts: list) -> ShapeSpec:
     if len(parts) != 2:
         raise GeometryError("union spec needs exactly two parts")
@@ -260,7 +266,7 @@ _KINDS = {
     "box": (ShapeSpec.box, (("lo", _NUMBERS), ("hi", _NUMBERS))),
     "ball": (ShapeSpec.ball, (("center", _NUMBERS), ("radius", _NUMBER))),
     "simplex": (ShapeSpec.simplex, (("dim", _DIM),)),
-    "polygon": (ShapeSpec.polygon, (("vertices", _POINTS),)),
+    "polygon": (_polygon, (("vertices", _POINTS),)),
     "scaled": (ShapeSpec.scaled, (("child", _CHILD), ("factor", _NUMBER))),
     "translated": (ShapeSpec.translated,
                    (("child", _CHILD), ("vector", _NUMBERS))),

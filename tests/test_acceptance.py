@@ -12,12 +12,11 @@ from fractions import Fraction as F
 import conftest
 
 import bmink
+from bmink import campaign, generators
 from bmink.campaign import CampaignConfig, run_campaign
 from bmink.cli import main
 from bmink.exact2d import ConvexPolygon, minkowski_sum, scale
-from bmink.generators import (GridGenParams, PolygonGenParams,
-                              gen_decomposition_pair, gen_polygon_pair,
-                              trial_rng)
+from bmink.generators import gen_decomposition_pair, gen_polygon_pair, trial_rng
 from bmink.inequalities import check_thm_4_2_voxel, check_thm_bbm, rn_value
 from bmink.serialize import spec_from_polygon
 from bmink.voxel import (ShapeSpec, decomposition_check, dilate, erode_open,
@@ -88,14 +87,17 @@ def test_criterion_03_exact_campaign_thm_av():
     assert ok
 
 
-def test_criterion_04_voxel_campaign_thm_av():
+def test_criterion_04_voxel_campaign_thm_av(monkeypatch):
     t0 = time.perf_counter()
     cfg2 = CampaignConfig(theorem="thm-av", engine="voxel", trials=1000,
                           seed=301, dim=2, h=1 / 32)
     s2 = run_campaign(cfg2, out=io.StringIO())
+    # The 3D bodies are drawn smaller.  Workers forked before the patch
+    # would keep the old size, so this campaign runs in this process.
+    monkeypatch.setattr(generators, "MAX_SIZE", 0.8)
+    monkeypatch.setattr(campaign, "_workers", lambda: 1)
     cfg3 = CampaignConfig(theorem="thm-av", engine="voxel", trials=100,
-                          seed=302, dim=3, h=1 / 16,
-                          grid_params=GridGenParams(max_size=0.8))
+                          seed=302, dim=3, h=1 / 16)
     s3 = run_campaign(cfg3, out=io.StringIO())
     dt = time.perf_counter() - t0
     ok = s2.violations == 0 and s3.violations == 0 and dt < 600.0
@@ -110,7 +112,7 @@ def test_criterion_05_decomposition_campaign():
     failures = 0
     for i in range(1000):
         rng = trial_rng(50_000, i)
-        k, _, t, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
+        k, _, t, _ = gen_decomposition_pair(rng, 2, 1 / 16)
         if not decomposition_check(k, t).all_pass:
             failures += 1
     fig = decomposition_check(rasterize(ShapeSpec.box((-2, -2), (2, 2)), 1 / 16),
@@ -215,7 +217,7 @@ def test_criterion_10_restricted_sum_suite(capsys):
     pair_ok = root_ok = containment_ok = True
     for i in range(200):
         rng = trial_rng(70_000, i)
-        k, _, t, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
+        k, _, t, _ = gen_decomposition_pair(rng, 2, 1 / 16)
         _, pairs, roots = check_thm_4_2_voxel(k, t)
         if pairs.slack < 0:
             pair_ok = False
@@ -236,14 +238,15 @@ def test_criterion_10_restricted_sum_suite(capsys):
     assert ok
 
 
-def test_criterion_11_oracle_convergence():
+def test_criterion_11_oracle_convergence(monkeypatch):
     t0 = time.perf_counter()
-    params = PolygonGenParams(coord_range=1, snap_denominator=8)
+    monkeypatch.setattr(generators, "COORD_RANGE", 1)
+    monkeypatch.setattr(generators, "SNAP", 8)
     resolutions = (1 / 16, 1 / 32, 1 / 64)
     errors = {h: [] for h in resolutions}
     for i in range(100):
         rng = trial_rng(80_000, i)
-        k, t, _ = gen_polygon_pair(rng, params, 0.0)
+        k, t, _ = gen_polygon_pair(rng, 0.0)
         exact = float(minkowski_sum(k, t).area)
         for h in resolutions:
             gk = rasterize(spec_from_polygon(k), h)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import bmink
 from bmink.campaign import CampaignConfig
-from bmink.cli import _verify_config, build_parser, main
+from bmink.cli import _CONFIG_FIELDS, _verify_config, build_parser, main
 from bmink.serialize import MAX_SPEC_DEPTH, shapespec_to_json
 from bmink.voxel import ShapeSpec
 
@@ -84,6 +85,13 @@ def test_verify_rejects_wrongly_typed_config_values(tmp_path, capsys, values):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_every_campaign_setting_has_a_config_key():
+    # The theorem is the positional argument; every other field of the
+    # config is reachable from a flag and a config file key.
+    assert {f.name for f in fields(CampaignConfig)} == {
+        "theorem", *_CONFIG_FIELDS.values()}
 
 
 def test_verify_config_accepts_null_out_and_integer_plant_rate(tmp_path,
@@ -174,6 +182,34 @@ def test_erode_voxel_command(shape_files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["engine"] == "voxel"
     assert abs(payload["volume"] - 4.0) <= 0.3
+
+
+def test_polygon_node_is_the_same_hull_on_both_engines(tmp_path, capsys):
+    # The ring dents inward at (1, 1/5); its hull is the square [0, 2]^2.
+    k = tmp_path / "k.json"
+    k.write_text(json.dumps({"kind": "polygon", "vertices": [
+        [0, 0], [2, 0], [1, "1/5"], [2, 2], [0, 2]]}))
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps({"kind": "box", "lo": ["-1/8", "-1/8"],
+                             "hi": ["1/8", "1/8"]}))
+    assert main(["erode", "--k", str(k), "--t", str(t)]) == 0
+    assert json.loads(capsys.readouterr().out)["area"] == "49/16"
+    assert main(["erode", "--k", str(k), "--t", str(t), "--engine", "voxel",
+                 "--res", "1/32"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["volume"] - 49 / 16) <= 0.3
+
+
+@pytest.mark.parametrize("command", [
+    ["erode"], ["erode", "--engine", "voxel"], ["decompose"]])
+def test_collinear_polygon_node_errors_on_both_engines(tmp_path, capsys,
+                                                       command):
+    k = tmp_path / "k.json"
+    k.write_text(json.dumps({"kind": "polygon",
+                             "vertices": [[0, 0], [1, 1], [2, 2]]}))
+    assert main(command + ["--k", str(k), "--t", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_inexact_convolution_errors_cleanly(shape_files, monkeypatch, capsys):

@@ -4,8 +4,7 @@ from scipy import ndimage
 from bmink import campaign, generators, voxel
 from bmink.campaign import CampaignConfig, _run_trial
 from bmink.exact2d import EqualityTag, GeometryError, classify_equality, reflect
-from bmink.generators import (GridGenParams, PLANT_HOMOTHETIC_SYMMETRIC,
-                              PLANT_TRANSLATE, PolygonGenParams,
+from bmink.generators import (PLANT_HOMOTHETIC_SYMMETRIC, PLANT_TRANSLATE,
                               gen_box_set, gen_connected_boundary_set,
                               gen_convex_polygon, gen_decomposition_pair,
                               gen_polygon_pair, gen_symmetric_polygon,
@@ -21,10 +20,11 @@ def test_polygon_generator_deterministic():
     assert c != a
 
 
-def test_polygon_generator_respects_vertex_range():
-    params = PolygonGenParams(min_vertices=4, max_vertices=6)
+def test_polygon_generator_respects_vertex_range(monkeypatch):
+    monkeypatch.setattr(generators, "MIN_VERTICES", 4)
+    monkeypatch.setattr(generators, "MAX_VERTICES", 6)
     for i in range(50):
-        p = gen_convex_polygon(trial_rng(2, i), params)
+        p = gen_convex_polygon(trial_rng(2, i))
         assert 4 <= len(p) <= 6
         assert p.area > 0
 
@@ -60,17 +60,16 @@ def test_unplanted_pairs_return_none_mode():
 
 
 def test_grid_generator_deterministic_and_valid():
-    params = GridGenParams()
     for i in range(15):
-        g1, s1 = gen_connected_boundary_set(trial_rng(7, i), params, 2, 1 / 32)
-        g2, s2 = gen_connected_boundary_set(trial_rng(7, i), params, 2, 1 / 32)
+        g1, s1 = gen_connected_boundary_set(trial_rng(7, i), 2, 1 / 32)
+        g2, s2 = gen_connected_boundary_set(trial_rng(7, i), 2, 1 / 32)
         assert g1 == g2 and s1 == s2
         assert g1.count > 0
         assert is_boundary_connected(g1)
 
 
 def test_grid_generator_dimension_three():
-    g, spec = gen_connected_boundary_set(trial_rng(8, 0), GridGenParams(), 3, 1 / 16)
+    g, spec = gen_connected_boundary_set(trial_rng(8, 0), 3, 1 / 16)
     assert g.dim == 3 and spec.ndim == 3
     assert is_boundary_connected(g)
 
@@ -83,22 +82,20 @@ def test_box_set_generator():
 
 def test_decomposition_pair_orders_by_count():
     for i in range(10):
-        k, _, t, t_spec = gen_decomposition_pair(trial_rng(10, i),
-                                                 GridGenParams(), 2, 1 / 16)
+        k, _, t, t_spec = gen_decomposition_pair(trial_rng(10, i), 2, 1 / 16)
         assert t.count <= k.count
         assert t_spec.kind == "box"
 
 
-def test_decomposition_pair_redraws_when_t_cannot_shrink():
+def test_decomposition_pair_redraws_when_t_cannot_shrink(monkeypatch):
     # At 4D h = 1/8 the first K of this trial is smaller than any box with
     # the 2h half-width floor; the pair is redrawn instead of returning
     # |T| > |K|.
-    k, _, t, _ = gen_decomposition_pair(trial_rng(1, 3), GridGenParams(),
-                                        4, 1 / 8)
+    k, _, t, _ = gen_decomposition_pair(trial_rng(1, 3), 4, 1 / 8)
     assert t.count <= k.count
+    monkeypatch.setattr(generators, "GRID_RETRIES", 1)
     with pytest.raises(GeometryError, match="decomposition pair"):
-        gen_decomposition_pair(trial_rng(1, 3), GridGenParams(max_retries=1),
-                               4, 1 / 8)
+        gen_decomposition_pair(trial_rng(1, 3), 4, 1 / 8)
 
 
 def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):

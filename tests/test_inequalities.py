@@ -4,7 +4,7 @@ import pytest
 
 from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, Point2,
                            scale, translate)
-from bmink.generators import GridGenParams, gen_connected_boundary_set, trial_rng
+from bmink.generators import gen_connected_boundary_set, trial_rng
 from bmink.inequalities import (InequalityReport, check_cor_multi,
                                 check_lemma_pbm, check_rn, check_thm_av,
                                 check_thm_bbm, multi_boundary_sum_volume,
@@ -93,8 +93,8 @@ def test_thm_av_self_pair():
 
 def test_thm_av_voxel_engine():
     rng = trial_rng(77, 0)
-    k, _ = gen_connected_boundary_set(rng, GridGenParams(), 2, 1 / 32)
-    t, _ = gen_connected_boundary_set(rng, GridGenParams(), 2, 1 / 32)
+    k, _ = gen_connected_boundary_set(rng, 2, 1 / 32)
+    t, _ = gen_connected_boundary_set(rng, 2, 1 / 32)
     r = check_thm_av(k, t)
     assert r.slack >= -r.tolerance
     assert r.equality_class is None
@@ -126,7 +126,7 @@ def test_cor_multi_needs_three_bodies():
 
 def test_cor_multi_voxel_engine():
     rng = trial_rng(78, 0)
-    grids = [gen_connected_boundary_set(rng, GridGenParams(), 2, 1 / 16)[0]
+    grids = [gen_connected_boundary_set(rng, 2, 1 / 16)[0]
              for _ in range(3)]
     r = check_cor_multi(grids)
     assert r.slack >= -r.tolerance

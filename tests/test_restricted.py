@@ -6,7 +6,7 @@ import pytest
 from bmink import campaign, voxel
 from bmink.campaign import CampaignConfig, _run_trial, run_campaign
 from bmink.exact2d import ConvexPolygon, scale
-from bmink.generators import GridGenParams, gen_decomposition_pair, trial_rng
+from bmink.generators import gen_decomposition_pair, trial_rng
 from bmink.inequalities import (check_arithmetic_bm, check_thm_4_2_voxel,
                                 shrinking_pair_demo)
 from bmink.voxel import (GridError, ShapeSpec, boundary, dilate, erode_open,
@@ -80,7 +80,7 @@ def test_theta_bounds_fixture():
 def test_theta_bounds_cell_exact_on_random_pairs():
     for seed in range(10):
         rng = trial_rng(904, seed)
-        k, _, t, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
+        k, _, t, _ = gen_decomposition_pair(rng, 2, 1 / 16)
         _, pairs, roots = check_thm_4_2_voxel(k, t)
         assert pairs.slack >= 0  # counting bound is cell-exact
         assert not roots.violation
@@ -169,7 +169,7 @@ def test_voxel_pair_count_is_an_identity(dim, h):
     # is |T|: the admitted pairs are exactly |T| (|K| - |K erosion T|).  The
     # report takes them from that identity; the oracle counts them from the
     # convolution of K with T.
-    bodies = [gen_decomposition_pair(trial_rng(5, trial), GridGenParams(),
+    bodies = [gen_decomposition_pair(trial_rng(5, trial),
                                      dim, h)[::2] for trial in range(30)]
     # Generated 4D pairs all have empty erosions; nested boxes do not.
     nested = (rasterize(ShapeSpec.box((-2,) * dim, (2,) * dim), h),

@@ -6,7 +6,7 @@ import pytest
 from bmink import voxel
 from bmink.campaign import CampaignConfig, _run_trial
 from bmink.exact2d import ConvexPolygon, minkowski_sum
-from bmink.generators import GridGenParams, gen_decomposition_pair, trial_rng
+from bmink.generators import gen_decomposition_pair, trial_rng
 from bmink.serialize import spec_from_polygon
 from bmink.voxel import (MAX_CELLS, GridError, GridExtentError, GridSet,
                          ShapeSpec, _check_extent, boundary,
@@ -192,7 +192,7 @@ def test_dilate_box_plus_box_is_box():
 def test_dilate_commutes():
     for seed in range(5):
         rng = trial_rng(900, seed)
-        k, _, t, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
+        k, _, t, _ = gen_decomposition_pair(rng, 2, 1 / 16)
         assert dilate(k, t) == dilate(t, k)
 
 
@@ -240,7 +240,7 @@ def test_dilate_requires_same_grid():
 
 def test_reflect_equivariance():
     rng = trial_rng(901, 0)
-    a, _, b, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
+    a, _, b, _ = gen_decomposition_pair(rng, 2, 1 / 16)
     assert dilate(reflect(a), reflect(b)) == reflect(dilate(a, b))
 
 
@@ -267,7 +267,7 @@ def test_interior_volume_converges():
 
 def test_boundary_interior_partition():
     rng = trial_rng(902, 1)
-    g, _, _, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
+    g, _, _, _ = gen_decomposition_pair(rng, 2, 1 / 16)
     b, i = boundary(g), interior(g)
     assert union(b, i) == g
     assert g.count == b.count + i.count  # so b and i are disjoint
@@ -299,7 +299,7 @@ def test_erosion_dilation_adjunction():
     # body stays inside A.
     for seed in range(6):
         rng = trial_rng(903, seed)
-        a, _, b, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
+        a, _, b, _ = gen_decomposition_pair(rng, 2, 1 / 16)
         fit = erode_open(a, b)
         if not fit.is_empty:
             assert is_subset(dilate(fit, reflect(b)), a)
@@ -343,13 +343,19 @@ def test_lemma_bc_vacuous_when_straddling():
 
 
 def test_lemma_bc_randomized_never_false():
-    from bmink.generators import gen_box_set
+    from bmink.generators import _snap
 
+    h = 1 / 16
     premise_hits = 0
     for i in range(500):
         rng = trial_rng(905, i)
-        k, _, _, _ = gen_decomposition_pair(rng, GridGenParams(), 2, 1 / 16)
-        t, _ = gen_box_set(rng, 2, 1 / 16, min_size=0.1, max_size=0.4)
+        k, _, _, _ = gen_decomposition_pair(rng, 2, h)
+        # A small box, drawn as gen_box_set draws one.
+        center = [rng.uniform(-0.3, 0.3) for _ in range(2)]
+        half = [max(rng.uniform(0.1, 0.4) / 2, 2.5 * h) for _ in range(2)]
+        lo = [_snap(c - w, h) for c, w in zip(center, half)]
+        hi = [_snap(c + w, h) for c, w in zip(center, half)]
+        t = rasterize(ShapeSpec.box(lo, hi), h)
         inner = interior(k)
         if is_subset(boundary(t), inner):
             premise_hits += 1

@@ -35,9 +35,10 @@ from hypothesis.extra.numpy import arrays
 
 from scipy import ndimage
 
+from bmink import generators
 from bmink.exact2d import GeometryError
-from bmink.generators import (GridGenParams, _random_primitive,
-                              gen_connected_boundary_set, trial_rng)
+from bmink.generators import (_random_primitive, gen_connected_boundary_set,
+                              trial_rng)
 from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridSet, ShapeSpec,
                          _common_frame, _convolve, _embed, _frames,
                          _in_contact, _interior_array, _or_windows,
@@ -427,8 +428,8 @@ def generated_pairs(draw):
     dim = draw(st.sampled_from(ALLOWED_DIMS))
     h = {2: 1 / 16, 3: 1 / 8, 4: 1 / 4}[dim]
     return tuple(gen_connected_boundary_set(
-        random.Random(draw(st.integers(0, 2 ** 32))), GridGenParams(),
-        dim, h)[0] for _ in range(2))
+        random.Random(draw(st.integers(0, 2 ** 32))), dim, h)[0]
+        for _ in range(2))
 
 
 @given(st.one_of(grid_tuples(2), generated_pairs()))
@@ -576,10 +577,8 @@ def test_rasterize_matches_point_matrix(case):
 
 @pytest.mark.parametrize("dim,h", [(2, 1 / 64), (3, 1 / 16), (4, 1 / 8)])
 def test_generated_unions_match_point_matrix(dim, h):
-    params = GridGenParams()
     for trial in range(6):
-        grid, spec = gen_connected_boundary_set(trial_rng(dim, trial),
-                                                params, dim, h)
+        grid, spec = gen_connected_boundary_set(trial_rng(dim, trial), dim, h)
         assert grid == rasterize_points(spec, h)
 
 
@@ -614,17 +613,16 @@ def face_components(grid: GridSet) -> int:
     return ndimage.label(grid.occ, structure=structure)[1]
 
 
-def gen_connected_boundary_set_ref(seed_rng: random.Random,
-                                   params: GridGenParams, dim: int, h: float
-                                   ) -> tuple[GridSet, ShapeSpec]:
+def gen_connected_boundary_set_ref(seed_rng: random.Random, dim: int,
+                                   h: float) -> tuple[GridSet, ShapeSpec]:
     """Keep a candidate part when the rasterized union spec has one face
     component; keep the body when its boundary is connected."""
-    params.validate()
-    for _ in range(params.max_retries):
-        n_parts = seed_rng.randint(1, params.max_primitives)
-        center = [seed_rng.uniform(-params.center_range / 2,
-                                   params.center_range / 2) for _ in range(dim)]
-        spec = _random_primitive(seed_rng, params, dim, h, center)
+    half_range = generators.CENTER_RANGE / 2
+    for _ in range(generators.GRID_RETRIES):
+        n_parts = seed_rng.randint(1, generators.MAX_PRIMITIVES)
+        center = [seed_rng.uniform(-half_range, half_range)
+                  for _ in range(dim)]
+        spec = _random_primitive(seed_rng, dim, h, center)
         grid = rasterize(spec, h)
         ok = grid.count > 0 and face_components(grid) == 1
         parts = 1
@@ -635,7 +633,7 @@ def gen_connected_boundary_set_ref(seed_rng: random.Random,
             new_center = [seed_rng.uniform(lo[k] - 0.2, hi[k] + 0.2)
                           for k in range(dim)]
             candidate = ShapeSpec.union_of(
-                spec, _random_primitive(seed_rng, params, dim, h, new_center))
+                spec, _random_primitive(seed_rng, dim, h, new_center))
             candidate_grid = rasterize(candidate, h)
             if face_components(candidate_grid) == 1:
                 spec, grid = candidate, candidate_grid
@@ -662,7 +660,7 @@ def gen_cases(draw):
 def _generated(generate, dim, h, seed):
     rng = random.Random(seed)
     try:
-        grid, spec = generate(rng, GridGenParams(), dim, h)
+        grid, spec = generate(rng, dim, h)
     except GeometryError as exc:
         return str(exc), None, rng.getstate()
     return grid, spec, rng.getstate()
@@ -701,7 +699,7 @@ def primitives(draw, dim, h, near=None):
         center = [draw(st.floats(float(a) - 0.2, float(b) + 0.2))
                   for a, b in zip(lo, hi)]
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    return _random_primitive(rng, GridGenParams(), dim, h, center)
+    return _random_primitive(rng, dim, h, center)
 
 
 @st.composite
