@@ -13,8 +13,8 @@ the exact and scalar checks never load it.
 
 import importlib
 
-from .exact2d import (ConvexPolygon, EngineInconsistencyError, EqualityClass,
-                      EqualityTag, ErosionResult, GeometryError, Point2,
+from .exact2d import (ConvexPolygon, EqualityClass, EqualityTag,
+                      ErosionResult, GeometryError, Point2,
                       boundary_sum_volume, classify_equality, erode,
                       is_centrally_symmetric, minkowski_sum, partial_sum_area,
                       reflect, scale, translate)
@@ -47,8 +47,8 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "ConvexPolygon", "EngineInconsistencyError", "EqualityClass",
-    "EqualityTag", "ErosionResult", "GeometryError", "Point2",
+    "ConvexPolygon", "EqualityClass", "EqualityTag", "ErosionResult",
+    "GeometryError", "Point2",
     "boundary_sum_volume", "classify_equality", "erode",
     "is_centrally_symmetric", "minkowski_sum", "partial_sum_area",
     "reflect", "scale", "translate",

@@ -12,14 +12,19 @@ answering each block of trials with one message; the blocks are merged in
 trial order.  A JSON config file can pre-set any `verify` flag; explicit
 flags win over the file.  Malformed input ends in a one-line `error:`
 message and exit code 2, and so does a campaign whose worker dies, which
-raises ChildProcessError, an OSError.  Only `decompose`, `erode --engine
-voxel` and voxel campaigns load the voxel engine.
+raises ChildProcessError, an OSError.  A standard output closed by its
+reader (`bmink verify ... | head -1`) ends the command silently with exit
+code 141, 128 + SIGPIPE as a shell reports a process killed by that
+signal, so a campaign cut short never reads as "no violation".  Only
+`decompose`, `erode --engine voxel` and voxel campaigns load the voxel
+engine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,6 +36,10 @@ from .render import render_decomposition_svg
 from .serialize import (ALLOWED_DIMS, GridError, dumps_canonical,
                         load_shape_file, parse_number, parse_rational,
                         polygon_to_json, realize_spec)
+
+
+# 128 + SIGPIPE: what a shell reports for a process killed by a closed pipe.
+EXIT_CLOSED_STDOUT = 141
 
 
 def _fraction(text: str) -> Fraction:
@@ -249,7 +258,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "demo": _cmd_demo,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # Flush here, so that a reader gone before the last write is seen
+        # by the handler below, not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # As the signal module's note on SIGPIPE advises: point stdout at
+        # devnull, so the flush at exit cannot fail on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except (GeometryError, GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,14 @@ edges: inputs are brought onto the lattice at construction, and the public
 `vertices`, areas and witnesses are returned as Fractions.  Irrational
 quantities (square roots of areas) are handled by callers through squared
 comparisons.
+
+One edge merge (`_sum_ring`) and one half-plane clip (`_erosion_ring`)
+serve both the polygon-valued `minkowski_sum` and `erode` and the
+boundary-sum areas.  A boundary-sum area is taken straight from those
+integer rings and builds one Fraction and no intermediate polygon.  For
+lambda = p/q, homogeneity gives lambda*bK + (1-lambda)*bT =
+(1/q)(b(pK) + b((q-p)T)), so the rings are multiplied by the integers p
+and q - p and the area is divided by q**2.
 """
 
 from __future__ import annotations
@@ -29,10 +37,6 @@ HomPoint = tuple[int, int, int]  # the point (X/W, Y/W) with W > 0
 
 class GeometryError(Exception):
     """Invalid geometric input (degenerate polygon, zero direction, ...)."""
-
-
-class EngineInconsistencyError(GeometryError):
-    """An internal invariant failed; indicates a bug, not bad input."""
 
 
 class Point2(NamedTuple):
@@ -54,9 +58,6 @@ class Point2(NamedTuple):
         return Point2(self.x * s, self.y * s)
 
     __rmul__ = __mul__
-
-    def dot(self, other: "Point2") -> Fraction:
-        return self.x * other.x + self.y * other.y
 
     def cross(self, other: "Point2") -> Fraction:
         return self.x * other.y - self.y * other.x
@@ -83,15 +84,16 @@ def _to_lattice(points: Iterable[Sequence[Scalar]]) -> _Lattice:
                      for x, y in coords], den)
 
 
+def _times(ring: Sequence[IntPoint], f: int) -> Sequence[IntPoint]:
+    """The ring multiplied by a positive integer."""
+    return ring if f == 1 else [(x * f, y * f) for x, y in ring]
+
+
 def _common(ra: Sequence[IntPoint], da: int, rb: Sequence[IntPoint], db: int
             ) -> tuple[Sequence[IntPoint], Sequence[IntPoint], int]:
     """Both rings over the lcm of their denominators."""
-    if da == db:
-        return ra, rb, da
     den = lcm(da, db)
-    fa, fb = den // da, den // db
-    return ([(x * fa, y * fa) for x, y in ra],
-            [(x * fb, y * fb) for x, y in rb], den)
+    return _times(ra, den // da), _times(rb, den // db), den
 
 
 def _turn(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
@@ -107,12 +109,6 @@ def _area2(ring: Sequence[IntPoint]) -> int:
         total += px * y - py * x
         px, py = x, y
     return total
-
-
-def _edges(ring: Sequence[IntPoint]) -> list[IntPoint]:
-    n = len(ring)
-    return [(ring[(i + 1) % n][0] - ring[i][0], ring[(i + 1) % n][1] - ring[i][1])
-            for i in range(n)]
 
 
 def _canonical_ring(ring: Sequence[IntPoint], den: int
@@ -299,17 +295,43 @@ def reflect(p: ConvexPolygon) -> ConvexPolygon:
     return ConvexPolygon(_Lattice([(-x, -y) for x, y in p._ring], p._den))
 
 
-def _angle_half(d: IntPoint) -> int:
-    # 0 for directions in (-90 deg, +90 deg], 1 for the rest; matches the
-    # angular sweep of edge vectors of a CCW ring started at the lex-min vertex.
-    return 0 if (d[0] > 0 or (d[0] == 0 and d[1] > 0)) else 1
+def _edges(ring: Sequence[IntPoint]) -> list[IntPoint]:
+    return [(bx - ax, by - ay)
+            for (ax, ay), (bx, by) in zip(ring, [*ring[1:], ring[0]])]
 
 
-def _angle_less(a: IntPoint, b: IntPoint) -> bool:
-    ha, hb = _angle_half(a), _angle_half(b)
-    if ha != hb:
-        return ha < hb
-    return a[0] * b[1] - a[1] * b[0] > 0
+def _sum_ring(pr: Sequence[IntPoint], qr: Sequence[IntPoint]
+              ) -> list[IntPoint]:
+    """Ring of P + Q, for rings over one denominator that each start at
+    their lex-min vertex, by merging the two edge sequences by angle.
+
+    Parallel edges are combined, so the sum is strictly convex, has at
+    most |P| + |Q| vertices and again starts at its lex-min vertex.
+    """
+    pe, qe = _edges(pr), _edges(qr)
+    x, y = pr[0][0] + qr[0][0], pr[0][1] + qr[0][1]
+    ring = [(x, y)]
+    i = j = 0
+    while i < len(pe) and j < len(qe):
+        (ax, ay), (bx, by) = pe[i], qe[j]
+        # From the lex-min vertex the edges sweep the directions in
+        # (-90 deg, +90 deg] first, then the rest; within one half the
+        # cross product orders them.
+        late_a = ax < 0 or (ax == 0 and ay < 0)
+        late_b = bx < 0 or (bx == 0 and by < 0)
+        turn = ax * by - ay * bx if late_a == late_b else late_b - late_a
+        if turn >= 0:
+            x, y = x + ax, y + ay
+            i += 1
+        if turn <= 0:
+            x, y = x + bx, y + by
+            j += 1
+        ring.append((x, y))
+    for ex, ey in pe[i:] + qe[j:]:
+        x, y = x + ex, y + ey
+        ring.append((x, y))
+    ring.pop()  # the walk ends where it started
+    return ring
 
 
 def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
@@ -320,29 +342,7 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     vertices.  Commutative by construction.
     """
     pr, qr, den = _common(p._ring, p._den, q._ring, q._den)
-    pe, qe = _edges(pr), _edges(qr)
-    edges: list[IntPoint] = []
-    i = j = 0
-    while i < len(pe) and j < len(qe):
-        if _angle_less(pe[i], qe[j]):
-            edges.append(pe[i])
-            i += 1
-        elif _angle_less(qe[j], pe[i]):
-            edges.append(qe[j])
-            j += 1
-        else:
-            edges.append((pe[i][0] + qe[j][0], pe[i][1] + qe[j][1]))
-            i += 1
-            j += 1
-    edges.extend(pe[i:])
-    edges.extend(qe[j:])
-
-    x, y = pr[0][0] + qr[0][0], pr[0][1] + qr[0][1]
-    ring = [(x, y)]
-    for ex, ey in edges[:-1]:
-        x, y = x + ex, y + ey
-        ring.append((x, y))
-    return ConvexPolygon(_Lattice(ring, den))
+    return ConvexPolygon(_Lattice(_sum_ring(pr, qr), den))
 
 
 @dataclass(frozen=True)
@@ -395,63 +395,105 @@ def _clip_halfplane(ring: list[HomPoint], ux: int, uy: int, c: int
     return out
 
 
-def erode(k: ConvexPolygon, t: ConvexPolygon) -> ErosionResult:
-    """Minkowski difference K (-) T as a half-plane intersection.
+def _erosion_ring(kr: Sequence[IntPoint], tr: Sequence[IntPoint]
+                  ) -> tuple[list[IntPoint], int]:
+    """Closure of K (-) T for rings over one denominator, as a ring of
+    integer points over m times that denominator, and the weight m.
 
     A translate x satisfies x - T inside K exactly when, for every outward
     edge normal u of K, <x, u> <= h_K(u) - h_T(-u).  The intersection of
-    those half-planes is clipped out of a bounding box; a lower-dimensional
-    or void intersection means the (open) erosion is empty.  Both rings are
-    brought to one denominator; h_K(u) is attained at the edge's own start
-    vertex and -h_T(-u) is the minimum of <w, u> over T.
+    those half-planes is clipped out of a box that contains it; h_K(u) is
+    attained at the edge's own start vertex and -h_T(-u) is the minimum of
+    <w, u> over T.  The ring is empty when the intersection is void; it
+    may be degenerate (zero area) or repeat a vertex.
     """
-    kr, tr, den = _common(k._ring, k._den, t._ring, t._den)
     kxs, kys = [x for x, _ in kr], [y for _, y in kr]
     txs, tys = [x for x, _ in tr], [y for _, y in tr]
-    x0, y0 = min(kxs) + min(txs) - den, min(kys) + min(tys) - den
-    x1, y1 = max(kxs) + max(txs) + den, max(kys) + max(tys) + den
+    x0, y0 = min(kxs) + min(txs) - 1, min(kys) + min(tys) - 1
+    x1, y1 = max(kxs) + max(txs) + 1, max(kys) + max(tys) + 1
     ring: list[HomPoint] = [(x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1)]
-    n = len(kr)
-    for i in range(n):
-        (ax, ay), (bx, by) = kr[i], kr[(i + 1) % n]
+    for (ax, ay), (bx, by) in zip(kr, [*kr[1:], kr[0]]):
         ux, uy = by - ay, ax - bx
         c = ax * ux + ay * uy + min(x * ux + y * uy for x, y in tr)
         ring = _clip_halfplane(ring, ux, uy, c)
         if not ring:
-            return ErosionResult(None)
+            return [], 1
     m = lcm(*(w for _, _, w in ring))
-    pts = [(x * (m // w), y * (m // w)) for x, y, w in ring]
-    if _area2(pts) == 0:
+    return [(x * (m // w), y * (m // w)) for x, y, w in ring], m
+
+
+def erode(k: ConvexPolygon, t: ConvexPolygon) -> ErosionResult:
+    """Minkowski difference K (-) T as a half-plane intersection.
+
+    Both rings are brought to one denominator.  A lower-dimensional or void
+    intersection means the (open) erosion is empty.
+    """
+    kr, tr, den = _common(k._ring, k._den, t._ring, t._den)
+    ring, m = _erosion_ring(kr, tr)
+    if not ring or _area2(ring) == 0:
         return ErosionResult(None)
-    return ErosionResult(ConvexPolygon(_Lattice(pts, den * m)))
+    return ErosionResult(ConvexPolygon(_Lattice(ring, den * m)))
+
+
+def _rings(polys: Sequence[ConvexPolygon]
+           ) -> tuple[list[Sequence[IntPoint]], int]:
+    """The polygons' rings over the lcm of their denominators."""
+    den = lcm(*(p._den for p in polys))
+    return [_times(p._ring, den // p._den) for p in polys], den
+
+
+def _holed_area(big: Sequence[IntPoint], small: Sequence[IntPoint], d: int
+                ) -> Fraction:
+    """Area of (big + small) minus the area of big (-) small, for rings
+    over one denominator den, where d is 2 * den**2 (times any further
+    square the caller divides by)."""
+    total = _area2(_sum_ring(big, small))
+    hole, m = _erosion_ring(big, small)
+    if not hole:
+        return Fraction(total, d)
+    return Fraction(total * m * m - _area2(hole), d * m * m)
+
+
+def _boundary_sum_area(ar: Sequence[IntPoint], br: Sequence[IntPoint],
+                       d: int) -> Fraction:
+    """Area of bA + bB for rings over one denominator, d as in _holed_area.
+
+    An open erosion A (-) B is nonempty only when area B < area A, so the
+    other erosion is always empty and equal areas leave the plain sum.
+    """
+    a2, b2 = _area2(ar), _area2(br)
+    if a2 == b2:
+        return Fraction(_area2(_sum_ring(ar, br)), d)
+    return _holed_area(ar, br, d) if a2 > b2 else _holed_area(br, ar, d)
 
 
 def partial_sum_area(a: ConvexPolygon, b: ConvexPolygon) -> Fraction:
     """Area of the boundary sum of A and B (both boundaries, unscaled).
 
     Equals area(A+B) minus the area of the erosion of the larger body by
-    the smaller.  An open erosion A (-) B is nonempty only when area B <
-    area A, so the other erosion is always empty and equal areas leave the
-    plain sum.
+    the smaller, computed from the integer rings without building either
+    polygon.
     """
-    total = minkowski_sum(a, b).area
-    if a.area == b.area:
-        return total
-    big, small = (a, b) if a.area > b.area else (b, a)
-    return total - erode(big, small).area
+    ar, br, den = _common(a._ring, a._den, b._ring, b._den)
+    return _boundary_sum_area(ar, br, 2 * den * den)
 
 
 def boundary_sum_volume(k: ConvexPolygon, t: ConvexPolygon,
                         lam: Scalar) -> Fraction:
     """Exact area of the lam-weighted boundary sum of K and T.
 
-    Computes area(lam*K + (1-lam)*T) minus the area of the single possible
-    hole (the erosion of the larger scaled body by the smaller).
+    With lam = p/q in lowest terms, lam*bK + (1-lam)*bT is (1/q) times
+    b(pK) + b((q-p)T), so the rings are multiplied by the integers p and
+    q - p and the area of that boundary sum is divided by q**2.
     """
-    lam = Fraction(lam)
-    if not (0 < lam < 1):
+    lam = _rational(lam)
+    p, q = lam.numerator, lam.denominator
+    if not 0 < p < q:
         raise GeometryError("lambda must lie strictly between 0 and 1")
-    return partial_sum_area(scale(k, lam), scale(t, 1 - lam))
+    den = lcm(k._den, t._den)
+    return _boundary_sum_area(_times(k._ring, den // k._den * p),
+                              _times(t._ring, den // t._den * (q - p)),
+                              2 * (den * q) ** 2)
 
 
 class EqualityTag(Enum):

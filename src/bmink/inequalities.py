@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from . import exact2d
 from .exact2d import (ConvexPolygon, EqualityClass, EqualityTag, GeometryError,
-                      classify_equality, is_centrally_symmetric, minkowski_sum)
+                      classify_equality, is_centrally_symmetric)
 from .serialize import (REPORT_VERSION, GridError, ShapeSpec, encode_detail,
                         encode_number, shapespec_to_json)
 
@@ -153,18 +153,17 @@ def multi_boundary_sum_volume(bodies: Sequence[ConvexPolygon]) -> Fraction:
     All bodies except the largest can be completed to full bodies without
     changing the sum (pairwise, the smaller body of a pair completes), so
     after sorting by volume the sum is bBig + (rest summed), whose volume is
-    area(Big + rest) minus the erosion hole of Big by the rest.
+    area(Big + rest) minus the erosion hole of Big by the rest.  Everything
+    runs on the integer rings over one denominator; only the result is a
+    Fraction.
     """
     if len(bodies) < 2:
         raise GeometryError("need at least two bodies")
-    ordered = sorted(bodies, key=lambda p: p.area, reverse=True)
-    big = ordered[0]
-    rest = ordered[1]
-    for body in ordered[2:]:
-        rest = minkowski_sum(rest, body)
-    total = minkowski_sum(big, rest).area
-    hole = exact2d.erode(big, rest)
-    return total - hole.area
+    rings, den = exact2d._rings(bodies)
+    big, rest, *others = sorted(rings, key=exact2d._area2, reverse=True)
+    for ring in others:
+        rest = exact2d._sum_ring(rest, ring)
+    return exact2d._holed_area(big, rest, 2 * den * den)
 
 
 def check_cor_multi(bodies) -> InequalityReport:

@@ -12,7 +12,8 @@ import pytest
 
 import bmink
 from bmink.campaign import CampaignConfig
-from bmink.cli import _CONFIG_FIELDS, _verify_config, build_parser, main
+from bmink.cli import (EXIT_CLOSED_STDOUT, _CONFIG_FIELDS, _verify_config,
+                       build_parser, main)
 from bmink.serialize import MAX_SPEC_DEPTH, shapespec_to_json
 from bmink.voxel import ShapeSpec
 
@@ -415,17 +416,57 @@ def test_demo_ratio_beyond_float_range_errors_cleanly(capsys):
     assert "FAILS, as expected" in capsys.readouterr().out
 
 
-def test_python_m_bmink_runs_the_cli():
+def _checkout_env() -> dict:
     # A checkout runs the CLI without installing it: PYTHONPATH names the
     # directory that holds the package, and `python -m bmink` finds main.
     src = str(Path(bmink.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_python_m_bmink_runs_the_cli():
     run = subprocess.run(
         [sys.executable, "-m", "bmink", "demo", "remark-4.3", "--a", "1/100"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, text=True, timeout=120, env=_checkout_env())
     assert run.returncode == 0, run.stderr
     assert "4.0004" in run.stdout and "FAILS, as expected" in run.stdout
+
+
+def test_verify_into_a_pipe_closed_after_one_line():
+    # `bmink verify rn --trials 20000 | head -1`: the reports run to
+    # megabytes, so the campaign is still writing when the reader goes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bmink", "verify", "rn", "--trials", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_checkout_env())
+    try:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        proc.wait(timeout=120)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first["theorem_id"] == "rn" and first["trial"] == 0
+    assert err == b""
+    assert proc.returncode == EXIT_CLOSED_STDOUT == 141
+
+
+def test_decompose_into_a_closed_pipe(shape_files):
+    # decompose writes its few lines in one flush, so the reader is gone
+    # before the command starts: the first write meets the closed pipe.
+    k, t = shape_files
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "bmink", "decompose", "--k", k, "--t", t,
+             "--res", "1/16"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=_checkout_env())
+    finally:
+        os.close(write_end)
+    assert run.stderr == b""
+    assert run.returncode == EXIT_CLOSED_STDOUT
 
 
 def test_flagless_verify_takes_campaign_defaults():

@@ -7,8 +7,10 @@ The `ref_*` functions below are the former `fractions.Fraction` code of
 asserts exact agreement: the same canonical vertex tuples, the same areas,
 the same erosion emptiness and regions, and the same equality tags and
 witnesses.  Inputs mix non-dyadic denominators (1/3, 1/7) with the 1/16 grid
-of the generators, λ = k/16 scalings, a 64-gon on the 2**-20 grid, and
-translate, homothet and equal-area pairs.
+of the generators, λ = k/16 and λ = p/q with q up to 21 (so p and q share
+factors with the ring denominators), a 64-gon on the 2**-20 grid, and
+translate, homothet and equal-area pairs; the multi-body boundary sum is
+checked on three and four bodies.
 """
 
 from fractions import Fraction as F
@@ -17,13 +19,21 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bmink.exact2d import (ConvexPolygon, EngineInconsistencyError,
-                           EqualityTag, GeometryError, Point2,
+from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, Point2,
                            boundary_sum_volume, classify_equality, erode,
                            is_centrally_symmetric, minkowski_sum,
                            partial_sum_area, reflect, scale, translate)
+from bmink.inequalities import multi_boundary_sum_volume
 
 Ring = tuple[Point2, ...]
+
+
+class EngineInconsistencyError(GeometryError):
+    """An invariant of the reference failed; indicates a bug, not bad input."""
+
+
+def dot(a: Point2, b: Point2) -> F:
+    return a.x * b.x + a.y * b.y
 
 
 # -- the Fraction reference ------------------------------------------------------
@@ -131,7 +141,7 @@ def ref_minkowski_sum(p: Ring, q: Ring) -> Ring:
 
 
 def ref_support(ring: Ring, u: Point2) -> F:
-    return max(v.dot(u) for v in ring)
+    return max(dot(v, u) for v in ring)
 
 
 def ref_width(ring: Ring, u: Point2) -> F:
@@ -145,7 +155,7 @@ def ref_clip_halfplane(ring: list[Point2], u: Point2, c: F) -> list[Point2]:
     n = len(ring)
     for i in range(n):
         a, b = ring[i], ring[(i + 1) % n]
-        da, db = c - a.dot(u), c - b.dot(u)
+        da, db = c - dot(a, u), c - dot(b, u)
         if da >= 0:
             out.append(a)
         if (da > 0 and db < 0) or (da < 0 and db > 0):
@@ -189,6 +199,17 @@ def ref_partial_sum_area(a: Ring, b: Ring) -> F:
             "both erosions nonempty; contradicts the sum decomposition")
     return (total - (ref_area(ab) if ab is not None else 0)
             - (ref_area(ba) if ba is not None else 0))
+
+
+def ref_multi_boundary_sum(bodies: Sequence[Ring]) -> F:
+    """The largest body's boundary plus the full sum of the others."""
+    big, *others = sorted(bodies, key=ref_area, reverse=True)
+    rest = others[0]
+    for ring in others[1:]:
+        rest = ref_minkowski_sum(rest, ring)
+    hole = ref_erode(big, rest)
+    return (ref_area(ref_minkowski_sum(big, rest))
+            - (ref_area(hole) if hole is not None else 0))
 
 
 def ref_scale(ring: Ring, f: F) -> Ring:
@@ -267,7 +288,12 @@ def symmetric_polygons(draw):
         assume(False)
 
 
-lambdas = st.integers(1, 15).map(lambda k: F(k, 16))
+# k/16 as the campaigns draw them, and p/q with q up to 21, such as 1/3,
+# 2/7 and 5/12.
+lambdas = st.one_of(
+    st.integers(1, 15).map(lambda k: F(k, 16)),
+    st.integers(2, 21).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: F(p, q))))
 ratios = st.integers(1, 40).map(lambda k: F(k, 16))
 shifts = st.builds(Point2, rationals(), rationals())
 
@@ -293,13 +319,33 @@ def pairs(draw):
     if kind == "reflect":
         k = draw(polygons())
         return k, translate(reflect(k), draw(shifts))
-    # Two boxes of equal area and different shape.
+    return draw(equal_area_boxes())
+
+
+@st.composite
+def equal_area_boxes(draw):
+    """Two boxes of equal area and different shape."""
     a = F(draw(st.integers(1, 12)), 3)
     b = F(draw(st.integers(1, 12)), 7)
     c = draw(st.sampled_from((F(2), F(3), F(1, 2), F(7, 3))))
     lo = draw(shifts)
     return (ConvexPolygon.box(lo, (lo.x + a, lo.y + b)),
             ConvexPolygon.box((0, 0), (a * c, b / c)))
+
+
+@st.composite
+def body_lists(draw):
+    """Three or four bodies: random ones, translates of one body, or an
+    equal-area pair beside scaled random bodies."""
+    kind = draw(st.sampled_from(("random", "translates", "equal_area")))
+    m = draw(st.integers(3, 4))
+    if kind == "random":
+        return [draw(polygons()) for _ in range(m)]
+    if kind == "translates":
+        k = draw(polygons())
+        return [k] + [translate(k, draw(shifts)) for _ in range(m - 1)]
+    others = [scale(draw(polygons()), draw(ratios)) for _ in range(m - 2)]
+    return [*draw(equal_area_boxes()), *others]
 
 
 GON = ConvexPolygon.regular_gon(64)
@@ -416,7 +462,25 @@ def test_boundary_sum_matches_reference(pair, lam):
     k, t = pair
     assert partial_sum_area(k, t) == ref_partial_sum_area(k.vertices, t.vertices)
     ks, ts = ref_scale(k.vertices, lam), ref_scale(t.vertices, 1 - lam)
-    assert boundary_sum_volume(k, t, lam) == ref_partial_sum_area(ks, ts)
+    bsv = boundary_sum_volume(k, t, lam)
+    assert bsv == ref_partial_sum_area(ks, ts)
+    # The integer-scaled rings agree with the public polygon path.
+    assert bsv == partial_sum_area(scale(k, lam), scale(t, 1 - lam))
+
+
+@pytest.mark.parametrize("lam", [0, 1, F(3, 2), F(-1, 2)])
+def test_boundary_sum_rejects_lambda_outside_the_open_interval(lam):
+    square = ConvexPolygon.box((0, 0), (1, 1))
+    with pytest.raises(GeometryError,
+                       match="lambda must lie strictly between 0 and 1"):
+        boundary_sum_volume(square, square, lam)
+
+
+@given(body_lists())
+@settings(max_examples=100, deadline=None)
+def test_multi_boundary_sum_matches_reference(bodies):
+    assert multi_boundary_sum_volume(bodies) == \
+        ref_multi_boundary_sum([b.vertices for b in bodies])
 
 
 @pytest.mark.parametrize("lam", [F(1, 16), F(1, 2), F(11, 16)])
