@@ -13,6 +13,13 @@ edges: inputs are brought onto the lattice at construction, and the public
 quantities (square roots of areas) are handled by callers through squared
 comparisons.
 
+The constructor walks an arbitrary ring once (`_canonical_ring`) to make it
+canonical: strictly convex, counterclockwise, starting at its lex-min vertex
+and in lowest terms.  The monotone-chain hull builds a ring that is already
+canonical but for lowest terms, and `translate` and a positive `scale` keep
+a canonical ring canonical, so those three only divide out the common
+factor of ring and denominator (`ConvexPolygon._canonical`).
+
 One edge merge (`_sum_ring`) and one half-plane clip (`_erosion_ring`)
 serve both the polygon-valued `minkowski_sum` and `erode` and the
 boundary-sum areas.  A boundary-sum area is taken straight from those
@@ -153,11 +160,16 @@ def _canonical_ring(ring: Sequence[IntPoint], den: int
     if doubles_back or crossings != 1:
         raise GeometryError("vertex ring is not counterclockwise convex")
     k = kept.index(min(kept))
-    canon = kept[k:] + kept[:k]
-    g = gcd(den, *(c for p in canon for c in p))
+    return _lowest_terms(kept[k:] + kept[:k], den)
+
+
+def _lowest_terms(ring: Sequence[IntPoint], den: int
+                  ) -> tuple[tuple[IntPoint, ...], int]:
+    """The ring and its denominator divided by their common factor."""
+    g = gcd(den, *(c for p in ring for c in p))
     if g != 1:
-        return tuple((x // g, y // g) for x, y in canon), den // g
-    return tuple(canon), den
+        return tuple((x // g, y // g) for x, y in ring), den // g
+    return tuple(ring), den
 
 
 class ConvexPolygon:
@@ -178,6 +190,18 @@ class ConvexPolygon:
         self._vertices: Optional[tuple[Point2, ...]] = None
         self._area: Optional[Fraction] = None
 
+    @classmethod
+    def _canonical(cls, ring: Sequence[IntPoint], den: int
+                   ) -> "ConvexPolygon":
+        """The polygon of a ring that is canonical but for lowest terms:
+        strictly convex, counterclockwise and starting at its lex-min
+        vertex.  Only the common factor is divided out; the ring is not
+        walked again."""
+        poly = cls.__new__(cls)
+        poly._ring, poly._den = _lowest_terms(ring, den)
+        poly._vertices = poly._area = None
+        return poly
+
     @property
     def vertices(self) -> tuple[Point2, ...]:
         """The canonical vertex ring as rational points (built on first use)."""
@@ -189,7 +213,14 @@ class ConvexPolygon:
 
     @classmethod
     def hull(cls, points: Iterable[Sequence[Scalar]]) -> "ConvexPolygon":
-        """Convex hull (monotone chain) of a point set; strict turns only."""
+        """Convex hull (monotone chain) of a point set; strict turns only.
+
+        The chains start from the lex-min point and pop every vertex that
+        does not turn strictly left, so their ring is already canonical
+        but for lowest terms, and it is not walked again.  Distinct points
+        that are all collinear leave a ring of two vertices and raise the
+        error that the constructor raises for it.
+        """
         ring, den = (points if isinstance(points, _Lattice)
                      else _to_lattice(points))
         pts = sorted(set(ring))
@@ -206,7 +237,11 @@ class ConvexPolygon:
 
         lower = chain(pts)
         upper = chain(pts[::-1])
-        return cls(_Lattice(lower[:-1] + upper[:-1], den))
+        ring = lower[:-1] + upper[:-1]
+        if len(ring) < 3:
+            raise GeometryError(
+                "polygon needs at least 3 non-collinear vertices")
+        return cls._canonical(ring, den)
 
     @classmethod
     def box(cls, lo: Sequence[Scalar], hi: Sequence[Scalar]) -> "ConvexPolygon":
@@ -280,14 +315,17 @@ def scale(p: ConvexPolygon, factor: Scalar) -> ConvexPolygon:
     n = f.numerator
     if n <= 0:
         raise GeometryError("scale factor must be positive")
-    return ConvexPolygon(_Lattice([(x * n, y * n) for x, y in p._ring],
-                                  p._den * f.denominator))
+    # A positive factor keeps the ring canonical but for lowest terms.
+    return ConvexPolygon._canonical([(x * n, y * n) for x, y in p._ring],
+                                    p._den * f.denominator)
 
 
-def translate(p: ConvexPolygon, v: Point2) -> ConvexPolygon:
-    shift = _to_lattice([v])
+def translate(p: ConvexPolygon, v: Union[Point2, _Lattice]) -> ConvexPolygon:
+    """P + v, for a point v or a _Lattice of one point."""
+    shift = v if isinstance(v, _Lattice) else _to_lattice([v])
     ring, ((sx, sy),), den = _common(p._ring, p._den, *shift)
-    return ConvexPolygon(_Lattice([(x + sx, y + sy) for x, y in ring], den))
+    # A translate keeps the ring canonical but for lowest terms.
+    return ConvexPolygon._canonical([(x + sx, y + sy) for x, y in ring], den)
 
 
 def reflect(p: ConvexPolygon) -> ConvexPolygon:

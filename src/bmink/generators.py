@@ -1,12 +1,15 @@
 """Randomized shape generators with deterministic per-seed output.
 
 Polygons come from convex hulls of points snapped to a rational grid, so
-every generated vertex is exact.  Grid sets are unions of boxes and balls,
-each rasterized once into its own window: a part joins the body when its
-cells overlap those of an accepted part or share a face with one, which
-keeps the occupancy face-connected (see gen_connected_boundary_set for
-why), the accepted windows become one GridSet, and a body is kept when its
-boundary is connected.  Pairs destined for cell-exact decomposition checks
+every generated vertex is exact.  The points and the planted translations
+stay integers over SNAP from the draw to the hull; each coordinate is drawn
+with getrandbits exactly as random.randint would draw it, so the streams
+are those of randint.  Grid sets are unions of boxes and balls, each
+rasterized once into its own window: a part joins the body when its cells
+overlap those of an accepted part or share a face with one, which keeps
+the occupancy face-connected (see gen_connected_boundary_set for why), the
+accepted windows become one GridSet, and a body is kept when its boundary
+is connected.  Pairs destined for cell-exact decomposition checks
 additionally restrict the smaller body to a plain box (see
 gen_decomposition_pair).  Because random pairs essentially never achieve
 equality in the volume bounds, the pair generators can deliberately plant
@@ -25,7 +28,7 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .exact2d import (ConvexPolygon, GeometryError, Point2, _Lattice, scale,
+from .exact2d import (ConvexPolygon, GeometryError, IntPoint, _Lattice, scale,
                       translate)
 from .serialize import ShapeSpec
 
@@ -57,10 +60,28 @@ def trial_rng(root_seed: int, trial: int) -> random.Random:
     return random.Random(f"{root_seed}:{trial}")
 
 
-def _snapped_point(rng: random.Random) -> tuple[int, int]:
-    """A point of the snap grid as integers over SNAP."""
+def _snapped_points(rng: random.Random, count: int) -> list[IntPoint]:
+    """count points of the snap grid, as integers over SNAP.
+
+    Each coordinate is drawn as rng.randint(-span, span) draws it, with
+    span = COORD_RANGE * SNAP: getrandbits of the bit length of the width
+    2 * span + 1, redrawn while it is not below the width.  That is
+    Random._randbelow_with_getrandbits, so the coordinates and the state
+    the stream is left in are those of randint, without its per-call
+    argument checks.
+    """
     span = COORD_RANGE * SNAP
-    return rng.randint(-span, span), rng.randint(-span, span)
+    width = 2 * span + 1
+    bits = width.bit_length()
+    draw = rng.getrandbits
+    coords = []
+    for _ in range(2 * count):
+        c = draw(bits)
+        while c >= width:
+            c = draw(bits)
+        coords.append(c - span)
+    pairs = iter(coords)
+    return list(zip(pairs, pairs))
 
 
 def gen_convex_polygon(rng: random.Random) -> ConvexPolygon:
@@ -71,7 +92,7 @@ def gen_convex_polygon(rng: random.Random) -> ConvexPolygon:
     """
     for _ in range(POLYGON_RETRIES):
         n_points = rng.randint(MIN_VERTICES, MAX_VERTICES) + 3
-        pts = [_snapped_point(rng) for _ in range(n_points)]
+        pts = _snapped_points(rng, n_points)
         try:
             poly = ConvexPolygon.hull(_Lattice(pts, SNAP))
         except GeometryError:
@@ -86,7 +107,7 @@ def gen_symmetric_polygon(rng: random.Random) -> ConvexPolygon:
     reflection, so -P equals P exactly)."""
     for _ in range(POLYGON_RETRIES):
         half = max(2, rng.randint(MIN_VERTICES, MAX_VERTICES) // 2)
-        pts = [_snapped_point(rng) for _ in range(half + 1)]
+        pts = _snapped_points(rng, half + 1)
         pts += [(-x, -y) for x, y in pts]
         try:
             poly = ConvexPolygon.hull(_Lattice(pts, SNAP))
@@ -97,9 +118,10 @@ def gen_symmetric_polygon(rng: random.Random) -> ConvexPolygon:
     raise GeometryError("symmetric polygon generator exhausted its retry budget")
 
 
-def random_lattice_shift(rng: random.Random) -> Point2:
-    x, y = _snapped_point(rng)
-    return Point2(Fraction(x, SNAP), Fraction(y, SNAP))
+def random_lattice_shift(rng: random.Random) -> _Lattice:
+    """A translation vector of the snap grid, as one integer point over
+    SNAP (translate takes it as it is)."""
+    return _Lattice(_snapped_points(rng, 1), SNAP)
 
 
 def gen_polygon_pair(rng: random.Random, plant_rate: float = 0.0,

@@ -38,12 +38,14 @@ class InequalityReport:
     """Outcome of one inequality check.
 
     lhs/rhs are in the comparable form (see module docstring).  The
-    verdict follows from them: slack is lhs - rhs, equality is |slack| <=
-    tolerance and a pass means slack >= -tolerance.  A negative slack
-    beyond tolerance marks the report as a violation; it is recorded, never
-    dropped.  equality_class is populated on the exact engine only.
-    shapes, seed and trial identify the trial: checkers leave them empty
-    and the campaign sets them.
+    verdict follows from them once, at construction: slack is lhs - rhs,
+    equality is |slack| <= tolerance and a pass means slack >= -tolerance.
+    A negative slack beyond tolerance marks the report as a violation; it
+    is recorded, never dropped.  A zero tolerance is compared as the int 0,
+    so an exact Fraction slack is never compared with a float.
+    equality_class is populated on the exact engine only.  shapes, seed
+    and trial identify the trial: checkers leave them empty and the
+    campaign sets them.
     """
 
     theorem_id: str
@@ -52,6 +54,7 @@ class InequalityReport:
     rhs: Value
     slack: Value = field(init=False)
     equality: bool = field(init=False)
+    violation: bool = field(init=False)
     equality_class: Optional[EqualityClass] = None
     shapes: tuple[ShapeSpec, ...] = ()
     lam: Optional[Fraction] = None
@@ -62,12 +65,10 @@ class InequalityReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.slack = self.lhs - self.rhs
-        self.equality = abs(self.slack) <= self.tolerance
-
-    @property
-    def violation(self) -> bool:
-        return self.slack < -self.tolerance
+        slack = self.slack = self.lhs - self.rhs
+        tol = self.tolerance or 0
+        self.equality = abs(slack) <= tol
+        self.violation = slack < -tol
 
     def to_json_dict(self) -> dict:
         eq_class = None

@@ -310,7 +310,11 @@ def _shapespec_from_json(data: dict, depth: int) -> ShapeSpec:
 
 
 def spec_from_polygon(poly: ConvexPolygon) -> ShapeSpec:
-    return ShapeSpec.polygon([(p.x, p.y) for p in poly.vertices])
+    """The polygon spec of the canonical vertex ring, read from the integer
+    ring and its denominator."""
+    d = poly._den
+    return ShapeSpec.polygon([(Fraction(x, d), Fraction(y, d))
+                              for x, y in poly._ring])
 
 
 DISK_SIDES = 64  # the exact engine realizes a ball as a regular 64-gon

@@ -11,18 +11,24 @@ of the generators, λ = k/16 and λ = p/q with q up to 21 (so p and q share
 factors with the ring denominators), a 64-gon on the 2**-20 grid, and
 translate, homothet and equal-area pairs; the multi-body boundary sum is
 checked on three and four bodies.
+
+The hull builds its polygon straight from the monotone-chain ring;
+`walked_hull` is the former path, which handed that ring to the
+constructor to be walked again by `_canonical_ring`, and stays here as
+the oracle of the hull.
 """
 
 from fractions import Fraction as F
 from typing import Optional, Sequence
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, Point2,
-                           boundary_sum_volume, classify_equality, erode,
-                           is_centrally_symmetric, minkowski_sum,
-                           partial_sum_area, reflect, scale, translate)
+                           _Lattice, _turn, boundary_sum_volume,
+                           classify_equality, erode, is_centrally_symmetric,
+                           minkowski_sum, partial_sum_area, reflect, scale,
+                           translate)
 from bmink.inequalities import multi_boundary_sum_volume
 
 Ring = tuple[Point2, ...]
@@ -374,6 +380,79 @@ def test_hull_matches_reference(pts):
     assert_matches(p, expected)
     assert p.area == ref_area(expected)
     assert len(p) == len(expected)
+
+
+def walked_hull(ring: Sequence[tuple[int, int]], den: int) -> ConvexPolygon:
+    """The hull as it was built before: the monotone-chain ring handed to
+    the constructor, which walks it again through _canonical_ring."""
+    pts = sorted(set(ring))
+    if len(pts) < 3:
+        raise GeometryError("hull needs at least 3 distinct points")
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower, upper = chain(pts), chain(pts[::-1])
+    return ConvexPolygon(_Lattice(lower[:-1] + upper[:-1], den))
+
+
+@st.composite
+def lattice_point_sets(draw):
+    """Integer points over a denominator, as the generators pass them to
+    the hull: random points with a collinear run, or the run alone (all
+    collinear), with repeated points, and with a factor shared by the
+    denominator and every coordinate."""
+    coord = st.integers(-48, 48)
+    run_start = draw(st.tuples(coord, coord))
+    dx, dy = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+    run = [(run_start[0] + t * dx, run_start[1] + t * dy)
+           for t in range(draw(st.integers(0, 6)))]
+    if draw(st.integers(0, 3)) == 0:
+        pts = run
+    else:
+        pts = draw(st.lists(st.tuples(coord, coord), max_size=9)) + run
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    pts = draw(st.permutations(pts))
+    factor = draw(st.sampled_from((1, 2, 6)))
+    den = draw(st.sampled_from((1, 3, 16))) * factor
+    return [(x * factor, y * factor) for x, y in pts], den
+
+
+@given(lattice_point_sets())
+@example(([(0, 0), (4, 0), (0, 4), (0, 0), (4, 0)], 16))  # duplicates
+@example(([(0, 0), (2, 0), (4, 0), (4, 4), (2, 2), (0, 4)], 8))  # runs
+@example(([(2, 4), (6, 4), (2, 10)], 6))  # factor 2 of den and coordinates
+@example(([(0, 0), (1, 1), (2, 2), (3, 3), (1, 1)], 16))  # all collinear
+@example(([(0, 0), (0, 0), (0, 0), (5, 5)], 1))  # two distinct points
+@settings(max_examples=300, deadline=None)
+def test_hull_is_canonical_as_built(points):
+    ring, den = points
+    try:
+        expected = walked_hull(ring, den)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError) as raised:
+            ConvexPolygon.hull(_Lattice(ring, den))
+        assert str(raised.value) == str(exc)
+        return
+    p = ConvexPolygon.hull(_Lattice(ring, den))
+    assert (p._ring, p._den) == (expected._ring, expected._den)
+    assert p == expected and hash(p) == hash(expected)
+    assert p.vertices == ref_hull([(F(x, den), F(y, den)) for x, y in ring])
+
+
+def test_all_collinear_hull_raises_the_constructor_error():
+    line = [(0, 0), (3, 1), (6, 2), (9, 3)]
+    message = "polygon needs at least 3 non-collinear vertices"
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        ConvexPolygon(_Lattice(line, 16))
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        ConvexPolygon.hull(_Lattice(line, 16))
 
 
 @given(polygons(), st.integers(0, 8), st.integers(0, 8), st.booleans())

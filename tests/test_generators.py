@@ -3,12 +3,13 @@ from scipy import ndimage
 
 from bmink import campaign, generators, voxel
 from bmink.campaign import CampaignConfig, _run_trial
-from bmink.exact2d import EqualityTag, GeometryError, classify_equality, reflect
+from bmink.exact2d import (EqualityTag, GeometryError, _Lattice,
+                           classify_equality, reflect)
 from bmink.generators import (PLANT_HOMOTHETIC_SYMMETRIC, PLANT_TRANSLATE,
                               gen_box_set, gen_connected_boundary_set,
                               gen_convex_polygon, gen_decomposition_pair,
                               gen_polygon_pair, gen_symmetric_polygon,
-                              trial_rng)
+                              random_lattice_shift, trial_rng)
 from bmink.voxel import is_boundary_connected
 
 
@@ -57,6 +58,33 @@ def test_unplanted_pairs_return_none_mode():
     assert mode is None
     with pytest.raises(GeometryError):
         gen_polygon_pair(trial_rng(6, 0), plant_rate=1.5)
+
+
+@pytest.mark.parametrize("coord_range, snap", [(3, 16), (1, 8), (1, 1)])
+def test_point_draw_is_the_randint_draw(monkeypatch, coord_range, snap):
+    # The oracle is the draw the generators made before: one
+    # rng.randint(-span, span) per coordinate.  Equal coordinates and an
+    # equal next rng.random() show the stream is left in the same state.
+    monkeypatch.setattr(generators, "COORD_RANGE", coord_range)
+    monkeypatch.setattr(generators, "SNAP", snap)
+    span = coord_range * snap
+    for seed in range(400):
+        new, old = trial_rng(seed, 3), trial_rng(seed, 3)
+        count = 1 + seed % 13
+        expected = [(old.randint(-span, span), old.randint(-span, span))
+                    for _ in range(count)]
+        assert generators._snapped_points(new, count) == expected
+        assert new.random() == old.random()
+
+
+def test_lattice_shift_is_the_randint_draw_over_snap():
+    span = generators.COORD_RANGE * generators.SNAP
+    for seed in range(300):
+        new, old = trial_rng(seed, 0), trial_rng(seed, 0)
+        shift = random_lattice_shift(new)
+        assert shift == _Lattice([(old.randint(-span, span),
+                                   old.randint(-span, span))], generators.SNAP)
+        assert new.random() == old.random()
 
 
 def test_grid_generator_deterministic_and_valid():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -48,6 +49,40 @@ def test_a_violation_lies_strictly_beyond_minus_the_tolerance():
     assert edge.slack == -0.5 and edge.equality and not edge.violation
     beyond = report(0.5, 1.25, tolerance=0.5)
     assert beyond.slack == -0.75 and not beyond.equality and beyond.violation
+
+
+@pytest.mark.parametrize("lhs, rhs, tolerance", [
+    (F(5, 2), F(9, 4), 0.0), (F(9, 4), F(9, 4), 0.0), (F(2), F(9, 4), 0.0),
+    (1.5, 1.25, 0.0), (1.25, 1.25, 0.0), (1.0, 1.25, 0.0),
+    (1.5, 1.25, -0.0), (1.25, 1.25, -0.0), (1.0, 1.25, -0.0),
+    (1.5, 1.25, 0.25), (1.0, 1.25, 0.25), (0.75, 1.25, 0.25),
+    (2.0, 1.25, 0.25),
+    (math.nan, 1.25, 0.0), (math.nan, 1.25, 0.25),
+    (7, 7, 0.0), (9, 7, 0.0), (5, 7, 0.0),
+])
+def test_verdicts_are_those_of_the_slack(lhs, rhs, tolerance):
+    r = report(lhs, rhs, tolerance)
+    assert r.equality is (abs(r.slack) <= tolerance)
+    assert r.violation is (r.slack < -tolerance)
+    if math.isnan(lhs):
+        assert not r.equality and not r.violation
+
+
+def test_an_exact_slack_is_never_compared_with_a_float(monkeypatch):
+    # Fraction's rich comparisons all go through _richcmp; a zero
+    # tolerance is compared as the int 0.
+    others = []
+    richcmp = F._richcmp
+
+    def spy(self, other, op):
+        others.append(type(other))
+        return richcmp(self, other, op)
+
+    monkeypatch.setattr(F, "_richcmp", spy)
+    for lhs in (F(5, 2), F(9, 4), F(2)):
+        r = report(lhs, F(9, 4))
+        assert (r.equality, r.violation) == (lhs == F(9, 4), lhs < F(9, 4))
+    assert others and float not in others
 
 
 def test_integer_sides_keep_an_integer_slack():

@@ -2,11 +2,15 @@
 
 The exact sha256 digests were recorded from the `fractions.Fraction`
 engine, before the exact engine moved to integer vertices over one
-denominator.  The reports carry exact rationals, so any drift in a computed
-area, slack, equality tag or witness changes a byte and fails here.  The
-exact campaigns cover planted translate and homothet pairs (thm-av), random
-λ = k/16 (thm-bbm), three bodies (cor-multi) and the arithmetic bound on the
-exact engine (thm-4.2).
+denominator.  They were also recorded while the generators drew every
+polygon point and planted shift with `random.randint`, and while every
+hull ring was walked again by `_canonical_ring`, before the draws moved to
+`getrandbits` and the hull built its canonical ring directly; the draws
+must leave the streams exactly as `randint` did.  The reports carry exact
+rationals, so any drift in a computed area, slack, equality tag or witness
+changes a byte and fails here.  The exact campaigns cover planted
+translate and homothet pairs (thm-av), random λ = k/16 (thm-bbm), three
+bodies (cor-multi) and the arithmetic bound on the exact engine (thm-4.2).
 
 The voxel digests pin thm-4.2 with its restricted-sum bounds eq-4.2 and
 eq-4.3 in 2D at h = 1/16 and 3D at h = 1/32.  They were recorded while each
