@@ -56,8 +56,9 @@ from .generators import (PLANT_TRANSLATE, gen_connected_boundary_set,
                          random_lattice_shift, trial_rng)
 from .inequalities import (EXACT, VOXEL, InequalityReport, check_arithmetic_bm,
                            check_cor_multi, check_lemma_pbm, check_rn,
-                           check_thm_4_2_voxel, check_thm_av, check_thm_bbm)
-from .serialize import ALLOWED_DIMS, dumps_canonical, spec_from_polygon
+                           check_thm_4_2_voxel, check_thm_av, check_thm_bbm,
+                           left_sum)
+from .serialize import ALLOWED_DIMS, dumps_canonical
 
 
 @dataclass(frozen=True)
@@ -164,12 +165,6 @@ def worker_count(trials: int) -> int:
     return min(workers, -(-trials // _block_size(trials, workers)))
 
 
-def _polygon_pair(rng, plant_rate: float):
-    """An exact (K, T) pair, its shape specs and its planted mode."""
-    kp, tp, mode = gen_polygon_pair(rng, plant_rate)
-    return kp, tp, (spec_from_polygon(kp), spec_from_polygon(tp)), mode
-
-
 def _boundary_sets(config: CampaignConfig, rng, m: int):
     """m voxel bodies with connected boundaries, and their shape specs."""
     bodies = [gen_connected_boundary_set(rng, config.dim, config.h)
@@ -178,8 +173,8 @@ def _boundary_sets(config: CampaignConfig, rng, m: int):
 
 
 def _thm_av_exact(config, rng):
-    kp, tp, shapes, mode = _polygon_pair(rng, config.plant_rate)
-    return [check_thm_av(kp, tp)], shapes, mode
+    kp, tp, mode = gen_polygon_pair(rng, config.plant_rate)
+    return [check_thm_av(kp, tp)], (kp, tp), mode
 
 
 def _thm_av_voxel(config, rng):
@@ -189,8 +184,8 @@ def _thm_av_voxel(config, rng):
 
 def _thm_bbm_exact(config, rng):
     lam = config.lam or Fraction(rng.randint(1, 15), 16)
-    kp, tp, shapes, mode = _polygon_pair(rng, config.plant_rate)
-    return [check_thm_bbm(kp, tp, lam)], shapes, mode
+    kp, tp, mode = gen_polygon_pair(rng, config.plant_rate)
+    return [check_thm_bbm(kp, tp, lam)], (kp, tp), mode
 
 
 def _thm_bbm_voxel(config, rng):
@@ -208,8 +203,7 @@ def _cor_multi_exact(config, rng):
     else:
         mode = None
         bodies = [gen_polygon_pair(rng)[0] for _ in range(config.bodies)]
-    shapes = tuple(spec_from_polygon(b) for b in bodies)
-    return [check_cor_multi(bodies)], shapes, mode
+    return [check_cor_multi(bodies)], tuple(bodies), mode
 
 
 def _cor_multi_voxel(config, rng):
@@ -220,7 +214,7 @@ def _cor_multi_voxel(config, rng):
 def _lemma_pbm(config, rng):
     m = rng.randint(1, 4)
     prefix = [rng.uniform(0.01, 2.0) for _ in range(m)]
-    last = sum(prefix) / rng.uniform(0.05, 1.0)
+    last = left_sum(prefix) / rng.uniform(0.05, 1.0)
     return [check_lemma_pbm(prefix + [last])], ()
 
 
@@ -232,8 +226,8 @@ def _rn(config, rng):
 
 
 def _thm_4_2_exact(config, rng):
-    kp, tp, shapes, _ = _polygon_pair(rng, 0.0)
-    return [check_arithmetic_bm(kp, tp)], shapes
+    kp, tp, _ = gen_polygon_pair(rng, 0.0)
+    return [check_arithmetic_bm(kp, tp)], (kp, tp)
 
 
 def _thm_4_2_voxel(config, rng):
@@ -262,7 +256,9 @@ THEOREMS = tuple(dict.fromkeys(theorem for theorem, _ in _TRIALS))
 
 def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
     """The reports of trial k, stamped with the campaign seed, the trial
-    index and the shape specs the trial drew.  The exact polygon trials,
+    index and the shapes the trial drew: the polygons themselves on the
+    exact engine, which the report writes from their integer rings, and
+    shape specs on the voxel one.  The exact polygon trials,
     which can plant an equality case, also return the planted mode (None
     included), and only their reports record it."""
     reports, shapes, *planted = _TRIALS[config.theorem, config.engine](

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import exact2d
 from .exact2d import (ConvexPolygon, EqualityClass, EqualityTag, GeometryError,
@@ -45,7 +45,8 @@ class InequalityReport:
     so an exact Fraction slack is never compared with a float.
     equality_class is populated on the exact engine only.  shapes, seed
     and trial identify the trial: checkers leave them empty and the
-    campaign sets them.
+    campaign sets them.  A shape is a ShapeSpec or an exact
+    ConvexPolygon, which is written as the polygon node of its ring.
     """
 
     theorem_id: str
@@ -56,7 +57,7 @@ class InequalityReport:
     equality: bool = field(init=False)
     violation: bool = field(init=False)
     equality_class: Optional[EqualityClass] = None
-    shapes: tuple[ShapeSpec, ...] = ()
+    shapes: tuple[Union[ShapeSpec, ConvexPolygon], ...] = ()
     lam: Optional[Fraction] = None
     seed: Optional[int] = None
     trial: Optional[int] = None
@@ -437,6 +438,17 @@ def check_rn(n: int, lam: float, x: float) -> InequalityReport:
     )
 
 
+def left_sum(xs: Iterable[float]) -> float:
+    """The float sum of xs added left to right, rounded once per term.
+    Since Python 3.12 the built-in sum() of floats compensates its
+    rounding, so its last bit, and a report's bytes, would depend on the
+    Python version."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def check_lemma_pbm(xs: Sequence[float]) -> InequalityReport:
     """(2/(m+1)) sqrt((x_1+...+x_m) x_{m+1}) >= (x_1...x_{m+1})^(1/(m+1)).
 
@@ -451,7 +463,7 @@ def check_lemma_pbm(xs: Sequence[float]) -> InequalityReport:
         raise GeometryError("need at least two values")
     if any(v < 0 for v in xs):
         raise GeometryError("values must be non-negative")
-    prefix = sum(xs[:-1])
+    prefix = left_sum(xs[:-1])
     last = xs[-1]
     if prefix > last * (1 + 1e-12):
         raise GeometryError("constraint sum(x_1..x_m) <= x_{m+1} violated")

@@ -21,6 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Optional, Sequence, Union
 
 from .exact2d import (ConvexPolygon, GeometryError, Point2, reflect, scale,
@@ -205,9 +206,19 @@ def _array(value: Any) -> list:
 
 # -- polygons ---------------------------------------------------------------
 
+def _over(n: int, den: int) -> str:
+    """n/den in lowest terms as str(Fraction(n, den)) writes it, for den > 0:
+    "n" when it is an integer, "n/d" otherwise."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def polygon_to_json(poly: ConvexPolygon) -> dict:
-    return {"vertices": [[str(p.x), str(p.y)]
-                         for p in poly.vertices]}
+    """The canonical vertex ring as [x, y] rational strings, written
+    straight from the integer ring and its denominator."""
+    den = poly._den
+    return {"vertices": [[_over(x, den), _over(y, den)]
+                         for x, y in poly._ring]}
 
 
 def polygon_from_json(data: dict) -> ConvexPolygon:
@@ -275,7 +286,12 @@ _KINDS = {
 }
 
 
-def shapespec_to_json(spec: ShapeSpec) -> dict:
+def shapespec_to_json(spec: Union[ShapeSpec, ConvexPolygon]) -> dict:
+    """A spec's JSON node.  An exact polygon is written as the polygon node
+    of its ring, the node of spec_from_polygon(poly), without building
+    that spec."""
+    if type(spec) is ConvexPolygon:
+        return {"kind": "polygon", **polygon_to_json(spec)}
     out: dict[str, Any] = {"kind": spec.kind}
     for key, (encode, _) in _KINDS[spec.kind][1]:
         out[key] = encode(spec, key)

@@ -10,8 +10,11 @@ import pytest
 
 from bmink.campaign import (THEOREMS, _TRIALS, CampaignConfig,
                             CampaignSummary, _is_violation, run_campaign)
-from bmink.exact2d import GeometryError
+from bmink.exact2d import ConvexPolygon, GeometryError
+from bmink.generators import PLANT_HOMOTHETIC_SYMMETRIC, PLANT_TRANSLATE
 from bmink.inequalities import InequalityReport, shrinking_pair_demo
+from bmink.serialize import (realize_spec, shapespec_from_json,
+                             spec_from_polygon)
 
 
 def small_config(**kw):
@@ -149,6 +152,75 @@ def test_lambda_forwarded_to_reports():
     run_campaign(cfg, out=buf)
     lines = [json.loads(l) for l in buf.getvalue().splitlines()]
     assert all(l["lambda"] == "1/4" for l in lines)
+
+
+BOTH_PLANTS = {None, PLANT_TRANSLATE, PLANT_HOMOTHETIC_SYMMETRIC}
+
+
+@pytest.mark.parametrize("case, planted", [
+    pytest.param(dict(theorem="thm-av", plant_rate=0.5), BOTH_PLANTS,
+                 id="thm-av"),
+    pytest.param(dict(theorem="thm-bbm", plant_rate=0.5), BOTH_PLANTS,
+                 id="thm-bbm"),
+    pytest.param(dict(theorem="cor-multi", plant_rate=0.5, bodies=4),
+                 {None, PLANT_TRANSLATE}, id="cor-multi"),
+    pytest.param(dict(theorem="thm-4.2"), {None}, id="thm-4.2"),
+])
+def test_exact_lines_write_their_polygons_as_the_spec_path_did(case, planted):
+    # Exact trials stamp their polygons as shapes, and the report writes
+    # each from its integer ring.  The spec path it replaced stays the
+    # oracle: the same report with the polygons' specs as its shapes gives
+    # the same line.  Each shape decodes back to the trial's polygon.
+    import bmink.campaign as camp
+
+    config = CampaignConfig(trials=40, seed=5, **case)
+    seen = set()
+    for k in range(config.trials):
+        for report in camp._run_trial(config, k):
+            polygons = report.shapes
+            assert polygons and all(type(p) is ConvexPolygon
+                                    for p in polygons)
+            line = camp._encode(report)[0]
+            report.shapes = tuple(map(spec_from_polygon, polygons))
+            assert line == camp._encode(report)[0]
+            shapes = json.loads(line)["shapes"]
+            assert [realize_spec(shapespec_from_json(s))[0]
+                    for s in shapes] == list(polygons)
+            seen.add(report.details.get("planted"))
+    assert seen == planted
+
+
+def test_an_exact_thm_av_trial_builds_few_fractions(monkeypatch):
+    # An exact trial stays on integers from draw to verdict; Fractions are
+    # built only for the report's rationals, and a planted pair's witness
+    # adds a few.  Python 3.12 builds arithmetic results through a
+    # shortcut that skips __new__, so both are counted.
+    built = [0]
+
+    def counted(make):
+        def wrapper(*args, **kwargs):
+            built[0] += 1
+            return make(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted(F.__new__)))
+    if "_from_coprime_ints" in vars(F):
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(
+            counted(vars(F)["_from_coprime_ints"].__func__)))
+    import bmink.campaign as camp
+
+    config = CampaignConfig(theorem="thm-av", trials=200, seed=11,
+                            plant_rate=0.1)
+    unplanted, total = [], 0
+    for k in range(config.trials):
+        before = built[0]
+        report, = camp._run_trial(config, k)
+        camp._encode(report)
+        total += built[0] - before
+        if report.details["planted"] is None:
+            unplanted.append(built[0] - before)
+    assert max(unplanted) <= 10
+    assert total <= 10 * config.trials
 
 
 def test_thm42_voxel_trial_emits_three_reports():

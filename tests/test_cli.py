@@ -164,10 +164,19 @@ _BALL = '{"kind": "ball", "center": ["1/2", 0], "radius": "3/4"}'
      '{"area":"0","empty":true,"engine":"exact",'
      '"input_approximation_gap":0.0028371539309972604,'
      '"note":"stored region is the closure; the true set is its interior"}'),
-], ids=["box-by-ball", "ball-by-box"])
+    ('{"vertices": [["2", "0"], ["0", "2"], ["-2", "1"], ["-1", "-2"], '
+     '["1", "-2"]]}',
+     '{"vertices": [["0", "0"], ["1", "0"], ["-1/5", "1/7"]]}',
+     '{"area":"7229/1225","empty":false,"engine":"exact",'
+     '"note":"stored region is the closure; the true set is its interior",'
+     '"region":{"vertices":[["-1","1"],["-1/21","-13/7"],["4/5","-13/7"],'
+     '["9/5","1/7"],["31/105","173/105"]]}}'),
+], ids=["box-by-ball", "ball-by-box", "pentagon-by-triangle"])
 def test_erode_exact_output_bytes(tmp_path, capsys, k, t, expected):
     # The gap sums K's and T's area deficits in that order, so the two
-    # orders differ in the last digits; both are pinned.
+    # orders differ in the last digits; both are pinned.  Polygon files
+    # have no gap, and their region mixes integer, negative and unlike
+    # denominators.
     (tmp_path / "k.json").write_text(k)
     (tmp_path / "t.json").write_text(t)
     assert main(["erode", "--k", str(tmp_path / "k.json"),

@@ -8,8 +8,8 @@ from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, Point2,
 from bmink.generators import gen_connected_boundary_set, trial_rng
 from bmink.inequalities import (InequalityReport, check_cor_multi,
                                 check_lemma_pbm, check_rn, check_thm_av,
-                                check_thm_bbm, multi_boundary_sum_volume,
-                                rn_value)
+                                check_thm_bbm, left_sum,
+                                multi_boundary_sum_volume, rn_value)
 from bmink.serialize import dumps_canonical
 from bmink.voxel import GridError, ShapeSpec, rasterize
 
@@ -267,6 +267,23 @@ def test_lemma_pbm_rejects_infeasible():
         check_lemma_pbm([2.0, 2.0, 1.0])
     with pytest.raises(GeometryError):
         check_lemma_pbm([-1.0, 2.0])
+
+
+def test_left_sum_rounds_once_per_term_from_the_left():
+    # sum() compensates its rounding since Python 3.12 and would give 1.0
+    # and 0.6 here; lemma-pbm bytes must not depend on the Python version.
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([0.1, 0.2, 0.3]) == (0.1 + 0.2) + 0.3 != 0.6
+    assert left_sum([]) == 0.0 and left_sum((2.5,)) == 2.5
+
+
+def test_lemma_pbm_trial_rounds_as_before_python_3_12():
+    # Trial 39 of `bmink verify lemma-pbm` is the first whose rhs differs
+    # when its sums are compensated (1.8663498462496422).
+    from bmink.campaign import CampaignConfig, _run_trial
+
+    report, = _run_trial(CampaignConfig(theorem="lemma-pbm"), 39)
+    assert report.rhs == 1.866349846249642
 
 
 # -- report serialization -------------------------------------------------------------------

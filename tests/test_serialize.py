@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bmink.exact2d import ConvexPolygon, GeometryError
-from bmink.serialize import (dumps_canonical, encode_detail, encode_number,
+from bmink.serialize import (_over, dumps_canonical, encode_detail,
+                             encode_number,
                              load_shape_file, parse_number, polygon_from_json,
                              polygon_to_json, realize_spec,
                              shapespec_from_json, shapespec_to_json,
@@ -72,6 +74,32 @@ def test_polygon_json_roundtrip():
     data = polygon_to_json(p)
     assert data["vertices"][0] == ["-1/3", "0"]
     assert polygon_from_json(data) == p
+
+
+@given(st.one_of(st.integers(), st.integers(-2 ** 130, 2 ** 130)),
+       st.one_of(st.integers(1, 64), st.integers(1, 2 ** 130)))
+@example(0, 1)
+@example(0, 12)
+@example(-7, 1)
+@example(-6, 4)
+@example(2 ** 64 + 1, 1)
+@example(-(3 ** 50) * 2 ** 70, 3 ** 20 * 2 ** 66)
+def test_ring_writer_writes_what_fraction_writes(n, den):
+    assert _over(n, den) == str(F(n, den))
+
+
+def test_polygon_nodes_from_the_ring_match_the_spec_path():
+    # Negative, zero, integer and 64-bit-plus coordinates: the node written
+    # from the ring is the node of the polygon's spec, and so is the region
+    # that `bmink erode` writes.
+    wide = 2 ** 70 + 1
+    p = ConvexPolygon([(F(-wide, 3), 0), (F(wide, 3), F(-1, 2 ** 66)),
+                       (0, wide)])
+    node = shapespec_to_json(p)
+    assert node == shapespec_to_json(spec_from_polygon(p))
+    assert node["vertices"][0] == [f"-{wide}/3", "0"]
+    assert polygon_to_json(p) == {"vertices": node["vertices"]}
+    assert realize_spec(shapespec_from_json(node))[0] == p
 
 
 def test_polygon_json_canonicalizes_clockwise_input():
