@@ -58,7 +58,7 @@ from .inequalities import (EXACT, VOXEL, InequalityReport, check_arithmetic_bm,
                            check_cor_multi, check_lemma_pbm, check_rn,
                            check_thm_4_2_voxel, check_thm_av, check_thm_bbm,
                            left_sum)
-from .serialize import ALLOWED_DIMS, dumps_canonical
+from .serialize import ALLOWED_DIMS
 
 
 @dataclass(frozen=True)
@@ -478,17 +478,17 @@ def _run_block(config: CampaignConfig, start: int, stop: int) -> tuple:
                 if fact[-1] and len(witnesses) < _WITNESSES:
                     witnesses.append(line)
             done += 1
-    return done, "".join(f"{line}\n" for line in lines), facts, witnesses
+    return done, "\n".join([*lines, ""]), facts, witnesses
 
 
 def _encode(report: InequalityReport) -> tuple[str, tuple]:
-    """A report as its JSON line plus what the summary keeps of it:
-    theorem_id, slack, planted, equality, the class tag and the violation
-    verdict."""
+    """A report as its JSON line, written by report.line(), plus what the
+    summary keeps of it: theorem_id, slack, planted, equality, the class
+    tag and the violation verdict."""
     equality = bool(report.equality)
     tag = (report.equality_class.tag.value
            if equality and report.equality_class is not None else None)
-    return dumps_canonical(report.to_json_dict()), (
+    return report.line(), (
         report.theorem_id, float(report.slack),
         bool(report.details.get("planted")), equality, tag,
         _is_violation(report))

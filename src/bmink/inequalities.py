@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence, Union
 
 from . import exact2d
 from .exact2d import (ConvexPolygon, EqualityClass, EqualityTag, GeometryError,
                       classify_equality, is_centrally_symmetric)
-from .serialize import (REPORT_VERSION, GridError, ShapeSpec, encode_detail,
-                        encode_number, shapespec_to_json)
+from .serialize import (REPORT_VERSION, GridError, ShapeSpec, dumps_canonical,
+                        encode_number, json_value, shapespec_to_json)
 
 Value = Union[Fraction, float]
 
@@ -46,7 +47,7 @@ class InequalityReport:
     equality_class is populated on the exact engine only.  shapes, seed
     and trial identify the trial: checkers leave them empty and the
     campaign sets them.  A shape is a ShapeSpec or an exact
-    ConvexPolygon, which is written as the polygon node of its ring.
+    ConvexPolygon, which line() writes as the polygon node of its ring.
     """
 
     theorem_id: str
@@ -71,34 +72,37 @@ class InequalityReport:
         self.equality = abs(slack) <= tol
         self.violation = slack < -tol
 
-    def to_json_dict(self) -> dict:
-        eq_class = None
-        if self.equality_class is not None:
-            eq_class = {"tag": self.equality_class.tag.value}
-            if self.equality_class.translation is not None:
-                t = self.equality_class.translation
-                eq_class["translation"] = [encode_number(t.x), encode_number(t.y)]
-            if self.equality_class.ratio is not None:
-                eq_class["ratio"] = encode_number(self.equality_class.ratio)
-        return {
-            "v": REPORT_VERSION,
-            "theorem_id": self.theorem_id,
-            "engine": self.engine,
-            "lhs": encode_number(self.lhs),
-            "rhs": encode_number(self.rhs),
-            "slack": encode_number(self.slack),
-            "equality": self.equality,
-            "equality_class": eq_class,
-            "shapes": [shapespec_to_json(s) for s in self.shapes],
-            "lambda": None if self.lam is None else encode_number(self.lam),
-            "seed": self.seed,
-            "trial": self.trial,
-            "tolerance": self.tolerance,
-            "violation": self.violation,
-            "flags": list(self.flags),
-            "details": {k: encode_detail(v)
-                        for k, v in sorted(self.details.items())},
-        }
+    def line(self) -> str:
+        """The report's JSON line, without its newline, as dumps_canonical
+        writes its 16 fields: json_value writes each value, a number after
+        encode_number (rationals as "p/q" strings), and dumps_canonical the
+        shapes' shapespec_to_json nodes.  details keys are strings."""
+        eq, eq_class = self.equality_class, "null"
+        if eq is not None:
+            t = eq.translation
+            ratio = ("" if eq.ratio is None else
+                     f'"ratio":{json_value(encode_number(eq.ratio))},')
+            moved = ("" if t is None else ',"translation":[' + ",".join(
+                [json_value(encode_number(c)) for c in t]) + "]")
+            eq_class = f'{{{ratio}"tag":{json_value(eq.tag.value)}{moved}}}'
+        details = ",".join([f"{encode_basestring_ascii(k)}:{json_value(v)}"
+                            for k, v in sorted(self.details.items())])
+        shapes = (dumps_canonical([shapespec_to_json(s) for s in self.shapes])
+                  if self.shapes else "[]")
+        lam, lhs, rhs, slack = [
+            "null" if v is None else json_value(encode_number(v))
+            for v in (self.lam, self.lhs, self.rhs, self.slack)]
+        return (f'{{"details":{{{details}}},'
+                f'"engine":{json_value(self.engine)},'
+                f'"equality":{json_value(self.equality)},'
+                f'"equality_class":{eq_class},'
+                f'"flags":[{",".join(map(json_value, self.flags))}],'
+                f'"lambda":{lam},"lhs":{lhs},"rhs":{rhs},'
+                f'"seed":{json_value(self.seed)},"shapes":{shapes},'
+                f'"slack":{slack},"theorem_id":{json_value(self.theorem_id)},'
+                f'"tolerance":{json_value(self.tolerance)},'
+                f'"trial":{json_value(self.trial)},"v":{REPORT_VERSION},'
+                f'"violation":{json_value(self.violation)}}}')
 
 
 def voxel_slack_tolerance(n: int, h: float, boundary_cells: int) -> float:
@@ -179,17 +183,13 @@ def check_cor_multi(bodies) -> InequalityReport:
     if m < 3:
         raise GeometryError("multi-body check needs m >= 3")
     if isinstance(bodies[0], ConvexPolygon):
-        n = 2
-        lhs_side = multi_boundary_sum_volume(bodies) / Fraction(m) ** n
+        lhs_side = multi_boundary_sum_volume(bodies) / (m * m)  # n = 2
         lhs = lhs_side ** m
-        rhs = Fraction(1)
-        for b in bodies:
-            rhs *= b.area
-        all_translates = all(
+        rhs = Fraction(math.prod(exact2d._area2(b._ring) for b in bodies),
+                       math.prod(2 * b._den ** 2 for b in bodies))
+        eq_class = EqualityClass(EqualityTag.TRANSLATE if all(
             classify_equality(bodies[0], b).tag is EqualityTag.TRANSLATE
-            for b in bodies[1:])
-        eq_class = EqualityClass(EqualityTag.TRANSLATE) if all_translates \
-            else EqualityClass(EqualityTag.NO_EQUALITY)
+            for b in bodies[1:]) else EqualityTag.NO_EQUALITY)
         return InequalityReport(
             theorem_id="cor-multi", engine=EXACT, lhs=lhs, rhs=rhs,
             equality_class=eq_class,
@@ -238,23 +238,20 @@ def check_thm_bbm(k, t, lam) -> InequalityReport:
     if not (0 < lam < 1):
         raise GeometryError("lambda must lie strictly between 0 and 1")
     if isinstance(k, ConvexPolygon):
-        n = 2
         f_kt = exact2d.boundary_sum_volume(k, t, lam)
         f_tk = exact2d.boundary_sum_volume(t, k, lam)
         lhs = f_kt * f_tk
-        rhs = k.area * t.area * (1 - abs(1 - 2 * lam) ** n) ** 2
+        p, q = lam.numerator, lam.denominator  # 1 - |1 - 2l|^2 = 4l(1 - l)
+        rhs = k.area * t.area * Fraction((4 * p * (q - p)) ** 2, q ** 4)
         eq_class = classify_equality(k, t)
-        flags = []
-        if lhs == rhs and lam != Fraction(1, 2):
-            translate_symmetric = (eq_class.tag is EqualityTag.TRANSLATE
-                                   and is_centrally_symmetric(k))
-            homothet_symmetric = (
-                eq_class.tag is EqualityTag.HOMOTHETIC_CENTRALLY_SYMMETRIC_2D)
-            if not (translate_symmetric or homothet_symmetric):
-                flags.append("equality_outside_characterization")
+        tag = eq_class.tag
+        outside = lhs == rhs and lam != Fraction(1, 2) and not (
+            tag is EqualityTag.HOMOTHETIC_CENTRALLY_SYMMETRIC_2D
+            or tag is EqualityTag.TRANSLATE and is_centrally_symmetric(k))
         return InequalityReport(
             theorem_id="thm-bbm", engine=EXACT, lhs=lhs, rhs=rhs,
-            equality_class=eq_class, lam=lam, flags=tuple(flags),
+            equality_class=eq_class, lam=lam,
+            flags=("equality_outside_characterization",) if outside else (),
             details={"factor_kt": f_kt, "factor_tk": f_tk},
         )
     from . import voxel

@@ -10,8 +10,9 @@ voxel reports encode through the numbers ABCs that numpy registers them
 with.
 
 Rationals travel as "p/q" strings so exact values survive the round trip;
-plain ints and floats are passed through.  All dumps are deterministic
-(sorted keys, compact separators) so repeated runs produce identical bytes.
+plain ints and floats are passed through.  All output is canonical JSON
+(sorted keys, compact separators), so repeated runs produce identical
+bytes; InequalityReport.line() writes it with json_value.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any, Optional, Sequence, Union
 
@@ -157,17 +159,10 @@ def parse_number(value: Any) -> Any:
     raise GeometryError(f"number {value!r} is not finite as a float")
 
 
-# isinstance(v, Fraction) goes through ABCMeta, which costs more than the
-# encoding itself, so the encoders test the exact type first.
-_PLAIN = frozenset((int, float))
-_PLAIN_DETAILS = frozenset((bool, int, float, str, type(None)))
-
-
 def encode_number(value: Any) -> Any:
-    cls = type(value)
-    if cls is Fraction:
-        return str(value)
-    if cls in _PLAIN:
+    # isinstance(v, Fraction) goes through ABCMeta unless v is a Fraction,
+    # at a cost above the encoding itself, so plain types are tested first.
+    if type(value) in (int, float):
         return value
     if isinstance(value, Fraction):
         return str(value)
@@ -180,20 +175,30 @@ def encode_number(value: Any) -> Any:
     raise GeometryError(f"cannot encode number {value!r}")
 
 
-def encode_detail(value: Any) -> Any:
-    """A report's details value: Fractions become "p/q" strings, anything
-    else passes through."""
-    if type(value) in _PLAIN_DETAILS:
-        return value
-    return str(value) if isinstance(value, Fraction) else value
-
-
 # One encoder serves every call; json.dumps would build a new one each time.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def dumps_canonical(obj: Any) -> str:
     return _CANONICAL.encode(obj)
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def json_value(value: Any) -> str:
+    """value as dumps_canonical writes it, a Fraction as its "p/q" string:
+    the common types are written here, anything else by the encoder."""
+    cls = type(value)
+    if cls is int or cls is float and value - value == 0:  # a finite float
+        return repr(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is bool or value is None:
+        return _CONSTANTS[value]
+    if isinstance(value, Fraction):
+        return encode_basestring_ascii(str(value))
+    return dumps_canonical(value)
 
 
 def _array(value: Any) -> list:
@@ -292,10 +297,8 @@ def shapespec_to_json(spec: Union[ShapeSpec, ConvexPolygon]) -> dict:
     that spec."""
     if type(spec) is ConvexPolygon:
         return {"kind": "polygon", **polygon_to_json(spec)}
-    out: dict[str, Any] = {"kind": spec.kind}
-    for key, (encode, _) in _KINDS[spec.kind][1]:
-        out[key] = encode(spec, key)
-    return out
+    return {"kind": spec.kind, **{key: encode(spec, key)
+                                  for key, (encode, _) in _KINDS[spec.kind][1]}}
 
 
 # Every spec operation recurses once per node level, so a deeper spec would

@@ -190,11 +190,10 @@ def test_exact_lines_write_their_polygons_as_the_spec_path_did(case, planted):
     assert seen == planted
 
 
-def test_an_exact_thm_av_trial_builds_few_fractions(monkeypatch):
-    # An exact trial stays on integers from draw to verdict; Fractions are
-    # built only for the report's rationals, and a planted pair's witness
-    # adds a few.  Python 3.12 builds arithmetic results through a
-    # shortcut that skips __new__, so both are counted.
+def _count_fractions(monkeypatch) -> list:
+    """A one-item list that counts the Fractions built from now on.
+    Python 3.12 builds arithmetic results through a shortcut that skips
+    __new__, so both are counted."""
     built = [0]
 
     def counted(make):
@@ -207,6 +206,14 @@ def test_an_exact_thm_av_trial_builds_few_fractions(monkeypatch):
     if "_from_coprime_ints" in vars(F):
         monkeypatch.setattr(F, "_from_coprime_ints", classmethod(
             counted(vars(F)["_from_coprime_ints"].__func__)))
+    return built
+
+
+def test_an_exact_thm_av_trial_builds_few_fractions(monkeypatch):
+    # An exact trial stays on integers from draw to verdict; Fractions are
+    # built only for the report's rationals, and a planted pair's witness
+    # adds a few.
+    built = _count_fractions(monkeypatch)
     import bmink.campaign as camp
 
     config = CampaignConfig(theorem="thm-av", trials=200, seed=11,
@@ -221,6 +228,24 @@ def test_an_exact_thm_av_trial_builds_few_fractions(monkeypatch):
             unplanted.append(built[0] - before)
     assert max(unplanted) <= 10
     assert total <= 10 * config.trials
+
+
+@pytest.mark.parametrize("theorem, most", [("thm-bbm", 12),
+                                            ("cor-multi", 7)])
+def test_exact_thm_bbm_and_cor_multi_trials_build_few_fractions(
+        monkeypatch, theorem, most):
+    # Their sides are built on ints, with one Fraction a side.  When they
+    # were built in Fraction arithmetic, a thm-bbm trial built 17 (20 on
+    # Python 3.12) and a cor-multi trial 14.
+    built = _count_fractions(monkeypatch)
+    import bmink.campaign as camp
+
+    config = CampaignConfig(theorem=theorem, trials=100, seed=11)
+    for k in range(config.trials):
+        before = built[0]
+        report, = camp._run_trial(config, k)
+        camp._encode(report)
+        assert built[0] - before <= most
 
 
 def test_thm42_voxel_trial_emits_three_reports():

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -10,7 +11,6 @@ from bmink.inequalities import (InequalityReport, check_cor_multi,
                                 check_lemma_pbm, check_rn, check_thm_av,
                                 check_thm_bbm, left_sum,
                                 multi_boundary_sum_volume, rn_value)
-from bmink.serialize import dumps_canonical
 from bmink.voxel import GridError, ShapeSpec, rasterize
 
 SQUARE = ConvexPolygon.box((-1, -1), (1, 1))
@@ -89,7 +89,7 @@ def test_integer_sides_keep_an_integer_slack():
     # eq-4.2 compares two pair counts; its line shows the slack as 0.
     pairs = InequalityReport(theorem_id="eq-4.2", engine="voxel", lhs=7, rhs=7)
     assert pairs.slack == 0 and type(pairs.slack) is int and pairs.equality
-    line = dumps_canonical(pairs.to_json_dict())
+    line = pairs.line()
     assert '"slack":0,' in line and '"equality":true,' in line
 
 
@@ -211,6 +211,30 @@ def test_thm_bbm_lambda_validated():
         check_thm_bbm(SQUARE, HALF, F(5, 4))
 
 
+@pytest.mark.parametrize("theorem", ["thm-bbm", "cor-multi"])
+def test_exact_sides_on_ints_match_their_fraction_formulas(theorem):
+    # check_thm_bbm takes (1 - |1 - 2l|^2)^2 as (4p(q - p))^2 / q^4 for
+    # l = p/q, and check_cor_multi builds its area product and m-th power
+    # on ints; the Fraction formulas they replaced stay the oracle.
+    from bmink.campaign import CampaignConfig, _run_trial
+
+    config = CampaignConfig(theorem=theorem, trials=60, seed=3, bodies=4,
+                            plant_rate=0.3)
+    for k in range(config.trials):
+        report, = _run_trial(config, k)
+        bodies = report.shapes
+        areas = F(1)
+        for b in bodies:
+            areas *= b.area
+        if theorem == "thm-bbm":
+            lam = report.lam
+            assert report.rhs == areas * (1 - abs(1 - 2 * lam) ** 2) ** 2
+        else:
+            m = len(bodies)
+            side = multi_boundary_sum_volume(bodies) / F(m) ** 2
+            assert report.rhs == areas and report.lhs == side ** m
+
+
 # -- scale-ratio function --------------------------------------------------------------
 
 def test_rn_constant_in_dimension_two():
@@ -290,7 +314,7 @@ def test_lemma_pbm_trial_rounds_as_before_python_3_12():
 
 def test_report_json_round_values():
     r = check_thm_av(SQUARE, HALF)
-    d = r.to_json_dict()
+    d = json.loads(r.line())
     assert d["v"] == 1
     assert d["theorem_id"] == "thm-av"
     assert d["lhs"] == "4" and d["rhs"] == "4"

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bmink.exact2d import ConvexPolygon, GeometryError
-from bmink.serialize import (_over, dumps_canonical, encode_detail,
-                             encode_number,
+from bmink.serialize import (_over, dumps_canonical, encode_number,
+                             json_value,
                              load_shape_file, parse_number, polygon_from_json,
                              polygon_to_json, realize_spec,
                              shapespec_from_json, shapespec_to_json,
@@ -42,9 +42,9 @@ def test_number_and_detail_encoding_by_type():
     with pytest.raises(GeometryError):
         encode_number("1/2")
     for value in (True, 3, 0.5, "x", None, [1, 2]):
-        assert encode_detail(value) is value
-    assert encode_detail(F(6, 4)) == "3/2"
-    assert encode_detail(_Half(1, 3)) == "1/3"
+        assert json_value(value) == dumps_canonical(value)
+    assert json_value(F(6, 4)) == '"3/2"'
+    assert json_value(_Half(1, 3)) == '"1/3"'
     assert dumps_canonical({"b": True, "a": [0.5, None]}) == \
         '{"a":[0.5,null],"b":true}'
 
@@ -61,12 +61,15 @@ def test_numpy_scalars_encode_as_plain_numbers(value, expected):
     encoded = encode_number(value)
     assert type(encoded) is type(expected) and encoded == expected
     assert dumps_canonical(encoded) == dumps_canonical(expected)
+    assert json_value(encode_number(value)) == dumps_canonical(expected)
 
 
 def test_numpy_bool_is_not_a_number():
     for value in (np.bool_(True), np.bool_(False)):
         with pytest.raises(GeometryError, match="cannot encode number"):
             encode_number(value)
+        with pytest.raises(GeometryError, match="cannot encode number"):
+            json_value(encode_number(value))
 
 
 def test_polygon_json_roundtrip():
