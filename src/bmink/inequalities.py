@@ -69,8 +69,9 @@ class InequalityReport:
     def __post_init__(self) -> None:
         slack = self.slack = self.lhs - self.rhs
         tol = self.tolerance or 0
-        self.equality = abs(slack) <= tol
-        self.violation = slack < -tol
+        # bool(): a numpy side would otherwise leave numpy.bool_ verdicts
+        self.equality = bool(abs(slack) <= tol)
+        self.violation = bool(slack < -tol)
 
     def line(self) -> str:
         """The report's JSON line, without its newline, as dumps_canonical

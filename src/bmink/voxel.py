@@ -1,13 +1,18 @@
 """Voxel engine: occupancy grids in dimensions 2-4 with exact cell-set ops.
 
 A GridSet is a dense boolean occupancy array over a bounded window of the
-integer lattice, scaled by a cell size h.  Open erosion thresholds the
-convolution of two occupancy arrays as exact integer cell counts, and
-transforms only its fit window: the part of the sum frame, at most the
-eroded array's shape per axis, that can hold an erosion cell.
-Dilation (discrete Minkowski sum) scatters every pair of occupied cells
-when the operands are sparse, and thresholds the same convolution when
-they are dense.  Interior and boundary come from face-neighbor shifts.
+integer lattice, scaled by a cell size h.  Dilation (discrete Minkowski
+sum) and open erosion by a box, and dilation by a box's face boundary,
+separate into runs of shifted ORs or ANDs along each axis: exact boolean
+work, which the voxel thm-4.2 trials take, their T being a box.  Other
+open erosions threshold the convolution of two occupancy arrays as exact
+integer cell counts, and transform only the fit window: the part of the
+sum frame, at most the eroded array's shape per axis, that can hold an
+erosion cell.  Other dilations scatter every pair of occupied cells when
+the operands are sparse, as 2D boundary sums are, and threshold the same
+convolution when they are dense, as the multi-body band and the CLI's
+general full bodies are.  Interior and boundary come from face-neighbor
+shifts.
 Set identities between them can therefore be asserted exactly; only the
 conversion from cell counts to volumes involves floating point.
 
@@ -330,26 +335,105 @@ def _in_contact(a: _Window, b: _Window) -> bool:
     return False
 
 
+def _box_kind(g: GridSet) -> Optional[str]:
+    """"box" when g's cells fill its inner box, "shell" when they are that
+    box's face boundary and every side of the box is at least 3, else None.
+
+    A shell's cells lie on the faces of the inner box, so it has exactly
+    prod(sides) - prod(sides - 2) of them and none in occ[2:-2, ...]; with
+    that count and no such cell, every face cell is occupied.  A box with
+    a side below 3 is its own face boundary, and reads "box".  The count is
+    cached, so a body that is neither costs O(1) unless the counts match.
+    """
+    if g.is_empty:
+        return None
+    sides = [n - 2 for n in g.shape]
+    if g.count == math.prod(sides):
+        return "box"
+    if (min(sides) >= 3
+            and g.count == math.prod(sides) - math.prod(s - 2 for s in sides)
+            and not g.occ[(slice(2, -2),) * g.dim].any()):
+        return "shell"
+    return None
+
+
+def _runs(x: np.ndarray, ax: int, length: int, op: np.ufunc) -> None:
+    """Set x[..., i, ...] to op over x[..., i - length + 1 .. i, ...] along
+    axis ax, in place, by log-doubling shifts: after each shift by `step`
+    an entry covers `step` more of its run.  Entries whose run starts
+    before index 0 cover only the part of it inside the array."""
+    done = 1
+    while done < length:
+        step = min(done, length - done)
+        head = (slice(None),) * ax + (slice(step, None),)
+        tail = (slice(None),) * ax + (slice(None, -step),)
+        op(x[head], x[tail], out=x[head])
+        done += step
+
+
+def _box_sum(a: np.ndarray, box: Sequence[int], shell: bool) -> np.ndarray:
+    """The full sum frame of a and a box operand, without its one-cell
+    margin: the array dilate returns for them.
+
+    box is the shape of the box operand's normalized array, so the box
+    has sides box - 2 and its cells sit at indices 1 to box - 2.  A cell
+    p of a plus the box cell at index 1 + q lands at index p + q of the
+    returned frame, shape a.shape + box - 3.  The sum with a box separates
+    by axis: a run of `side` cells along each axis in turn.  A shell is
+    the union over axes of the box's two faces across that axis, one cell
+    thick there and full length along the others, and dilation
+    distributes over the union.  The work is boolean ORs of shifted
+    arrays, with no rounding; the sum frame passes _check_extent first.
+    """
+    frame = [m + n - 1 for m, n in zip(a.shape, box)]
+    _check_extent(frame)
+    sides = [n - 2 for n in box]
+    out = np.zeros([n - 2 for n in frame], bool)
+    if not shell:
+        out[tuple(slice(0, m) for m in a.shape)] = a
+        for ax, side in enumerate(sides):
+            _runs(out, ax, side, np.logical_or)
+        return out
+    for ax, side in enumerate(sides):
+        faces = np.zeros(out.shape[:ax] + a.shape[ax:ax + 1]
+                         + out.shape[ax + 1:], bool)
+        faces[tuple(slice(0, m) for m in a.shape)] = a
+        for k, run in enumerate(sides):
+            if k != ax:
+                _runs(faces, k, run, np.logical_or)
+        for first in (0, side - 1):
+            out[(slice(None),) * ax
+                + (slice(first, first + a.shape[ax]),)] |= faces
+    return out
+
+
 _PAIR_COST = 8  # pairs per padded FFT cell at dilate's break-even
 
 
 def dilate(a: GridSet, b: GridSet) -> GridSet:
     """Discrete Minkowski sum: every pairwise sum of occupied cells.
 
-    Two exact kernels give the same cells.  _pair_sums sets the sum of
-    every pair of occupied cells, at a cost of |A| * |B| pairs.  _convolve
-    transforms P padded cells, and a cell is in the sum exactly when the
-    convolution count there is positive.  dilate scatters the pairs when
-    |A| * |B| <= _PAIR_COST * P, and convolves otherwise.
+    Three exact kernels give the same cells.  When either operand is a box
+    or a box's face boundary (see _box_kind), _box_sum ORs shifted copies
+    of the other operand, a run per axis.  Otherwise _pair_sums sets the
+    sum of every pair of occupied cells, at a cost of |A| * |B| pairs, and
+    _convolve transforms P padded cells, a cell being in the sum exactly
+    when the convolution count there is positive.  dilate scatters the
+    pairs when |A| * |B| <= _PAIR_COST * P, and convolves otherwise.
+
+    In the campaigns, the voxel thm-4.2 boundary sum bK + bT has bT the
+    face boundary of a box, and takes the runs.  The 2D boundary sums of
+    two general bodies take the pairs, and the accumulated multi-body band
+    and the CLI's sums of general full bodies take the FFT.
 
     _PAIR_COST is the measured break-even.  On the benchmark's 2D boundary
     sums (h = 1/128, numpy FFT, a 2-CPU x86-64 machine) a pair cost about
     5.4 ns and a padded FFT cell about 45 ns: a break-even of 8.3, and 7 to
     11 from the 10th to the 90th percentile of calls.  Over three chunks
     of each voxel workload, those 2D sums had |A| * |B| / P from 0.3 to 4.2
-    and take the pair path.  The 3D voxel-dense sums (14 to 48, break-even
-    about 14) and the accumulated multi-body band (63 to 143) stay on the
-    FFT.  Either way the result is cell-exact and exactly commutative.
+    and take the pair path, and the accumulated multi-body band (63 to
+    143) stays on the FFT.  Either way the result is cell-exact and
+    exactly commutative.
 
     For two nonempty operands the output needs no normalizing.  Per axis,
     the smallest cell of A + B is min A + min B, and that sum is attained,
@@ -361,16 +445,20 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
     a.origin + b.origin + 1, holds them with an empty one-cell margin.
     """
     _require_same_grid(a, b)
-    origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
+    origin = tuple(oa + ob + 1 for oa, ob in zip(a.origin, b.origin))
+    if a.is_empty or b.is_empty:
+        return a if a.is_empty else b
+    for body, box in ((a, b), (b, a)):
+        kind = _box_kind(box)
+        if kind is not None:
+            return GridSet._tight(a.dim, a.h, origin, _box_sum(
+                body.occ, box.shape, kind == "shell"))
     _, fshape = _frames(a.occ, b.occ)
     if a.count * b.count <= _PAIR_COST * math.prod(fshape):
         occ = _pair_sums(a.occ, b.occ)
     else:
         occ = _convolve(a.occ, b.occ) > 0
-    if a.is_empty or b.is_empty:
-        return GridSet(a.dim, a.h, origin, occ)
-    return GridSet._tight(a.dim, a.h, tuple(o + 1 for o in origin),
-                          occ[(slice(1, -1),) * a.dim])
+    return GridSet._tight(a.dim, a.h, origin, occ[(slice(1, -1),) * a.dim])
 
 
 def _interior_array(a: GridSet) -> np.ndarray:
@@ -408,11 +496,14 @@ def erode_open(a: GridSet, b: GridSet) -> GridSet:
     """Cells x with x - b in interior(a) for every occupied cell b.
 
     This is the discrete Minkowski difference with an open fit: translates
-    of -B must land strictly inside A.  The convolution of interior(a) with
-    b counts, at each x, the cells b with x - b in interior(a); x is in the
-    erosion exactly when that count is |b|.  The empty result is allowed.
+    of -B must land strictly inside A.  The empty result is allowed.  When
+    b is a box, as the voxel thm-4.2 trials' T is, _box_fit ANDs runs of
+    interior(a) along each axis.  Otherwise, as for the CLI's general
+    bodies, the convolution of interior(a) with b counts, at each x, the
+    cells b with x - b in interior(a); x is in the erosion exactly when
+    that count is |b|.
 
-    Only the fit window of the full sum frame is convolved: indices n - 1
+    Only the fit window of the full sum frame is computed: indices n - 1
     to m - 1 per axis, for arrays of length m (a) and n (b), which _convolve
     transforms at the 5-smooth length of m.  The window holds every erosion
     cell.  a is normalized, so its occupied cells lie in [1, m - 2], and an
@@ -420,18 +511,41 @@ def erode_open(a: GridSet, b: GridSet) -> GridSet:
     extreme cells sit at indices 1 and n - 2.  An erosion cell j has
     j - (n - 2) and j - 1 both in [2, m - 3], so j lies in [n, m - 2],
     inside the window with a one-cell margin.  When some axis has m < n the
-    window is empty, and so is the erosion: no transform is needed.
+    window is empty, and so is the erosion: no kernel is needed.
     """
     _require_same_grid(a, b)
     if b.is_empty:
         raise GridError("erosion by the empty set is unbounded")
     if any(m < n for m, n in zip(a.shape, b.shape)):
         return GridSet(a.dim, a.h, a.origin, np.zeros((1,) * a.dim, bool))
-    counts = _convolve(_interior_array(a), b.occ,
-                       [(n - 1, m) for m, n in zip(a.shape, b.shape)])
     origin = tuple(oa + ob + n - 1
                    for oa, ob, n in zip(a.origin, b.origin, b.shape))
+    if _box_kind(b) == "box":
+        return GridSet(a.dim, a.h, origin, _box_fit(_interior_array(a),
+                                                    b.shape))
+    counts = _convolve(_interior_array(a), b.occ,
+                       [(n - 1, m) for m, n in zip(a.shape, b.shape)])
     return GridSet(a.dim, a.h, origin, counts == b.count)
+
+
+def _box_fit(inter: np.ndarray, box: Sequence[int]) -> np.ndarray:
+    """erode_open's fit window for a box operand, from interior(a) in a's
+    array (modified in place).
+
+    box is the shape of the box's normalized array, sides box - 2.  Fit
+    window entry j, full sum frame index j + n - 1 for n = box per axis,
+    is in the erosion when interior(a) holds the cells j + 1 to j + n - 2:
+    x minus each box cell, at indices 1 to n - 2.  That is an AND over a
+    run of n - 2 cells per axis, which _runs leaves at the run's last
+    index j + n - 2: the window is [n - 2, m - 1) of the runs.  Each axis
+    is cropped to it before the next is run.  The work is boolean ANDs
+    within a's array, which is already within the extent caps.
+    """
+    for ax, n in enumerate(box):
+        _runs(inter, ax, n - 2, np.logical_and)
+        inter = inter[(slice(None),) * ax
+                      + (slice(n - 2, inter.shape[ax] - 1),)]
+    return inter
 
 
 def is_boundary_connected(a: GridSet) -> bool:

@@ -222,12 +222,17 @@ def test_collinear_polygon_node_errors_on_both_engines(tmp_path, capsys,
     assert captured.err.startswith("error:")
 
 
-def test_inexact_convolution_errors_cleanly(shape_files, monkeypatch, capsys):
+def test_inexact_convolution_errors_cleanly(shape_files, tmp_path,
+                                           monkeypatch, capsys):
     inverse = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft",
                         lambda *args, **kwargs: inverse(*args, **kwargs) + 0.3)
-    k, t = shape_files
-    code = main(["erode", "--k", k, "--t", t, "--engine", "voxel",
+    k, _ = shape_files
+    # A disk, not a box: the erosion takes the convolution.
+    t = tmp_path / "disk.json"
+    t.write_text(json.dumps({"kind": "ball", "center": [0, 0],
+                             "radius": "1"}))
+    code = main(["erode", "--k", k, "--t", str(t), "--engine", "voxel",
                  "--res", "1/32"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -102,13 +102,8 @@ def test_plain_sides_match_the_dict_path(lhs):
                                  np.int64(-5), np.int32(7)], ids=repr)
 def test_numpy_sides_match_the_dict_path(lhs):
     r = report(lhs, 0.0)
-    # A numpy side makes the verdict a numpy bool, which neither path
-    # writes.
-    assert type(r.equality) is np.bool_
-    for write in (InequalityReport.line, ref_line):
-        with pytest.raises(TypeError):
-            write(r)
-    r.equality, r.violation = bool(r.equality), bool(r.violation)
+    # A numpy side still gives plain bool verdicts, which both paths write.
+    assert type(r.equality) is bool and type(r.violation) is bool
     assert r.line() == ref_line(r)
     assert json.loads(r.line())["lhs"] == encode_number(lhs)
 

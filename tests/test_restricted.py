@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction as F
 
 import numpy as np
@@ -93,14 +94,13 @@ def test_theta_bounds_requires_volume_order():
 
 
 def test_one_pass_per_voxel_trial(monkeypatch):
-    # One voxel thm-4.2 trial builds bK and bT once, and convolves for the
-    # open erosion only, never K with T.  bK + bT is a sparse boundary sum
-    # in the 2D trial, which scatters pairs, and a dense one in the 3D
-    # trial, which convolves.  A boundary is built by the first boundary()
-    # call on a body, the connectivity check's; later calls return the
-    # cached GridSet.  Trial 0 of the 3D campaign draws a K narrower than
-    # T on one axis, whose erosion is empty without a transform, so the 3D
-    # case is trial 1.
+    # One voxel thm-4.2 trial builds bK and bT once, and neither convolves
+    # nor scatters pairs: T is a box, so bK + bT (bT a box's face
+    # boundary) and the open erosion by T both take the box runs.  A
+    # boundary is built by the first boundary() call on a body, the
+    # connectivity check's; later calls return the cached GridSet.  Trial
+    # 0 of the 3D campaign draws a K narrower than T on one axis, whose
+    # erosion is empty without any kernel, so the 3D case is trial 1.
     calls = {}
     originals = {name: getattr(voxel, name)
                  for name in ("_convolve", "_pair_sums", "boundary")}
@@ -120,47 +120,64 @@ def test_one_pass_per_voxel_trial(monkeypatch):
                 "boundary": counted_boundary}
     for name, wrapper in wrappers.items():
         monkeypatch.setattr(voxel, name, wrapper)
-    for dim, trial, convolutions, pair_sums in ((2, 0, 1, 1), (3, 1, 2, 0)):
+    for dim, trial in (2, 0), (3, 1):
         calls.update({"_convolve": 0, "_pair_sums": 0, "boundary builds": 0})
         config = CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim,
                                 h=1 / 16, seed=5)
         reports = _run_trial(config, trial)
         assert [r.theorem_id for r in reports] == [
             "thm-4.2", "eq-4.2", "eq-4.3"]
-        assert calls == {"_convolve": convolutions, "_pair_sums": pair_sums,
+        assert calls == {"_convolve": 0, "_pair_sums": 0,
                          "boundary builds": 2}
+
+
+@pytest.mark.parametrize("dim,h,trials", [(2, 1 / 32, 20), (3, 1 / 16, 8)])
+def test_voxel_thm_4_2_campaign_needs_no_fft_or_pairs(monkeypatch, dim, h,
+                                                     trials):
+    # With _convolve and _pair_sums unable to run, a voxel thm-4.2
+    # campaign writes the same bytes.  Forked workers would run the
+    # unpatched kernels, so the campaign runs inline.
+    monkeypatch.setattr(campaign, "_workers", lambda: 1)
+    config = CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim, h=h,
+                            trials=trials, seed=11)
+    expected = io.StringIO()
+    run_campaign(config, out=expected)
+
+    def unavailable(*args):
+        raise AssertionError("a thm-4.2 trial must take the box runs")
+
+    monkeypatch.setattr(voxel, "_convolve", unavailable)
+    monkeypatch.setattr(voxel, "_pair_sums", unavailable)
+    got = io.StringIO()
+    run_campaign(config, out=got)
+    assert got.getvalue() == expected.getvalue()
+    assert expected.getvalue().count("\n") == 3 * trials
 
 
 # Trial 0 of the 3D campaign draws a K narrower than T on one axis, whose
 # erosion is empty without a transform; trial 1 does not.
 @pytest.mark.parametrize("dim,h,trial", [(2, 1 / 16, 0), (3, 1 / 8, 1)])
 def test_voxel_trial_erodes_in_the_fit_frame(monkeypatch, dim, h, trial):
-    # The open erosion K erosion T of one voxel thm-4.2 trial transforms its
-    # fit window, at most the 5-smooth padding of K's array per axis, not
-    # the padded sum frame of K and T.
-    frames, eroded = [], []
-    forward, erode = np.fft.rfftn, voxel.erode_open
+    # The open erosion of a voxel thm-4.2 trial's K by a body that is not a
+    # box, the trial's box T minus one corner cell, convolves: it
+    # transforms its fit window, at most the 5-smooth padding of K's array
+    # per axis, not the padded sum frame of K and T.
+    k, _, t, _ = gen_decomposition_pair(trial_rng(5, trial), dim, h)
+    occ = t.occ.copy()
+    occ[(1,) * dim] = False
+    t = voxel.GridSet(dim, h, t.origin, occ)
+    frames, forward = [], np.fft.rfftn
 
     def recorded_rfftn(x, s=None, *args, **kwargs):
-        if eroded:
-            frames.append((eroded[-1], tuple(s)))
+        frames.append(tuple(s))
         return forward(x, s, *args, **kwargs)
 
-    def recorded_erode_open(k, t):
-        eroded.append(k.shape)
-        try:
-            return erode(k, t)
-        finally:
-            eroded.pop()
-
     monkeypatch.setattr(np.fft, "rfftn", recorded_rfftn)
-    monkeypatch.setattr(voxel, "erode_open", recorded_erode_open)
-    _run_trial(CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim,
-                              h=h, seed=5), trial)
+    erode_open(k, t)
     assert len(frames) == 2
-    for k_shape, frame in frames:
+    for frame in frames:
         assert all(f <= voxel._smooth_length(m)
-                   for f, m in zip(frame, k_shape))
+                   for f, m in zip(frame, k.shape))
 
 
 @pytest.mark.parametrize("dim,h", [(2, 1 / 16), (3, 1 / 8), (4, 1 / 4)])

@@ -200,7 +200,9 @@ def test_inexact_convolution_rejected(monkeypatch):
     inverse = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft",
                         lambda *args, **kwargs: inverse(*args, **kwargs) + 0.3)
-    b = rasterize(BIGBOX, 0.25)  # dense enough for dilate's FFT path
+    # A disk, not a box, so neither operation takes the box runs; dense
+    # enough for dilate's FFT path.
+    b = rasterize(ShapeSpec.ball((0, 0), 2), 0.25)
     with pytest.raises(GridError):
         dilate(b, b)
     with pytest.raises(GridError):
@@ -210,6 +212,9 @@ def test_inexact_convolution_rejected(monkeypatch):
 def test_dilate_routes_benchmark_traffic(monkeypatch):
     # The cost rule was sized on these calls: 2D boundary-by-boundary sums
     # scatter pairs; the accumulated multi-body band stays on the FFT.
+    # Trial 0 of that cor-multi campaign draws a one-box body, whose
+    # boundary takes the box runs, so its band is trial 1's.  A thm-4.2
+    # trial's T is a box: its boundary sum and its erosion take the runs.
     calls = {"_convolve": 0, "_pair_sums": 0}
 
     def counted(name):
@@ -227,8 +232,13 @@ def test_dilate_routes_benchmark_traffic(monkeypatch):
     assert calls["_convolve"] == 0
     calls.update(_convolve=0, _pair_sums=0)
     _run_trial(CampaignConfig(theorem="cor-multi", engine="voxel", dim=2,
-                              h=1 / 128, bodies=3, seed=1), 0)
+                              h=1 / 128, bodies=3, seed=1), 1)
     assert calls == {"_convolve": 1, "_pair_sums": 1}
+    for dim, h in ((2, 1 / 128), (3, 1 / 32)):
+        calls.update(_convolve=0, _pair_sums=0)
+        _run_trial(CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim,
+                                  h=h, seed=1), 0)
+        assert calls == {"_convolve": 0, "_pair_sums": 0}
 
 
 def test_dilate_requires_same_grid():

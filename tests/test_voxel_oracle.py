@@ -2,9 +2,11 @@
 
 `dilate_loop`, `erode_open_loop`, `boundary_loop` and
 `admitted_pair_count_loop` are the brute-force per-cell implementations of
-the kernel-based operations; both dilation kernels, pair scattering and the
-FFT convolution, are checked against `dilate_loop` on their own as well as
-through `dilate`.  `restricted_sum` forms the restricted sum set and its
+the kernel-based operations; the pair scattering and FFT convolution
+kernels of dilation are checked against `dilate_loop` on their own as well
+as through `dilate`, and the box runs, which take every box operand and
+box face boundary, through `dilate` and `erode_open` with the other two
+kernels unable to run.  `restricted_sum` forms the restricted sum set and its
 admitted pair count from the convolution of K with T, and `is_subset`
 compares two cell sets; together they are the oracle for the eq-4.2
 containment verdict, which the engine decides without that convolution.
@@ -35,12 +37,12 @@ from hypothesis.extra.numpy import arrays
 
 from scipy import ndimage
 
-from bmink import generators
+from bmink import generators, voxel
 from bmink.exact2d import GeometryError
 from bmink.generators import (_random_primitive, gen_connected_boundary_set,
                               trial_rng)
 from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridSet, ShapeSpec,
-                         _common_frame, _convolve, _embed, _frames,
+                         _box_kind, _common_frame, _convolve, _embed, _frames,
                          _in_contact, _interior_array, _or_windows,
                          _pair_sums, _poly_signed_area, _raster_window,
                          _require_same_grid, _restricted_sum_contained, bbox,
@@ -201,14 +203,23 @@ SINGLE = _grid((3, -2), [[1]])
 SOLID_2X2 = _grid((0, 0), np.ones((2, 2)))    # no interior: empty erosions
 SOLID_5X5 = _grid((-1, 1), np.ones((5, 5)))
 SOLID_3D = _grid((1, 0, -1), np.ones((4, 4, 4)))
-
-
-SOLID_7X7 = _grid((2, -3), np.ones((7, 7)))
 SOLID_8X8 = _grid((-3, 0), np.ones((8, 8)))
-# dilate's cost rule puts SOLID_7X7 + SOLID_7X7 on the pair side and
-# SOLID_8X8 + SOLID_8X8 on the FFT side (test_examples_straddle_cost_rule).
-PAIR_SIDE = (SOLID_7X7, SOLID_7X7)
-FFT_SIDE = (SOLID_8X8, SOLID_8X8)
+
+
+def _cornerless(side: int) -> np.ndarray:
+    """A solid square with one corner cell missing: dense, but not a box."""
+    occ = np.ones((side, side), dtype=bool)
+    occ[0, 0] = False
+    return occ
+
+
+CORNERLESS_7X7 = _grid((2, -3), _cornerless(7))
+CORNERLESS_8X8 = _grid((-3, 0), _cornerless(8))
+# dilate's cost rule puts CORNERLESS_7X7 + CORNERLESS_7X7 on the pair side
+# and CORNERLESS_8X8 + CORNERLESS_8X8 on the FFT side; neither is a box, so
+# neither takes the box runs (test_examples_straddle_cost_rule).
+PAIR_SIDE = (CORNERLESS_7X7, CORNERLESS_7X7)
+FFT_SIDE = (CORNERLESS_8X8, CORNERLESS_8X8)
 
 
 def _padded_cells(a: GridSet, b: GridSet) -> int:
@@ -225,6 +236,7 @@ def test_examples_straddle_cost_rule():
     assert a.count * b.count <= _PAIR_COST * _padded_cells(a, b)
     a, b = FFT_SIDE
     assert a.count * b.count > _PAIR_COST * _padded_cells(a, b)
+    assert _box_kind(PAIR_SIDE[0]) is _box_kind(FFT_SIDE[0]) is None
 
 
 @given(grid_tuples(2))
@@ -295,6 +307,115 @@ def test_convolution_dilation_matches_cell_loop(pair):
     a, b = pair
     assert (_from_kernel(a, b, _convolve(a.occ, b.occ) > 0)
             == dilate_loop(a, b))
+
+
+# -- the box runs: dilation and erosion by a box or a box's face boundary --
+
+def _no_fft_or_pairs(*args):
+    raise AssertionError("a box operand must take the box runs")
+
+
+def _box_operand_cases(box: GridSet, other: GridSet) -> None:
+    """dilate and erode_open with the box operand `box` (a box or a box's
+    face boundary) against the cell loops, in both operand orders and with
+    the empty set, with _convolve and _pair_sums unable to run; erosion by
+    a face boundary, which convolves, runs with them."""
+    empty = _empty(box)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voxel, "_convolve", _no_fft_or_pairs)
+        mp.setattr(voxel, "_pair_sums", _no_fft_or_pairs)
+        for a, b in ((box, other), (other, box), (box, box), (box, empty),
+                     (empty, box)):
+            assert dilate(a, b) == dilate_loop(a, b)
+        if _box_kind(box) == "shell":
+            mp.undo()
+        for k in (box, other):
+            assert erode_open(k, box) == erode_open_loop(k, box)
+
+
+@st.composite
+def box_operands(draw):
+    """A box of sides 1 to 5 at a random origin, or its face boundary."""
+    dim = draw(st.sampled_from(ALLOWED_DIMS))
+    sides = tuple(draw(st.integers(1, 5)) for _ in range(dim))
+    origin = tuple(draw(st.integers(-4, 4)) for _ in range(dim))
+    box = GridSet(dim, H, origin, np.ones(sides, dtype=bool))
+    return boundary(box) if draw(st.booleans()) else box
+
+
+@given(box_operands(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_box_operands_match_cell_loops(box, data):
+    _box_operand_cases(box, data.draw(grids(box.dim)))
+
+
+# Per dimension, cubes of side 1 to 5 and boxes with unequal sides; side 3
+# is the shell whose core is one cell.
+BOX_SIDES = [(side,) * dim for dim in ALLOWED_DIMS for side in range(1, 6)] + [
+    (1, 4), (5, 2), (3, 5), (3, 1, 4), (4, 3, 5), (2, 5, 3, 1), (3, 4, 3, 5)]
+
+
+@pytest.mark.parametrize("sides", BOX_SIDES, ids=str)
+def test_boxes_and_shells_match_cell_loops(sides):
+    dim = len(sides)
+    box = _grid((1, -2, 0, 3)[:dim], np.ones(sides))
+    shell = boundary(box)
+    assert _box_kind(box) == "box"
+    assert _box_kind(shell) == ("shell" if min(sides) >= 3 else "box")
+    rng = np.random.default_rng(list(sides))
+    other = _grid((-2,) * dim, rng.random((4,) * dim) < 0.5)
+    for operand in (box, shell):
+        _box_operand_cases(operand, other)
+    # K one cell narrower than the box on axis 0 (the empty set for side
+    # 1) and as wide on the others: the erosion is empty.  K two cells
+    # wider on every axis: the box fits at 3^dim positions, cells of
+    # interior(K).  The same K without its center cell, where a face
+    # boundary of side 5 fits around the hole and its box does not.
+    narrow = _grid((0,) * dim, np.ones((sides[0] - 1,) + sides[1:]))
+    wide = _grid((-3,) * dim, np.ones([n + 4 for n in sides]))
+    holed = wide.occ.copy()
+    holed[tuple(n // 2 for n in holed.shape)] = False
+    holed = _grid(wide.origin, holed)
+    assert erode_open(wide, box).count == 3 ** dim
+    for k in (narrow, wide, holed):
+        for t in (box, shell):
+            assert erode_open(k, t) == erode_open_loop(k, t)
+
+
+def _near_misses(dim: int, side: int) -> list:
+    """Operands that are neither a box nor a box's face boundary: a shell
+    missing one face cell, a shell with one face cell moved into its core,
+    a shell plus one core cell (side 4 and up: at side 3 that is the box),
+    a box minus a corner (at side 3 it has a shell's count) and, in 3D,
+    the two end cells of a row, as many as the shell of a 1 x 1 x side box
+    would have by the count formula."""
+    inner = (slice(1, -1),) * dim
+    shell = np.zeros((side + 2,) * dim, dtype=bool)
+    shell[inner] = True
+    shell[(slice(2, -2),) * dim] = False
+    face, core = (1,) + (2,) * (dim - 1), (2,) * dim
+    missing, moved, plus_core = shell.copy(), shell.copy(), shell.copy()
+    missing[face] = moved[face] = False
+    moved[core] = plus_core[core] = True
+    cornerless = np.zeros_like(shell)
+    cornerless[inner] = True
+    cornerless[(1,) * dim] = False
+    cases = [missing, moved, cornerless] + ([plus_core] if side > 3 else [])
+    if dim == 3:
+        ends = np.zeros((3, 3, side + 2), dtype=bool)
+        ends[1, 1, 1] = ends[1, 1, side] = True
+        cases.append(ends)
+    return [_grid((0,) * dim, occ) for occ in cases]
+
+
+@pytest.mark.parametrize("dim,side", [(d, s) for d in ALLOWED_DIMS
+                                      for s in (3, 4, 5)])
+def test_near_miss_operands_are_not_boxes(dim, side):
+    other = _grid((1,) * dim, np.ones((3,) * dim))
+    for near in _near_misses(dim, side):
+        assert _box_kind(near) is None
+        assert dilate(near, other) == dilate_loop(near, other)
+        assert erode_open(other, near) == erode_open_loop(other, near)
 
 
 @st.composite
