@@ -6,9 +6,9 @@ volume inequalities with their equality cases (thm-4.2 with the bounds
 eq-4.2 and eq-4.3 of its proof included), and a reproducible campaign
 harness with a CLI.
 
-The voxel engine (bmink.voxel, the only module that imports numpy and
-scipy) loads on first use of one of its names here, so `import bmink` and
-the exact and scalar checks never load it.
+The voxel engine (bmink.voxel, the only module that imports numpy) loads
+on first use of one of its names here, so `import bmink` and the exact
+and scalar checks never load it.
 """
 
 import importlib

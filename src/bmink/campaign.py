@@ -326,7 +326,7 @@ def _pool() -> list:
     forked at first use and forked again once one of them has died.
 
     Workers are forked, not spawned, so they start with every module the
-    calling process has loaded instead of importing numpy and scipy again;
+    calling process has loaded instead of importing numpy again;
     they keep the code as it was at fork time.  bmink starts no thread in
     the calling process, which keeps forking safe.  The workers are
     daemons, so multiprocessing stops them when the interpreter exits.

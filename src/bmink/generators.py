@@ -19,7 +19,7 @@ The generator settings are the module constants below; each generator
 reads them when it runs.
 
 The grid generators look up bmink.voxel when they run, so drawing
-polygons never loads numpy or scipy.
+polygons never loads numpy.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ size, scaled by a perimeter proxy) separates findings from noise.
 Every checker lives here, thm-4.2's on both engines included
 (check_arithmetic_bm in the plane, check_thm_4_2_voxel on grids).  A
 voxel checker looks up bmink.voxel when it runs and calls its kernels as
-attributes of that module, so the exact and scalar checks never load numpy
-or scipy.
+attributes of that module, so the exact and scalar checks never load
+numpy.
 """
 
 from __future__ import annotations
@@ -327,8 +327,9 @@ def check_thm_4_2_voxel(k, t) -> list[InequalityReport]:
     subset of K, so exactly |T| pairs of K x T sum to x, and the admitted
     pairs are always |T| (|K| - |K erosion T|).  The slack is always 0 and
     equality always true, so eq-4.2 carries only the containment verdict,
-    which voxel._restricted_sum_contained decides from bK + bT and the
-    erosion; neither the admitted-pair set nor K + T is ever formed.
+    which voxel._restricted_sum_contained decides by comparing K + T with
+    bK + bT and the erosion cell by cell; the admitted-pair set is never
+    formed.
     eq-4.3 (tolerance): vol(K erosion T)^(1/n) <= vol(K)^(1/n) - vol(T)^(1/n),
     allowing first-order discretization error in the linear scale.
 

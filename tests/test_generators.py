@@ -1,5 +1,4 @@
 import pytest
-from scipy import ndimage
 
 from bmink import campaign, generators, voxel
 from bmink.campaign import CampaignConfig, _run_trial
@@ -132,7 +131,7 @@ def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
     # part of a union spec, and each body's boundary is labelled once, by
     # the generator: check_thm_av reuses the cached verdict.
     labels, rasterized, drawn, in_check = [], [], [], []
-    label = ndimage.label
+    label = voxel._full_components
     raster_window = voxel._raster_window
     random_primitive = generators._random_primitive
     check_thm_av = campaign.check_thm_av
@@ -155,7 +154,7 @@ def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
         in_check.append(len(labels) - before)
         return report
 
-    monkeypatch.setattr(ndimage, "label", counted_label)
+    monkeypatch.setattr(voxel, "_full_components", counted_label)
     monkeypatch.setattr(voxel, "_raster_window", counted_window)
     monkeypatch.setattr(generators, "_random_primitive", counted_primitive)
     monkeypatch.setattr(campaign, "check_thm_av", counted_check)
@@ -173,7 +172,7 @@ def test_voxel_thm_bbm_checker_reuses_the_generated_bodies(monkeypatch):
     # checker rasterizes only the four scaled bodies and labels nothing:
     # both connectivity verdicts are cached by the generator.
     labels, rasterized, in_check = [], [], []
-    label = ndimage.label
+    label = voxel._full_components
     rasterize = voxel.rasterize
     check_thm_bbm = campaign.check_thm_bbm
 
@@ -192,7 +191,7 @@ def test_voxel_thm_bbm_checker_reuses_the_generated_bodies(monkeypatch):
                          rasterized[before[1]:]))
         return report
 
-    monkeypatch.setattr(ndimage, "label", counted_label)
+    monkeypatch.setattr(voxel, "_full_components", counted_label)
     monkeypatch.setattr(voxel, "rasterize", counted_rasterize)
     monkeypatch.setattr(campaign, "check_thm_bbm", counted_check)
     config = CampaignConfig(theorem="thm-bbm", engine="voxel", h=1 / 16,

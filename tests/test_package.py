@@ -33,7 +33,10 @@ def test_checkers_take_only_their_mathematical_inputs(checker):
 
 # -- the voxel engine loads only for voxel work ------------------------------
 
+# scipy is listed so that every fresh interpreter reports it if loaded: the
+# voxel engine runs on numpy alone, and scipy is only the tests' oracle.
 ENGINE_MODULES = ("numpy", "scipy", "bmink.voxel")
+VOXEL_MODULES = ["numpy", "bmink.voxel"]
 
 
 def _env() -> dict:
@@ -92,7 +95,33 @@ def test_validating_a_voxel_config_loads_the_voxel_engine(tmp_path):
     result = _fresh("from bmink.campaign import CampaignConfig\n"
                     "CampaignConfig(theorem='thm-av', engine='voxel')"
                     ".validate()", tmp_path)
-    assert result["loaded"] == list(ENGINE_MODULES)
+    assert result["loaded"] == VOXEL_MODULES
+
+
+VOXEL_WORK = """
+from bmink.campaign import CampaignConfig, run_campaign
+from bmink.cli import main
+out['trials'] = [run_campaign(CampaignConfig(
+    theorem=theorem, engine='voxel', h=1 / 16, trials=2,
+    out_path=theorem + '.jsonl')).trials
+    for theorem in ('thm-av', 'thm-bbm', 'cor-multi', 'thm-4.2')]
+with contextlib.redirect_stdout(io.StringIO()):
+    out['codes'] = [
+        main(['decompose', '--k', 'k.json', '--t', 't.json', '--res', '1/16']),
+        main(['erode', '--k', 'k.json', '--t', 't.json', '--engine', 'voxel',
+              '--res', '1/32'])]
+"""
+
+
+def test_voxel_work_runs_without_scipy(tmp_path):
+    # Campaigns on every voxel theorem, decompose and the voxel erosion:
+    # the engine runs on numpy alone.
+    (tmp_path / "k.json").write_text(
+        '{"kind": "ball", "center": [0, 0], "radius": "1/2"}')
+    (tmp_path / "t.json").write_text(
+        '{"kind": "box", "lo": ["-1/4", "-1/8"], "hi": ["1/4", "1/8"]}')
+    assert _fresh(VOXEL_WORK, tmp_path) == {
+        "trials": [2] * 4, "codes": [0, 0], "loaded": VOXEL_MODULES}
 
 
 def test_lazy_exports_are_their_home_modules_names(tmp_path):
@@ -109,7 +138,7 @@ out['foreign'] = [name for name in bmink._LAZY if getattr(bmink, name)
 """, tmp_path)
     assert result == {"unlisted": [], "loaded_by_dir": False,
                       "not_exported": [], "foreign": [],
-                      "loaded": list(ENGINE_MODULES)}
+                      "loaded": VOXEL_MODULES}
     with pytest.raises(AttributeError, match="no_such_name"):
         bmink.no_such_name
 
@@ -131,6 +160,14 @@ def test_voxel_is_the_only_module_that_imports_numpy_or_scipy():
         if any(name.split(".")[0] in ("numpy", "scipy") for name in
                _imported_modules(ast.parse(path.read_text(encoding="utf-8")))))
     assert importers == ["voxel.py"]
+
+
+def test_no_module_imports_scipy():
+    package = Path(bmink.__file__).resolve().parent
+    assert [path.name for path in package.glob("*.py")
+            if any(name.split(".")[0] == "scipy" for name in
+                   _imported_modules(ast.parse(
+                       path.read_text(encoding="utf-8"))))] == []
 
 
 # -- worker processes -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -332,6 +333,24 @@ def test_boundary_connected_cases():
     lshape = rasterize(ShapeSpec.union_of(
         ShapeSpec.box((0, 0), (1, 0.4)), ShapeSpec.box((0, 0), (0.4, 1))), 1 / 16)
     assert is_boundary_connected(lshape)
+
+
+def _boxes() -> list:
+    """A fresh box GridSet for every choice of sides 1-5 in dims 2-4."""
+    return [GridSet(dim, 1.0, (0,) * dim, np.ones(sides, dtype=bool))
+            for dim in (2, 3, 4)
+            for sides in itertools.product(range(1, 6), repeat=dim)]
+
+
+def test_a_box_boundary_is_connected_without_labelling(monkeypatch):
+    def unavailable(occ):
+        raise AssertionError("a box's boundary needs no labelling")
+
+    monkeypatch.setattr(voxel, "_full_components", unavailable)
+    assert all(is_boundary_connected(box) for box in _boxes())
+    monkeypatch.undo()
+    assert all(voxel._full_components(boundary(box).occ) == 1
+               for box in _boxes())
 
 
 # -- lemma: boundary containment implies containment ---------------------------------------

@@ -9,7 +9,10 @@ box face boundary, through `dilate` and `erode_open` with the other two
 kernels unable to run.  `restricted_sum` forms the restricted sum set and its
 admitted pair count from the convolution of K with T, and `is_subset`
 compares two cell sets; together they are the oracle for the eq-4.2
-containment verdict, which the engine decides without that convolution.
+containment verdict, which the engine decides by comparing K + T with the
+boundary sum cell by cell.  `full_components` counts full-adjacency
+components with scipy's `ndimage.label`, which the engine's run-graph
+labeller `_full_components` replaced; scipy is a test dependency only.
 `convolve_loop` counts the pairs at every cell of the full sum frame, and
 the FFT convolution over any window of that frame must return the same
 counts there.  `dilate` and `boundary` build their
@@ -530,6 +533,25 @@ CONTAINMENT_CASES = (
 )
 
 
+# Pairs whose T is not a box, so the K + T of the engine's containment test
+# takes dilate's pair scattering (the first and third) or its FFT (the
+# second).  The third is not contained.
+GENERAL_T_CASES = (
+    (rasterize(ShapeSpec.ball((0, 0), 9), 1.0),
+     _rows([[1, 1, 1], [1, 0, 0], [1, 0, 0]])),
+    (rasterize(ShapeSpec.ball((0, 0), 9), 1.0), _rows(_cornerless(8))),
+    (rasterize(ShapeSpec.ball((0, 0), 9), 1.0),
+     _rows([[0, 1, 0], [1, 1, 1], [0, 1, 0]])),
+)
+
+
+def test_general_t_cases_take_the_general_kernels():
+    costs = [k.count * t.count <= _PAIR_COST * _padded_cells(k, t)
+             for k, t in GENERAL_T_CASES]
+    assert costs == [True, False, True]
+    assert all(_box_kind(t) is None for _, t in GENERAL_T_CASES)
+
+
 def _containment(k: GridSet, t: GridSet) -> tuple[bool, bool]:
     """The engine's eq-4.2 containment verdict and the oracle's."""
     erosion = erode_open(k, t)
@@ -541,6 +563,8 @@ def _containment(k: GridSet, t: GridSet) -> tuple[bool, bool]:
 def test_containment_cases_have_their_verdicts():
     assert [_containment(k, t)[1] for k, t in CONTAINMENT_CASES] == [
         True, False, False, False]
+    assert [_containment(k, t)[1] for k, t in GENERAL_T_CASES] == [
+        True, True, False]
 
 
 @st.composite
@@ -558,6 +582,9 @@ def generated_pairs(draw):
 @example(CONTAINMENT_CASES[1])
 @example(CONTAINMENT_CASES[2])
 @example(CONTAINMENT_CASES[3])
+@example(GENERAL_T_CASES[0])
+@example(GENERAL_T_CASES[1])
+@example(GENERAL_T_CASES[2])
 @settings(max_examples=200, deadline=None)
 def test_containment_verdict_matches_restricted_sum(pair):
     # Any K and T, their boundaries connected or not, either one larger.
@@ -565,6 +592,95 @@ def test_containment_verdict_matches_restricted_sum(pair):
     assume(not t.is_empty)
     got, expected = _containment(k, t)
     assert got == expected
+
+
+def full_components(occ: np.ndarray) -> int:
+    """The number of full-adjacency components of occ, by ndimage.label:
+    the labeller that _full_components replaced."""
+    return ndimage.label(occ, structure=np.ones((3,) * occ.ndim))[1]
+
+
+@st.composite
+def margined_arrays(draw):
+    """A random boolean array in dims 2-4 with an empty one-cell margin."""
+    dim = draw(st.integers(2, 4))
+    shape = tuple(draw(st.integers(1, 2 * SIDE[dim])) for _ in range(dim))
+    return np.pad(draw(arrays(bool, shape)), 1)
+
+
+def _marked(shape, cells) -> np.ndarray:
+    """An array of the given shape plus a one-cell margin, with the given
+    cells (indices inside the margin) occupied."""
+    occ = np.zeros([n + 2 for n in shape], bool)
+    for cell in cells:
+        occ[tuple(c + 1 for c in cell)] = True
+    return occ
+
+
+# Cells that meet only along edges or at corners, one component under full
+# adjacency; two diagonals three columns apart are two.  Every direction of a
+# neighbor row, earlier and later, is taken by some case.
+DIAGONAL_CASES = [
+    (_marked((5, 5), [(i, i) for i in range(5)]), 1),
+    (_marked((5, 5), [(i, 4 - i) for i in range(5)]), 1),
+    (_marked((6, 6), [(i, j) for i in range(6) for j in range(6)
+                      if (i + j) % 2 == 0]), 1),
+    (_marked((6, 6), [(i, i) for i in range(4)]
+             + [(i, i + 3) for i in range(3)]), 2),
+    (_marked((4, 4, 4), [(i, i, i) for i in range(4)]), 1),
+    (_marked((4, 4, 4), [(i, 3 - i, i) for i in range(4)]), 1),
+    (_marked((4, 4, 4), [(i, 3 - i, 3 - i) for i in range(4)]), 1),
+    (_marked((4, 4, 4), [(0, 0, 0), (1, 1, 0), (3, 3, 3)]), 2),
+    (_marked((3, 3, 3, 3), [(i, 2 - i, i, 2 - i) for i in range(3)]), 1),
+    (_marked((3, 3, 3, 3), [(0, 0, 0, 0), (2, 2, 2, 2)]), 2),
+] + [(_marked((1,) * dim, [(0,) * dim]), 1) for dim in ALLOWED_DIMS] + [
+    (np.zeros((1,) * dim, bool), 0) for dim in ALLOWED_DIMS]
+
+
+@given(margined_arrays())
+@settings(max_examples=300, deadline=None)
+def test_run_labeller_matches_ndimage(occ):
+    assert voxel._full_components(occ) == full_components(occ)
+
+
+@pytest.mark.parametrize("occ,components", DIAGONAL_CASES)
+def test_run_labeller_joins_diagonal_contacts(occ, components):
+    assert voxel._full_components(occ) == full_components(occ) == components
+
+
+def _holed_square(side: int) -> GridSet:
+    """A side x side square of cells at h = 1/8 with a 3 x 3 hole in its
+    middle."""
+    occ = np.ones((side, side), bool)
+    mid = (side - 3) // 2
+    occ[mid:mid + 3, mid:mid + 3] = False
+    return GridSet(2, 1 / 8, (0, 0), occ)
+
+
+def test_holed_squares_keep_their_verdicts():
+    # The ring two cells thick passes: its face boundary is one component
+    # under full adjacency, though its topological boundary is two curves.
+    # The ring four cells thick does not.
+    verdicts = []
+    for side in (7, 11):
+        grid = _holed_square(side)
+        occ = boundary(grid).occ
+        assert voxel._full_components(occ) == full_components(occ)
+        verdicts.append(is_boundary_connected(grid))
+    assert verdicts == [True, False]
+
+
+@pytest.mark.parametrize("dim,h", [(2, 1 / 128), (3, 1 / 32)])
+def test_run_labeller_matches_ndimage_on_generated_bodies(dim, h):
+    # The generator keeps bodies with connected boundaries; with every
+    # third row along the first axis cleared, a boundary falls apart.
+    for trial in range(6):
+        occ = boundary(gen_connected_boundary_set(
+            trial_rng(dim, trial), dim, h)[0]).occ
+        striped = occ.copy()
+        striped[::3] = False
+        assert voxel._full_components(occ) == full_components(occ) == 1
+        assert voxel._full_components(striped) == full_components(striped)
 
 
 def contains_points(spec: ShapeSpec, points: np.ndarray) -> np.ndarray:
