@@ -471,8 +471,9 @@ def _run_block(config: CampaignConfig, start: int, stop: int) -> tuple:
     done = 0
     with suppress(Exception):
         for k in range(start, stop):
-            for line, fact in [_encode(report)
-                               for report in _run_trial(config, k)]:
+            reports = _run_trial(config, k)
+            shapes = reports[0].shapes_json()  # the same for each report
+            for line, fact in [_encode(report, shapes) for report in reports]:
                 lines.append(line)
                 facts.append(fact)
                 if fact[-1] and len(witnesses) < _WITNESSES:
@@ -481,14 +482,14 @@ def _run_block(config: CampaignConfig, start: int, stop: int) -> tuple:
     return done, "\n".join([*lines, ""]), facts, witnesses
 
 
-def _encode(report: InequalityReport) -> tuple[str, tuple]:
-    """A report as its JSON line, written by report.line(), plus what the
-    summary keeps of it: theorem_id, slack, planted, equality, the class
-    tag and the violation verdict."""
+def _encode(report: InequalityReport, shapes=None) -> tuple[str, tuple]:
+    """A report as its JSON line, written by report.line(shapes), plus what
+    the summary keeps of it: theorem_id, slack, planted, equality, the
+    class tag and the violation verdict."""
     equality = bool(report.equality)
     tag = (report.equality_class.tag.value
            if equality and report.equality_class is not None else None)
-    return report.line(), (
+    return report.line(shapes), (
         report.theorem_id, float(report.slack),
         bool(report.details.get("planted")), equality, tag,
         _is_violation(report))

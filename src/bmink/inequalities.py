@@ -73,11 +73,17 @@ class InequalityReport:
         self.equality = bool(abs(slack) <= tol)
         self.violation = bool(slack < -tol)
 
-    def line(self) -> str:
+    def shapes_json(self) -> str:
+        """The "shapes" value of line(), which the reports of one trial
+        share and their caller may pass in."""
+        return (dumps_canonical([shapespec_to_json(s) for s in self.shapes])
+                if self.shapes else "[]")
+
+    def line(self, shapes: Optional[str] = None) -> str:
         """The report's JSON line, without its newline, as dumps_canonical
         writes its 16 fields: json_value writes each value, a number after
-        encode_number (rationals as "p/q" strings), and dumps_canonical the
-        shapes' shapespec_to_json nodes.  details keys are strings."""
+        encode_number (rationals as "p/q" strings), and shapes_json() the
+        shapes.  details keys are strings."""
         eq, eq_class = self.equality_class, "null"
         if eq is not None:
             t = eq.translation
@@ -88,8 +94,8 @@ class InequalityReport:
             eq_class = f'{{{ratio}"tag":{json_value(eq.tag.value)}{moved}}}'
         details = ",".join([f"{encode_basestring_ascii(k)}:{json_value(v)}"
                             for k, v in sorted(self.details.items())])
-        shapes = (dumps_canonical([shapespec_to_json(s) for s in self.shapes])
-                  if self.shapes else "[]")
+        if shapes is None:
+            shapes = self.shapes_json()
         lam, lhs, rhs, slack = [
             "null" if v is None else json_value(encode_number(v))
             for v in (self.lam, self.lhs, self.rhs, self.slack)]
@@ -179,6 +185,15 @@ def check_cor_multi(bodies) -> InequalityReport:
     Exact engine (convex polygons) compares m-th powers to stay rational;
     grids go to the voxel engine.  Equality is expected exactly when all
     bodies are translates of one another.
+
+    On grids every boundary must be connected under full (3^n - 1)
+    adjacency, as a lemma needs: for B so connected, any X and b0 in B,
+    X + B = (E + B) u (X + b0), E the cells of X with an empty cell among
+    their 3^n - 1 neighbors.  Proof: c - B, for c in X + B, is connected
+    and meets X, so it lies in X (then c - b0 is in X) or steps out of X
+    from a cell of E.  dilate sums the two largest boundaries, and
+    voxel._dilate_boundary adds each other one to that band by its edge
+    E, the smallest last; addition commutes, so the cells are the same.
     """
     m = len(bodies)
     if m < 3:
@@ -204,12 +219,12 @@ def check_cor_multi(bodies) -> InequalityReport:
     # beyond the caps fails now, not after m - 2 dilations.
     voxel._check_extent([sum(b.shape[ax] - 2 for b in bodies) - (m - 1) + 2
                          for ax in range(n)])
-    acc = voxel.boundary(bodies[0])
-    bcells = acc.count
-    for b in bodies[1:]:
-        bb = voxel.boundary(b)
-        bcells += bb.count
-        acc = voxel.dilate(acc, bb)
+    first, second, *rest = sorted(
+        bodies, key=lambda b: voxel.boundary(b).count, reverse=True)
+    acc = voxel.dilate(voxel.boundary(first), voxel.boundary(second))
+    for b in rest:
+        acc = voxel._dilate_boundary(acc, b)
+    bcells = sum(voxel.boundary(b).count for b in bodies)
     lhs = voxel.volume(acc) / m ** n
     rhs = math.prod(voxel.volume(b) for b in bodies) ** (1.0 / m)
     tol = voxel_slack_tolerance(n, bodies[0].h, bcells)
@@ -334,7 +349,13 @@ def check_thm_4_2_voxel(k, t) -> list[InequalityReport]:
     allowing first-order discretization error in the linear scale.
 
     bK, bT, bK + bT and the erosion are each built once and shared by the
-    three reports.
+    three reports.  When T is a box, as in the campaigns, bK + bT is
+    formed as bK + T, by the cheaper box runs: by the lemma of
+    check_cor_multi (X = T, E = bT, B = bK, connected as checked below),
+    bK + T minus bK + bT lies in T + k for every k in bK.  If K's array is
+    longer than T's on some axis, two such T + k are disjoint; if not,
+    |K| >= |T| makes K a translate of T, and the T + k of K's extreme
+    corners share one cell, T's last corner plus K's first, in bT + bK.
     """
     from . import voxel
     voxel._require_same_grid(k, t)
@@ -343,7 +364,7 @@ def check_thm_4_2_voxel(k, t) -> list[InequalityReport]:
     voxel._require_connected(k, t)
     n, h = k.dim, k.h
     bk, bt = voxel.boundary(k), voxel.boundary(t)
-    bsum_set = voxel.dilate(bk, bt)
+    bsum_set = voxel.dilate(bk, t if voxel._box_kind(t) == "box" else bt)
     vol_k, vol_t = voxel.volume(k), voxel.volume(t)
     bsum = voxel.volume(bsum_set)
 

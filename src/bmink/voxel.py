@@ -10,9 +10,10 @@ integer cell counts, and transform only the fit window: the part of the
 sum frame, at most the eroded array's shape per axis, that can hold an
 erosion cell.  Other dilations scatter every pair of occupied cells when
 the operands are sparse, as 2D boundary sums are, and threshold the same
-convolution when they are dense, as the multi-body band and the CLI's
-general full bodies are.  Interior and boundary come from face-neighbor
-shifts.
+convolution when they are dense, as the CLI's general full bodies are.
+A sum with a connected boundary takes only the other operand's edge cells
+to those kernels (_dilate_boundary), as the multi-body band does.
+Interior and boundary come from face-neighbor shifts.
 Set identities between them can therefore be asserted exactly; only the
 conversion from cell counts to volumes involves floating point.
 
@@ -422,19 +423,21 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
     when the convolution count there is positive.  dilate scatters the
     pairs when |A| * |B| <= _PAIR_COST * P, and convolves otherwise.
 
-    In the campaigns, the voxel thm-4.2 boundary sum bK + bT has bT the
-    face boundary of a box, and takes the runs.  The 2D boundary sums of
-    two general bodies take the pairs, and the accumulated multi-body band
-    and the CLI's sums of general full bodies take the FFT.
+    In the campaigns, the voxel thm-4.2 boundary sum is formed as bK + T,
+    T a box, and takes the runs.  The 2D boundary sums of two general
+    bodies take the pairs, and so does most of the multi-body band, which
+    _dilate_boundary hands over as its edge cells only; the CLI's sums of
+    general full bodies take the FFT.
 
     _PAIR_COST is the measured break-even.  On the benchmark's 2D boundary
     sums (h = 1/128, numpy FFT, a 2-CPU x86-64 machine) a pair cost about
     5.4 ns and a padded FFT cell about 45 ns: a break-even of 8.3, and 7 to
     11 from the 10th to the 90th percentile of calls.  Over three chunks
     of each voxel workload, those 2D sums had |A| * |B| / P from 0.3 to 4.2
-    and take the pair path, and the accumulated multi-body band (63 to
-    143) stays on the FFT.  Either way the result is cell-exact and
-    exactly commutative.
+    and take the pair path.  The whole multi-body band (63 to 143) would
+    take the FFT; its edge (1.4 to 13 over 120 trials of the 2D cor-multi
+    campaign) takes the pairs in 70 of 83 sums.  Either way the result is
+    cell-exact and exactly commutative.
 
     For two nonempty operands the output needs no normalizing.  Per axis,
     the smallest cell of A + B is min A + min B, and that sum is attained,
@@ -462,34 +465,49 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
     return GridSet._tight(a.dim, a.h, origin, occ[(slice(1, -1),) * a.dim])
 
 
-def _interior_array(a: GridSet) -> np.ndarray:
-    """The cells of a whose 2*dim face neighbors are all occupied, in a's
-    array.  A margin cell is never interior: it is empty.  So only the
-    inner cells are tested, each against its 2*dim neighbors, which the
-    margin keeps inside the array."""
-    occ = a.occ
-    inner = (slice(1, -1),) * a.dim
-    core = occ[inner].copy()
-    for ax in range(a.dim):
-        for lo, hi in ((None, -2), (2, None)):
-            core &= occ[inner[:ax] + (slice(lo, hi),) + inner[ax + 1:]]
-    inter = np.zeros_like(occ)
-    inter[inner] = core
-    return inter
+def _dilate_boundary(x: GridSet, body: GridSet) -> GridSet:
+    """dilate(x, boundary(body)) for a body whose boundary B is connected
+    under full adjacency, as (E + B) u (x + b0): E the cells of x with an
+    empty cell among their 3^dim - 1 neighbors, b0 any cell of B (the
+    lemma of inequalities.check_cor_multi).  E, x minus an AND of runs of
+    3 cells per axis, keeps x's extreme cells, so E + B lands in dilate's
+    frame for x and B, where dilate's cost rule picks its kernel, and
+    x + b0 inside it.  Empty, box and shell operands take dilate itself.
+    """
+    _require_connected(body)
+    bb = boundary(body)
+    if x.is_empty or _box_kind(x) or _box_kind(bb):
+        return dilate(x, bb)
+    inner = x.occ.copy()
+    for ax in range(x.dim):
+        _runs(inner, ax, 3, np.logical_and)
+    edge = x.occ.copy()
+    edge[(slice(1, -1),) * x.dim] &= ~inner[(slice(2, None),) * x.dim]
+    out = dilate(GridSet._tight(x.dim, x.h, x.origin, edge), bb)
+    b0 = bb.cells()[0] + x.origin
+    occ = out.occ | _embed(b0, x.occ, out.origin, out.shape)
+    return GridSet._tight(x.dim, x.h, out.origin, occ)
 
 
 def boundary(a: GridSet) -> GridSet:
     """Occupied cells with some unoccupied face neighbor (a minus interior).
 
-    An extreme cell of a on some axis has an empty neighbor in the margin,
-    so it is a boundary cell: the boundary keeps a's box and array frame,
-    and needs no normalizing.  It is built once per GridSet and cached.
+    Interior cells are inner cells whose 2*dim face neighbors are all
+    occupied.  An extreme cell of a on some axis has an empty neighbor in
+    the margin, so the boundary keeps a's box and array frame, and needs
+    no normalizing.  It is built once per GridSet and cached.
     """
     if a.is_empty:
         return a
     if a._boundary is None:
-        a._boundary = GridSet._tight(a.dim, a.h, a.origin,
-                                     a.occ & ~_interior_array(a))
+        occ, inner = a.occ, (slice(1, -1),) * a.dim
+        edge = occ.copy()
+        core = occ[inner].copy()
+        for ax in range(a.dim):
+            for lo, hi in ((None, -2), (2, None)):
+                core &= occ[inner[:ax] + (slice(lo, hi),) + inner[ax + 1:]]
+        edge[inner] &= ~core
+        a._boundary = GridSet._tight(a.dim, a.h, a.origin, edge)
     return a._boundary
 
 
@@ -521,10 +539,10 @@ def erode_open(a: GridSet, b: GridSet) -> GridSet:
         return GridSet(a.dim, a.h, a.origin, np.zeros((1,) * a.dim, bool))
     origin = tuple(oa + ob + n - 1
                    for oa, ob, n in zip(a.origin, b.origin, b.shape))
+    inter = a.occ & ~boundary(a).occ
     if _box_kind(b) == "box":
-        return GridSet(a.dim, a.h, origin, _box_fit(_interior_array(a),
-                                                    b.shape))
-    counts = _convolve(_interior_array(a), b.occ,
+        return GridSet(a.dim, a.h, origin, _box_fit(inter, b.shape))
+    counts = _convolve(inter, b.occ,
                        [(n - 1, m) for m, n in zip(a.shape, b.shape)])
     return GridSet(a.dim, a.h, origin, counts == b.count)
 

@@ -248,6 +248,30 @@ def test_exact_thm_bbm_and_cor_multi_trials_build_few_fractions(
         assert built[0] - before <= most
 
 
+def test_a_voxel_thm_4_2_trial_writes_its_shapes_once(monkeypatch):
+    # The trial's three reports share one shapes tuple, whose JSON is
+    # written once per shape, and their lines are what line() writes.
+    import bmink.campaign as camp
+    from bmink import inequalities
+
+    calls = [0]
+    original = inequalities.shapespec_to_json
+
+    def counted(spec):
+        calls[0] += 1
+        return original(spec)
+
+    config = CampaignConfig(theorem="thm-4.2", engine="voxel", dim=3,
+                            h=1 / 16, seed=5)
+    for k in range(3):
+        expected = "".join(r.line() + "\n" for r in camp._run_trial(config, k))
+        monkeypatch.setattr(inequalities, "shapespec_to_json", counted)
+        calls[0] = 0
+        assert camp._run_block(config, k, k + 1)[1] == expected
+        assert calls[0] == 2
+        monkeypatch.undo()
+
+
 def test_thm42_voxel_trial_emits_three_reports():
     cfg = CampaignConfig(theorem="thm-4.2", engine="voxel", trials=2, seed=5,
                          h=1 / 16)

@@ -212,11 +212,12 @@ def test_inexact_convolution_rejected(monkeypatch):
 
 def test_dilate_routes_benchmark_traffic(monkeypatch):
     # The cost rule was sized on these calls: 2D boundary-by-boundary sums
-    # scatter pairs; the accumulated multi-body band stays on the FFT.
+    # scatter pairs.  The multi-body band takes _dilate_boundary, which
+    # scatters the pairs of the band's edge cells with the third boundary.
     # Trial 0 of that cor-multi campaign draws a one-box body, whose
     # boundary takes the box runs, so its band is trial 1's.  A thm-4.2
     # trial's T is a box: its boundary sum and its erosion take the runs.
-    calls = {"_convolve": 0, "_pair_sums": 0}
+    calls = {"_convolve": 0, "_pair_sums": 0, "_dilate_boundary": 0}
 
     def counted(name):
         original = getattr(voxel, name)
@@ -231,15 +232,16 @@ def test_dilate_routes_benchmark_traffic(monkeypatch):
     _run_trial(CampaignConfig(theorem="thm-av", engine="voxel", dim=2,
                               h=1 / 128, seed=1), 0)
     assert calls["_convolve"] == 0
-    calls.update(_convolve=0, _pair_sums=0)
+    calls.update(_convolve=0, _pair_sums=0, _dilate_boundary=0)
     _run_trial(CampaignConfig(theorem="cor-multi", engine="voxel", dim=2,
                               h=1 / 128, bodies=3, seed=1), 1)
-    assert calls == {"_convolve": 1, "_pair_sums": 1}
+    assert calls == {"_convolve": 0, "_pair_sums": 2, "_dilate_boundary": 1}
     for dim, h in ((2, 1 / 128), (3, 1 / 32)):
-        calls.update(_convolve=0, _pair_sums=0)
+        calls.update(_convolve=0, _pair_sums=0, _dilate_boundary=0)
         _run_trial(CampaignConfig(theorem="thm-4.2", engine="voxel", dim=dim,
                                   h=h, seed=1), 0)
-        assert calls == {"_convolve": 0, "_pair_sums": 0}
+        assert calls == {"_convolve": 0, "_pair_sums": 0,
+                         "_dilate_boundary": 0}
 
 
 def test_dilate_requires_same_grid():

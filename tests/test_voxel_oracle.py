@@ -13,6 +13,10 @@ containment verdict, which the engine decides by comparing K + T with the
 boundary sum cell by cell.  `full_components` counts full-adjacency
 components with scipy's `ndimage.label`, which the engine's run-graph
 labeller `_full_components` replaced; scipy is a test dependency only.
+`dilate_loop` is also the oracle of `_dilate_boundary`, which sums X
+with a boundary connected under full adjacency through X's edge cells
+(`full_edge_loop` by loops) and one translate of X; `lemma_sum` forms that
+union by loops, for a disconnected summand where it falls short.
 `convolve_loop` counts the pairs at every cell of the full sum frame, and
 the FFT convolution over any window of that frame must return the same
 counts there.  `dilate` and `boundary` build their
@@ -43,14 +47,15 @@ from scipy import ndimage
 from bmink import generators, voxel
 from bmink.exact2d import GeometryError
 from bmink.generators import (_random_primitive, gen_connected_boundary_set,
-                              trial_rng)
-from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridSet, ShapeSpec,
-                         _box_kind, _common_frame, _convolve, _embed, _frames,
-                         _in_contact, _interior_array, _or_windows,
+                              gen_decomposition_pair, trial_rng)
+from bmink.inequalities import check_thm_4_2_voxel
+from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridError, GridSet,
+                         ShapeSpec, _box_kind, _common_frame, _convolve,
+                         _embed, _frames, _in_contact, _or_windows,
                          _pair_sums, _poly_signed_area, _raster_window,
                          _require_same_grid, _restricted_sum_contained, bbox,
                          boundary, dilate, erode_open, is_boundary_connected,
-                         rasterize, union)
+                         rasterize, union, volume)
 
 H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
@@ -94,9 +99,15 @@ def difference(a: GridSet, b: GridSet) -> GridSet:
     return GridSet(a.dim, a.h, lo, av & ~bv)
 
 
+def interior_array(a: GridSet) -> np.ndarray:
+    """Cells whose 2*dim face neighbors are all occupied, in a's array:
+    a's cells outside boundary_loop(a)."""
+    edge = boundary_loop(a)
+    return a.occ & ~_embed(edge.origin, edge.occ, a.origin, a.shape)
+
+
 def interior(a: GridSet) -> GridSet:
-    """Cells whose 2*dim face neighbors are all occupied."""
-    return GridSet(a.dim, a.h, a.origin, _interior_array(a))
+    return GridSet(a.dim, a.h, a.origin, interior_array(a))
 
 
 def is_subset(a: GridSet, b: GridSet) -> bool:
@@ -138,7 +149,7 @@ def erode_open_loop(a: GridSet, b: GridSet) -> GridSet:
     """AND a shifted copy of interior(a) per occupied cell of b."""
     if a.is_empty:
         return _empty(a)
-    inter = _interior_array(a)
+    inter = interior_array(a)
     cells = np.argwhere(b.occ)
     b0 = cells[0]
     pad = b.shape
@@ -681,6 +692,141 @@ def test_run_labeller_matches_ndimage_on_generated_bodies(dim, h):
         striped[::3] = False
         assert voxel._full_components(occ) == full_components(occ) == 1
         assert voxel._full_components(striped) == full_components(striped)
+
+
+def full_edge_loop(x: GridSet) -> GridSet:
+    """Keep each occupied cell that has an unoccupied cell among its
+    3^dim - 1 neighbors."""
+    cells = {tuple(int(v) for v in c) for c in x.cells()}
+    steps = [s for s in itertools.product((-1, 0, 1), repeat=x.dim) if any(s)]
+    kept = np.zeros(x.shape, dtype=bool)
+    for c in cells:
+        if any(tuple(map(add, c, s)) not in cells for s in steps):
+            kept[tuple(v - o for v, o in zip(c, x.origin))] = True
+    return GridSet(x.dim, x.h, x.origin, kept)
+
+
+def lemma_sum(x: GridSet, b: GridSet) -> GridSet:
+    """(E + B) u (X + b0), E = full_edge_loop(X) and b0 B's first cell:
+    X + B when B is connected under full adjacency."""
+    b0 = b.cells()[0]
+    moved = GridSet(x.dim, x.h, tuple(map(add, x.origin, b0)), x.occ)
+    return union(dilate_loop(full_edge_loop(x), b), moved)
+
+
+@st.composite
+def walks(draw, dim, h):
+    """A body whose boundary is one component under full adjacency: the
+    cells of a walk of full-adjacency steps, kept when its face boundary
+    stays connected."""
+    steps = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * dim),
+                          min_size=2, max_size=4 * SIDE[dim]))
+    cells = np.array(list(itertools.accumulate(
+        steps, lambda c, s: tuple(map(add, c, s)), initial=(0,) * dim)))
+    lo = cells.min(axis=0)
+    occ = np.zeros(cells.max(axis=0) - lo + 1, bool)
+    occ[tuple((cells - lo).T)] = True
+    body = GridSet(dim, h, tuple(lo.tolist()), occ)
+    assume(is_boundary_connected(body))
+    return body
+
+
+@st.composite
+def connected_summands(draw):
+    """X and a body whose boundary is connected under full adjacency, in
+    dims 2-4.  X is a random block or a generated body; the body is a
+    generated one or a walk."""
+    dim = draw(st.sampled_from(ALLOWED_DIMS))
+    h = {2: 1 / 16, 3: 1 / 8, 4: 1 / 4}[dim]
+
+    def generated():
+        return gen_connected_boundary_set(
+            random.Random(draw(st.integers(0, 2 ** 32))), dim, h)[0]
+
+    x = generated() if draw(st.booleans()) else GridSet(dim, h, (0,) * dim, (
+        draw(arrays(bool, tuple(draw(st.integers(1, SIDE[dim]))
+                                for _ in range(dim))))))
+    return x, generated() if draw(st.booleans()) else draw(walks(dim, h))
+
+
+@given(connected_summands())
+@settings(max_examples=200, deadline=None)
+def test_boundary_sum_lemma_matches_cell_loop(pair):
+    x, body = pair
+    got = voxel._dilate_boundary(x, body)
+    assert got == _renormalized(got) == dilate_loop(x, boundary(body))
+
+
+def test_lemma_needs_a_connected_summand():
+    # X a solid 3 x 3 square and B two cells five apart: X + B is two
+    # squares, but no edge cell of X plus a cell of B reaches the center
+    # of the far square.  B is its own boundary, and the helper refuses it.
+    x = _grid((0, 0), np.ones((3, 3)))
+    b = _grid((0, 0), [[1, 0, 0, 0, 0, 1]])
+    assert difference(dilate_loop(x, b), lemma_sum(x, b)).cells().tolist() \
+        == [[1, 6]]
+    walk = _grid((0, 0), [[1, 0, 0], [0, 1, 1]])
+    assert lemma_sum(x, walk) == dilate_loop(x, walk)
+    assert not is_boundary_connected(b)
+    with pytest.raises(GridError, match="connected"):
+        voxel._dilate_boundary(x, b)
+
+
+def _recorded_shells(monkeypatch) -> list:
+    """The shell argument of each _box_sum call from now on."""
+    shells, original = [], voxel._box_sum
+
+    def recorded(a, box, shell):
+        shells.append(shell)
+        return original(a, box, shell)
+
+    monkeypatch.setattr(voxel, "_box_sum", recorded)
+    return shells
+
+
+@pytest.mark.parametrize("dim,h", [(2, 1 / 128), (3, 1 / 32)])
+def test_box_sum_replaces_the_shell_sum_on_generated_pairs(monkeypatch, dim,
+                                                           h):
+    # T is a box.  bK + T is bK + bT, and the checker forms it by the box
+    # runs, not the shell runs; K + T of the containment test takes the
+    # box runs too.
+    shells = _recorded_shells(monkeypatch)
+    for trial in range(12):
+        k, _, t, _ = gen_decomposition_pair(trial_rng(dim, trial), dim, h)
+        bk = boundary(k)
+        assert dilate(bk, t) == dilate(bk, boundary(t))
+        shells.clear()
+        check_thm_4_2_voxel(k, t)
+        assert shells == [False, False]
+
+
+@pytest.mark.parametrize("lo,hi", [((0, 0), (1, 1 / 2)),
+                                   ((0, 0, 0), (1 / 2, 1 / 4, 1))])
+def test_a_translate_of_t_sums_as_its_boundary(monkeypatch, lo, hi):
+    # K fits in T's box, so it is a translate of T.  bK + T and bK + bT
+    # can differ only in the cells of T + k common to every cell k of bK:
+    # the one cell T's last corner plus K's first, which is in bK + bT.
+    shells = _recorded_shells(monkeypatch)
+    t = rasterize(ShapeSpec.box(lo, hi), 1 / 16)
+    k = rasterize(ShapeSpec.translated(ShapeSpec.box(lo, hi),
+                                       [3 / 16] * len(lo)), 1 / 16)
+    assert k.shape == t.shape and k.count == t.count
+    bk = boundary(k)
+    assert dilate(bk, t) == dilate_loop(bk, boundary(t))
+    shells.clear()
+    reports = check_thm_4_2_voxel(k, t)
+    assert shells == [False, False]
+    assert "containment_failed" not in reports[1].flags
+
+
+def test_a_general_t_keeps_its_boundary_sum():
+    # T a plus sign: its center has an empty diagonal neighbor but no
+    # empty face neighbor, so bK + T holds cells that bK + bT lacks, and
+    # the checker must sum bT.
+    k, t = GENERAL_T_CASES[2]
+    bsum = dilate_loop(boundary(k), boundary(t))
+    assert dilate(boundary(k), t).count > bsum.count
+    assert check_thm_4_2_voxel(k, t)[0].lhs == volume(bsum)
 
 
 def contains_points(spec: ShapeSpec, points: np.ndarray) -> np.ndarray:
