@@ -4,8 +4,8 @@ A polygon is stored as a ring of integer vertices over one positive common
 denominator, in lowest terms.  Hulls, canonical rings, areas, transforms,
 Minkowski sums, erosions (Minkowski differences) and the equality
 witnesses run in pure `int` arithmetic, so nothing ever rounds.  Erosion
-clips by half-planes whose intersection points are homogeneous integer
-points (X, Y, W) with W > 0, reduced by their gcd; this is the
+intersects half-planes whose meets are homogeneous integer points
+(X, Y, W) with W > 0, reduced by their gcd; this is the
 exact-geometric-computation approach (Yap, "Towards exact geometric
 computation", CGTA 7, 1997).  `fractions.Fraction` appears only at the
 edges: inputs are brought onto the lattice at construction, and the public
@@ -20,7 +20,7 @@ canonical but for lowest terms, and `translate` and a positive `scale` keep
 a canonical ring canonical, so those three only divide out the common
 factor of ring and denominator (`ConvexPolygon._canonical`).
 
-One edge merge (`_sum_ring`) and one half-plane clip (`_erosion_ring`)
+One edge merge (`_sum_ring`) and one half-plane sweep (`_erosion_ring`)
 serve both the polygon-valued `minkowski_sum` and `erode` and the
 boundary-sum areas.  A boundary-sum area is taken straight from those
 integer rings and builds one Fraction and no intermediate polygon.  For
@@ -40,6 +40,7 @@ from typing import ClassVar, Iterable, NamedTuple, Optional, Sequence, Union
 Scalar = Union[int, Fraction]
 IntPoint = tuple[int, int]
 HomPoint = tuple[int, int, int]  # the point (X/W, Y/W) with W > 0
+Line = tuple[int, int, int]  # the half-plane <x, (ux, uy)> <= c
 
 
 class GeometryError(Exception):
@@ -101,11 +102,6 @@ def _common(ra: Sequence[IntPoint], da: int, rb: Sequence[IntPoint], db: int
     """Both rings over the lcm of their denominators."""
     den = lcm(da, db)
     return _times(ra, den // da), _times(rb, den // db), den
-
-
-def _turn(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
-    """Cross product of (b - a) and (c - b): positive for a left turn."""
-    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
 
 
 def _area2(ring: Sequence[IntPoint]) -> int:
@@ -230,7 +226,10 @@ class ConvexPolygon:
         def chain(seq: Sequence[IntPoint]) -> list[IntPoint]:
             out: list[IntPoint] = []
             for p in seq:
-                while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
+                while len(out) >= 2:
+                    (ax, ay), (bx, by) = out[-2], out[-1]
+                    if (bx - ax) * (p[1] - by) - (by - ay) * (p[0] - bx) > 0:
+                        break
                     out.pop()
                 out.append(p)
             return out
@@ -406,31 +405,16 @@ class ErosionResult:
         return Fraction(0) if self.region is None else self.region.area
 
 
-def _clip_halfplane(ring: list[HomPoint], ux: int, uy: int, c: int
-                    ) -> list[HomPoint]:
-    """Clip a convex CCW ring of homogeneous points (X, Y, W), W > 0,
-    against {x : <x,u> <= c} (Sutherland-Hodgman)."""
-    # d = W * (c - <x, u>) has the sign of the slack of the point X/W, Y/W.
-    ds = [c * w - x * ux - y * uy for x, y, w in ring]
-    out: list[HomPoint] = []
-    n = len(ring)
-    for i in range(n):
-        a, da = ring[i], ds[i]
-        j = (i + 1) % n
-        db = ds[j]
-        if da >= 0:
-            out.append(a)
-        if (da > 0 and db < 0) or (da < 0 and db > 0):
-            # a + (b - a) * t with t = da / (da - db), over one weight.
-            b = ring[j]
-            x = b[0] * da - a[0] * db
-            y = b[1] * da - a[1] * db
-            w = b[2] * da - a[2] * db
-            if w < 0:
-                x, y, w = -x, -y, -w
-            g = gcd(x, y, w)
-            out.append((x // g, y // g, w // g))
-    return out
+def _meet(a: Line, b: Line) -> HomPoint:
+    """The meet (X, Y, W) of the lines of a and b, W their determinant."""
+    (aux, auy, ac), (bux, buy, bc) = a, b
+    return ac * buy - auy * bc, aux * bc - ac * bux, aux * buy - auy * bux
+
+
+def _beyond(a: Line, b: Line, line: Line) -> bool:
+    """Whether the meet of a and b (W > 0) lies strictly outside line."""
+    (x, y, w), (ux, uy, c) = _meet(a, b), line
+    return x * ux + y * uy > c * w
 
 
 def _erosion_ring(kr: Sequence[IntPoint], tr: Sequence[IntPoint]
@@ -438,24 +422,43 @@ def _erosion_ring(kr: Sequence[IntPoint], tr: Sequence[IntPoint]
     """Closure of K (-) T for rings over one denominator, as a ring of
     integer points over m times that denominator, and the weight m.
 
-    A translate x satisfies x - T inside K exactly when, for every outward
-    edge normal u of K, <x, u> <= h_K(u) - h_T(-u).  The intersection of
-    those half-planes is clipped out of a box that contains it; h_K(u) is
-    attained at the edge's own start vertex and -h_T(-u) is the minimum of
-    <w, u> over T.  The ring is empty when the intersection is void; it
-    may be degenerate (zero area) or repeat a vertex.
+    x - T lies inside K exactly when <x, u> <= h_K(u) - h_T(-u) for every
+    outward edge normal u of K.  h_K(u) is attained at the edge's start;
+    -h_T(-u), the minimum of <w, u> over T, moves counterclockwise round T
+    as u turns round K, so after one scan a pointer finds it, advancing
+    while the next vertex is strictly smaller (rotating calipers; Toussaint
+    1983).  K's ring sorts the normals by angle, less than half a turn
+    apart, so one deque sweep with no sort intersects the half-planes:
+    each line pops the back, then the front, while the meet of the two
+    lines there is strictly outside it; at the end both ends are trimmed.
+    Fewer than three lines, or consecutive lines at a non-positive
+    determinant, leave no interior and an empty ring.  O(|K| + |T|).  The
+    ring may be degenerate (zero area) or repeat a vertex.
     """
-    kxs, kys = [x for x, _ in kr], [y for _, y in kr]
-    txs, tys = [x for x, _ in tr], [y for _, y in tr]
-    x0, y0 = min(kxs) + min(txs) - 1, min(kys) + min(tys) - 1
-    x1, y1 = max(kxs) + max(txs) + 1, max(kys) + max(tys) + 1
-    ring: list[HomPoint] = [(x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1)]
+    n, dq = len(tr), []
+    ux, uy = kr[1][1] - kr[0][1], kr[0][0] - kr[1][0]
+    j = min(range(n), key=lambda i: tr[i][0] * ux + tr[i][1] * uy)
     for (ax, ay), (bx, by) in zip(kr, [*kr[1:], kr[0]]):
         ux, uy = by - ay, ax - bx
-        c = ax * ux + ay * uy + min(x * ux + y * uy for x, y in tr)
-        ring = _clip_halfplane(ring, ux, uy, c)
-        if not ring:
+        low = tr[j][0] * ux + tr[j][1] * uy
+        while (s := tr[(j + 1) % n][0] * ux + tr[(j + 1) % n][1] * uy) < low:
+            j, low = (j + 1) % n, s
+        line = (ux, uy, ax * ux + ay * uy + low)
+        while len(dq) >= 2 and _beyond(dq[-2], dq[-1], line):
+            dq.pop()
+        while len(dq) >= 2 and _beyond(dq[0], dq[1], line):
+            del dq[0]
+        if dq and dq[-1][0] * uy - dq[-1][1] * ux <= 0:
             return [], 1
+        dq.append(line)
+    while len(dq) >= 3 and _beyond(dq[-2], dq[-1], dq[0]):
+        dq.pop()
+    while len(dq) >= 3 and _beyond(dq[0], dq[1], dq[-1]):
+        del dq[0]
+    if len(dq) < 3 or _meet(dq[-1], dq[0])[2] <= 0:
+        return [], 1
+    ring = [(x // (g := gcd(x, y, w)), y // g, w // g)
+            for x, y, w in map(_meet, dq, [*dq[1:], dq[0]])]
     m = lcm(*(w for _, _, w in ring))
     return [(x * (m // w), y * (m // w)) for x, y, w in ring], m
 

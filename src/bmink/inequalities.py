@@ -26,7 +26,8 @@ from . import exact2d
 from .exact2d import (ConvexPolygon, EqualityClass, EqualityTag, GeometryError,
                       classify_equality, is_centrally_symmetric)
 from .serialize import (REPORT_VERSION, GridError, ShapeSpec, dumps_canonical,
-                        encode_number, json_value, shapespec_to_json)
+                        encode_number, json_value, shape_node_json,
+                        shapespec_to_json)
 
 Value = Union[Fraction, float]
 
@@ -75,7 +76,9 @@ class InequalityReport:
 
     def shapes_json(self) -> str:
         """The "shapes" value of line(), which the reports of one trial
-        share and their caller may pass in."""
+        share and their caller may pass in; polygons are written as text."""
+        if self.shapes and type(self.shapes[0]) is ConvexPolygon:
+            return "[" + ",".join(map(shape_node_json, self.shapes)) + "]"
         return (dumps_canonical([shapespec_to_json(s) for s in self.shapes])
                 if self.shapes else "[]")
 

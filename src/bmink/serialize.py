@@ -226,6 +226,15 @@ def polygon_to_json(poly: ConvexPolygon) -> dict:
                          for x, y in poly._ring]}
 
 
+def shape_node_json(shape: Union[ShapeSpec, ConvexPolygon]) -> str:
+    """dumps_canonical(shapespec_to_json(shape)), a polygon's from its ring."""
+    if type(shape) is not ConvexPolygon:
+        return dumps_canonical(shapespec_to_json(shape))
+    d = shape._den
+    return '{"kind":"polygon","vertices":[' + ",".join(
+        [f'["{_over(x, d)}","{_over(y, d)}"]' for x, y in shape._ring]) + "]}"
+
+
 def polygon_from_json(data: dict) -> ConvexPolygon:
     """Load a polygon as the convex hull of its vertices, so any vertex
     order, orientation or collinear vertex gives the same polygon."""

@@ -16,19 +16,25 @@ The hull builds its polygon straight from the monotone-chain ring;
 `walked_hull` is the former path, which handed that ring to the
 constructor to be walked again by `_canonical_ring`, and stays here as
 the oracle of the hull.
+
+`_erosion_ring` intersects K's edge half-planes in one sorted deque sweep;
+`clipped_erosion_ring` is the integer clip it replaced, which cut a box by
+each half-plane in turn (Sutherland-Hodgman), and stays here beside
+`ref_erode` as the oracle of the erosion.
 """
 
 from fractions import Fraction as F
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, Point2,
-                           _Lattice, _turn, boundary_sum_volume,
-                           classify_equality, erode, is_centrally_symmetric,
-                           minkowski_sum, partial_sum_area, reflect, scale,
-                           translate)
+                           _Lattice, _area2, _common, _erosion_ring, _rings,
+                           _sum_ring, boundary_sum_volume, classify_equality,
+                           erode, is_centrally_symmetric, minkowski_sum,
+                           partial_sum_area, reflect, scale, translate)
 from bmink.inequalities import multi_boundary_sum_volume
 
 Ring = tuple[Point2, ...]
@@ -261,6 +267,57 @@ def ref_classify(k: Ring, t: Ring) -> tuple[EqualityTag, Optional[Point2],
     return EqualityTag.NO_EQUALITY, None, None
 
 
+# -- the integer clip -----------------------------------------------------------
+
+IntRing = Sequence[tuple[int, int]]
+HomRing = list[tuple[int, int, int]]
+
+
+def clip_halfplane(ring: HomRing, ux: int, uy: int, c: int) -> HomRing:
+    """Clip a convex CCW ring of homogeneous points (X, Y, W), W > 0,
+    against {x : <x,u> <= c} (Sutherland-Hodgman)."""
+    # d = W * (c - <x, u>) has the sign of the slack of the point X/W, Y/W.
+    ds = [c * w - x * ux - y * uy for x, y, w in ring]
+    out: HomRing = []
+    n = len(ring)
+    for i in range(n):
+        a, da = ring[i], ds[i]
+        j = (i + 1) % n
+        db = ds[j]
+        if da >= 0:
+            out.append(a)
+        if (da > 0 and db < 0) or (da < 0 and db > 0):
+            # a + (b - a) * t with t = da / (da - db), over one weight.
+            b = ring[j]
+            x = b[0] * da - a[0] * db
+            y = b[1] * da - a[1] * db
+            w = b[2] * da - a[2] * db
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
+    return out
+
+
+def clipped_erosion_ring(kr: IntRing, tr: IntRing
+                         ) -> tuple[list[tuple[int, int]], int]:
+    """_erosion_ring as it was: a box that contains K (-) T clipped by each
+    edge half-plane of K, with the support offset a minimum over all of T."""
+    kxs, kys = [x for x, _ in kr], [y for _, y in kr]
+    txs, tys = [x for x, _ in tr], [y for _, y in tr]
+    x0, y0 = min(kxs) + min(txs) - 1, min(kys) + min(tys) - 1
+    x1, y1 = max(kxs) + max(txs) + 1, max(kys) + max(tys) + 1
+    ring: HomRing = [(x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1)]
+    for (ax, ay), (bx, by) in zip(kr, [*kr[1:], kr[0]]):
+        ux, uy = by - ay, ax - bx
+        c = ax * ux + ay * uy + min(x * ux + y * uy for x, y in tr)
+        ring = clip_halfplane(ring, ux, uy, c)
+        if not ring:
+            return [], 1
+    m = lcm(*(w for _, _, w in ring))
+    return [(x * (m // w), y * (m // w)) for x, y, w in ring], m
+
+
 # -- strategies ------------------------------------------------------------------
 
 DENS = (1, 3, 7, 16)
@@ -382,6 +439,11 @@ def test_hull_matches_reference(pts):
     assert len(p) == len(expected)
 
 
+def turn(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
+    """Cross product of (b - a) and (c - b): positive for a left turn."""
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+
+
 def walked_hull(ring: Sequence[tuple[int, int]], den: int) -> ConvexPolygon:
     """The hull as it was built before: the monotone-chain ring handed to
     the constructor, which walks it again through _canonical_ring."""
@@ -392,7 +454,7 @@ def walked_hull(ring: Sequence[tuple[int, int]], den: int) -> ConvexPolygon:
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -533,6 +595,118 @@ def test_erosion_matches_reference(pair):
         else:
             assert_matches(got.region, expected)
             assert got.area == ref_area(expected)
+
+
+def ring_area(ring: Sequence[tuple[int, int]], m: int, den: int) -> F:
+    return F(_area2(ring), 2 * (den * m) ** 2) if ring else F(0)
+
+
+def assert_sweep_matches_oracles(kr: IntRing, tr: IntRing, den: int
+                                 ) -> Optional[ConvexPolygon]:
+    """_erosion_ring of two rings over den against the integer clip and
+    the Fraction reference: the same area, the same emptiness, and erode()
+    gives the region of both.  Returns that region."""
+    ring, m = _erosion_ring(kr, tr)
+    clipped, cm = clipped_erosion_ring(kr, tr)
+    area = ring_area(ring, m, den)
+    assert area == ring_area(clipped, cm, den)
+    k, t = ConvexPolygon(_Lattice(kr, den)), ConvexPolygon(_Lattice(tr, den))
+    expected = ref_erode(k.vertices, t.vertices)
+    assert (area == 0) == (expected is None)
+    region = erode(k, t).region
+    if expected is None:
+        assert region is None
+        return None
+    assert_matches(region, expected)
+    assert region == ConvexPolygon(_Lattice(clipped, den * cm))
+    assert area == region.area == ref_area(expected)
+    return region
+
+
+@st.composite
+def small_pairs(draw):
+    """Pairs on a coarse lattice, where erosions often touch, fit exactly
+    or leave a point or a segment: random hulls, translates, scaled-down
+    translates and reflected homothets, whose edges are parallel to K's."""
+    d = draw(st.sampled_from((1, 2)))
+    coord = st.integers(-3 * d, 3 * d).map(lambda v: F(v, d))
+    try:
+        k = ConvexPolygon.hull(draw(st.lists(st.tuples(coord, coord),
+                                             min_size=3, max_size=7)))
+        kind = draw(st.sampled_from(("random", "translate", "shrunk",
+                                     "reflected")))
+        if kind == "random":
+            t = ConvexPolygon.hull(draw(st.lists(st.tuples(coord, coord),
+                                                 min_size=3, max_size=7)))
+        else:
+            ratio = draw(st.sampled_from((F(1, 4), F(1, 3), F(1, 2), F(1))))
+            t = translate(scale(k if kind != "reflected" else reflect(k),
+                                F(1) if kind == "translate" else ratio),
+                          Point2(draw(coord), draw(coord)))
+    except GeometryError:
+        assume(False)
+    return k, t
+
+
+@given(small_pairs())
+@settings(max_examples=300, deadline=None)
+def test_erosion_sweep_matches_the_clip_and_the_reference(pair):
+    k, t = pair
+    for a, b in ((k, t), (t, k)):
+        assert_sweep_matches_oracles(*_common(a._ring, a._den,
+                                              b._ring, b._den))
+
+
+def over_one(k: ConvexPolygon, t: ConvexPolygon
+             ) -> tuple[IntRing, IntRing, int]:
+    (kr, tr), den = _rings([k, t])
+    return kr, tr, den
+
+
+def pinned_erosion(case: str) -> tuple[IntRing, IntRing, int]:
+    """The rings of a named erosion case, over one denominator."""
+    tri = [(0, 0), (6, 0), (0, 6)]
+    box = ConvexPolygon.box((0, 0), (4, 2))
+    if case == "translate":
+        k = ConvexPolygon([(0, 0), (5, 1), (6, 4), (2, 6), (-1, 3)])
+        return over_one(k, translate(k, Point2(F(1, 3), 2)))
+    if case == "exact-width":
+        return over_one(box, ConvexPolygon.box((1, 0), (2, 2)))
+    if case == "one-step-too-wide":
+        return over_one(box, ConvexPolygon.box((1, 0), (2, 3)))
+    if case == "front-pop":
+        return over_one(ConvexPolygon([(-2, 1), (-1, -1), (1, -2), (1, 2),
+                                       (-2, 2)]),
+                        ConvexPolygon([(0, -2), (2, -1), (0, 2)]))
+    if case == "parallel-edges":
+        k = ConvexPolygon(tri)
+        return over_one(k, scale(reflect(k), F(1, 3)))
+    if case == "triangle-vs-64-gon":
+        return over_one(ConvexPolygon([(-8, -8), (16, -8), (-8, 16)]), GON)
+    if case == "64-gon-vs-triangle":
+        return over_one(GON, ConvexPolygon([(0, 0), (F(1, 2), 0),
+                                            (0, F(1, 2))]))
+    assert case == "three-body-rest"
+    (big, a, b), den = _rings([scale(ConvexPolygon(tri), 2), GON,
+                               ConvexPolygon.box((0, 0), (1, 2))])
+    return big, _sum_ring(a, b), den
+
+
+@pytest.mark.parametrize("case, empty", [
+    ("translate", True),            # K (-) T is one point
+    ("exact-width", True),          # a segment
+    ("one-step-too-wide", True),    # void
+    ("front-pop", True),            # a late edge cuts the first two's meet
+    ("parallel-edges", False),      # every support of T is an edge
+    ("triangle-vs-64-gon", False),
+    ("64-gon-vs-triangle", False),
+    ("three-body-rest", False),     # the big body against the summed rest
+])
+def test_pinned_erosions_match_the_clip_and_the_reference(case, empty):
+    kr, tr, den = pinned_erosion(case)
+    assert (assert_sweep_matches_oracles(kr, tr, den) is None) == empty
+    if case == "one-step-too-wide":
+        assert _erosion_ring(kr, tr) == ([], 1)
 
 
 @given(pairs(), lambdas)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bmink.exact2d import ConvexPolygon, GeometryError
+from bmink.inequalities import InequalityReport
 from bmink.serialize import (_over, dumps_canonical, encode_number,
                              json_value,
                              load_shape_file, parse_number, polygon_from_json,
-                             polygon_to_json, realize_spec,
+                             polygon_to_json, realize_spec, shape_node_json,
                              shapespec_from_json, shapespec_to_json,
                              spec_from_polygon)
 from bmink.voxel import ShapeSpec
@@ -103,6 +104,22 @@ def test_polygon_nodes_from_the_ring_match_the_spec_path():
     assert node["vertices"][0] == [f"-{wide}/3", "0"]
     assert polygon_to_json(p) == {"vertices": node["vertices"]}
     assert realize_spec(shapespec_from_json(node))[0] == p
+
+
+def test_shapes_text_is_what_the_encoder_writes():
+    # InequalityReport.shapes_json writes polygons from their rings; any
+    # tuple of polygons and specs, in either order, gives the bytes of
+    # dumps_canonical over their spec nodes.
+    wide = 2 ** 70 + 1
+    p = ConvexPolygon([(F(-wide, 3), 0), (F(wide, 3), F(-1, 2 ** 66)),
+                       (0, wide)])
+    box = ShapeSpec.box((0, 0), (1, F(1, 3)))
+    for shapes in [(p, p), (p, box), (box, p), (box,), ()]:
+        report = InequalityReport("thm-av", "exact", 1, 0, shapes=shapes)
+        assert report.shapes_json() == dumps_canonical(
+            [shapespec_to_json(s) for s in shapes])
+        assert all(shape_node_json(s) == dumps_canonical(shapespec_to_json(s))
+                   for s in shapes)
 
 
 def test_polygon_json_canonicalizes_clockwise_input():
