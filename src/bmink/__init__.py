@@ -19,10 +19,10 @@ from .exact2d import (ConvexPolygon, EqualityClass, EqualityTag,
                       is_centrally_symmetric, minkowski_sum, partial_sum_area,
                       reflect, scale, translate)
 from .serialize import GridError, ShapeSpec
-from .inequalities import (InequalityReport, check_arithmetic_bm,
-                           check_cor_multi, check_lemma_pbm, check_rn,
-                           check_thm_4_2_voxel, check_thm_av, check_thm_bbm,
-                           rn_value, shrinking_pair_demo)
+from .inequalities import (InequalityReport, check_cor_multi,
+                           check_lemma_pbm, check_rn, check_thm_4_2,
+                           check_thm_av, check_thm_bbm, rn_value,
+                           shrinking_pair_demo)
 from .generators import (gen_connected_boundary_set, gen_convex_polygon,
                          gen_polygon_pair, gen_symmetric_polygon, trial_rng)
 from .campaign import CampaignConfig, CampaignSummary, run_campaign
@@ -57,7 +57,7 @@ __all__ = [
     "is_boundary_connected", "rasterize", "volume",
     "InequalityReport", "check_cor_multi", "check_lemma_pbm", "check_rn",
     "check_thm_av", "check_thm_bbm", "rn_value",
-    "check_arithmetic_bm", "check_thm_4_2_voxel", "shrinking_pair_demo",
+    "check_thm_4_2", "shrinking_pair_demo",
     "gen_connected_boundary_set", "gen_convex_polygon", "gen_polygon_pair",
     "gen_symmetric_polygon", "trial_rng",
     "CampaignConfig", "CampaignSummary", "run_campaign",

@@ -54,10 +54,9 @@ from . import generators
 from .generators import (PLANT_TRANSLATE, gen_connected_boundary_set,
                          gen_decomposition_pair, gen_polygon_pair,
                          random_lattice_shift, trial_rng)
-from .inequalities import (EXACT, VOXEL, InequalityReport, check_arithmetic_bm,
-                           check_cor_multi, check_lemma_pbm, check_rn,
-                           check_thm_4_2_voxel, check_thm_av, check_thm_bbm,
-                           left_sum)
+from .inequalities import (EXACT, VOXEL, InequalityReport, check_cor_multi,
+                           check_lemma_pbm, check_rn, check_thm_4_2,
+                           check_thm_av, check_thm_bbm, left_sum)
 from .serialize import ALLOWED_DIMS
 
 
@@ -227,12 +226,12 @@ def _rn(config, rng):
 
 def _thm_4_2_exact(config, rng):
     kp, tp, _ = gen_polygon_pair(rng, 0.0)
-    return [check_arithmetic_bm(kp, tp)], (kp, tp)
+    return check_thm_4_2(kp, tp), (kp, tp)
 
 
 def _thm_4_2_voxel(config, rng):
     gk, sk, gt, st = gen_decomposition_pair(rng, config.dim, config.h)
-    return check_thm_4_2_voxel(gk, gt), (sk, st)
+    return check_thm_4_2(gk, gt), (sk, st)
 
 
 # One trial per (theorem, engine) campaign a config may ask for.  Trials
@@ -486,12 +485,11 @@ def _encode(report: InequalityReport, shapes=None) -> tuple[str, tuple]:
     """A report as its JSON line, written by report.line(shapes), plus what
     the summary keeps of it: theorem_id, slack, planted, equality, the
     class tag and the violation verdict."""
-    equality = bool(report.equality)
-    tag = (report.equality_class.tag.value
-           if equality and report.equality_class is not None else None)
+    eq = report.equality_class
+    tag = eq.tag.value if report.equality and eq is not None else None
     return report.line(shapes), (
         report.theorem_id, float(report.slack),
-        bool(report.details.get("planted")), equality, tag,
+        bool(report.details.get("planted")), report.equality, tag,
         _is_violation(report))
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import ClassVar, Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -495,17 +495,21 @@ def _holed_area(big: Sequence[IntPoint], small: Sequence[IntPoint], d: int
     return Fraction(total * m * m - _area2(hole), d * m * m)
 
 
-def _boundary_sum_area(ar: Sequence[IntPoint], br: Sequence[IntPoint],
-                       d: int) -> Fraction:
-    """Area of bA + bB for rings over one denominator, d as in _holed_area.
+def _boundary_sum_area(rings: Sequence[Sequence[IntPoint]], d: int
+                       ) -> Fraction:
+    """Area of bA_1 + ... + bA_m, m >= 2, for rings over one denominator,
+    d as in _holed_area.
 
-    An open erosion A (-) B is nonempty only when area B < area A, so the
-    other erosion is always empty and equal areas leave the plain sum.
+    All bodies except the largest can be completed to full bodies without
+    changing the sum (pairwise, the smaller body of a pair completes), so
+    after sorting by area the sum is bBig + (rest summed), whose area is
+    area(Big + rest) minus the erosion hole of Big by the rest.  Two
+    bodies of one area leave a hole of area 0.
     """
-    a2, b2 = _area2(ar), _area2(br)
-    if a2 == b2:
-        return Fraction(_area2(_sum_ring(ar, br)), d)
-    return _holed_area(ar, br, d) if a2 > b2 else _holed_area(br, ar, d)
+    big, rest, *others = sorted(rings, key=_area2, reverse=True)
+    for ring in others:
+        rest = _sum_ring(rest, ring)
+    return _holed_area(big, rest, d)
 
 
 def partial_sum_area(a: ConvexPolygon, b: ConvexPolygon) -> Fraction:
@@ -516,7 +520,7 @@ def partial_sum_area(a: ConvexPolygon, b: ConvexPolygon) -> Fraction:
     polygon.
     """
     ar, br, den = _common(a._ring, a._den, b._ring, b._den)
-    return _boundary_sum_area(ar, br, 2 * den * den)
+    return _boundary_sum_area((ar, br), 2 * den * den)
 
 
 def boundary_sum_volume(k: ConvexPolygon, t: ConvexPolygon,
@@ -532,9 +536,24 @@ def boundary_sum_volume(k: ConvexPolygon, t: ConvexPolygon,
     if not 0 < p < q:
         raise GeometryError("lambda must lie strictly between 0 and 1")
     den = lcm(k._den, t._den)
-    return _boundary_sum_area(_times(k._ring, den // k._den * p),
-                              _times(t._ring, den // t._den * (q - p)),
+    return _boundary_sum_area((_times(k._ring, den // k._den * p),
+                               _times(t._ring, den // t._den * (q - p))),
                               2 * (den * q) ** 2)
+
+
+def multi_boundary_sum_volume(bodies: Sequence[ConvexPolygon]) -> Fraction:
+    """Exact area of bK_1 + ... + bK_m, m >= 2 (see _boundary_sum_area)."""
+    if len(bodies) < 2:
+        raise GeometryError("need at least two bodies")
+    rings, den = _rings(bodies)
+    return _boundary_sum_area(rings, 2 * den * den)
+
+
+def area_product(bodies: Sequence[ConvexPolygon]) -> Fraction:
+    """The exact product of the bodies' areas, built as one Fraction from
+    the integer shoelace sums."""
+    return Fraction(prod(_area2(p._ring) for p in bodies),
+                    prod(2 * p._den ** 2 for p in bodies))
 
 
 class EqualityTag(Enum):

@@ -7,11 +7,11 @@ a rational comparison and equality detection is exact.  On the voxel engine
 sides are binary64 and a discretization tolerance (first order in the cell
 size, scaled by a perimeter proxy) separates findings from noise.
 
-Every checker lives here, thm-4.2's on both engines included
-(check_arithmetic_bm in the plane, check_thm_4_2_voxel on grids).  A
-voxel checker looks up bmink.voxel when it runs and calls its kernels as
-attributes of that module, so the exact and scalar checks never load
-numpy.
+Each statement is written here once, for both engines, and the engines
+supply its volumes through their public functions: exact2d the areas of
+bodies and boundary sums as Fractions, bmink.voxel cell counts, volumes
+and the parts of a sum.  A voxel checker looks up bmink.voxel when it
+runs, so the exact and scalar checks never load numpy.
 """
 
 from __future__ import annotations
@@ -124,117 +124,80 @@ def voxel_slack_tolerance(n: int, h: float, boundary_cells: int) -> float:
     return 3.0 * n * h * (boundary_cells * h ** (n - 1))
 
 
+def _require_voxel_hypotheses(*grids) -> None:
+    """The voxel checkers' hypotheses: one grid, every boundary connected."""
+    from . import voxel
+    if not all(g.same_grid(grids[0]) for g in grids):
+        raise GridError("operands must share dimension and resolution")
+    if not all(map(voxel.is_boundary_connected, grids)):
+        raise GridError("voxel checks require connected boundaries")
+
+
 # ---------------------------------------------------------------------------
-# Average-of-boundaries bound (two bodies)
+# The power-mean bounds: thm-av (two bodies) and cor-multi (m >= 3)
 # ---------------------------------------------------------------------------
+
+def _power_mean(bodies) -> tuple[Value, Value, Value, float]:
+    """vol((bK_1 + ... + bK_m)/m) >= (vol K_1 * ... * vol K_m)^(1/m), the
+    side vol(bK_1 + ... + bK_m) / m^n supplied by the engine.  Returns the
+    side, lhs, rhs and tolerance: on polygons (n = 2) side^m against the
+    area product, rational, so equality is exact; on voxels the side
+    against the m-th root of the volume product, math.sqrt's for two
+    bodies (a float power 1/2 can differ in the last bit).
+    """
+    m = len(bodies)
+    if isinstance(bodies[0], ConvexPolygon):
+        side = exact2d.multi_boundary_sum_volume(bodies) / (m * m)
+        return side, side ** m, exact2d.area_product(bodies), 0.0
+    from . import voxel
+    _require_voxel_hypotheses(*bodies)
+    n = bodies[0].dim
+    side = voxel.volume(voxel.boundary_sum(bodies)) / m ** n
+    product = math.prod(map(voxel.volume, bodies))
+    root = math.sqrt(product) if m == 2 else product ** (1.0 / m)
+    tol = voxel_slack_tolerance(
+        n, bodies[0].h, sum(voxel.boundary(b).count for b in bodies))
+    return side, side, root, tol
+
 
 def check_thm_av(k, t) -> InequalityReport:
-    """vol((bK + bT)/2) >= sqrt(vol K * vol T).
-
-    Exact engine (convex polygons): compared squared, so lhs/rhs in the
-    report are the squared sides and equality detection is exact.  Voxel
-    engine (connected-boundary grids, convexity not required): direct
-    float comparison against the discretization tolerance.  The engine
-    follows from the type of k.
-    """
+    """vol((bK + bT)/2) >= sqrt(vol K * vol T), _power_mean's statement for
+    two bodies.  On convex polygons lhs/rhs are the squared sides and
+    classify_equality classifies equality; on grids (connected boundaries,
+    convexity not required) they are the sides.  The engine follows from
+    the type of k."""
+    side, lhs, rhs, tol = _power_mean((k, t))
     if isinstance(k, ConvexPolygon):
-        bsv = exact2d.boundary_sum_volume(k, t, Fraction(1, 2))
-        lhs = bsv * bsv
-        rhs = k.area * t.area
         return InequalityReport(
             theorem_id="thm-av", engine=EXACT, lhs=lhs, rhs=rhs,
             equality_class=classify_equality(k, t),
-            details={"boundary_sum_volume": bsv},
-        )
+            details={"boundary_sum_volume": side})
     from . import voxel
-    voxel._require_connected(k, t)
-    bk, bt = voxel.boundary(k), voxel.boundary(t)
-    n = k.dim
-    lhs = voxel.volume(voxel.dilate(bk, bt)) / 2 ** n
-    rhs = math.sqrt(voxel.volume(k) * voxel.volume(t))
-    tol = voxel_slack_tolerance(n, k.h, bk.count + bt.count)
     return InequalityReport(
         theorem_id="thm-av", engine=VOXEL, lhs=lhs, rhs=rhs, tolerance=tol,
-        details={"vol_k": voxel.volume(k), "vol_t": voxel.volume(t)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Multi-body average bound
-# ---------------------------------------------------------------------------
-
-def multi_boundary_sum_volume(bodies: Sequence[ConvexPolygon]) -> Fraction:
-    """Exact volume of bK_1 + ... + bK_m for convex polygons.
-
-    All bodies except the largest can be completed to full bodies without
-    changing the sum (pairwise, the smaller body of a pair completes), so
-    after sorting by volume the sum is bBig + (rest summed), whose volume is
-    area(Big + rest) minus the erosion hole of Big by the rest.  Everything
-    runs on the integer rings over one denominator; only the result is a
-    Fraction.
-    """
-    if len(bodies) < 2:
-        raise GeometryError("need at least two bodies")
-    rings, den = exact2d._rings(bodies)
-    big, rest, *others = sorted(rings, key=exact2d._area2, reverse=True)
-    for ring in others:
-        rest = exact2d._sum_ring(rest, ring)
-    return exact2d._holed_area(big, rest, 2 * den * den)
+        details={"vol_k": voxel.volume(k), "vol_t": voxel.volume(t)})
 
 
 def check_cor_multi(bodies) -> InequalityReport:
-    """vol((bK_1 + ... + bK_m)/m) >= (vol K_1 * ... * vol K_m)^(1/m), m >= 3.
-
-    Exact engine (convex polygons) compares m-th powers to stay rational;
-    grids go to the voxel engine.  Equality is expected exactly when all
-    bodies are translates of one another.
-
-    On grids every boundary must be connected under full (3^n - 1)
-    adjacency, as a lemma needs: for B so connected, any X and b0 in B,
-    X + B = (E + B) u (X + b0), E the cells of X with an empty cell among
-    their 3^n - 1 neighbors.  Proof: c - B, for c in X + B, is connected
-    and meets X, so it lies in X (then c - b0 is in X) or steps out of X
-    from a cell of E.  dilate sums the two largest boundaries, and
-    voxel._dilate_boundary adds each other one to that band by its edge
-    E, the smallest last; addition commutes, so the cells are the same.
-    """
+    """vol((bK_1 + ... + bK_m)/m) >= (vol K_1 * ... * vol K_m)^(1/m), m >= 3,
+    _power_mean's statement: convex polygons compare m-th powers, grids
+    the sides.  Equality is expected exactly when all bodies are
+    translates of one another."""
     m = len(bodies)
     if m < 3:
         raise GeometryError("multi-body check needs m >= 3")
+    side, lhs, rhs, tol = _power_mean(bodies)
     if isinstance(bodies[0], ConvexPolygon):
-        lhs_side = multi_boundary_sum_volume(bodies) / (m * m)  # n = 2
-        lhs = lhs_side ** m
-        rhs = Fraction(math.prod(exact2d._area2(b._ring) for b in bodies),
-                       math.prod(2 * b._den ** 2 for b in bodies))
         eq_class = EqualityClass(EqualityTag.TRANSLATE if all(
             classify_equality(bodies[0], b).tag is EqualityTag.TRANSLATE
             for b in bodies[1:]) else EqualityTag.NO_EQUALITY)
         return InequalityReport(
             theorem_id="cor-multi", engine=EXACT, lhs=lhs, rhs=rhs,
             equality_class=eq_class,
-            details={"m": m, "scaled_boundary_sum_volume": lhs_side},
-        )
-    from . import voxel
-    voxel._require_connected(*bodies)
-    n = bodies[0].dim
-    # Per axis, A + B spans e_A + e_B - 1 occupied cells, so the sum's
-    # extent (with its margin) is known before the first dilation: a sum
-    # beyond the caps fails now, not after m - 2 dilations.
-    voxel._check_extent([sum(b.shape[ax] - 2 for b in bodies) - (m - 1) + 2
-                         for ax in range(n)])
-    first, second, *rest = sorted(
-        bodies, key=lambda b: voxel.boundary(b).count, reverse=True)
-    acc = voxel.dilate(voxel.boundary(first), voxel.boundary(second))
-    for b in rest:
-        acc = voxel._dilate_boundary(acc, b)
-    bcells = sum(voxel.boundary(b).count for b in bodies)
-    lhs = voxel.volume(acc) / m ** n
-    rhs = math.prod(voxel.volume(b) for b in bodies) ** (1.0 / m)
-    tol = voxel_slack_tolerance(n, bodies[0].h, bcells)
+            details={"m": m, "scaled_boundary_sum_volume": side})
     return InequalityReport(
         theorem_id="cor-multi", engine=VOXEL, lhs=lhs, rhs=rhs,
-        tolerance=tol, details={"m": m},
-    )
+        tolerance=tol, details={"m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +211,11 @@ def check_thm_bbm(k, t, lam) -> InequalityReport:
     Exact engine: k, t are convex polygons and everything stays rational.
     Voxel engine: k, t are (GridSet, ShapeSpec) pairs, a body and the spec
     it was rasterized from.  The grids give vol K, vol T and the resolution
-    h; the scaled bodies are rasterized from the specs at that h.  The
-    engine follows from the type of k.  For l != 1/2, exact-equality pairs
-    that are not translates-of-homothets of a centrally symmetric body are
-    flagged rather than classified.
+    h; the scaled bodies are rasterized from the specs at that h, and their
+    boundary sum needs no connected boundary.  The engine follows from the
+    type of k.  For l != 1/2, exact-equality pairs that are not
+    translates-of-homothets of a centrally symmetric body are flagged
+    rather than classified.
     """
     lam = Fraction(lam)
     if not (0 < lam < 1):
@@ -271,137 +235,116 @@ def check_thm_bbm(k, t, lam) -> InequalityReport:
             theorem_id="thm-bbm", engine=EXACT, lhs=lhs, rhs=rhs,
             equality_class=eq_class, lam=lam,
             flags=("equality_outside_characterization",) if outside else (),
-            details={"factor_kt": f_kt, "factor_tk": f_tk},
-        )
+            details={"factor_kt": f_kt, "factor_tk": f_tk})
     from . import voxel
     (gk, k_spec), (gt, t_spec) = k, t
-    voxel._require_same_grid(gk, gt)
-    voxel._require_connected(gk, gt)
+    _require_voxel_hypotheses(gk, gt)
     n, h = gk.dim, gk.h
-    lam_f = float(lam)
 
-    def weighted(a_spec, b_spec, w):
-        ba = voxel.boundary(voxel.rasterize(ShapeSpec.scaled(a_spec, w), h))
-        bb = voxel.boundary(voxel.rasterize(ShapeSpec.scaled(b_spec, 1 - w),
-                                            h))
-        return voxel.volume(voxel.dilate(ba, bb)), ba.count + bb.count
+    def weighted(a_spec, b_spec):
+        pair = [voxel.rasterize(ShapeSpec.scaled(a_spec, lam), h),
+                voxel.rasterize(ShapeSpec.scaled(b_spec, 1 - lam), h)]
+        return (voxel.volume(voxel.boundary_sum(pair)),
+                sum(voxel.boundary(g).count for g in pair))
 
-    f_kt, cells_kt = weighted(k_spec, t_spec, Fraction(lam))
-    f_tk, cells_tk = weighted(t_spec, k_spec, Fraction(lam))
+    f_kt, cells_kt = weighted(k_spec, t_spec)
+    f_tk, cells_tk = weighted(t_spec, k_spec)
     lhs = f_kt * f_tk
     rhs = (voxel.volume(gk) * voxel.volume(gt)
-           * (1 - abs(1 - 2 * lam_f) ** n) ** 2)
+           * (1 - abs(1 - 2 * float(lam)) ** n) ** 2)
     vol_tol = voxel_slack_tolerance(n, h, cells_kt + cells_tk)
     # Error in a product of volumes is first order: dV * (|f1| + |f2|).
     tol = vol_tol * (f_kt + f_tk + 1.0)
     return InequalityReport(
         theorem_id="thm-bbm", engine=VOXEL, lhs=lhs, rhs=rhs, tolerance=tol,
-        lam=lam, details={"factor_kt": f_kt, "factor_tk": f_tk},
-    )
+        lam=lam, details={"factor_kt": f_kt, "factor_tk": f_tk})
 
 
 # ---------------------------------------------------------------------------
 # The arithmetic bound thm-4.2 and the restricted-sum bounds eq-4.2, eq-4.3
 # ---------------------------------------------------------------------------
 
-def check_arithmetic_bm(k: ConvexPolygon, t: ConvexPolygon) -> InequalityReport:
-    """vol(bK + bT) >= vol(K) + vol(T) on exact polygons, ratio-tagged
-    (thm-4.2 in the plane, where the exponent 2/n is 1).
+def _in_window(n: int, vol_k, vol_t) -> bool:
+    """(vol K / vol T)^(1/n) in [1/sqrt(n), sqrt(n)], decided exactly on
+    volumes in one unit: vol_t^2 <= n^n vol_k^2 and vol_k^2 <= n^n vol_t^2."""
+    return (vol_t * vol_t <= n ** n * vol_k * vol_k
+            and vol_k * vol_k <= n ** n * vol_t * vol_t)
+
+
+def check_thm_4_2(k, t) -> list[InequalityReport]:
+    """thm-4.2: vol(bK + bT)^(2/n) >= vol(K)^(2/n) + vol(T)^(2/n), and on
+    voxels the bounds eq-4.2 and eq-4.3 of its proof: the reports
+    thm-4.2, eq-4.2 and eq-4.3 of one pair, in order.
 
     The volume-ratio window (vol K / vol T)^(1/n) in [1/sqrt(n), sqrt(n)]
-    is recorded but not enforced: out-of-window pairs are admitted to map
-    where the unconditioned inequality fails, and their failures are tagged
-    expected findings instead of violations.
-    """
-    vol_k, vol_t = k.area, t.area
-    lhs = exact2d.partial_sum_area(k, t)
-    rhs = vol_k + vol_t
-    ratio = vol_k / vol_t
-    ratio_ok = Fraction(1, 2) <= ratio <= 2  # (r^(1/2) in [1/sqrt2, sqrt2])
-    try:
-        ratio_value = float(ratio)
-    except OverflowError:
-        raise GeometryError("the area ratio vol(K)/vol(T) is too large: it "
-                            "overflows a float") from None
-    return InequalityReport(
-        theorem_id="thm-4.2", engine=EXACT, lhs=lhs, rhs=rhs,
-        flags=() if ratio_ok else ("ratio_condition_violated",),
-        details={"vol_k": vol_k, "vol_t": vol_t,
-                 "ratio_ok": ratio_ok, "ratio": ratio_value},
-    )
+    is recorded but not enforced (_in_window decides it, on the exact
+    areas or the cell counts): out-of-window pairs are admitted to map
+    where the unconditioned inequality fails, and their failures are
+    tagged expected findings instead of violations.  details.ratio is
+    vol K / vol T on the exact engine and (vol K / vol T)^(1/n) on voxels.
 
-
-def check_thm_4_2_voxel(k, t) -> list[InequalityReport]:
-    """The reports thm-4.2, eq-4.2 and eq-4.3 of one voxel pair, in order.
-
-    thm-4.2 (tolerance): vol(bK + bT)^(2/n) >= vol(K)^(2/n) + vol(T)^(2/n),
-    ratio-tagged as in check_arithmetic_bm.
-    eq-4.2 (cell-exact): admitted pairs >= |T| (|K| - |K erosion T|) for
-    the erosion-complement restriction, which admits the pairs (x, y) of
-    K x T with x not in (erosion - y); its sum set, (K + T) minus the
-    erosion, must lie inside bK + bT, else the report is flagged
-    containment_failed.  On voxels the pair count holds with equality by
-    construction: every erosion cell x has x - T inside interior(K), a
-    subset of K, so exactly |T| pairs of K x T sum to x, and the admitted
-    pairs are always |T| (|K| - |K erosion T|).  The slack is always 0 and
-    equality always true, so eq-4.2 carries only the containment verdict,
-    which voxel._restricted_sum_contained decides by comparing K + T with
-    bK + bT and the erosion cell by cell; the admitted-pair set is never
-    formed.
+    Exact engine (convex polygons, n = 2, so the exponent 2/n is 1): one
+    report, compared in rationals.  Voxel engine (|K| >= |T| on one grid,
+    connected boundaries), with the parts of K + T from
+    voxel.decompose_sum: thm-4.2 (tolerance), then
+    eq-4.2 (cell-exact): the pairs (x, y) of K x T with x not in
+    (erosion - y) number at least |T| (|K| - |K erosion T|), and their sum
+    set, (K + T) minus the erosion, lies inside bK + bT, else the report is
+    flagged containment_failed.  On voxels the count holds with equality:
+    every erosion cell x has x - T inside interior(K), so exactly |T|
+    pairs of K x T sum to x.  Slack 0 and equality true always, so eq-4.2
+    carries only the containment verdict.
     eq-4.3 (tolerance): vol(K erosion T)^(1/n) <= vol(K)^(1/n) - vol(T)^(1/n),
     allowing first-order discretization error in the linear scale.
-
-    bK, bT, bK + bT and the erosion are each built once and shared by the
-    three reports.  When T is a box, as in the campaigns, bK + bT is
-    formed as bK + T, by the cheaper box runs: by the lemma of
-    check_cor_multi (X = T, E = bT, B = bK, connected as checked below),
-    bK + T minus bK + bT lies in T + k for every k in bK.  If K's array is
-    longer than T's on some axis, two such T + k are disjoint; if not,
-    |K| >= |T| makes K a translate of T, and the T + k of K's extreme
-    corners share one cell, T's last corner plus K's first, in bT + bK.
     """
-    from . import voxel
-    voxel._require_same_grid(k, t)
-    if k.count < t.count:
-        raise GridError("requires volume(K) >= volume(T); swap the pair")
-    voxel._require_connected(k, t)
-    n, h = k.dim, k.h
-    bk, bt = voxel.boundary(k), voxel.boundary(t)
-    bsum_set = voxel.dilate(bk, t if voxel._box_kind(t) == "box" else bt)
-    vol_k, vol_t = voxel.volume(k), voxel.volume(t)
-    bsum = voxel.volume(bsum_set)
+    if isinstance(k, ConvexPolygon):
+        n, vol_k, vol_t = 2, k.area, t.area
+        sizes, engine, proof = (vol_k, vol_t), EXACT, []
+        try:
+            ratio = float(vol_k / vol_t)
+        except OverflowError:
+            raise GeometryError("the area ratio vol(K)/vol(T) is too large: "
+                                "it overflows a float") from None
+        lhs, rhs, tol = exact2d.partial_sum_area(k, t), vol_k + vol_t, 0.0
+    else:
+        from . import voxel
+        _require_voxel_hypotheses(k, t)
+        if k.count < t.count:
+            raise GridError("requires volume(K) >= volume(T); swap the pair")
+        n, h = k.dim, k.h
+        bsum_set, erosion, contained = voxel.decompose_sum(k, t)
+        vol_k, vol_t = voxel.volume(k), voxel.volume(t)
+        sizes, engine = (k.count, t.count), VOXEL
+        ratio = (vol_k / vol_t) ** (1.0 / n)
+        bsum = voxel.volume(bsum_set)
+        lhs = bsum ** (2.0 / n)
+        rhs = vol_k ** (2.0 / n) + vol_t ** (2.0 / n)
+        vol_tol = voxel_slack_tolerance(
+            n, h, voxel.boundary(k).count + voxel.boundary(t).count)
+        vref = max(min(vol_k, vol_t, max(bsum, 1e-12)), 1e-12)
+        tol = vol_tol * (2.0 / n) * vref ** (2.0 / n - 1.0)
 
-    lhs = bsum ** (2.0 / n)
-    rhs = vol_k ** (2.0 / n) + vol_t ** (2.0 / n)
-    vol_tol = voxel_slack_tolerance(n, h, bk.count + bt.count)
-    vref = max(min(vol_k, vol_t, max(bsum, 1e-12)), 1e-12)
-    tol = vol_tol * (2.0 / n) * vref ** (2.0 / n - 1.0)
-    ratio = (vol_k / vol_t) ** (1.0 / n) if vol_t > 0 else math.inf
-    ratio_ok = (1.0 / math.sqrt(n)) <= ratio <= math.sqrt(n)
-    arithmetic = InequalityReport(
-        theorem_id="thm-4.2", engine=VOXEL, lhs=lhs, rhs=rhs, tolerance=tol,
+        admitted = t.count * (k.count - erosion.count)  # the identity above
+        vols = {"vol_k": vol_k, "vol_t": vol_t,
+                "vol_erosion": voxel.volume(erosion),
+                "vol_theta": admitted * h ** (2 * n)}  # product-measure units
+        pairs = InequalityReport(
+            theorem_id="eq-4.2", engine=VOXEL, lhs=admitted, rhs=admitted,
+            flags=() if contained else ("containment_failed",),
+            details={**vols, "admitted_pairs": admitted,
+                     "containment_verdict": contained})
+        roots = InequalityReport(
+            theorem_id="eq-4.3", engine=VOXEL,
+            lhs=vol_k ** (1.0 / n) - vol_t ** (1.0 / n),
+            rhs=vols["vol_erosion"] ** (1.0 / n),
+            tolerance=3.0 * n * h, details=vols)
+        proof = [pairs, roots]
+    ratio_ok = _in_window(n, *sizes)
+    return [InequalityReport(
+        theorem_id="thm-4.2", engine=engine, lhs=lhs, rhs=rhs, tolerance=tol,
         flags=() if ratio_ok else ("ratio_condition_violated",),
         details={"vol_k": vol_k, "vol_t": vol_t,
-                 "ratio_ok": ratio_ok, "ratio": ratio})
-
-    erosion = voxel.erode_open(k, t)
-    admitted = t.count * (k.count - erosion.count)  # the identity above
-    contained = voxel._restricted_sum_contained(k, t, erosion, bsum_set)
-    vols = {"vol_k": vol_k, "vol_t": vol_t,
-            "vol_erosion": voxel.volume(erosion),
-            "vol_theta": admitted * h ** (2 * n)}  # product-measure units
-    pairs = InequalityReport(
-        theorem_id="eq-4.2", engine=VOXEL, lhs=admitted, rhs=admitted,
-        flags=() if contained else ("containment_failed",),
-        details={**vols, "admitted_pairs": admitted,
-                 "containment_verdict": contained})
-
-    root_gap = vol_k ** (1.0 / n) - vol_t ** (1.0 / n)
-    root_erosion = vols["vol_erosion"] ** (1.0 / n)
-    roots = InequalityReport(
-        theorem_id="eq-4.3", engine=VOXEL, lhs=root_gap, rhs=root_erosion,
-        tolerance=3.0 * n * h, details=vols)
-    return [arithmetic, pairs, roots]
+                 "ratio_ok": ratio_ok, "ratio": ratio}), *proof]
 
 
 def shrinking_pair_demo(a: Fraction = Fraction(1, 100)) -> dict:
@@ -417,15 +360,10 @@ def shrinking_pair_demo(a: Fraction = Fraction(1, 100)) -> dict:
         raise GeometryError("demo scale must lie strictly between 0 and 1")
     square = ConvexPolygon.box((-1, -1), (1, 1))
     small = exact2d.scale(square, a)
-    report = check_arithmetic_bm(square, small)
-    return {
-        "a": a,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "holds": not report.slack < 0,
-        "ratio_ok": report.details["ratio_ok"],
-        "report": report,
-    }
+    report, = check_thm_4_2(square, small)
+    return {"a": a, "lhs": report.lhs, "rhs": report.rhs,
+            "holds": not report.slack < 0,
+            "ratio_ok": report.details["ratio_ok"], "report": report}
 
 
 # ---------------------------------------------------------------------------

@@ -2,34 +2,28 @@
 
 A GridSet is a dense boolean occupancy array over a bounded window of the
 integer lattice, scaled by a cell size h.  Dilation (discrete Minkowski
-sum) and open erosion by a box, and dilation by a box's face boundary,
-separate into runs of shifted ORs or ANDs along each axis: exact boolean
-work, which the voxel thm-4.2 trials take, their T being a box.  Other
-open erosions threshold the convolution of two occupancy arrays as exact
-integer cell counts, and transform only the fit window: the part of the
-sum frame, at most the eroded array's shape per axis, that can hold an
-erosion cell.  Other dilations scatter every pair of occupied cells when
-the operands are sparse, as 2D boundary sums are, and threshold the same
-convolution when they are dense, as the CLI's general full bodies are.
-A sum with a connected boundary takes only the other operand's edge cells
-to those kernels (_dilate_boundary), as the multi-body band does.
-Interior and boundary come from face-neighbor shifts.
-Set identities between them can therefore be asserted exactly; only the
-conversion from cell counts to volumes involves floating point.
+sum) and open erosion by a box separate into runs of shifted ORs or ANDs
+along each axis, which the voxel thm-4.2 trials take, their T being a box;
+dilation by a box's face boundary is a union of such runs, which the
+boundary sums of one-box bodies take.  Other open erosions threshold the
+convolution of two occupancy arrays as exact integer cell counts over the
+fit window, the part of the sum frame that can hold an erosion cell.
+Other dilations scatter every pair of occupied cells when the operands
+are sparse, as 2D boundary sums are, and threshold the same convolution
+when they are dense.  The checkers take their boundary sums from
+boundary_sum and the parts of K + T from decompose_sum.  Interior and
+boundary come from face-neighbor shifts, and is_boundary_connected counts
+the components of a graph of runs along the last axis, so set identities
+are exact, only the conversion from cell counts to volumes involves
+floating point, and the engine needs numpy alone.
 
 This engine doubles as the brute-force oracle for the exact polygon engine
-and is the only engine for non-convex sets.
-
-Boundary connectivity (is_boundary_connected) counts the components of a
-graph of runs along the last axis, and the containment verdict of eq-4.2
-(_restricted_sum_contained) compares K + T with the boundary sum cell by
-cell, so the engine needs numpy alone.
-
-It is the only module of the package that imports numpy.  The exact and
-scalar checks never load it: the other modules look it up at
-call time, in their voxel branches, and a voxel campaign loads it when its
-config is validated.  ShapeSpec and GridError live in serialize.py and are
-re-exported here; rasterize evaluates a spec through bbox and _on_mesh.
+and is the only engine for non-convex sets.  It is the only module of the
+package that imports numpy.  The exact and scalar checks never load it:
+the other modules look it up at call time, in their voxel branches, and a
+voxel campaign loads it when its config is validated.  ShapeSpec and
+GridError live in serialize.py and are re-exported here; rasterize
+evaluates a spec through bbox and _on_mesh.
 """
 
 from __future__ import annotations
@@ -423,11 +417,14 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
     when the convolution count there is positive.  dilate scatters the
     pairs when |A| * |B| <= _PAIR_COST * P, and convolves otherwise.
 
-    In the campaigns, the voxel thm-4.2 boundary sum is formed as bK + T,
-    T a box, and takes the runs.  The 2D boundary sums of two general
-    bodies take the pairs, and so does most of the multi-body band, which
-    _dilate_boundary hands over as its edge cells only; the CLI's sums of
-    general full bodies take the FFT.
+    In the campaigns, the voxel thm-4.2 sums bK + T and K + T, T a box,
+    take the plain box runs, and a boundary sum with a one-box body takes
+    the shell runs.  The 2D boundary sums of two general bodies take the
+    pairs, and so does most of the multi-body band, which _dilate_boundary
+    hands over as its edge cells only; the CLI's sums of general full
+    bodies take the FFT.  Over chunks 0-4 of voxel-sparse at seed 0 (one
+    worker), the shell runs took 213 of the 700 kernel calls, the pairs
+    480, the FFT 6 and the plain box runs 1.
 
     _PAIR_COST is the measured break-even.  On the benchmark's 2D boundary
     sums (h = 1/128, numpy FFT, a 2-CPU x86-64 machine) a pair cost about
@@ -469,12 +466,13 @@ def _dilate_boundary(x: GridSet, body: GridSet) -> GridSet:
     """dilate(x, boundary(body)) for a body whose boundary B is connected
     under full adjacency, as (E + B) u (x + b0): E the cells of x with an
     empty cell among their 3^dim - 1 neighbors, b0 any cell of B (the
-    lemma of inequalities.check_cor_multi).  E, x minus an AND of runs of
-    3 cells per axis, keeps x's extreme cells, so E + B lands in dilate's
-    frame for x and B, where dilate's cost rule picks its kernel, and
-    x + b0 inside it.  Empty, box and shell operands take dilate itself.
+    lemma of boundary_sum).  E, x minus an AND of runs of 3 cells per
+    axis, keeps x's extreme cells, so E + B lands in dilate's frame for x
+    and B, where dilate's cost rule picks its kernel, and x + b0 inside
+    it.  Empty, box and shell operands take dilate itself.
     """
-    _require_connected(body)
+    if not is_boundary_connected(body):
+        raise GridError("voxel checks require connected boundaries")
     bb = boundary(body)
     if x.is_empty or _box_kind(x) or _box_kind(bb):
         return dilate(x, bb)
@@ -487,6 +485,60 @@ def _dilate_boundary(x: GridSet, body: GridSet) -> GridSet:
     b0 = bb.cells()[0] + x.origin
     occ = out.occ | _embed(b0, x.occ, out.origin, out.shape)
     return GridSet._tight(x.dim, x.h, out.origin, occ)
+
+
+def boundary_sum(bodies: Sequence[GridSet]) -> GridSet:
+    """The sum bK_1 + ... + bK_m of m >= 2 bodies' face boundaries.
+
+    Lemma: for B connected under full (3^n - 1) adjacency, any X and b0 in
+    B, X + B = (E + B) u (X + b0), E the cells of X with an empty cell
+    among their 3^n - 1 neighbors.  Proof: c - B, for c in X + B, is
+    connected and meets X, so it lies in X (then c - b0 is in X) or steps
+    out of X from a cell of E.
+
+    dilate sums the two boundaries with the most cells, and
+    _dilate_boundary adds each other one to that band by its edge E, the
+    smallest last; addition commutes, so the cells are the same.  Every
+    body but those two must therefore have a connected boundary, and two
+    bodies need none.  Per axis, A + B spans e_A + e_B - 1 occupied cells,
+    so with more than two bodies the sum's extent (with its margin) is
+    checked first: a sum beyond the caps fails before the first dilation,
+    not after m - 2 of them.
+    """
+    m = len(bodies)
+    if m < 2:
+        raise GridError("a boundary sum needs at least two bodies")
+    if m > 2:
+        _check_extent([sum(b.shape[ax] - 2 for b in bodies) - (m - 1) + 2
+                       for ax in range(bodies[0].dim)])
+    first, second, *rest = sorted(bodies, key=lambda b: boundary(b).count,
+                                  reverse=True)
+    acc = dilate(boundary(first), boundary(second))
+    for b in rest:
+        acc = _dilate_boundary(acc, b)
+    return acc
+
+
+def decompose_sum(k: GridSet, t: GridSet
+                  ) -> tuple[GridSet, GridSet, bool]:
+    """bK + bT, the open erosion K (-) T and whether K + T minus the
+    erosion lies in bK + bT (eq-4.2's containment verdict), for K and T on
+    one grid.
+
+    When T is a box (as in the voxel thm-4.2 trials, whose K + T then
+    takes the box runs too), |K| >= |T| and bK is connected, bK + bT is
+    formed as the cheaper bK + T.  By the lemma of boundary_sum (X = T,
+    E = bT, B = bK), bK + T minus bK + bT lies in T + k for every k in
+    bK.  If K's array is longer than T's on some axis, two such T + k are
+    disjoint; if not, |K| >= |T| makes K a translate of T, and the T + k
+    of K's extreme corners share one cell, T's last corner plus K's
+    first, in bT + bK.
+    """
+    box = (_box_kind(t) == "box" and k.count >= t.count
+           and is_boundary_connected(k))
+    bsum = dilate(boundary(k), t if box else boundary(t))
+    erosion = erode_open(k, t)
+    return bsum, erosion, _restricted_sum_contained(k, t, erosion, bsum)
 
 
 def boundary(a: GridSet) -> GridSet:
@@ -636,26 +688,13 @@ def _full_components(occ: np.ndarray) -> int:
     return int(np.count_nonzero(parent == np.arange(len(starts))))
 
 
-def _require_connected(*grids: GridSet) -> None:
-    """The precondition of the voxel checkers: every boundary connected."""
-    for g in grids:
-        if not is_boundary_connected(g):
-            raise GridError("voxel checks require connected boundaries")
-
-
 def _restricted_sum_contained(k: GridSet, t: GridSet, erosion: GridSet,
                               bsum: GridSet) -> bool:
-    """Whether (K + T) minus the erosion lies inside bsum = bK + bT, for
-    bK, bT the face boundaries and the erosion erode_open(K, T).
-
-    The test is the definition: no cell of K + T lies outside both bsum
-    and the erosion.  K + T and bK + bT come out in the same frame: for
-    nonempty operands dilate's frame depends only on the operands' origins
-    and array shapes, and a boundary keeps its body's.  When K is empty
-    both sums are the empty set's one-cell array.  The voxel thm-4.2
-    trials' T is a box, so K + T takes dilate's box runs, and no pair of
-    cells is enumerated.
-    """
+    """Whether (K + T) minus the erosion lies inside bsum = bK + bT: by
+    the definition, no cell of K + T lies outside both.  K + T and bK + bT
+    come out in one frame, since dilate's frame depends only on the
+    operands' origins and array shapes (a boundary keeps its body's), and
+    both are the empty set's one-cell array when K is empty."""
     hole = _embed(erosion.origin, erosion.occ, bsum.origin, bsum.shape)
     return not (dilate(k, t).occ & ~bsum.occ & ~hole).any()
 

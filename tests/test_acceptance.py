@@ -17,7 +17,7 @@ from bmink.campaign import CampaignConfig, run_campaign
 from bmink.cli import main
 from bmink.exact2d import ConvexPolygon, minkowski_sum, scale
 from bmink.generators import gen_decomposition_pair, gen_polygon_pair, trial_rng
-from bmink.inequalities import check_thm_4_2_voxel, check_thm_bbm, rn_value
+from bmink.inequalities import check_thm_4_2, check_thm_bbm, rn_value
 from bmink.serialize import spec_from_polygon
 from bmink.voxel import (ShapeSpec, decomposition_check, dilate, erode_open,
                          rasterize, volume)
@@ -218,7 +218,7 @@ def test_criterion_10_restricted_sum_suite(capsys):
     for i in range(200):
         rng = trial_rng(70_000, i)
         k, _, t, _ = gen_decomposition_pair(rng, 2, 1 / 16)
-        _, pairs, roots = check_thm_4_2_voxel(k, t)
+        _, pairs, roots = check_thm_4_2(k, t)
         if pairs.slack < 0:
             pair_ok = False
         if roots.violation:

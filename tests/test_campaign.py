@@ -317,8 +317,8 @@ CHECKERS = {
     ("cor-multi", "exact"): "check_cor_multi",
     ("cor-multi", "voxel"): "check_cor_multi",
     ("lemma-pbm", "exact"): "check_lemma_pbm", ("rn", "exact"): "check_rn",
-    ("thm-4.2", "exact"): "check_arithmetic_bm",
-    ("thm-4.2", "voxel"): "check_thm_4_2_voxel",
+    ("thm-4.2", "exact"): "check_thm_4_2",
+    ("thm-4.2", "voxel"): "check_thm_4_2",
 }
 
 

@@ -34,8 +34,8 @@ from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, Point2,
                            _Lattice, _area2, _common, _erosion_ring, _rings,
                            _sum_ring, boundary_sum_volume, classify_equality,
                            erode, is_centrally_symmetric, minkowski_sum,
-                           partial_sum_area, reflect, scale, translate)
-from bmink.inequalities import multi_boundary_sum_volume
+                           multi_boundary_sum_volume, partial_sum_area,
+                           reflect, scale, translate)
 
 Ring = tuple[Point2, ...]
 

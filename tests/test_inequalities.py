@@ -5,12 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from bmink.exact2d import (ConvexPolygon, EqualityTag, GeometryError, Point2,
-                           scale, translate)
+                           multi_boundary_sum_volume, scale, translate)
 from bmink.generators import gen_connected_boundary_set, trial_rng
 from bmink.inequalities import (InequalityReport, check_cor_multi,
                                 check_lemma_pbm, check_rn, check_thm_av,
-                                check_thm_bbm, left_sum,
-                                multi_boundary_sum_volume, rn_value)
+                                check_thm_bbm, left_sum, rn_value)
 from bmink.voxel import GridError, ShapeSpec, rasterize
 
 SQUARE = ConvexPolygon.box((-1, -1), (1, 1))
@@ -133,6 +132,20 @@ def test_thm_av_voxel_engine():
     r = check_thm_av(k, t)
     assert r.slack >= -r.tolerance
     assert r.equality_class is None
+
+
+def test_voxel_thm_av_takes_its_root_from_math_sqrt():
+    # For boxes of 7 x 31 and 5 x 31 cells at h = 1/16, the float power
+    # 1/2 of the volume product misses the correctly rounded square root
+    # in the last bit, so the rhs must be math.sqrt's, bit for bit.
+    h = 1 / 16
+    k = rasterize(ShapeSpec.box((0, 0), (7 * h, 31 * h)), h)
+    t = rasterize(ShapeSpec.box((0, 0), (5 * h, 31 * h)), h)
+    assert (k.count, t.count) == (7 * 31, 5 * 31)
+    r = check_thm_av(k, t)
+    product = r.details["vol_k"] * r.details["vol_t"]
+    assert product ** 0.5 != math.sqrt(product)
+    assert r.rhs == math.sqrt(product)
 
 
 # -- multi-body bound --------------------------------------------------------------

@@ -21,8 +21,7 @@ def test_every_exported_name_resolves():
 
 @pytest.mark.parametrize("checker", [
     bmink.check_thm_av, bmink.check_cor_multi, bmink.check_thm_bbm,
-    bmink.check_lemma_pbm, bmink.check_rn, bmink.check_arithmetic_bm,
-    bmink.check_thm_4_2_voxel,
+    bmink.check_lemma_pbm, bmink.check_rn, bmink.check_thm_4_2,
 ], ids=lambda f: f.__name__)
 def test_checkers_take_only_their_mathematical_inputs(checker):
     # The campaign stamps seed, trial and shapes on each report, and the
@@ -168,6 +167,26 @@ def test_no_module_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in
                    _imported_modules(ast.parse(
                        path.read_text(encoding="utf-8"))))] == []
+
+
+def test_inequalities_uses_only_the_engines_public_names():
+    # The statements take their volumes from the engines' public
+    # functions: no private name of exact2d or voxel, and no polygon ring.
+    tree = ast.parse((Path(bmink.__file__).resolve().parent
+                      / "inequalities.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("exact2d", "voxel")]
+    private += [f".{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("_ring", "_den")]
+    private += [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module in ("exact2d", "voxel")
+                for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 # -- worker processes -------------------------------------------------------------

@@ -8,8 +8,7 @@ from bmink import campaign, voxel
 from bmink.campaign import CampaignConfig, _run_trial, run_campaign
 from bmink.exact2d import ConvexPolygon, scale
 from bmink.generators import gen_decomposition_pair, trial_rng
-from bmink.inequalities import (check_arithmetic_bm, check_thm_4_2_voxel,
-                                shrinking_pair_demo)
+from bmink.inequalities import check_thm_4_2, shrinking_pair_demo
 from bmink.voxel import (GridError, ShapeSpec, boundary, dilate, erode_open,
                          rasterize)
 
@@ -67,7 +66,7 @@ def test_admitted_pairs_exact_on_nested_boxes():
 
 def test_theta_bounds_fixture():
     k, t = fixture_pair()
-    _, pairs, roots = check_thm_4_2_voxel(k, t)
+    _, pairs, roots = check_thm_4_2(k, t)
     assert not pairs.violation
     assert pairs.theorem_id == "eq-4.2"
     assert pairs.details["containment_verdict"] is True
@@ -82,7 +81,7 @@ def test_theta_bounds_cell_exact_on_random_pairs():
     for seed in range(10):
         rng = trial_rng(904, seed)
         k, _, t, _ = gen_decomposition_pair(rng, 2, 1 / 16)
-        _, pairs, roots = check_thm_4_2_voxel(k, t)
+        _, pairs, roots = check_thm_4_2(k, t)
         assert pairs.slack >= 0  # counting bound is cell-exact
         assert not roots.violation
 
@@ -90,7 +89,7 @@ def test_theta_bounds_cell_exact_on_random_pairs():
 def test_theta_bounds_requires_volume_order():
     k, t = fixture_pair()
     with pytest.raises(GridError):
-        check_thm_4_2_voxel(t, k)
+        check_thm_4_2(t, k)
 
 
 def test_one_pass_per_voxel_trial(monkeypatch):
@@ -193,7 +192,7 @@ def test_voxel_pair_count_is_an_identity(dim, h):
               rasterize(ShapeSpec.box((-1,) * dim, (1,) * dim), h))
     assert not erode_open(*nested).is_empty
     for k, t in bodies + [nested]:
-        pairs = check_thm_4_2_voxel(k, t)[1]
+        pairs = check_thm_4_2(k, t)[1]
         assert pairs.slack == 0 and pairs.equality
         assert pairs.lhs == restricted_sum(k, t, erode_open(k, t))[1]
 
@@ -206,7 +205,7 @@ def test_containment_failure_is_flagged_violation(monkeypatch):
     monkeypatch.setattr(voxel, "_restricted_sum_contained",
                         lambda k, t, erosion, bsum: False)
     k, t = fixture_pair()
-    _, pairs, _ = check_thm_4_2_voxel(k, t)
+    _, pairs, _ = check_thm_4_2(k, t)
     assert pairs.flags == ("containment_failed",)
     assert pairs.details["containment_verdict"] is False
     summary = run_campaign(CampaignConfig(theorem="thm-4.2", engine="voxel",
@@ -217,14 +216,14 @@ def test_containment_failure_is_flagged_violation(monkeypatch):
 # -- arithmetic bound ---------------------------------------------------------------
 
 def test_arithmetic_bm_self_pair_exact():
-    r = check_arithmetic_bm(SQUARE, SQUARE)
+    r, = check_thm_4_2(SQUARE, SQUARE)
     assert r.lhs == 16 and r.rhs == 8
     assert r.slack > 0
     assert r.details["ratio_ok"] is True
 
 
 def test_arithmetic_bm_shrunk_pair_fails_as_expected():
-    r = check_arithmetic_bm(SQUARE, scale(SQUARE, F(1, 100)))
+    r, = check_thm_4_2(SQUARE, scale(SQUARE, F(1, 100)))
     assert r.lhs == F(16, 100)
     assert r.slack < 0
     assert "ratio_condition_violated" in r.flags
@@ -233,7 +232,7 @@ def test_arithmetic_bm_shrunk_pair_fails_as_expected():
 
 def test_arithmetic_bm_voxel_engine():
     k, t = fixture_pair()
-    r = check_thm_4_2_voxel(k, t)[0]
+    r = check_thm_4_2(k, t)[0]
     assert r.theorem_id == "thm-4.2" and r.engine == "voxel"
     assert r.slack >= -r.tolerance
     assert r.details["ratio_ok"] is False  # ratio 2 exceeds sqrt(2)

@@ -48,7 +48,7 @@ from bmink import generators, voxel
 from bmink.exact2d import GeometryError
 from bmink.generators import (_random_primitive, gen_connected_boundary_set,
                               gen_decomposition_pair, trial_rng)
-from bmink.inequalities import check_thm_4_2_voxel
+from bmink.inequalities import check_thm_4_2
 from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridError, GridSet,
                          ShapeSpec, _box_kind, _common_frame, _convolve,
                          _embed, _frames, _in_contact, _or_windows,
@@ -772,6 +772,17 @@ def test_lemma_needs_a_connected_summand():
         voxel._dilate_boundary(x, b)
 
 
+def test_boundary_sum_of_two_bodies_needs_no_connected_boundary():
+    # Two boundaries are summed by dilate alone, so a body whose boundary
+    # falls apart (as a scaled thm-bbm body may) is summed as it is; a
+    # third body joins through the lemma, and must have a connected one.
+    x = _grid((0, 0), np.ones((3, 3)))
+    b = _grid((0, 0), [[1, 0, 0, 0, 0, 1]])
+    assert voxel.boundary_sum([b, x]) == dilate_loop(boundary(x), b)
+    with pytest.raises(GridError, match="connected"):
+        voxel.boundary_sum([x, x, b])
+
+
 def _recorded_shells(monkeypatch) -> list:
     """The shell argument of each _box_sum call from now on."""
     shells, original = [], voxel._box_sum
@@ -796,7 +807,7 @@ def test_box_sum_replaces_the_shell_sum_on_generated_pairs(monkeypatch, dim,
         bk = boundary(k)
         assert dilate(bk, t) == dilate(bk, boundary(t))
         shells.clear()
-        check_thm_4_2_voxel(k, t)
+        check_thm_4_2(k, t)
         assert shells == [False, False]
 
 
@@ -814,9 +825,19 @@ def test_a_translate_of_t_sums_as_its_boundary(monkeypatch, lo, hi):
     bk = boundary(k)
     assert dilate(bk, t) == dilate_loop(bk, boundary(t))
     shells.clear()
-    reports = check_thm_4_2_voxel(k, t)
+    reports = check_thm_4_2(k, t)
     assert shells == [False, False]
     assert "containment_failed" not in reports[1].flags
+
+
+def test_a_box_t_larger_than_k_keeps_its_boundary_sum():
+    # With |K| < |T| the proof behind bK + T fails: a 3 x 3 K and a 6 x 6
+    # box T give a full bK + T, while bK + bT misses the middle cells.
+    k = rasterize(ShapeSpec.box((0, 0), (3 / 16, 3 / 16)), 1 / 16)
+    t = rasterize(ShapeSpec.box((0, 0), (6 / 16, 6 / 16)), 1 / 16)
+    bsum = dilate_loop(boundary(k), boundary(t))
+    assert dilate(boundary(k), t).count > bsum.count
+    assert voxel.decompose_sum(k, t)[0] == bsum
 
 
 def test_a_general_t_keeps_its_boundary_sum():
@@ -826,7 +847,7 @@ def test_a_general_t_keeps_its_boundary_sum():
     k, t = GENERAL_T_CASES[2]
     bsum = dilate_loop(boundary(k), boundary(t))
     assert dilate(boundary(k), t).count > bsum.count
-    assert check_thm_4_2_voxel(k, t)[0].lhs == volume(bsum)
+    assert check_thm_4_2(k, t)[0].lhs == volume(bsum)
 
 
 def contains_points(spec: ShapeSpec, points: np.ndarray) -> np.ndarray:
