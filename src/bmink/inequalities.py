@@ -320,7 +320,7 @@ def check_thm_4_2(k, t) -> list[InequalityReport]:
         lhs = bsum ** (2.0 / n)
         rhs = vol_k ** (2.0 / n) + vol_t ** (2.0 / n)
         vol_tol = voxel_slack_tolerance(
-            n, h, voxel.boundary(k).count + voxel.boundary(t).count)
+            n, h, voxel.boundary_count(k) + voxel.boundary_count(t))
         vref = max(min(vol_k, vol_t, max(bsum, 1e-12)), 1e-12)
         tol = vol_tol * (2.0 / n) * vref ** (2.0 / n - 1.0)
 

@@ -3,19 +3,21 @@
 A GridSet is a dense boolean occupancy array over a bounded window of the
 integer lattice, scaled by a cell size h.  Dilation (discrete Minkowski
 sum) and open erosion by a box separate into runs of shifted ORs or ANDs
-along each axis, which the voxel thm-4.2 trials take, their T being a box;
-dilation by a box's face boundary is a union of such runs, which the
-boundary sums of one-box bodies take.  Other open erosions threshold the
-convolution of two occupancy arrays as exact integer cell counts over the
-fit window, the part of the sum frame that can hold an erosion cell.
-Other dilations scatter every pair of occupied cells when the operands
-are sparse, as 2D boundary sums are, and threshold the same convolution
-when they are dense.  The checkers take their boundary sums from
-boundary_sum and the parts of K + T from decompose_sum.  Interior and
-boundary come from face-neighbor shifts, and is_boundary_connected counts
-the components of a graph of runs along the last axis, so set identities
-are exact, only the conversion from cell counts to volumes involves
-floating point, and the engine needs numpy alone.
+along each axis, which one kernel, _runs, forms on the flat array; the
+voxel thm-4.2 trials take them, their T being a box, and form K + T from
+bK + T and one translate of K.  Dilation by a box's face boundary is a
+union of such runs, which the boundary sums of one-box bodies take.  Other
+open erosions threshold the convolution of two occupancy arrays as exact
+integer cell counts over the fit window, the part of the sum frame that
+can hold an erosion cell.  Other dilations scatter every pair of occupied
+cells when the operands are sparse, as 2D boundary sums are, and threshold
+the same convolution when they are dense.  The checkers take their
+boundary sums from boundary_sum and the parts of K + T from decompose_sum.
+Interior and boundary come from face-neighbor shifts, and
+is_boundary_connected counts the components of a graph of runs along the
+last axis, so set identities are exact, only the conversion from cell
+counts to volumes involves floating point, and the engine needs numpy
+alone.
 
 This engine doubles as the brute-force oracle for the exact polygon engine
 and is the only engine for non-convex sets.  It is the only module of the
@@ -23,7 +25,7 @@ package that imports numpy.  The exact and scalar checks never load it:
 the other modules look it up at call time, in their voxel branches, and a
 voxel campaign loads it when its config is validated.  ShapeSpec and
 GridError live in serialize.py and are re-exported here; rasterize
-evaluates a spec through bbox and _on_mesh.
+evaluates a spec through bbox and _on_mesh, and a box straight as a box.
 """
 
 from __future__ import annotations
@@ -336,9 +338,9 @@ def _box_kind(g: GridSet) -> Optional[str]:
     box's face boundary and every side of the box is at least 3, else None.
 
     A shell's cells lie on the faces of the inner box, so it has exactly
-    prod(sides) - prod(sides - 2) of them and none in occ[2:-2, ...]; with
-    that count and no such cell, every face cell is occupied.  A box with
-    a side below 3 is its own face boundary, and reads "box".  The count is
+    _shell_count(sides) of them and none in occ[2:-2, ...]; with that
+    count and no such cell, every face cell is occupied.  A box with a
+    side below 3 is its own face boundary, and reads "box".  The count is
     cached, so a body that is neither costs O(1) unless the counts match.
     """
     if g.is_empty:
@@ -346,25 +348,56 @@ def _box_kind(g: GridSet) -> Optional[str]:
     sides = [n - 2 for n in g.shape]
     if g.count == math.prod(sides):
         return "box"
-    if (min(sides) >= 3
-            and g.count == math.prod(sides) - math.prod(s - 2 for s in sides)
+    if (min(sides) >= 3 and g.count == _shell_count(sides)
             and not g.occ[(slice(2, -2),) * g.dim].any()):
         return "shell"
     return None
 
 
+def _shell_count(sides: Sequence[int]) -> int:
+    """The cells of the face boundary of a box with the given sides: all
+    of them, minus the box of sides s - 2 inside (none when a side is
+    below 3, and then the box is its own boundary)."""
+    return math.prod(sides) - math.prod(max(s - 2, 0) for s in sides)
+
+
 def _runs(x: np.ndarray, ax: int, length: int, op: np.ufunc) -> None:
-    """Set x[..., i, ...] to op over x[..., i - length + 1 .. i, ...] along
-    axis ax, in place, by log-doubling shifts: after each shift by `step`
-    an entry covers `step` more of its run.  Entries whose run starts
-    before index 0 cover only the part of it inside the array."""
+    """Run op over `length` cells along axis ax of a C-contiguous array, in
+    place, on its flat view: flat entry j becomes op over the entries
+    j - k * stride, 0 <= k < length, that are >= 0, for stride =
+    prod(x.shape[ax + 1:]), the flat distance of one step along ax.
+
+    The run goes by log-doubling shifts, the logarithmic decomposition of a
+    line segment into two-point structuring elements (van den Boomgaard &
+    van Balen, CVGIP: Graphical Models and Image Processing 54(3), 1992):
+    after a shift by `step` axis steps an entry covers `step` more of its
+    run, so a run of L cells takes ceil(log2 L) shifts.  Each shift reads
+    one buffer and writes the other, so no operand overlaps its output, and
+    the result ends in x.  An entry at index i >= length - 1 along ax
+    covers the cells i - length + 1 to i of its own row, as a run along the
+    axis would.  An entry at a smaller index covers the row's cells 0 to i
+    and then reads across the row: into the last length - 1 - i entries of
+    the row before it in the flat order (the row with the same indices on
+    the later axes and the flat-previous ones on the earlier axes), or
+    nothing in the first row.  Each caller proves that no entry it keeps is
+    changed by that.  A non-contiguous array is refused: its flat view
+    would be a copy, and the result would be lost.
+    """
+    if not x.flags.c_contiguous:
+        raise ValueError("_runs needs a C-contiguous array")
+    stride = math.prod(x.shape[ax + 1:])
+    flat = src = x.reshape(-1)
+    dst = np.empty_like(flat)
     done = 1
     while done < length:
         step = min(done, length - done)
-        head = (slice(None),) * ax + (slice(step, None),)
-        tail = (slice(None),) * ax + (slice(None, -step),)
-        op(x[head], x[tail], out=x[head])
+        shift = step * stride
+        op(src[shift:], src[:-shift], out=dst[shift:])
+        dst[:shift] = src[:shift]
+        src, dst = dst, src
         done += step
+    if src is not flat:
+        flat[:] = src
 
 
 def _box_sum(a: np.ndarray, box: Sequence[int], shell: bool) -> np.ndarray:
@@ -380,6 +413,14 @@ def _box_sum(a: np.ndarray, box: Sequence[int], shell: bool) -> np.ndarray:
     thick there and full length along the others, and dilation
     distributes over the union.  The work is boolean ORs of shifted
     arrays, with no rounding; the sum frame passes _check_extent first.
+
+    Every entry is kept, and none is changed by a run of _runs reading
+    across a row.  Along an axis with a run of `side` cells, the array
+    holds a in its first a.shape[ax] entries and nothing in the side - 1
+    after them (the frame's empty tail), and runs along the other axes
+    move no cell along this one.  An entry reads across a row only into
+    the last side - 1 entries of the row before, which are empty, and an
+    OR with empty cells changes nothing.
     """
     frame = [m + n - 1 for m, n in zip(a.shape, box)]
     _check_extent(frame)
@@ -411,15 +452,17 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
 
     Three exact kernels give the same cells.  When either operand is a box
     or a box's face boundary (see _box_kind), _box_sum ORs shifted copies
-    of the other operand, a run per axis.  Otherwise _pair_sums sets the
-    sum of every pair of occupied cells, at a cost of |A| * |B| pairs, and
-    _convolve transforms P padded cells, a cell being in the sum exactly
-    when the convolution count there is positive.  dilate scatters the
+    of the other operand, a run per axis on the flat array (_runs).
+    Otherwise _pair_sums sets the sum of every pair of occupied cells, at
+    a cost of |A| * |B| pairs, and _convolve transforms P padded cells, a
+    cell being in the sum exactly when the convolution count there is
+    positive.  dilate scatters the
     pairs when |A| * |B| <= _PAIR_COST * P, and convolves otherwise.
 
-    In the campaigns, the voxel thm-4.2 sums bK + T and K + T, T a box,
-    take the plain box runs, and a boundary sum with a one-box body takes
-    the shell runs.  The 2D boundary sums of two general bodies take the
+    In the campaigns, the voxel thm-4.2 sum bK + T, T a box, takes the
+    plain box runs, one call per trial (decompose_sum forms K + T from it
+    with no second sum), and a boundary sum with a one-box body takes the
+    shell runs.  The 2D boundary sums of two general bodies take the
     pairs, and so does most of the multi-body band, which _dilate_boundary
     hands over as its edge cells only; the CLI's sums of general full
     bodies take the FFT.  Over chunks 0-4 of voxel-sparse at seed 0 (one
@@ -469,7 +512,10 @@ def _dilate_boundary(x: GridSet, body: GridSet) -> GridSet:
     lemma of boundary_sum).  E, x minus an AND of runs of 3 cells per
     axis, keeps x's extreme cells, so E + B lands in dilate's frame for x
     and B, where dilate's cost rule picks its kernel, and x + b0 inside
-    it.  Empty, box and shell operands take dilate itself.
+    it.  Empty, box and shell operands take dilate itself.  E keeps the
+    runs at index 2 and later along every axis (inner[2:, ...]), past the
+    first two entries, the only ones whose run of 3 reaches across a row;
+    x's first index per axis is its empty margin, and is kept as it is.
     """
     if not is_boundary_connected(body):
         raise GridError("voxel checks require connected boundaries")
@@ -525,20 +571,27 @@ def decompose_sum(k: GridSet, t: GridSet
     erosion lies in bK + bT (eq-4.2's containment verdict), for K and T on
     one grid.
 
-    When T is a box (as in the voxel thm-4.2 trials, whose K + T then
-    takes the box runs too), |K| >= |T| and bK is connected, bK + bT is
-    formed as the cheaper bK + T.  By the lemma of boundary_sum (X = T,
-    E = bT, B = bK), bK + T minus bK + bT lies in T + k for every k in
-    bK.  If K's array is longer than T's on some axis, two such T + k are
-    disjoint; if not, |K| >= |T| makes K a translate of T, and the T + k
-    of K's extreme corners share one cell, T's last corner plus K's
-    first, in bT + bK.
+    In the box case (_box_pair: T is a box, |K| >= |T| and bK is
+    connected, as in the voxel thm-4.2 trials), bK + bT is formed as the
+    cheaper bK + T, one pass of box runs, and _restricted_sum_contained
+    forms K + T from it and one translate of K, with no second sum.  By
+    the lemma of boundary_sum (X = T, E = bT, B = bK), bK + T minus
+    bK + bT lies in T + k for every k in bK.  If K's array is longer than
+    T's on some axis, two such T + k are disjoint; if not, |K| >= |T|
+    makes K a translate of T, and the T + k of K's extreme corners share
+    one cell, T's last corner plus K's first, in bT + bK.  Otherwise both
+    sums are formed as they are defined.
     """
-    box = (_box_kind(t) == "box" and k.count >= t.count
-           and is_boundary_connected(k))
-    bsum = dilate(boundary(k), t if box else boundary(t))
+    bsum = dilate(boundary(k), t if _box_pair(k, t) else boundary(t))
     erosion = erode_open(k, t)
     return bsum, erosion, _restricted_sum_contained(k, t, erosion, bsum)
+
+
+def _box_pair(k: GridSet, t: GridSet) -> bool:
+    """decompose_sum's box case: T a box (see _box_kind), |K| >= |T| and
+    bK connected.  Every test reads a cached count or verdict."""
+    return (_box_kind(t) == "box" and k.count >= t.count
+            and is_boundary_connected(k))
 
 
 def boundary(a: GridSet) -> GridSet:
@@ -561,6 +614,14 @@ def boundary(a: GridSet) -> GridSet:
         edge[inner] &= ~core
         a._boundary = GridSet._tight(a.dim, a.h, a.origin, edge)
     return a._boundary
+
+
+def boundary_count(a: GridSet) -> int:
+    """|boundary(a)|; for a box (see _box_kind) read from its sides, with
+    no boundary built."""
+    if _box_kind(a) == "box":
+        return _shell_count([n - 2 for n in a.shape])
+    return boundary(a).count
 
 
 def erode_open(a: GridSet, b: GridSet) -> GridSet:
@@ -608,15 +669,21 @@ def _box_fit(inter: np.ndarray, box: Sequence[int]) -> np.ndarray:
     is in the erosion when interior(a) holds the cells j + 1 to j + n - 2:
     x minus each box cell, at indices 1 to n - 2.  That is an AND over a
     run of n - 2 cells per axis, which _runs leaves at the run's last
-    index j + n - 2: the window is [n - 2, m - 1) of the runs.  Each axis
-    is cropped to it before the next is run.  The work is boolean ANDs
-    within a's array, which is already within the extent caps.
+    index j + n - 2: the window is [n - 2, m - 1) of the runs.  The work
+    is boolean ANDs within a's array, which is already within the extent
+    caps.
+
+    The window is cropped once, after the runs along every axis, and no
+    entry it keeps reads across a row.  Along each axis a kept entry sits
+    at index n - 2 or later, past the n - 3 first entries, the only ones
+    whose run reaches across a row.  A run along one axis combines only
+    entries with the same indices on the other axes, so a kept entry
+    depends only on entries at kept indices along every axis run before.
     """
     for ax, n in enumerate(box):
         _runs(inter, ax, n - 2, np.logical_and)
-        inter = inter[(slice(None),) * ax
-                      + (slice(n - 2, inter.shape[ax] - 1),)]
-    return inter
+    return inter[tuple(slice(n - 2, m - 1)
+                       for m, n in zip(inter.shape, box))]
 
 
 def is_boundary_connected(a: GridSet) -> bool:
@@ -694,9 +761,26 @@ def _restricted_sum_contained(k: GridSet, t: GridSet, erosion: GridSet,
     the definition, no cell of K + T lies outside both.  K + T and bK + bT
     come out in one frame, since dilate's frame depends only on the
     operands' origins and array shapes (a boundary keeps its body's), and
-    both are the empty set's one-cell array when K is empty."""
-    hole = _embed(erosion.origin, erosion.occ, bsum.origin, bsum.shape)
-    return not (dilate(k, t).occ & ~bsum.occ & ~hole).any()
+    both are the empty set's one-cell array when K is empty.
+
+    In decompose_sum's box case bsum is also bK + T, and K + T is
+    bsum u (K + t0), t0 T's first cell; only K + t0, a translate of K's
+    array, can then hold a cell outside bsum.  Proof: for p in K + T,
+    the box p - T meets K.  If it holds a cell of bK, p is in bK + T.  If
+    not, every cell it shares with K is interior, so its face neighbors
+    are in K; a box is face-connected, so p - T lies in K, and p - t0 is
+    in K.  T's first cell sits at index 1 of its array, so K + t0 has its
+    array at origin K.origin + T.origin + 1, the origin of dilate's frame
+    for bK and T: only the first K.shape entries of bsum's frame are
+    compared.  Any other T takes dilate(k, t).
+    """
+    if _box_pair(k, t):
+        whole = k.occ
+    else:
+        whole = dilate(k, t).occ
+    hole = _embed(erosion.origin, erosion.occ, bsum.origin, whole.shape)
+    inside = bsum.occ[tuple(slice(0, n) for n in whole.shape)]
+    return not (whole & ~inside & ~hole).any()
 
 
 @dataclass(frozen=True)
@@ -851,8 +935,11 @@ def rasterize(spec: ShapeSpec, h: float) -> GridSet:
     coordinates per axis, so no (cells x dim) point matrix is built.  A
     shape window that is not finite, or whose lattice indices exceed 2**52
     (where cell centers stop being exact in float64), raises GridError, as
-    does a window beyond the extent caps.
+    does a window beyond the extent caps.  A box is rasterized as a box
+    (see _raster_box), with no mesh and no normalizing pass.
     """
+    if spec.kind == "box":
+        return _raster_box(spec, h)
     origin, occ = _raster_window(spec, h)
     return GridSet(occ.ndim, h, origin, occ)
 
@@ -861,6 +948,52 @@ def _raster_window(spec: ShapeSpec, h: float) -> _Window:
     """rasterize(spec, h) before normalizing: the occupancy of every cell
     whose center lies in the spec's bounding box, and the lattice position
     of the first of them."""
+    first, shape = _window_extent(spec, h)
+    axes = []
+    for k, (i, n) in enumerate(zip(first, shape)):
+        axes.append(_centers(i, n, h).reshape(
+            [n if j == k else 1 for j in range(len(shape))]))
+    return tuple(first), _on_mesh(spec, axes)
+
+
+def _raster_box(spec: ShapeSpec, h: float) -> GridSet:
+    """rasterize(spec, h) for a box spec, straight as its tight GridSet.
+
+    A cell center passes _on_mesh's box test when each coordinate passes
+    that axis's interval test, which this evaluates on the same center
+    vector of the same window.  Cell centers do not decrease with the
+    index (rounding is monotone and h > 0), so the centers that pass on
+    an axis form one run of indices, and the box's cells are the product
+    of those runs: an all-true array with the one-cell margin, or the
+    empty set when some run is empty.
+    """
+    first, shape = _window_extent(spec, h)
+    dim, lo, sides = len(shape), [], []
+    for i, n, a, b in zip(first, shape, spec.lo, spec.hi):
+        x = _centers(i, n, h)
+        hit = np.flatnonzero((x >= float(a)) & (x <= float(b)))
+        if not hit.size:
+            return GridSet(dim, h, first, np.zeros((1,) * dim, bool))
+        lo.append(i + int(hit[0]) - 1)
+        sides.append(hit.size)
+    occ = np.zeros([s + 2 for s in sides], bool)
+    occ[(slice(1, -1),) * dim] = True
+    grid = GridSet._tight(dim, float(h), tuple(lo), occ)
+    grid._count = math.prod(sides)
+    return grid
+
+
+def _centers(first: int, n: int, h: float) -> np.ndarray:
+    """World coordinates of the centers of n cells along one axis, from
+    lattice index `first`."""
+    return (np.arange(first, first + n) + 0.5) * h
+
+
+def _window_extent(spec: ShapeSpec, h: float
+                   ) -> tuple[list[int], list[int]]:
+    """The first lattice index and the cell count per axis of the cells
+    whose centers lie in spec's bounding box, checked against the lattice
+    index bound and the extent caps before anything is allocated."""
     if not h > 0:
         raise GridError("resolution h must be positive")
     dim = spec.ndim
@@ -882,11 +1015,7 @@ def _raster_window(spec: ShapeSpec, h: float) -> _Window:
         first.append(math.floor(i))
         shape.append(math.ceil(j) - first[-1] + 1)
     _check_extent([n + 2 for n in shape])
-    axes = []
-    for k, (i, n) in enumerate(zip(first, shape)):
-        x = (np.arange(i, i + n) + 0.5) * h
-        axes.append(x.reshape([n if j == k else 1 for j in range(dim)]))
-    return tuple(first), _on_mesh(spec, axes)
+    return first, shape
 
 
 def _or_windows(dim: int, h: float, windows: Sequence[_Window]) -> GridSet:

@@ -93,13 +93,14 @@ def test_theta_bounds_requires_volume_order():
 
 
 def test_one_pass_per_voxel_trial(monkeypatch):
-    # One voxel thm-4.2 trial builds bK and bT once, and neither convolves
-    # nor scatters pairs: T is a box, so bK + bT (bT a box's face
-    # boundary) and the open erosion by T both take the box runs.  A
-    # boundary is built by the first boundary() call on a body, the
-    # connectivity check's; later calls return the cached GridSet.  Trial
-    # 0 of the 3D campaign draws a K narrower than T on one axis, whose
-    # erosion is empty without any kernel, so the 3D case is trial 1.
+    # One voxel thm-4.2 trial builds bK once and bT never, and neither
+    # convolves nor scatters pairs: T is a box, so bK + bT (as bK + T) and
+    # the open erosion by T both take the box runs, and |bT| is read from
+    # T's sides.  A boundary is built by the first boundary() call on a
+    # body, the connectivity check's; later calls return the cached
+    # GridSet.  Trial 0 of the 3D campaign draws a K narrower than T on
+    # one axis, whose erosion is empty without any kernel, so the 3D case
+    # is trial 1.
     calls = {}
     originals = {name: getattr(voxel, name)
                  for name in ("_convolve", "_pair_sums", "boundary")}
@@ -127,7 +128,7 @@ def test_one_pass_per_voxel_trial(monkeypatch):
         assert [r.theorem_id for r in reports] == [
             "thm-4.2", "eq-4.2", "eq-4.3"]
         assert calls == {"_convolve": 0, "_pair_sums": 0,
-                         "boundary builds": 2}
+                         "boundary builds": 1}
 
 
 @pytest.mark.parametrize("dim,h,trials", [(2, 1 / 32, 20), (3, 1 / 16, 8)])

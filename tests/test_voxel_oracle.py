@@ -6,29 +6,34 @@ the kernel-based operations; the pair scattering and FFT convolution
 kernels of dilation are checked against `dilate_loop` on their own as well
 as through `dilate`, and the box runs, which take every box operand and
 box face boundary, through `dilate` and `erode_open` with the other two
-kernels unable to run.  `restricted_sum` forms the restricted sum set and its
-admitted pair count from the convolution of K with T, and `is_subset`
+kernels unable to run.  `restricted_sum` forms the restricted sum set and
+its admitted pair count from the convolution of K with T, and `is_subset`
 compares two cell sets; together they are the oracle for the eq-4.2
 containment verdict, which the engine decides by comparing K + T with the
 boundary sum cell by cell.  `full_components` counts full-adjacency
 components with scipy's `ndimage.label`, which the engine's run-graph
 labeller `_full_components` replaced; scipy is a test dependency only.
-`dilate_loop` is also the oracle of `_dilate_boundary`, which sums X
-with a boundary connected under full adjacency through X's edge cells
+`dilate_loop` is also the oracle of `_dilate_boundary`, which sums X with
+a boundary connected under full adjacency through X's edge cells
 (`full_edge_loop` by loops) and one translate of X; `lemma_sum` forms that
 union by loops, for a disconnected summand where it falls short.
 `convolve_loop` counts the pairs at every cell of the full sum frame, and
 the FFT convolution over any window of that frame must return the same
-counts there.  `dilate` and `boundary` build their
-GridSets without normalizing them, so their results are also checked
-against the same cells normalized by the public constructor.
-`contains_points` and `rasterize_points` evaluate a shape spec on a
-(cells x dim) matrix of cell centers, as rasterization did before it moved
-to an open mesh.  `gen_connected_boundary_set_ref` is the body generator
-before each primitive was rasterized once: it re-rasterizes the whole
-union for every candidate part and labels it.  Every property asserts
-cell-exact agreement: the same origin, the same occupancy and the same
-pair count, and for the generator the same spec and random state.
+counts there.  `runs_per_axis` is the box-run kernel before it moved to
+the flat array, the oracle of `_runs` on every entry its callers keep.
+`lemma_whole` forms K + T for a box T as (bK + T) u (K + t0) by loops, the
+identity the eq-4.2 containment verdict uses instead of a second sum.
+`dilate` and `boundary` build their GridSets without normalizing them, so
+their results are also checked against the same cells normalized by the
+public constructor.  `contains_points` and `rasterize_points` evaluate a
+shape spec on a (cells x dim) matrix of cell centers, as rasterization did
+before it moved to an open mesh, and `_meshed` rasterizes a box on the
+open mesh, as it was before boxes were rasterized as boxes.
+`gen_connected_boundary_set_ref` is the body generator before each
+primitive was rasterized once: it re-rasterizes the whole union for every
+candidate part and labels it.  Every property asserts cell-exact
+agreement: the same origin, the same occupancy and the same pair count,
+and for the generator the same spec and random state.
 """
 
 import itertools
@@ -799,8 +804,8 @@ def _recorded_shells(monkeypatch) -> list:
 def test_box_sum_replaces_the_shell_sum_on_generated_pairs(monkeypatch, dim,
                                                            h):
     # T is a box.  bK + T is bK + bT, and the checker forms it by the box
-    # runs, not the shell runs; K + T of the containment test takes the
-    # box runs too.
+    # runs, not the shell runs; K + T of the containment test comes from
+    # it and one translate of K, with no second sum.
     shells = _recorded_shells(monkeypatch)
     for trial in range(12):
         k, _, t, _ = gen_decomposition_pair(trial_rng(dim, trial), dim, h)
@@ -808,7 +813,7 @@ def test_box_sum_replaces_the_shell_sum_on_generated_pairs(monkeypatch, dim,
         assert dilate(bk, t) == dilate(bk, boundary(t))
         shells.clear()
         check_thm_4_2(k, t)
-        assert shells == [False, False]
+        assert shells == [False]
 
 
 @pytest.mark.parametrize("lo,hi", [((0, 0), (1, 1 / 2)),
@@ -826,7 +831,7 @@ def test_a_translate_of_t_sums_as_its_boundary(monkeypatch, lo, hi):
     assert dilate(bk, t) == dilate_loop(bk, boundary(t))
     shells.clear()
     reports = check_thm_4_2(k, t)
-    assert shells == [False, False]
+    assert shells == [False]
     assert "containment_failed" not in reports[1].flags
 
 
@@ -848,6 +853,207 @@ def test_a_general_t_keeps_its_boundary_sum():
     bsum = dilate_loop(boundary(k), boundary(t))
     assert dilate(boundary(k), t).count > bsum.count
     assert check_thm_4_2(k, t)[0].lhs == volume(bsum)
+
+
+# -- the flat run kernel and the parts of a voxel thm-4.2 trial --
+
+def runs_per_axis(x: np.ndarray, ax: int, length: int, op) -> None:
+    """The box runs before they moved to the flat array: op over
+    x[..., i - length + 1 .. i, ...] along axis ax, in place, by
+    log-doubling shifts of per-axis slices.  A run that starts before
+    index 0 covers only the part of it inside the array."""
+    done = 1
+    while done < length:
+        step = min(done, length - done)
+        head = (slice(None),) * ax + (slice(step, None),)
+        tail = (slice(None),) * ax + (slice(None, -step),)
+        op(x[head], x[tail], out=x[head])
+        done += step
+
+
+# Each op with its identity: the value a cell read across a row must hold
+# to change nothing.
+RUN_OPS = {"or": (np.logical_or, False), "and": (np.logical_and, True)}
+
+
+@st.composite
+def run_cases(draw):
+    """An array in dims 2-4, an axis, a run length from 1 to the axis
+    length + 2 and an op."""
+    dim = draw(st.integers(2, 4))
+    shape = tuple(draw(st.integers(1, 2 * SIDE[dim])) for _ in range(dim))
+    ax = draw(st.integers(0, dim - 1))
+    return (draw(arrays(bool, shape)), ax,
+            draw(st.integers(1, shape[ax] + 2)),
+            draw(st.sampled_from(sorted(RUN_OPS))))
+
+
+def _both_runs(x: np.ndarray, ax: int, length: int, op):
+    """The flat kernel's result and the per-axis one's, on copies of x."""
+    got, expected = x.copy(), x.copy()
+    voxel._runs(got, ax, length, op)
+    runs_per_axis(expected, ax, length, op)
+    return got, expected
+
+
+@given(run_cases())
+@example((np.ones((3, 4), bool), 1, 3, "or"))
+@example((np.eye(4, dtype=bool), 0, 6, "and"))
+@settings(max_examples=300, deadline=None)
+def test_flat_runs_match_per_axis_runs(case):
+    x, ax, length, name = case
+    op, identity = RUN_OPS[name]
+    # The entries at index length - 1 and later along ax, whose run stays
+    # in its row: the ones _box_fit and _dilate_boundary keep.
+    own = (slice(None),) * ax + (slice(length - 1, None),)
+    got, expected = _both_runs(x, ax, length, op)
+    assert np.array_equal(got[own], expected[own])
+    # Every entry, when the last length - 1 entries of each row hold the
+    # op's identity, as the empty tail of _box_sum's frame does for OR.
+    tail = (slice(None),) * ax + (slice(max(x.shape[ax] - length + 1, 0),
+                                         None),)
+    x = x.copy()
+    x[tail] = identity
+    got, expected = _both_runs(x, ax, length, op)
+    assert np.array_equal(got, expected)
+
+
+def test_flat_runs_refuse_a_non_contiguous_array():
+    # A strided view's flat view is a copy: runs on it would be lost.
+    x = np.zeros((4, 6), bool)
+    x[:, 0] = True
+    with pytest.raises(ValueError, match="contiguous"):
+        voxel._runs(x[:, ::2], 1, 2, np.logical_or)
+    assert x[:, 0].all() and not x[:, 2].any()
+
+
+@pytest.mark.parametrize("dim,h", [(2, 1 / 32), (3, 1 / 16), (4, 1 / 6)])
+def test_box_runs_match_cell_loops_on_generated_bodies(dim, h):
+    # The three callers of the run kernel: the box and shell sums, the box
+    # fit of the open erosion and the edge of a sum with a connected
+    # boundary.  The sums run with the other kernels unable to.
+    for trial in range(3):
+        k, _, t, _ = gen_decomposition_pair(trial_rng(dim, trial), dim, h)
+        other = gen_connected_boundary_set(trial_rng(dim, 50 + trial),
+                                           dim, h)[0]
+        assert _box_kind(t) == "box"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(voxel, "_convolve", _no_fft_or_pairs)
+            mp.setattr(voxel, "_pair_sums", _no_fft_or_pairs)
+            for body in (k, boundary(k), other):
+                for box in (t, boundary(t)):
+                    got = dilate(body, box)
+                    assert got == _renormalized(got) == dilate_loop(body, box)
+        for body in (k, other):
+            assert erode_open(body, t) == erode_open_loop(body, t)
+        got = voxel._dilate_boundary(k, other)
+        assert got == _renormalized(got) == dilate_loop(k, boundary(other))
+
+
+def lemma_whole(k: GridSet, t: GridSet) -> GridSet:
+    """(bK + T) u (K + t0), t0 T's first cell, by loops: K + T when T is a
+    box."""
+    t0 = t.cells()[0]
+    moved = GridSet(k.dim, k.h, tuple(map(add, k.origin, t0)), k.occ)
+    return union(dilate_loop(boundary(k), t), moved)
+
+
+def _recorded_dilates(monkeypatch) -> list:
+    """The operands of each dilate call from now on."""
+    calls, original = [], voxel.dilate
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(voxel, "dilate", recorded)
+    return calls
+
+
+def _lemma_cases(k: GridSet, t: GridSet) -> None:
+    """K + T by the lemma against the cell loop, and the engine's eq-4.2
+    verdict, formed without dilate(K, T), against the oracle's.  The
+    verdict is also asked with no erosion and with the erosion less one
+    cell, where K + T holds cells outside bK + bT, so that a verdict which
+    misses a part of K + T fails."""
+    assert voxel._box_pair(k, t)
+    assert lemma_whole(k, t) == dilate_loop(k, t)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_dilates(mp)
+        bsum, erosion, contained = voxel.decompose_sum(k, t)
+        holes = [erosion, _empty(k)]
+        if erosion.count > 1:
+            occ = erosion.occ.copy()
+            occ[tuple(np.argwhere(occ)[-1])] = False
+            holes.append(GridSet(k.dim, k.h, erosion.origin, occ))
+        verdicts = [voxel._restricted_sum_contained(k, t, hole, bsum)
+                    for hole in holes]
+    assert all(a is not k for a, _ in calls)
+    assert verdicts[0] == contained
+    assert verdicts == [is_subset(restricted_sum(k, t, hole)[0], bsum)
+                        for hole in holes]
+
+
+@pytest.mark.parametrize("dim,h,trials", [(2, 1 / 128, 4), (3, 1 / 32, 2),
+                                          (4, 1 / 8, 3)])
+def test_k_plus_t_lemma_on_generated_pairs(dim, h, trials):
+    for trial in range(trials):
+        k, _, t, _ = gen_decomposition_pair(trial_rng(dim, trial), dim, h)
+        _lemma_cases(k, t)
+
+
+# Boxes with a side of 1 or 2 cells, their own face boundaries.
+THIN_SIDES = [(1, 5), (2, 2), (5, 1), (2, 1, 3), (1, 1, 1), (2, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("sides", THIN_SIDES, ids=str)
+def test_k_plus_t_lemma_on_thin_boxes_and_translates(sides):
+    # K a translate of T, a box two cells wider per axis than the largest
+    # T, and a random blob when its boundary is connected.
+    dim = len(sides)
+    t = _grid((1, -2, 0, 3)[:dim], np.ones(sides))
+    translate = _grid((-4,) * dim, np.ones(sides))
+    rng = np.random.default_rng(list(sides))
+    blob = _grid((2,) * dim, rng.random((6,) * dim) < 0.7)
+    for k in (translate, _grid((0,) * dim, np.ones((7,) * dim)), blob):
+        if k is not blob or is_boundary_connected(k):
+            _lemma_cases(k, t)
+
+
+def test_general_t_takes_the_full_sum(monkeypatch):
+    calls = _recorded_dilates(monkeypatch)
+    for k, t in GENERAL_T_CASES:
+        assert not voxel._box_pair(k, t)
+        calls.clear()
+        voxel.decompose_sum(k, t)
+        assert [(a, b) for a, b in calls if a is k] == [(k, t)]
+
+
+@pytest.mark.parametrize("dim,h", [(2, 1 / 128), (3, 1 / 32)])
+def test_a_trial_makes_one_box_sum_and_builds_no_boundary_of_t(
+        monkeypatch, dim, h):
+    shells = _recorded_shells(monkeypatch)
+    calls = _recorded_dilates(monkeypatch)
+    for trial in range(6):
+        k, _, t, _ = gen_decomposition_pair(trial_rng(dim, trial), dim, h)
+        shells.clear()
+        calls.clear()
+        check_thm_4_2(k, t)
+        assert shells == [False]
+        assert all(a is not k for a, _ in calls)
+        assert t._boundary is None
+
+
+@pytest.mark.parametrize("dim", ALLOWED_DIMS)
+def test_boundary_count_reads_a_box_from_its_sides(dim):
+    for sides in itertools.product(range(1, 6), repeat=dim):
+        box = _grid((0,) * dim, np.ones(sides))
+        assert voxel.boundary_count(box) == boundary(box).count
+        fresh = _grid((0,) * dim, np.ones(sides))
+        voxel.boundary_count(fresh)
+        assert fresh._boundary is None
+    body = _grid((0,) * dim, _near_misses(dim, 4)[0].occ)
+    assert voxel.boundary_count(body) == boundary_loop(body).count
 
 
 def contains_points(spec: ShapeSpec, points: np.ndarray) -> np.ndarray:
@@ -984,6 +1190,57 @@ def test_generated_unions_match_point_matrix(dim, h):
     for trial in range(6):
         grid, spec = gen_connected_boundary_set(trial_rng(dim, trial), dim, h)
         assert grid == rasterize_points(spec, h)
+
+
+@st.composite
+def box_specs(draw):
+    """A box in dims 2-4 and a cell size: corners on quarter cells (faces
+    on cell centers and between them) or arbitrary floats, negative ones
+    included, and widths from a quarter cell, thinner than a cell, up."""
+    dim = draw(st.sampled_from(ALLOWED_DIMS))
+    h = draw(st.sampled_from(RES[dim]))
+    lo = [draw(coords(h)) for _ in range(dim)]
+    width = [draw(st.one_of(st.integers(1, 12).map(lambda n: n * h / 4),
+                            st.floats(1e-3, 1.0))) for _ in range(dim)]
+    return ShapeSpec.box(lo, [a + w for a, w in zip(lo, width)]), h
+
+
+def _meshed(spec: ShapeSpec, h: float) -> GridSet:
+    """rasterize before boxes skipped the mesh: the window's occupancy on
+    the open mesh, normalized by the public constructor."""
+    origin, occ = _raster_window(spec, h)
+    return GridSet(spec.ndim, h, origin, occ)
+
+
+@given(box_specs())
+@example((ShapeSpec.box((1 / 32, -3 / 32), (5 / 32, 1 / 32)), 1 / 16))
+@example((ShapeSpec.box((3 / 64, 0), (5 / 64, 1)), 1 / 16))
+@example((ShapeSpec.box((-0.3, -0.2, -1), (-0.25, 0.2, -0.5)), 1 / 8))
+@example((ShapeSpec.box((-1, -1, -1, -1), (-0.5, 1, -0.75, 0)), 1 / 4))
+@settings(max_examples=300, deadline=None)
+def test_boxes_rasterize_as_the_mesh_does(case):
+    # The first example's faces sit on cell centers; the second is thinner
+    # than a cell and holds none.
+    spec, h = case
+    got = rasterize(spec, h)
+    assert got == _renormalized(got) == _meshed(spec, h)
+    assert got.count == int(got.occ.sum())
+
+
+@pytest.mark.parametrize("spec", [
+    ShapeSpec.box((0, 0), (math.inf, 1)),
+    ShapeSpec.box((-math.inf, 0, 0), (0, 1, 1)),
+    ShapeSpec.box((0, 0), (1e300, 1)),
+    ShapeSpec.box((2.0 ** 50, 0), (2.0 ** 50 + 1, 1)),
+    ShapeSpec.box((0, 0), (2.0 ** 35, 1)),
+], ids=["infinite", "minus-infinite", "far", "beyond-2**52", "extent-cap"])
+def test_box_path_raises_the_mesh_path_error(spec):
+    with pytest.raises(GridError) as box:
+        rasterize(spec, 1 / 32)
+    with pytest.raises(GridError) as mesh:
+        _raster_window(spec, 1 / 32)
+    assert type(box.value) is type(mesh.value)
+    assert str(box.value) == str(mesh.value)
 
 
 def _rounding_edge_ball(dim: int, h: float, grouping) -> ShapeSpec:
