@@ -283,17 +283,6 @@ class ConvexPolygon:
         return (Point2(Fraction(min(xs), d), Fraction(min(ys), d)),
                 Point2(Fraction(max(xs), d), Fraction(max(ys), d)))
 
-    def contains(self, p: Point2) -> bool:
-        """Exact closed-set membership test."""
-        ring, ((px, py),), _ = _common(self._ring, self._den,
-                                       *_to_lattice([p]))
-        n = len(ring)
-        for i in range(n):
-            (ax, ay), (bx, by) = ring[i], ring[(i + 1) % n]
-            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
-                return False
-        return True
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ConvexPolygon) and self._den == other._den
                 and self._ring == other._ring)

@@ -254,15 +254,9 @@ def gen_box_set(rng: random.Random, dim: int, h: float
 
 def gen_decomposition_pair(rng: random.Random, dim: int, h: float
                            ) -> tuple[GridSet, ShapeSpec, GridSet, ShapeSpec]:
-    """Pair (K, T) safe for cell-exact decomposition checks: K is a random
-    connected-boundary union, T a plain box no larger than K.
-
-    A one-cell-thick boundary can be crossed diagonally by a full-adjacency
-    path wherever it steps diagonally itself (digital topology: 8-paths
-    cross 4-thin curves), which breaks the discrete sum decomposition when
-    the smaller body's rim has such steps (balls, reflex corners).  An
-    axis-aligned box rim has none, so restricting the smaller body to plain
-    boxes keeps every decomposition identity cell-exact.
+    """Pair (K, T) that meets voxel.decompose_sum's precondition (see
+    there why T must be a box): K is a random connected-boundary union, T
+    a plain box no larger than K.
 
     T is shrunk until |T| <= |K|.  When the 2h half-width floor stops it
     from shrinking further, K is too small for any such box and the pair

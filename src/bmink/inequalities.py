@@ -284,9 +284,9 @@ def check_thm_4_2(k, t) -> list[InequalityReport]:
     vol K / vol T on the exact engine and (vol K / vol T)^(1/n) on voxels.
 
     Exact engine (convex polygons, n = 2, so the exponent 2/n is 1): one
-    report, compared in rationals.  Voxel engine (|K| >= |T| on one grid,
-    connected boundaries), with the parts of K + T from
-    voxel.decompose_sum: thm-4.2 (tolerance), then
+    report, compared in rationals.  Voxel engine, with the parts of K + T
+    from voxel.decompose_sum, whose precondition (T a box, |K| >= |T|, bK
+    connected) is the checker's: thm-4.2 (tolerance), then
     eq-4.2 (cell-exact): the pairs (x, y) of K x T with x not in
     (erosion - y) number at least |T| (|K| - |K erosion T|), and their sum
     set, (K + T) minus the erosion, lies inside bK + bT, else the report is
@@ -308,11 +308,8 @@ def check_thm_4_2(k, t) -> list[InequalityReport]:
         lhs, rhs, tol = exact2d.partial_sum_area(k, t), vol_k + vol_t, 0.0
     else:
         from . import voxel
-        _require_voxel_hypotheses(k, t)
-        if k.count < t.count:
-            raise GridError("requires volume(K) >= volume(T); swap the pair")
-        n, h = k.dim, k.h
         bsum_set, erosion, contained = voxel.decompose_sum(k, t)
+        n, h = k.dim, k.h
         vol_k, vol_t = voxel.volume(k), voxel.volume(t)
         sizes, engine = (k.count, t.count), VOXEL
         ratio = (vol_k / vol_t) ** (1.0 / n)

@@ -4,20 +4,20 @@ A GridSet is a dense boolean occupancy array over a bounded window of the
 integer lattice, scaled by a cell size h.  Dilation (discrete Minkowski
 sum) and open erosion by a box separate into runs of shifted ORs or ANDs
 along each axis, which one kernel, _runs, forms on the flat array; the
-voxel thm-4.2 trials take them, their T being a box, and form K + T from
-bK + T and one translate of K.  Dilation by a box's face boundary is a
-union of such runs, which the boundary sums of one-box bodies take.  Other
-open erosions threshold the convolution of two occupancy arrays as exact
-integer cell counts over the fit window, the part of the sum frame that
-can hold an erosion cell.  Other dilations scatter every pair of occupied
-cells when the operands are sparse, as 2D boundary sums are, and threshold
-the same convolution when they are dense.  The checkers take their
-boundary sums from boundary_sum and the parts of K + T from decompose_sum.
-Interior and boundary come from face-neighbor shifts, and
-is_boundary_connected counts the components of a graph of runs along the
-last axis, so set identities are exact, only the conversion from cell
-counts to volumes involves floating point, and the engine needs numpy
-alone.
+voxel thm-4.2 trials take them, T being a box by decompose_sum's
+precondition, and form K + T from bK + T and one translate of K.
+Dilation by a box's face boundary is a union of such runs, which the
+boundary sums of one-box bodies take.  Other open erosions threshold the
+convolution of two occupancy arrays as exact integer cell counts over the
+fit window, the part of the sum frame that can hold an erosion cell.
+Other dilations scatter every pair of occupied cells when the operands
+are sparse, as 2D boundary sums are, and threshold the same convolution
+when they are dense.  The checkers take their boundary sums from
+boundary_sum and the parts of K + T from decompose_sum.  Interior and
+boundary come from face-neighbor shifts, and is_boundary_connected counts
+the components of a graph of runs along the last axis, so set identities
+are exact, only the conversion from cell counts to volumes involves
+floating point, and the engine needs numpy alone.
 
 This engine doubles as the brute-force oracle for the exact polygon engine
 and is the only engine for non-convex sets.  It is the only module of the
@@ -459,15 +459,16 @@ def dilate(a: GridSet, b: GridSet) -> GridSet:
     positive.  dilate scatters the
     pairs when |A| * |B| <= _PAIR_COST * P, and convolves otherwise.
 
-    In the campaigns, the voxel thm-4.2 sum bK + T, T a box, takes the
-    plain box runs, one call per trial (decompose_sum forms K + T from it
-    with no second sum), and a boundary sum with a one-box body takes the
-    shell runs.  The 2D boundary sums of two general bodies take the
-    pairs, and so does most of the multi-body band, which _dilate_boundary
-    hands over as its edge cells only; the CLI's sums of general full
-    bodies take the FFT.  Over chunks 0-4 of voxel-sparse at seed 0 (one
-    worker), the shell runs took 213 of the 700 kernel calls, the pairs
-    480, the FFT 6 and the plain box runs 1.
+    In the campaigns, the voxel thm-4.2 sum bK + T takes the plain box
+    runs, one call per trial (decompose_sum requires a box T, see its
+    precondition, and forms K + T from bK + T with no second sum), and a
+    boundary sum with a one-box body takes the shell runs.  The 2D boundary
+    sums of two general bodies take the pairs, and so does most of the
+    multi-body band, which _dilate_boundary hands over as its edge cells
+    only; the CLI's sums of general full bodies take the FFT.  Over chunks
+    0-4 of voxel-sparse at seed 0 (one worker), the shell runs took 213 of
+    the 700 kernel calls, the pairs 480, the FFT 6 and the plain box runs
+    1.
 
     _PAIR_COST is the measured break-even.  On the benchmark's 2D boundary
     sums (h = 1/128, numpy FFT, a 2-CPU x86-64 machine) a pair cost about
@@ -571,27 +572,38 @@ def decompose_sum(k: GridSet, t: GridSet
     erosion lies in bK + bT (eq-4.2's containment verdict), for K and T on
     one grid.
 
-    In the box case (_box_pair: T is a box, |K| >= |T| and bK is
-    connected, as in the voxel thm-4.2 trials), bK + bT is formed as the
-    cheaper bK + T, one pass of box runs, and _restricted_sum_contained
-    forms K + T from it and one translate of K, with no second sum.  By
-    the lemma of boundary_sum (X = T, E = bT, B = bK), bK + T minus
-    bK + bT lies in T + k for every k in bK.  If K's array is longer than
-    T's on some axis, two such T + k are disjoint; if not, |K| >= |T|
-    makes K a translate of T, and the T + k of K's extreme corners share
-    one cell, T's last corner plus K's first, in bT + bK.  Otherwise both
-    sums are formed as they are defined.
+    Precondition, else GridError: T is a box (see _box_kind), |K| >= |T|
+    and bK is connected under full adjacency.  Each test reads a cached
+    count or verdict.  Only for a box T is the decomposition
+    K + T = (bK + bT) u (K (-) T) cell-exact on a grid.  A one-cell-thick
+    boundary can be crossed diagonally by a full-adjacency path wherever
+    it steps diagonally itself (digital topology: 8-paths cross 4-thin
+    curves; Klette & Rosenfeld, Digital Geometry, 2004), which breaks the
+    identity when T's rim has such steps (balls, reflex corners).  An
+    axis-aligned box rim has none.  Measured with a T that is not a box,
+    two gen_connected_boundary_set bodies drawn from trial_rng(3, i) with
+    the larger as K: the containment fails on 90 of 154 such 2D pairs
+    (i < 212, h = 1/32) and on 1 of 52 3D pairs (i < 69, h = 1/16), and
+    the brute-force oracle agrees on each of the 50 it was run on.  Those
+    verdicts would be artifacts of the grid, not findings.
+
+    bK + bT is formed as bK + T, one pass of box runs, and
+    _restricted_sum_contained forms K + T from it and one translate of K,
+    with no second sum.  By the lemma of boundary_sum (X = T, E = bT,
+    B = bK), bK + T minus bK + bT lies in T + k for every k in bK.  If K's
+    array is longer than T's on some axis, two such T + k are disjoint; if
+    not, |K| >= |T| makes K a translate of T, and the T + k of K's extreme
+    corners share one cell, T's last corner plus K's first, in bT + bK.
     """
-    bsum = dilate(boundary(k), t if _box_pair(k, t) else boundary(t))
+    if _box_kind(t) != "box":
+        raise GridError("voxel thm-4.2 requires T to be a box")
+    if k.count < t.count:
+        raise GridError("requires volume(K) >= volume(T); swap the pair")
+    if not is_boundary_connected(k):
+        raise GridError("voxel checks require connected boundaries")
+    bsum = dilate(boundary(k), t)
     erosion = erode_open(k, t)
-    return bsum, erosion, _restricted_sum_contained(k, t, erosion, bsum)
-
-
-def _box_pair(k: GridSet, t: GridSet) -> bool:
-    """decompose_sum's box case: T a box (see _box_kind), |K| >= |T| and
-    bK connected.  Every test reads a cached count or verdict."""
-    return (_box_kind(t) == "box" and k.count >= t.count
-            and is_boundary_connected(k))
+    return bsum, erosion, _restricted_sum_contained(k, erosion, bsum)
 
 
 def boundary(a: GridSet) -> GridSet:
@@ -755,32 +767,25 @@ def _full_components(occ: np.ndarray) -> int:
     return int(np.count_nonzero(parent == np.arange(len(starts))))
 
 
-def _restricted_sum_contained(k: GridSet, t: GridSet, erosion: GridSet,
+def _restricted_sum_contained(k: GridSet, erosion: GridSet,
                               bsum: GridSet) -> bool:
-    """Whether (K + T) minus the erosion lies inside bsum = bK + bT: by
-    the definition, no cell of K + T lies outside both.  K + T and bK + bT
-    come out in one frame, since dilate's frame depends only on the
-    operands' origins and array shapes (a boundary keeps its body's), and
-    both are the empty set's one-cell array when K is empty.
+    """Whether (K + T) minus the erosion lies inside bsum = bK + bT, for a
+    pair of decompose_sum's: by the definition, no cell of K + T lies
+    outside both.
 
-    In decompose_sum's box case bsum is also bK + T, and K + T is
-    bsum u (K + t0), t0 T's first cell; only K + t0, a translate of K's
-    array, can then hold a cell outside bsum.  Proof: for p in K + T,
-    the box p - T meets K.  If it holds a cell of bK, p is in bK + T.  If
-    not, every cell it shares with K is interior, so its face neighbors
-    are in K; a box is face-connected, so p - T lies in K, and p - t0 is
-    in K.  T's first cell sits at index 1 of its array, so K + t0 has its
-    array at origin K.origin + T.origin + 1, the origin of dilate's frame
-    for bK and T: only the first K.shape entries of bsum's frame are
-    compared.  Any other T takes dilate(k, t).
+    There bsum is also bK + T, and K + T is bsum u (K + t0), t0 T's first
+    cell; only K + t0, a translate of K's array, can then hold a cell
+    outside bsum.  Proof: for p in K + T, the box p - T meets K.  If it
+    holds a cell of bK, p is in bK + T.  If not, every cell it shares with
+    K is interior, so its face neighbors are in K; a box is
+    face-connected, so p - T lies in K, and p - t0 is in K.  T's first
+    cell sits at index 1 of its array, so K + t0 has its array at origin
+    K.origin + T.origin + 1, the origin of dilate's frame for bK and T:
+    only the first K.shape entries of bsum's frame are compared.
     """
-    if _box_pair(k, t):
-        whole = k.occ
-    else:
-        whole = dilate(k, t).occ
-    hole = _embed(erosion.origin, erosion.occ, bsum.origin, whole.shape)
-    inside = bsum.occ[tuple(slice(0, n) for n in whole.shape)]
-    return not (whole & ~inside & ~hole).any()
+    hole = _embed(erosion.origin, erosion.occ, bsum.origin, k.shape)
+    inside = bsum.occ[tuple(slice(0, n) for n in k.shape)]
+    return not (k.occ & ~inside & ~hole).any()
 
 
 @dataclass(frozen=True)

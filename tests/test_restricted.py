@@ -204,7 +204,7 @@ def test_containment_failure_is_flagged_violation(monkeypatch):
     # kernel, so the campaign runs inline.
     monkeypatch.setattr(campaign, "_workers", lambda: 1)
     monkeypatch.setattr(voxel, "_restricted_sum_contained",
-                        lambda k, t, erosion, bsum: False)
+                        lambda k, erosion, bsum: False)
     k, t = fixture_pair()
     _, pairs, _ = check_thm_4_2(k, t)
     assert pairs.flags == ("containment_failed",)

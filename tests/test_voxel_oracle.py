@@ -60,7 +60,7 @@ from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridError, GridSet,
                          _pair_sums, _poly_signed_area, _raster_window,
                          _require_same_grid, _restricted_sum_contained, bbox,
                          boundary, dilate, erode_open, is_boundary_connected,
-                         rasterize, union, volume)
+                         rasterize, union)
 
 H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
@@ -549,9 +549,10 @@ CONTAINMENT_CASES = (
 )
 
 
-# Pairs whose T is not a box, so the K + T of the engine's containment test
-# takes dilate's pair scattering (the first and third) or its FFT (the
-# second).  The third is not contained.
+# Pairs whose T is not a box, outside decompose_sum's precondition; their
+# K + T takes dilate's pair scattering (the first and third) or its FFT
+# (the second).  The third is not contained: the oracle's verdicts on them
+# record why the precondition exists.
 GENERAL_T_CASES = (
     (rasterize(ShapeSpec.ball((0, 0), 9), 1.0),
      _rows([[1, 1, 1], [1, 0, 0], [1, 0, 0]])),
@@ -568,46 +569,80 @@ def test_general_t_cases_take_the_general_kernels():
     assert all(_box_kind(t) is None for _, t in GENERAL_T_CASES)
 
 
-def _containment(k: GridSet, t: GridSet) -> tuple[bool, bool]:
-    """The engine's eq-4.2 containment verdict and the oracle's."""
-    erosion = erode_open(k, t)
-    bsum = dilate(boundary(k), boundary(t))
-    return (_restricted_sum_contained(k, t, erosion, bsum),
-            is_subset(restricted_sum(k, t, erosion)[0], bsum))
+def oracle_contained(k: GridSet, t: GridSet) -> bool:
+    """The eq-4.2 containment verdict by the definition, for any K and T:
+    the restricted sum lies inside bK + bT."""
+    return is_subset(restricted_sum(k, t, erode_open(k, t))[0],
+                     dilate(boundary(k), boundary(t)))
+
+
+def meets_precondition(k: GridSet, t: GridSet) -> bool:
+    """decompose_sum's precondition: T a box, |K| >= |T|, bK connected."""
+    return (_box_kind(t) == "box" and k.count >= t.count
+            and is_boundary_connected(k))
 
 
 def test_containment_cases_have_their_verdicts():
-    assert [_containment(k, t)[1] for k, t in CONTAINMENT_CASES] == [
+    assert [oracle_contained(k, t) for k, t in CONTAINMENT_CASES] == [
         True, False, False, False]
-    assert [_containment(k, t)[1] for k, t in GENERAL_T_CASES] == [
+    assert [oracle_contained(k, t) for k, t in GENERAL_T_CASES] == [
         True, True, False]
 
 
 @st.composite
-def generated_pairs(draw):
-    """Two bodies of the voxel campaigns' generator, in dims 2-4."""
-    dim = draw(st.sampled_from(ALLOWED_DIMS))
-    h = {2: 1 / 16, 3: 1 / 8, 4: 1 / 4}[dim]
-    return tuple(gen_connected_boundary_set(
-        random.Random(draw(st.integers(0, 2 ** 32))), dim, h)[0]
-        for _ in range(2))
+def precondition_pairs(draw):
+    """K a random grid or a body of the voxel campaigns' generator, in
+    dims 2-4, with a connected boundary, and T a box at a random origin,
+    its sides drawn up to K's array's and then cut, the longest first,
+    until |T| <= |K|."""
+    if draw(st.booleans()):
+        k = draw(grid_tuples(1))[0]
+    else:
+        dim = draw(st.sampled_from(ALLOWED_DIMS))
+        h = {2: 1 / 16, 3: 1 / 8, 4: 1 / 4}[dim]
+        k = gen_connected_boundary_set(
+            random.Random(draw(st.integers(0, 2 ** 32))), dim, h)[0]
+    assume(is_boundary_connected(k))
+    sides = [draw(st.integers(1, n)) for n in k.shape]
+    while math.prod(sides) > k.count:
+        sides[sides.index(max(sides))] -= 1
+    origin = tuple(draw(st.integers(-4, 4)) for _ in sides)
+    return k, GridSet(k.dim, k.h, origin, np.ones(sides, bool))
 
 
-@given(st.one_of(grid_tuples(2), generated_pairs()))
+@given(precondition_pairs())
 @example(CONTAINMENT_CASES[0])
-@example(CONTAINMENT_CASES[1])
-@example(CONTAINMENT_CASES[2])
-@example(CONTAINMENT_CASES[3])
-@example(GENERAL_T_CASES[0])
-@example(GENERAL_T_CASES[1])
-@example(GENERAL_T_CASES[2])
 @settings(max_examples=200, deadline=None)
 def test_containment_verdict_matches_restricted_sum(pair):
-    # Any K and T, their boundaries connected or not, either one larger.
-    k, t = pair
-    assume(not t.is_empty)
-    got, expected = _containment(k, t)
-    assert got == expected
+    # Every such pair is contained, so the verdict is also asked with the
+    # erosion cut (see _lemma_cases), where it must fail.
+    _lemma_cases(*pair)
+
+
+# Pairs outside decompose_sum's precondition, each with the error it
+# raises: the three T that are not boxes; a 3 x 3 K with a 6 x 6 box T,
+# where bK + T would be full while bK + bT misses the middle cells; and a
+# box T with a K whose boundary falls apart.
+OUTSIDE_PRECONDITION = {
+    **{f"general-t-{i}": (k, t, "box")
+       for i, (k, t) in enumerate(GENERAL_T_CASES)},
+    "box-t-larger-than-k": (
+        rasterize(ShapeSpec.box((0, 0), (3 / 16, 3 / 16)), 1 / 16),
+        rasterize(ShapeSpec.box((0, 0), (6 / 16, 6 / 16)), 1 / 16),
+        "swap the pair"),
+    "k-boundary-disconnected": (_grid((0, 0), [[1, 1, 0, 0, 1, 1]] * 2),
+                                _grid((0, 0), [[1]]), "connected"),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIDE_PRECONDITION)
+@pytest.mark.parametrize("check", [voxel.decompose_sum, check_thm_4_2],
+                         ids=["decompose_sum", "check_thm_4_2"])
+def test_pairs_outside_the_precondition_raise(check, case):
+    k, t, message = OUTSIDE_PRECONDITION[case]
+    assert not meets_precondition(k, t)
+    with pytest.raises(GridError, match=message):
+        check(k, t)
 
 
 def full_components(occ: np.ndarray) -> int:
@@ -684,6 +719,31 @@ def test_holed_squares_keep_their_verdicts():
         assert voxel._full_components(occ) == full_components(occ)
         verdicts.append(is_boundary_connected(grid))
     assert verdicts == [True, False]
+
+
+def _holed_generated_body() -> GridSet:
+    """The 2D body the generator draws first from trial_rng(9, 181) at
+    h = 1/128, taken with its connectivity filter accepting every body, so
+    that the draw does not depend on is_boundary_connected."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voxel, "is_boundary_connected", lambda a: True)
+        return gen_connected_boundary_set(trial_rng(9, 181), 2, 1 / 128)[0]
+
+
+def test_a_generated_body_has_two_holes():
+    # The padded complement has three full-adjacency components: the
+    # outside and holes of 127 and 2 cells.
+    body = _holed_generated_body()
+    assert (body.count, body.shape) == (13744, (139, 153))
+    labels, n = ndimage.label(np.pad(~body.occ, 1), structure=np.ones((3, 3)))
+    assert n == 3
+    assert sorted(np.bincount(labels.ravel())[1:])[:2] == [2, 127]
+
+
+@pytest.mark.xfail(strict=True, reason="the voxel connectivity test accepts "
+                   "bodies with holes (ROADMAP, Smaller fixes)")
+def test_a_generated_body_with_holes_has_a_disconnected_boundary():
+    assert not is_boundary_connected(_holed_generated_body())
 
 
 @pytest.mark.parametrize("dim,h", [(2, 1 / 128), (3, 1 / 32)])
@@ -835,26 +895,6 @@ def test_a_translate_of_t_sums_as_its_boundary(monkeypatch, lo, hi):
     assert "containment_failed" not in reports[1].flags
 
 
-def test_a_box_t_larger_than_k_keeps_its_boundary_sum():
-    # With |K| < |T| the proof behind bK + T fails: a 3 x 3 K and a 6 x 6
-    # box T give a full bK + T, while bK + bT misses the middle cells.
-    k = rasterize(ShapeSpec.box((0, 0), (3 / 16, 3 / 16)), 1 / 16)
-    t = rasterize(ShapeSpec.box((0, 0), (6 / 16, 6 / 16)), 1 / 16)
-    bsum = dilate_loop(boundary(k), boundary(t))
-    assert dilate(boundary(k), t).count > bsum.count
-    assert voxel.decompose_sum(k, t)[0] == bsum
-
-
-def test_a_general_t_keeps_its_boundary_sum():
-    # T a plus sign: its center has an empty diagonal neighbor but no
-    # empty face neighbor, so bK + T holds cells that bK + bT lacks, and
-    # the checker must sum bT.
-    k, t = GENERAL_T_CASES[2]
-    bsum = dilate_loop(boundary(k), boundary(t))
-    assert dilate(boundary(k), t).count > bsum.count
-    assert check_thm_4_2(k, t)[0].lhs == volume(bsum)
-
-
 # -- the flat run kernel and the parts of a voxel thm-4.2 trial --
 
 def runs_per_axis(x: np.ndarray, ax: int, length: int, op) -> None:
@@ -976,7 +1016,7 @@ def _lemma_cases(k: GridSet, t: GridSet) -> None:
     verdict is also asked with no erosion and with the erosion less one
     cell, where K + T holds cells outside bK + bT, so that a verdict which
     misses a part of K + T fails."""
-    assert voxel._box_pair(k, t)
+    assert meets_precondition(k, t)
     assert lemma_whole(k, t) == dilate_loop(k, t)
     with pytest.MonkeyPatch.context() as mp:
         calls = _recorded_dilates(mp)
@@ -986,7 +1026,7 @@ def _lemma_cases(k: GridSet, t: GridSet) -> None:
             occ = erosion.occ.copy()
             occ[tuple(np.argwhere(occ)[-1])] = False
             holes.append(GridSet(k.dim, k.h, erosion.origin, occ))
-        verdicts = [voxel._restricted_sum_contained(k, t, hole, bsum)
+        verdicts = [_restricted_sum_contained(k, hole, bsum)
                     for hole in holes]
     assert all(a is not k for a, _ in calls)
     assert verdicts[0] == contained
@@ -1018,15 +1058,6 @@ def test_k_plus_t_lemma_on_thin_boxes_and_translates(sides):
     for k in (translate, _grid((0,) * dim, np.ones((7,) * dim)), blob):
         if k is not blob or is_boundary_connected(k):
             _lemma_cases(k, t)
-
-
-def test_general_t_takes_the_full_sum(monkeypatch):
-    calls = _recorded_dilates(monkeypatch)
-    for k, t in GENERAL_T_CASES:
-        assert not voxel._box_pair(k, t)
-        calls.clear()
-        voxel.decompose_sum(k, t)
-        assert [(a, b) for a, b in calls if a is k] == [(k, t)]
 
 
 @pytest.mark.parametrize("dim,h", [(2, 1 / 128), (3, 1 / 32)])
