@@ -5,11 +5,11 @@ every generated vertex is exact.  The points and the planted translations
 stay integers over SNAP from the draw to the hull; each coordinate is drawn
 with getrandbits exactly as random.randint would draw it, so the streams
 are those of randint.  Grid sets are unions of boxes and balls, each
-rasterized once into its own window: a part joins the body when its cells
+rasterized once into its own GridSet: a part joins the body when its cells
 overlap those of an accepted part or share a face with one, which keeps
 the occupancy face-connected (see gen_connected_boundary_set for why), the
-accepted windows become one GridSet, and a body is kept when its boundary
-is connected.  Pairs destined for cell-exact decomposition checks
+accepted parts are joined by one voxel.union, and a body is kept when its
+boundary is connected.  Pairs destined for cell-exact decomposition checks
 additionally restrict the smaller body to a plain box (see
 gen_decomposition_pair).  Because random pairs essentially never achieve
 equality in the volume bounds, the pair generators can deliberately plant
@@ -181,17 +181,16 @@ def gen_connected_boundary_set(seed_rng: random.Random, dim: int, h: float
     """Random union of primitives with a face-connected occupancy and a
     connected boundary.
 
-    Each drawn primitive is rasterized once, into its own window (the
-    cells of its bounding box; see voxel._raster_window).  A part joins the
-    body when it is empty or when it overlaps the body or shares a face
-    with it.  The body is the union of the parts accepted so far, so it is
-    in contact with a part exactly when one of those parts is, and the
-    contact test compares the new window with each accepted window in
-    turn.  The accepted windows are ORed into one GridSet at the end.  The
-    final body must also pass the boundary-connectivity filter (an annulus
-    made by near-coincident parts would fail it), which builds and caches
-    its boundary for the checkers.  Rejected draws are resampled within a
-    bounded budget.
+    Each drawn primitive is rasterized once, by voxel.rasterize, into its
+    own GridSet.  A part joins the body when it is empty or when it
+    overlaps the body or shares a face with it.  The body is the union of
+    the parts accepted so far, so it is in contact with a part exactly
+    when one of those parts is, and voxel.in_contact compares the new part
+    with each accepted part in turn.  The accepted parts are joined once,
+    at the end, by voxel.union.  The final body must also pass the
+    boundary-connectivity filter (an annulus made by near-coincident parts
+    would fail it), which builds and caches its boundary for the checkers.
+    Rejected draws are resampled within a bounded budget.
 
     The contact rule keeps the body face-connected by induction, because a
     nonempty rasterized box or ball is face-connected:
@@ -217,25 +216,24 @@ def gen_connected_boundary_set(seed_rng: random.Random, dim: int, h: float
         center = [seed_rng.uniform(-CENTER_RANGE / 2, CENTER_RANGE / 2)
                   for _ in range(dim)]
         spec = _random_primitive(seed_rng, dim, h, center)
-        window = voxel._raster_window(spec, h)
-        windows = [window] if window[1].any() else []
-        parts = 1
+        part = voxel.rasterize(spec, h)
+        parts = [] if part.is_empty else [part]
+        accepted = 1
         attempts = 0
-        while windows and parts < n_parts and attempts < 8:
+        while parts and accepted < n_parts and attempts < 8:
             attempts += 1
             lo, hi = voxel.bbox(spec)
             new_center = [seed_rng.uniform(lo[k] - 0.2, hi[k] + 0.2)
                           for k in range(dim)]
             part_spec = _random_primitive(seed_rng, dim, h, new_center)
-            window = voxel._raster_window(part_spec, h)
-            empty = not window[1].any()
-            if empty or any(voxel._in_contact(w, window) for w in windows):
+            part = voxel.rasterize(part_spec, h)
+            if part.is_empty or any(voxel.in_contact(p, part) for p in parts):
                 spec = ShapeSpec.union_of(spec, part_spec)
-                if not empty:
-                    windows.append(window)
-                parts += 1
-        if windows:
-            grid = voxel._or_windows(dim, h, windows)
+                if not part.is_empty:
+                    parts.append(part)
+                accepted += 1
+        if parts:
+            grid = voxel.union(*parts)
             if voxel.is_boundary_connected(grid):
                 return grid, spec
     raise GeometryError("grid generator exhausted its rejection budget")

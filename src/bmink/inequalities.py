@@ -25,9 +25,8 @@ from typing import Iterable, Optional, Sequence, Union
 from . import exact2d
 from .exact2d import (ConvexPolygon, EqualityClass, EqualityTag, GeometryError,
                       classify_equality, is_centrally_symmetric)
-from .serialize import (REPORT_VERSION, GridError, ShapeSpec, dumps_canonical,
-                        encode_number, json_value, shape_node_json,
-                        shapespec_to_json)
+from .serialize import (REPORT_VERSION, GridError, ShapeSpec, encode_number,
+                        json_value, shape_node_json)
 
 Value = Union[Fraction, float]
 
@@ -76,11 +75,9 @@ class InequalityReport:
 
     def shapes_json(self) -> str:
         """The "shapes" value of line(), which the reports of one trial
-        share and their caller may pass in; polygons are written as text."""
-        if self.shapes and type(self.shapes[0]) is ConvexPolygon:
-            return "[" + ",".join(map(shape_node_json, self.shapes)) + "]"
-        return (dumps_canonical([shapespec_to_json(s) for s in self.shapes])
-                if self.shapes else "[]")
+        share and their caller may pass in: each shape's node as
+        shape_node_json writes it, in a list as dumps_canonical writes one."""
+        return "[" + ",".join(map(shape_node_json, self.shapes)) + "]"
 
     def line(self, shapes: Optional[str] = None) -> str:
         """The report's JSON line, without its newline, as dumps_canonical
@@ -280,8 +277,9 @@ def check_thm_4_2(k, t) -> list[InequalityReport]:
     is recorded but not enforced (_in_window decides it, on the exact
     areas or the cell counts): out-of-window pairs are admitted to map
     where the unconditioned inequality fails, and their failures are
-    tagged expected findings instead of violations.  details.ratio is
-    vol K / vol T on the exact engine and (vol K / vol T)^(1/n) on voxels.
+    tagged expected findings instead of violations.  Voxel reports also
+    record details.ratio, (vol K / vol T)^(1/n) as a float; exact reports
+    carry only the exact vol_k and vol_t, from which the ratio follows.
 
     Exact engine (convex polygons, n = 2, so the exponent 2/n is 1): one
     report, compared in rationals.  Voxel engine, with the parts of K + T
@@ -300,11 +298,6 @@ def check_thm_4_2(k, t) -> list[InequalityReport]:
     if isinstance(k, ConvexPolygon):
         n, vol_k, vol_t = 2, k.area, t.area
         sizes, engine, proof = (vol_k, vol_t), EXACT, []
-        try:
-            ratio = float(vol_k / vol_t)
-        except OverflowError:
-            raise GeometryError("the area ratio vol(K)/vol(T) is too large: "
-                                "it overflows a float") from None
         lhs, rhs, tol = exact2d.partial_sum_area(k, t), vol_k + vol_t, 0.0
     else:
         from . import voxel
@@ -312,7 +305,6 @@ def check_thm_4_2(k, t) -> list[InequalityReport]:
         n, h = k.dim, k.h
         vol_k, vol_t = voxel.volume(k), voxel.volume(t)
         sizes, engine = (k.count, t.count), VOXEL
-        ratio = (vol_k / vol_t) ** (1.0 / n)
         bsum = voxel.volume(bsum_set)
         lhs = bsum ** (2.0 / n)
         rhs = vol_k ** (2.0 / n) + vol_t ** (2.0 / n)
@@ -337,11 +329,13 @@ def check_thm_4_2(k, t) -> list[InequalityReport]:
             tolerance=3.0 * n * h, details=vols)
         proof = [pairs, roots]
     ratio_ok = _in_window(n, *sizes)
+    details = {"vol_k": vol_k, "vol_t": vol_t, "ratio_ok": ratio_ok}
+    if engine == VOXEL:
+        details["ratio"] = (vol_k / vol_t) ** (1.0 / n)
     return [InequalityReport(
         theorem_id="thm-4.2", engine=engine, lhs=lhs, rhs=rhs, tolerance=tol,
         flags=() if ratio_ok else ("ratio_condition_violated",),
-        details={"vol_k": vol_k, "vol_t": vol_t,
-                 "ratio_ok": ratio_ok, "ratio": ratio}), *proof]
+        details=details), *proof]
 
 
 def shrinking_pair_demo(a: Fraction = Fraction(1, 100)) -> dict:

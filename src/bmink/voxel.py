@@ -26,6 +26,11 @@ the other modules look it up at call time, in their voxel branches, and a
 voxel campaign loads it when its config is validated.  ShapeSpec and
 GridError live in serialize.py and are re-exported here; rasterize
 evaluates a spec through bbox and _on_mesh, and a box straight as a box.
+Every set the engine and the generator pass around is a normalized
+GridSet: the generator rasterizes each part, tests it against the body
+with in_contact and joins the parts with one union, and union and the
+kernels build their results without a normalizing pass where they prove
+the result is normalized.
 """
 
 from __future__ import annotations
@@ -142,10 +147,6 @@ class GridSet:
     def shape(self) -> tuple[int, ...]:
         return self.occ.shape
 
-    def cells(self) -> np.ndarray:
-        """Absolute lattice indices of occupied cells, shape (count, dim)."""
-        return np.argwhere(self.occ) + np.asarray(self.origin)
-
     def same_grid(self, other: "GridSet") -> bool:
         return self.dim == other.dim and self.h == other.h
 
@@ -183,19 +184,6 @@ def _embed(src_origin: Sequence[int], src: np.ndarray,
         to.append(slice(lo - wo, hi - wo))
     out[tuple(to)] = src[tuple(from_)]
     return out
-
-
-def _common_frame(a: GridSet, b: GridSet):
-    """The smallest frame that holds the arrays of both operands, and each
-    operand's array in it.  The empty set's one-cell array sits at the
-    lattice origin, so an empty operand adds nothing to the frame."""
-    frames = [g for g in (a, b) if not g.is_empty] or [a]
-    lo = np.min([g.origin for g in frames], axis=0)
-    hi = np.max([np.add(g.origin, g.shape) for g in frames], axis=0)
-    shape = tuple(int(n) for n in hi - lo)
-    _check_extent(shape)
-    return (lo, _embed(a.origin, a.occ, lo, shape),
-            _embed(b.origin, b.occ, lo, shape))
 
 
 def _smooth_length(n: int) -> int:
@@ -293,41 +281,59 @@ def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def union(a: GridSet, b: GridSet) -> GridSet:
-    _require_same_grid(a, b)
-    lo, av, bv = _common_frame(a, b)
-    return GridSet(a.dim, a.h, lo, av | bv)
+def union(*sets: GridSet) -> GridSet:
+    """The union of one or more sets on one grid, with no normalizing pass.
 
-
-# A window is a raw occupancy array with the lattice position of its cell 0:
-# a rasterized shape before it is normalized into a GridSet.
-_Window = tuple[tuple[int, ...], np.ndarray]
-
-
-def _in_contact(a: _Window, b: _Window) -> bool:
-    """True when two windows share an occupied cell or have two occupied
-    cells that share a face.
-
-    Such a pair of cells lies in the box where the windows, each grown by
-    one cell, overlap, so only that box of each is compared: both arrays
-    are clipped to it, and a face contact is an overlap after a one-cell
-    shift along some axis.
+    The nonempty sets are ORed into the hull of their frames, the smallest
+    array that holds each of their arrays, which must pass the extent caps;
+    an empty set adds no cells and no frame.  The hull is normalized as it
+    is.  Each frame has an empty margin and touches its inner box on every
+    face.  So per axis the hull's first entry lies only in frames that
+    start there, where it is their empty margin, and the next entry holds
+    the extreme cells of those sets; the same holds at the hull's last two
+    entries.
     """
-    (oa, av), (ob, bv) = a, b
-    lo = [max(p, q) - 1 for p, q in zip(oa, ob)]
-    hi = [min(p + m, q + n) + 1
-          for p, m, q, n in zip(oa, av.shape, ob, bv.shape)]
+    first = sets[0]
+    for g in sets[1:]:
+        _require_same_grid(first, g)
+    full = [g for g in sets if not g.is_empty]
+    if len(full) < 2:
+        return full[0] if full else first
+    lo = tuple(min(g.origin[k] for g in full) for k in range(first.dim))
+    shape = [max(g.origin[k] + g.shape[k] for g in full) - lo[k]
+             for k in range(first.dim)]
+    _check_extent(shape)
+    occ = np.zeros(shape, dtype=bool)
+    for g in full:
+        occ[tuple(slice(o - a, o - a + n)
+                  for o, a, n in zip(g.origin, lo, g.shape))] |= g.occ
+    return GridSet._tight(first.dim, first.h, lo, occ)
+
+
+def in_contact(a: GridSet, b: GridSet) -> bool:
+    """True when two sets on one grid share a cell or have two cells that
+    share a face.
+
+    Such a pair of cells lies where the two frames overlap: a cell of
+    either set and its face neighbors lie in that set's frame, whose
+    margin holds the neighbors.  So only that box of each array is
+    compared, as a view of it, and a face contact is an overlap after a
+    one-cell shift along some axis.
+    """
+    _require_same_grid(a, b)
+    lo = [max(p, q) for p, q in zip(a.origin, b.origin)]
+    hi = [min(p + m, q + n)
+          for p, m, q, n in zip(a.origin, a.shape, b.origin, b.shape)]
     if any(l >= u for l, u in zip(lo, hi)):
         return False
-    shape = [u - l for l, u in zip(lo, hi)]
-    av, bv = _embed(oa, av, lo, shape), _embed(ob, bv, lo, shape)
+    av, bv = [g.occ[tuple(slice(l - o, u - o)
+                          for l, u, o in zip(lo, hi, g.origin))]
+              for g in (a, b)]
     if (av & bv).any():
         return True
-    for ax in range(av.ndim):
-        head = tuple(slice(None, -1) if k == ax else slice(None)
-                     for k in range(av.ndim))
-        tail = tuple(slice(1, None) if k == ax else slice(None)
-                     for k in range(av.ndim))
+    for ax in range(a.dim):
+        head = (slice(None),) * ax + (slice(None, -1),)
+        tail = (slice(None),) * ax + (slice(1, None),)
         if (av[head] & bv[tail]).any() or (av[tail] & bv[head]).any():
             return True
     return False
@@ -513,7 +519,8 @@ def _dilate_boundary(x: GridSet, body: GridSet) -> GridSet:
     lemma of boundary_sum).  E, x minus an AND of runs of 3 cells per
     axis, keeps x's extreme cells, so E + B lands in dilate's frame for x
     and B, where dilate's cost rule picks its kernel, and x + b0 inside
-    it.  Empty, box and shell operands take dilate itself.  E keeps the
+    it; b0 is B's first cell in the flat array, read by np.argmax.
+    Empty, box and shell operands take dilate itself.  E keeps the
     runs at index 2 and later along every axis (inner[2:, ...]), past the
     first two entries, the only ones whose run of 3 reaches across a row;
     x's first index per axis is its empty margin, and is kept as it is.
@@ -529,7 +536,8 @@ def _dilate_boundary(x: GridSet, body: GridSet) -> GridSet:
     edge = x.occ.copy()
     edge[(slice(1, -1),) * x.dim] &= ~inner[(slice(2, None),) * x.dim]
     out = dilate(GridSet._tight(x.dim, x.h, x.origin, edge), bb)
-    b0 = bb.cells()[0] + x.origin
+    first = np.unravel_index(int(np.argmax(bb.occ)), bb.shape)
+    b0 = [int(i) + p + q for i, p, q in zip(first, bb.origin, x.origin)]
     occ = out.occ | _embed(b0, x.occ, out.origin, out.shape)
     return GridSet._tight(x.dim, x.h, out.origin, occ)
 
@@ -945,20 +953,12 @@ def rasterize(spec: ShapeSpec, h: float) -> GridSet:
     """
     if spec.kind == "box":
         return _raster_box(spec, h)
-    origin, occ = _raster_window(spec, h)
-    return GridSet(occ.ndim, h, origin, occ)
-
-
-def _raster_window(spec: ShapeSpec, h: float) -> _Window:
-    """rasterize(spec, h) before normalizing: the occupancy of every cell
-    whose center lies in the spec's bounding box, and the lattice position
-    of the first of them."""
     first, shape = _window_extent(spec, h)
-    axes = []
-    for k, (i, n) in enumerate(zip(first, shape)):
-        axes.append(_centers(i, n, h).reshape(
-            [n if j == k else 1 for j in range(len(shape))]))
-    return tuple(first), _on_mesh(spec, axes)
+    dim = len(shape)
+    axes = [_centers(i, n, h).reshape([n if j == k else 1
+                                       for j in range(dim)])
+            for k, (i, n) in enumerate(zip(first, shape))]
+    return GridSet(dim, h, first, _on_mesh(spec, axes))
 
 
 def _raster_box(spec: ShapeSpec, h: float) -> GridSet:
@@ -1022,19 +1022,3 @@ def _window_extent(spec: ShapeSpec, h: float
     _check_extent([n + 2 for n in shape])
     return first, shape
 
-
-def _or_windows(dim: int, h: float, windows: Sequence[_Window]) -> GridSet:
-    """The GridSet of the union of the windows' occupied cells.
-
-    The windows are ORed into the smallest window that holds them all,
-    which must pass the extent caps with its margin, and normalized once.
-    """
-    lo = [min(o[k] for o, _ in windows) for k in range(dim)]
-    hi = [max(o[k] + w.shape[k] for o, w in windows) for k in range(dim)]
-    shape = [b - a for a, b in zip(lo, hi)]
-    _check_extent([n + 2 for n in shape])
-    out = np.zeros(shape, dtype=bool)
-    for origin, occ in windows:
-        out[tuple(slice(o - a, o - a + n)
-                  for o, a, n in zip(origin, lo, occ.shape))] |= occ
-    return GridSet(dim, h, lo, out)

@@ -421,13 +421,13 @@ def test_huge_decimal_exponent_errors_quickly(tmp_path, capsys, shape_files,
     assert "error:" in err and "exponent" in err
 
 
-def test_demo_ratio_beyond_float_range_errors_cleanly(capsys):
-    # The report records the area ratio 1/a^2 as a float: beyond the float
-    # range at a = 1e-160, still within it at a = 1e-150.
-    assert main(["demo", "remark-4.3", "--a", "1e-160"]) == 2
-    _one_error_line(capsys)
-    assert main(["demo", "remark-4.3", "--a", "1e-150"]) == 0
-    assert "FAILS, as expected" in capsys.readouterr().out
+def test_demo_runs_with_an_area_ratio_beyond_the_float_range(capsys):
+    # The exact report keeps its areas as rationals and records no float
+    # ratio, so the area ratio 1/a^2 may pass the float range, as it does
+    # at a = 1e-160 and not at a = 1e-150.
+    for a in ("1e-160", "1e-150"):
+        assert main(["demo", "remark-4.3", "--a", a]) == 0
+        assert "FAILS, as expected" in capsys.readouterr().out
 
 
 def _checkout_env() -> dict:

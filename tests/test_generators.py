@@ -127,12 +127,14 @@ def test_decomposition_pair_redraws_when_t_cannot_shrink(monkeypatch):
 
 def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
     # Seed 1's first thm-av trial draws both bodies without a retry.  Each
-    # drawn primitive is rasterized once, into its own window, never as
-    # part of a union spec, and each body's boundary is labelled once, by
-    # the generator: check_thm_av reuses the cached verdict.
-    labels, rasterized, drawn, in_check = [], [], [], []
+    # drawn primitive is rasterized once, into its own GridSet, never as
+    # part of a union spec, a box straight as a box, and each body's
+    # boundary is labelled once, by the generator: check_thm_av reuses the
+    # cached verdict.
+    labels, rasterized, boxes, drawn, in_check = [], [], [], [], []
     label = voxel._full_components
-    raster_window = voxel._raster_window
+    rasterize = voxel.rasterize
+    raster_box = voxel._raster_box
     random_primitive = generators._random_primitive
     check_thm_av = campaign.check_thm_av
 
@@ -140,9 +142,13 @@ def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
         labels.append(1)
         return label(*args, **kwargs)
 
-    def counted_window(spec, h):
+    def counted_rasterize(spec, h):
         rasterized.append(spec.kind)
-        return raster_window(spec, h)
+        return rasterize(spec, h)
+
+    def counted_box(spec, h):
+        boxes.append(1)
+        return raster_box(spec, h)
 
     def counted_primitive(*args):
         drawn.append(1)
@@ -155,7 +161,8 @@ def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
         return report
 
     monkeypatch.setattr(voxel, "_full_components", counted_label)
-    monkeypatch.setattr(voxel, "_raster_window", counted_window)
+    monkeypatch.setattr(voxel, "rasterize", counted_rasterize)
+    monkeypatch.setattr(voxel, "_raster_box", counted_box)
     monkeypatch.setattr(generators, "_random_primitive", counted_primitive)
     monkeypatch.setattr(campaign, "check_thm_av", counted_check)
     config = CampaignConfig(theorem="thm-av", engine="voxel", h=1 / 16,
@@ -165,6 +172,7 @@ def test_voxel_trial_builds_and_labels_each_body_once(monkeypatch):
     assert in_check == [0]
     assert len(rasterized) == len(drawn) == 5
     assert set(rasterized) <= {"box", "ball"}
+    assert len(boxes) == rasterized.count("box") > 0
 
 
 def test_voxel_thm_bbm_checker_reuses_the_generated_bodies(monkeypatch):

@@ -169,22 +169,27 @@ def test_no_module_imports_scipy():
                        path.read_text(encoding="utf-8"))))] == []
 
 
-def test_inequalities_uses_only_the_engines_public_names():
+@pytest.mark.parametrize("module,engines", [
+    ("inequalities", ("exact2d", "voxel")),
+    ("generators", ("voxel",)),
+], ids=["inequalities", "generators"])
+def test_modules_use_only_the_engines_public_names(module, engines):
     # The statements take their volumes from the engines' public
     # functions: no private name of exact2d or voxel, and no polygon ring.
+    # The generator draws its voxel bodies through voxel's public names.
     tree = ast.parse((Path(bmink.__file__).resolve().parent
-                      / "inequalities.py").read_text(encoding="utf-8"))
+                      / f"{module}.py").read_text(encoding="utf-8"))
     private = [
         f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr.startswith("_")
         and isinstance(node.value, ast.Name)
-        and node.value.id in ("exact2d", "voxel")]
+        and node.value.id in engines]
     private += [f".{node.attr}" for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)
                 and node.attr in ("_ring", "_den")]
     private += [alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1
-                and node.module in ("exact2d", "voxel")
+                and node.module in engines
                 for alias in node.names if alias.name.startswith("_")]
     assert private == []
 

@@ -11,6 +11,9 @@ rationals, so any drift in a computed area, slack, equality tag or witness
 changes a byte and fails here.  The exact campaigns cover planted
 translate and homothet pairs (thm-av), random λ = k/16 (thm-bbm), three
 bodies (cor-multi) and the arithmetic bound on the exact engine (thm-4.2).
+The thm-4.2 pin was re-recorded when its reports dropped the float
+details.ratio, which repeated the exact vol_k and vol_t; every other byte
+of those lines is unchanged.
 
 The voxel digests pin thm-4.2 with its restricted-sum bounds eq-4.2 and
 eq-4.3 in 2D at h = 1/16 and 3D at h = 1/32.  They were recorded while each
@@ -60,7 +63,7 @@ PINNED = [
           plant_rate=0.3),
      "e61264f9ac1030bf22c03370a0618bab55965a614953ae624370c7cd5837c90b"),
     (dict(theorem="thm-4.2", engine="exact", trials=30, seed=14),
-     "4f3d523e1c92ae101b960cc8868e87419c904c39b1cd8791f634907fef32a874"),
+     "a53f243a179532568521f5f306a31e7c22044ab684ebb95a576e1dd2c0542d59"),
     (dict(theorem="thm-4.2", engine="voxel", dim=2, h=1 / 16, trials=8,
           seed=21),
      "c23085ed5711f6050f11da79651841947fad22dfaf6b1382b54d4f6b089f021a"),

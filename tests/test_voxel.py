@@ -14,7 +14,7 @@ from bmink.voxel import (MAX_CELLS, GridError, GridExtentError, GridSet,
                          decomposition_check, dilate, erode_open,
                          is_boundary_connected, rasterize, union, volume)
 
-from test_voxel_oracle import difference, interior, is_subset
+from test_voxel_oracle import cells, difference, interior, is_subset
 
 BOX = ShapeSpec.box((-1, -1), (1, 1))
 BIGBOX = ShapeSpec.box((-2, -2), (2, 2))
@@ -171,15 +171,15 @@ def test_dilate_identity_element():
     b = rasterize(BOX, 0.5)
     out = dilate(single, b)
     assert out.count == b.count
-    assert set(map(tuple, out.cells())) == set(map(tuple, b.cells()))
+    assert set(map(tuple, cells(out))) == set(map(tuple, cells(b)))
 
 
 def test_dilate_translates_by_offset_cell():
     single = grid_from_cells([(3, -2)], h=0.5)
     b = rasterize(BOX, 0.5)
     out = dilate(single, b)
-    assert set(map(tuple, out.cells())) == {(c[0] + 3, c[1] - 2)
-                                            for c in map(tuple, b.cells())}
+    assert set(map(tuple, cells(out))) == {(c[0] + 3, c[1] - 2)
+                                           for c in map(tuple, cells(b))}
 
 
 def test_dilate_box_plus_box_is_box():

@@ -55,12 +55,11 @@ from bmink.generators import (_random_primitive, gen_connected_boundary_set,
                               gen_decomposition_pair, trial_rng)
 from bmink.inequalities import check_thm_4_2
 from bmink.voxel import (_PAIR_COST, ALLOWED_DIMS, GridError, GridSet,
-                         ShapeSpec, _box_kind, _common_frame, _convolve,
-                         _embed, _frames, _in_contact, _or_windows,
-                         _pair_sums, _poly_signed_area, _raster_window,
+                         ShapeSpec, _box_kind, _check_extent, _convolve,
+                         _embed, _frames, _pair_sums, _poly_signed_area,
                          _require_same_grid, _restricted_sum_contained, bbox,
-                         boundary, dilate, erode_open, is_boundary_connected,
-                         rasterize, union)
+                         boundary, dilate, erode_open, in_contact,
+                         is_boundary_connected, rasterize, union)
 
 H = 0.5
 SIDE = {2: 6, 3: 4, 4: 3}  # keeps every example within a few hundred cells
@@ -70,6 +69,25 @@ def _empty(like: GridSet) -> GridSet:
     """The empty set on the grid of `like`."""
     return GridSet(like.dim, like.h, (0,) * like.dim,
                    np.zeros((1,) * like.dim, bool))
+
+
+def cells(a: GridSet) -> np.ndarray:
+    """Absolute lattice indices of a's occupied cells, shape (count, dim),
+    in the order of the flat array."""
+    return np.argwhere(a.occ) + np.asarray(a.origin)
+
+
+def common_frame(a: GridSet, b: GridSet):
+    """The smallest frame that holds the arrays of both operands, and each
+    operand's array in it.  The empty set's one-cell array sits at the
+    lattice origin, so an empty operand adds nothing to the frame."""
+    frames = [g for g in (a, b) if not g.is_empty] or [a]
+    lo = np.min([g.origin for g in frames], axis=0)
+    hi = np.max([np.add(g.origin, g.shape) for g in frames], axis=0)
+    shape = tuple(int(n) for n in hi - lo)
+    _check_extent(shape)
+    return (lo, _embed(a.origin, a.occ, lo, shape),
+            _embed(b.origin, b.occ, lo, shape))
 
 
 def dilate_loop(a: GridSet, b: GridSet) -> GridSet:
@@ -88,19 +106,19 @@ def dilate_loop(a: GridSet, b: GridSet) -> GridSet:
 
 def boundary_loop(a: GridSet) -> GridSet:
     """Keep each occupied cell that has an unoccupied face neighbor."""
-    cells = {tuple(int(v) for v in c) for c in a.cells()}
+    occupied = {tuple(int(v) for v in c) for c in cells(a)}
     kept = np.zeros(a.shape, dtype=bool)
-    for c in cells:
+    for c in occupied:
         for k in range(a.dim):
             for step in (1, -1):
-                if c[:k] + (c[k] + step,) + c[k + 1:] not in cells:
+                if c[:k] + (c[k] + step,) + c[k + 1:] not in occupied:
                     kept[tuple(v - o for v, o in zip(c, a.origin))] = True
     return GridSet(a.dim, a.h, a.origin, kept)
 
 
 def difference(a: GridSet, b: GridSet) -> GridSet:
     """Cells of a that are not cells of b."""
-    lo, av, bv = _common_frame(a, b)
+    lo, av, bv = common_frame(a, b)
     return GridSet(a.dim, a.h, lo, av & ~bv)
 
 
@@ -118,7 +136,7 @@ def interior(a: GridSet) -> GridSet:
 def is_subset(a: GridSet, b: GridSet) -> bool:
     """Every cell of a is a cell of b."""
     _require_same_grid(a, b)
-    _, av, bv = _common_frame(a, b)
+    _, av, bv = common_frame(a, b)
     return not (av & ~bv).any()
 
 
@@ -274,6 +292,62 @@ def test_dilate_matches_cell_loop(pair):
 def _renormalized(g: GridSet) -> GridSet:
     """The same cells through the public, normalizing constructor."""
     return GridSet(g.dim, g.h, g.origin, g.occ.copy())
+
+
+@st.composite
+def union_cases(draw):
+    """1 to 4 sets on one grid in 2D-4D, each but the first placed
+    against the first: empty, anywhere near it, nested in it, just past
+    its cells along one axis, or far away along one axis."""
+    dim = draw(st.integers(2, 4))
+    first = draw(grids(dim))
+    sets = [first]
+    for _ in range(draw(st.integers(0, 3))):
+        place = draw(st.sampled_from(
+            ["empty", "near", "nested", "touching", "far"]))
+        g = draw(grids(dim))
+        if place == "empty":
+            g = _empty(first)
+        elif place == "nested":
+            g = GridSet(dim, H, first.origin,
+                        first.occ & draw(arrays(bool, first.shape)))
+        elif place in ("touching", "far"):
+            ax = draw(st.integers(0, dim - 1))
+            origin = list(np.add(first.origin, 1))
+            origin[ax] = (first.origin[ax] + first.shape[ax] - 1
+                          if place == "touching"
+                          else draw(st.sampled_from([-1, 1]))
+                          * draw(st.integers(20, 300)))
+            g = GridSet(dim, H, origin, g.occ[tuple(
+                slice(1, -1) if n > 2 else slice(None) for n in g.shape)])
+        sets.append(g)
+    return sets
+
+
+def cells_union(sets) -> GridSet:
+    """The union of the sets' cells, from their cell lists, through the
+    public, normalizing constructor."""
+    found = np.concatenate([cells(g) for g in sets])
+    if not len(found):
+        return _empty(sets[0])
+    lo = found.min(axis=0)
+    occ = np.zeros(found.max(axis=0) - lo + 1, dtype=bool)
+    occ[tuple((found - lo).T)] = True
+    return GridSet(sets[0].dim, sets[0].h, tuple(lo), occ)
+
+
+@given(union_cases())
+@example([SINGLE, _grid((300, -2), [[1]]), EMPTY])
+@example([SOLID_5X5, _grid((0, 2), [[1, 0], [0, 1]])])
+@example([EMPTY, EMPTY])
+@example([EMPTY, SINGLE])
+@settings(max_examples=300, deadline=None)
+def test_union_is_the_normalized_union_of_the_cells(sets):
+    # union builds its result with no normalizing pass; the public
+    # constructor leaves it unchanged exactly when it is normalized.
+    got = union(*sets)
+    assert got == _renormalized(got) == cells_union(sets)
+    assert got.occ.dtype == bool and got.occ.ndim == got.dim
 
 
 @st.composite
@@ -762,11 +836,11 @@ def test_run_labeller_matches_ndimage_on_generated_bodies(dim, h):
 def full_edge_loop(x: GridSet) -> GridSet:
     """Keep each occupied cell that has an unoccupied cell among its
     3^dim - 1 neighbors."""
-    cells = {tuple(int(v) for v in c) for c in x.cells()}
+    occupied = {tuple(int(v) for v in c) for c in cells(x)}
     steps = [s for s in itertools.product((-1, 0, 1), repeat=x.dim) if any(s)]
     kept = np.zeros(x.shape, dtype=bool)
-    for c in cells:
-        if any(tuple(map(add, c, s)) not in cells for s in steps):
+    for c in occupied:
+        if any(tuple(map(add, c, s)) not in occupied for s in steps):
             kept[tuple(v - o for v, o in zip(c, x.origin))] = True
     return GridSet(x.dim, x.h, x.origin, kept)
 
@@ -774,7 +848,7 @@ def full_edge_loop(x: GridSet) -> GridSet:
 def lemma_sum(x: GridSet, b: GridSet) -> GridSet:
     """(E + B) u (X + b0), E = full_edge_loop(X) and b0 B's first cell:
     X + B when B is connected under full adjacency."""
-    b0 = b.cells()[0]
+    b0 = cells(b)[0]
     moved = GridSet(x.dim, x.h, tuple(map(add, x.origin, b0)), x.occ)
     return union(dilate_loop(full_edge_loop(x), b), moved)
 
@@ -828,7 +902,7 @@ def test_lemma_needs_a_connected_summand():
     # of the far square.  B is its own boundary, and the helper refuses it.
     x = _grid((0, 0), np.ones((3, 3)))
     b = _grid((0, 0), [[1, 0, 0, 0, 0, 1]])
-    assert difference(dilate_loop(x, b), lemma_sum(x, b)).cells().tolist() \
+    assert cells(difference(dilate_loop(x, b), lemma_sum(x, b))).tolist() \
         == [[1, 6]]
     walk = _grid((0, 0), [[1, 0, 0], [0, 1, 1]])
     assert lemma_sum(x, walk) == dilate_loop(x, walk)
@@ -993,7 +1067,7 @@ def test_box_runs_match_cell_loops_on_generated_bodies(dim, h):
 def lemma_whole(k: GridSet, t: GridSet) -> GridSet:
     """(bK + T) u (K + t0), t0 T's first cell, by loops: K + T when T is a
     box."""
-    t0 = t.cells()[0]
+    t0 = cells(t)[0]
     moved = GridSet(k.dim, k.h, tuple(map(add, k.origin, t0)), k.occ)
     return union(dilate_loop(boundary(k), t), moved)
 
@@ -1237,10 +1311,10 @@ def box_specs(draw):
 
 
 def _meshed(spec: ShapeSpec, h: float) -> GridSet:
-    """rasterize before boxes skipped the mesh: the window's occupancy on
-    the open mesh, normalized by the public constructor."""
-    origin, occ = _raster_window(spec, h)
-    return GridSet(spec.ndim, h, origin, occ)
+    """rasterize before boxes skipped the mesh: the box as its union with
+    itself, which has the box's bounding box and cells and takes the open
+    mesh and the public, normalizing constructor."""
+    return rasterize(ShapeSpec.union_of(spec, spec), h)
 
 
 @given(box_specs())
@@ -1269,7 +1343,7 @@ def test_box_path_raises_the_mesh_path_error(spec):
     with pytest.raises(GridError) as box:
         rasterize(spec, 1 / 32)
     with pytest.raises(GridError) as mesh:
-        _raster_window(spec, 1 / 32)
+        _meshed(spec, 1 / 32)
     assert type(box.value) is type(mesh.value)
     assert str(box.value) == str(mesh.value)
 
@@ -1422,23 +1496,23 @@ def primitive_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_contact_agrees_with_labelling_the_union(case):
     first, second, h = case
-    a, b = _raster_window(first, h), _raster_window(second, h)
-    touching = _in_contact(a, b)
-    assert touching == _in_contact(b, a)
-    assert touching == (face_components(union(rasterize(first, h),
-                                              rasterize(second, h))) == 1)
+    a, b = rasterize(first, h), rasterize(second, h)
+    touching = in_contact(a, b)
+    assert touching == in_contact(b, a)
+    assert touching == (face_components(union(a, b)) == 1)
 
 
 @given(primitive_pairs())
 @settings(max_examples=100, deadline=None)
 def test_contact_then_or_is_the_connected_union(case):
-    # The generator's step: a part in contact is ORed into the body.
+    # The generator's step: a part in contact joins the body, and the
+    # joined parts are the rasterized union spec.
     first, second, h = case
-    a, b = _raster_window(first, h), _raster_window(second, h)
-    joined = union(rasterize(first, h), rasterize(second, h))
-    dim = first.ndim
-    assert _or_windows(dim, h, [a]) == rasterize(first, h)
-    assert ((_or_windows(dim, h, [a, b]) if _in_contact(a, b) else None)
+    a, b = rasterize(first, h), rasterize(second, h)
+    joined = union(a, b)
+    assert joined == _renormalized(joined) == rasterize(
+        ShapeSpec.union_of(first, second), h)
+    assert ((joined if in_contact(a, b) else None)
             == (joined if face_components(joined) == 1 else None))
 
 
@@ -1461,24 +1535,23 @@ def _box_cells(lo, hi) -> ShapeSpec:
 def test_contact_rejects_edge_and_corner_meetings(lo, hi, touching):
     first = _box_cells((0,) * len(lo), (1,) * len(lo))
     second = _box_cells(lo, hi)
-    a, b = _raster_window(first, 1 / 4), _raster_window(second, 1 / 4)
-    assert _in_contact(a, b) is touching
-    assert (face_components(union(rasterize(first, 1 / 4),
-                                  rasterize(second, 1 / 4))) == 1) is touching
+    a, b = rasterize(first, 1 / 4), rasterize(second, 1 / 4)
+    assert in_contact(a, b) is touching
+    assert (face_components(union(a, b)) == 1) is touching
 
 
 @pytest.mark.parametrize("offset,touching", [
     ((2, 0), True), ((0, -1), True), ((2, 2), False), ((-1, 2), False),
     ((3, 0), False), ((2, 0, 1), True), ((2, 2, 0), False),
-    ((0, 0, 0, -1), True), ((2, 2, 2, 2), False),
+    ((0, 0, 0, -1), True), ((2, 2, 2, 2), False), ((4, 0), False),
 ])
 def test_contact_across_abutting_windows(offset, touching):
-    # Windows without an empty rim: a face contact joins cells on the
-    # edges of two windows that do not overlap.
+    # Sets whose occupied boxes abut without overlapping: a face contact
+    # joins two cells that meet only where one set's cell lies in the
+    # other's empty margin.  At offset (4, 0) the frames do not overlap.
     dim = len(offset)
-    a = ((0,) * dim, np.ones((2,) * dim, dtype=bool))
-    b = (offset, np.ones((1,) * dim, dtype=bool))
-    assert _in_contact(a, b) is touching
-    assert _in_contact(b, a) is touching
-    joined = union(GridSet(dim, H, *a), GridSet(dim, H, *b))
-    assert (face_components(joined) == 1) is touching
+    a = GridSet(dim, H, (0,) * dim, np.ones((2,) * dim, dtype=bool))
+    b = GridSet(dim, H, offset, np.ones((1,) * dim, dtype=bool))
+    assert in_contact(a, b) is touching
+    assert in_contact(b, a) is touching
+    assert (face_components(union(a, b)) == 1) is touching
