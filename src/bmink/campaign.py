@@ -4,7 +4,7 @@ A (theorem, engine) campaign is one `_TRIALS` entry, a trial function run
 on independent trials of a root seed (per-trial streams are derived by
 counter, so any single trial can be replayed in isolation); it streams one
 JSON report line per check.  The exit-code contract is nonzero exactly when
-some report is a beyond-tolerance violation.
+some report line reads "violation": true (see InequalityReport).
 
 Trials run on every CPU the process may use.  The trial range is cut into
 contiguous blocks.  The first campaign with more than one block forks one
@@ -34,7 +34,9 @@ calling process starts no thread.
 
 Validating a voxel config loads the voxel engine, bmink.voxel, so its
 import is paid in set-up, not in the first trial; exact and scalar
-campaigns never load it.
+campaigns never load it.  Validation also refuses a setting that the
+campaign would never read, and a voxel cor-multi body count whose sum can
+never fit the grid caps, before any trial runs.
 """
 
 from __future__ import annotations
@@ -86,8 +88,20 @@ class CampaignConfig:
             raise GeometryError("lambda must lie strictly between 0 and 1")
         if not 0.0 <= self.plant_rate <= 1.0:
             raise GeometryError("plant rate must lie in [0, 1]")
+        # A setting the campaign never reads is an error, not a no-op.
+        if self.lam is not None and self.theorem != "thm-bbm":
+            raise GeometryError(f"{self.theorem} takes no lambda; only "
+                                "thm-bbm reads it")
+        if self.plant_rate and not (self.engine == EXACT
+                                    and self.theorem in _PLANTING):
+            raise GeometryError(
+                f"{self.engine} {self.theorem} plants no equality case; only "
+                "exact thm-av, thm-bbm and cor-multi take a plant rate")
+        if self.theorem != "cor-multi" and self.bodies != 3:
+            raise GeometryError(f"{self.theorem} takes no body count; only "
+                                "cor-multi reads it")
         if self.bodies < 3:
-            raise GeometryError("multi-body campaigns need at least 3 bodies")
+            raise GeometryError("cor-multi needs at least 3 bodies")
         if self.engine == EXACT and self.theorem == "cor-multi":
             # Bodies in [-r, r]^2 have areas up to (2r)^2, so the m-th power
             # slack is at most (2r)^(2m).  Capping m at 512 keeps the power
@@ -106,7 +120,16 @@ class CampaignConfig:
             raise GeometryError(f"{self.theorem} checks scalars and has no "
                                 "voxel engine")
         if self.engine == VOXEL:
-            from . import voxel  # noqa: F401  (see module doc)
+            from . import voxel  # see module doc
+            if self.theorem == "cor-multi":
+                # Each body spans at least MIN_BODY_CELLS cells per axis,
+                # so the sum of m spans at least (MIN_BODY_CELLS - 1) m + 1
+                # and its frame 2 more, the frame voxel.boundary_sum checks
+                # after the draw: a count that can never fit the grid caps
+                # is refused before a body is drawn.
+                voxel._check_extent(
+                    [(generators.MIN_BODY_CELLS - 1) * self.bodies + 3]
+                    * self.dim)
 
 
 @dataclass
@@ -251,6 +274,7 @@ _TRIALS = {
 }
 
 THEOREMS = tuple(dict.fromkeys(theorem for theorem, _ in _TRIALS))
+_PLANTING = ("thm-av", "thm-bbm", "cor-multi")  # exact trials that plant
 
 
 def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
@@ -267,13 +291,6 @@ def _run_trial(config: CampaignConfig, k: int) -> list[InequalityReport]:
         if planted:
             report.details["planted"] = planted[0]
     return reports
-
-
-def _is_violation(report: InequalityReport) -> bool:
-    # A ratio-tagged thm-4.2 failure lies outside the window where the bound
-    # is claimed: a finding, not a violation.
-    return "containment_failed" in report.flags or (
-        report.violation and "ratio_condition_violated" not in report.flags)
 
 
 def run_campaign(config: CampaignConfig,
@@ -412,7 +429,9 @@ def _replies(conns: list, config: CampaignConfig,
     as it answers, so a slow block holds up no other worker; at most
     _IN_FLIGHT_PER_WORKER blocks per worker are sent and not yet yielded.
     A generator that ends, for any reason, with blocks in flight drops the
-    pool."""
+    pool.  Static round-robin dispatch, read in order, would need neither
+    wait nor the window, but it ran slower on every bench workload on 2
+    CPUs, since a worker that finishes early idles behind a slow block."""
     from multiprocessing.connection import wait
 
     bounds = _bounds(config.trials, workers)
@@ -490,7 +509,7 @@ def _encode(report: InequalityReport, shapes=None) -> tuple[str, tuple]:
     return report.line(shapes), (
         report.theorem_id, float(report.slack),
         bool(report.details.get("planted")), report.equality, tag,
-        _is_violation(report))
+        report.violation)
 
 
 def _consume(summary: CampaignSummary, block: tuple,

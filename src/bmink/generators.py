@@ -53,6 +53,13 @@ MIN_SIZE = 0.4
 MAX_SIZE = 1.0
 CENTER_RANGE = 0.6
 GRID_RETRIES = 60
+# Each primitive's half-width or radius is at least 2.5 cells, and a snap
+# moves a coordinate by at most 1/8 cell.  So a box side is at least 4.75
+# cells long.  A ball's row of cells nearest its center (in at most 4
+# dimensions, at most sqrt(3)/2 cells off it) crosses it on a chord of at
+# least 2 sqrt(2.5^2 - 3/4) > 4.6 cells.  Under the cell-center rule every
+# generated body therefore spans at least MIN_BODY_CELLS cells per axis.
+MIN_BODY_CELLS = 4
 
 
 def trial_rng(root_seed: int, trial: int) -> random.Random:

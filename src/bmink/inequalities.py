@@ -39,10 +39,13 @@ class InequalityReport:
     """Outcome of one inequality check.
 
     lhs/rhs are in the comparable form (see module docstring).  The
-    verdict follows from them once, at construction: slack is lhs - rhs,
-    equality is |slack| <= tolerance and a pass means slack >= -tolerance.
-    A negative slack beyond tolerance marks the report as a violation; it
-    is recorded, never dropped.  A zero tolerance is compared as the int 0,
+    verdicts follow from them and the flags once, at construction: slack
+    is lhs - rhs, equality is |slack| <= tolerance, and violation, the one
+    verdict the campaign counts, is any containment_failed flag (eq-4.2's
+    containment failed) or a slack below -tolerance without the flag
+    ratio_condition_violated (outside thm-4.2's volume-ratio window, where
+    the bound is not claimed, a failure is a finding).  A violation is
+    recorded, never dropped.  A zero tolerance is compared as the int 0,
     so an exact Fraction slack is never compared with a float.
     equality_class is populated on the exact engine only.  shapes, seed
     and trial identify the trial: checkers leave them empty and the
@@ -71,7 +74,9 @@ class InequalityReport:
         tol = self.tolerance or 0
         # bool(): a numpy side would otherwise leave numpy.bool_ verdicts
         self.equality = bool(abs(slack) <= tol)
-        self.violation = bool(slack < -tol)
+        self.violation = ("containment_failed" in self.flags
+                          or bool(slack < -tol)
+                          and "ratio_condition_violated" not in self.flags)
 
     def shapes_json(self) -> str:
         """The "shapes" value of line(), which the reports of one trial

@@ -9,11 +9,11 @@ from fractions import Fraction as F
 import pytest
 
 from bmink.campaign import (THEOREMS, _TRIALS, CampaignConfig,
-                            CampaignSummary, _is_violation, run_campaign)
+                            CampaignSummary, run_campaign)
 from bmink.exact2d import ConvexPolygon, GeometryError
 from bmink.generators import PLANT_HOMOTHETIC_SYMMETRIC, PLANT_TRANSLATE
 from bmink.inequalities import InequalityReport, shrinking_pair_demo
-from bmink.serialize import (realize_spec, shapespec_from_json,
+from bmink.serialize import (GridError, realize_spec, shapespec_from_json,
                              spec_from_polygon)
 
 
@@ -85,6 +85,35 @@ def test_exact_cor_multi_body_limit():
     CampaignConfig(theorem="cor-multi", engine="voxel", bodies=199).validate()
 
 
+@pytest.mark.parametrize("dim, fits", [(2, 1364), (3, 84), (4, 20)])
+def test_voxel_cor_multi_body_count_must_fit_the_grid_caps(dim, fits):
+    # Each generated body spans at least 4 cells per axis, so m bodies sum
+    # to at least 3m + 1 cells and a frame of 3m + 3: within 4096 per axis
+    # and 2^24 cells for m up to 1364 in 2D, 84 in 3D and 20 in 4D.
+    CampaignConfig(theorem="cor-multi", engine="voxel", dim=dim,
+                   bodies=fits).validate()
+    with pytest.raises(GridError, match="exceeds"):
+        CampaignConfig(theorem="cor-multi", engine="voxel", dim=dim,
+                       bodies=fits + 1).validate()
+
+
+@pytest.mark.parametrize("setting, reader", [
+    (dict(lam=F(1, 4)), {("thm-bbm", "exact"), ("thm-bbm", "voxel")}),
+    (dict(plant_rate=0.5), {("thm-av", "exact"), ("thm-bbm", "exact"),
+                            ("cor-multi", "exact")}),
+    (dict(bodies=4), {("cor-multi", "exact"), ("cor-multi", "voxel")}),
+], ids=["lambda", "plant-rate", "bodies"])
+def test_a_setting_is_taken_only_by_the_campaigns_that_read_it(setting,
+                                                               reader):
+    for theorem, engine in _TRIALS:
+        config = CampaignConfig(theorem=theorem, engine=engine, **setting)
+        if (theorem, engine) in reader:
+            config.validate()
+        else:
+            with pytest.raises(GeometryError, match="only"):
+                config.validate()
+
+
 def test_violation_counting_and_exit_code(monkeypatch):
     # Force a rigged negative-slack report through the pipeline to check the
     # exit-code contract; honest checkers never produce one.  Forked
@@ -109,23 +138,29 @@ def test_ratio_tagged_failures_are_not_violations():
                               lhs=0.1, rhs=4.0,
                               flags=("ratio_condition_violated",),
                               details={"ratio_ok": False})
-    assert not _is_violation(report)
+    assert not report.violation
     hard = InequalityReport(theorem_id="thm-4.2", engine="voxel",
                             lhs=0.1, rhs=4.0, details={"ratio_ok": True})
-    assert _is_violation(hard)
+    assert hard.violation
     # The exact engine's out-of-window failure: the square [-1, 1]^2 and its
-    # 1/100 copy.
+    # 1/100 copy.  It fails, keeps its flag and is no violation.
     exact = shrinking_pair_demo()["report"]
-    assert exact.engine == "exact" and exact.violation
+    assert exact.engine == "exact" and exact.slack < 0
     assert exact.flags == ("ratio_condition_violated",)
-    assert not _is_violation(exact)
-    # A failed containment is a violation inside or outside the window.
+    assert not exact.violation
+    assert '"violation":false' in exact.line()
+    # A failed containment is a violation inside or outside the window,
+    # whatever the slack.
     both = InequalityReport(theorem_id="thm-4.2", engine="voxel",
                             lhs=0.1, rhs=4.0,
                             flags=("ratio_condition_violated",
                                    "containment_failed"),
                             details={"ratio_ok": False})
-    assert _is_violation(both)
+    assert both.violation
+    pairs = InequalityReport(theorem_id="eq-4.2", engine="voxel", lhs=7,
+                             rhs=7, flags=("containment_failed",))
+    assert pairs.equality and pairs.violation
+    assert '"violation":true' in pairs.line()
 
 
 def test_trials_run_in_order_on_calling_thread(monkeypatch):
@@ -430,6 +465,7 @@ def test_worker_count_follows_cpus_and_blocks(monkeypatch):
 
 
 RAISING_TRIAL = """
+import dataclasses
 import multiprocessing
 from bmink import campaign
 from bmink.campaign import CampaignConfig, run_campaign
@@ -443,7 +479,9 @@ def rigged(config, k):
         raise GeometryError(f"trial {k} of seed {config.seed} failed")
     reports = run_trial(config, k)
     if k % 5 == 0:
-        reports[0].flags += ("containment_failed",)
+        # The verdict is decided at construction, so the flag goes in there.
+        reports[0] = dataclasses.replace(reports[0],
+                                         flags=("containment_failed",))
     return reports
 
 campaign._run_trial = rigged  # before any worker is forked

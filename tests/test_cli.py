@@ -525,6 +525,26 @@ def test_verify_rejects_a_voxel_cor_multi_sum_beyond_the_caps_early(capsys):
     assert err.startswith("error: extent") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "cor-multi --engine voxel --bodies 200000 --trials 1 --res 1/4",
+    "thm-av --engine voxel --plant-rate 1 --res 1/8 --trials 3",
+    "thm-av --lambda 1/4",
+    "rn --plant-rate 1 --bodies 9 --lambda 1/3",
+    "thm-av --bodies 2",
+])
+def test_verify_refuses_a_setting_it_cannot_honour_before_a_trial(argv,
+                                                                  capsys):
+    # A body count whose sum can never fit the grid caps, and a setting the
+    # campaign would never read, end in one error line before any drawing.
+    start = time.perf_counter()
+    assert main(["verify", *argv.split()]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
 LOST_WORKER = """
 import os
 from bmink import campaign

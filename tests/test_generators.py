@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmink import campaign, generators, voxel
 from bmink.campaign import CampaignConfig, _run_trial
@@ -99,6 +100,23 @@ def test_grid_generator_dimension_three():
     g, spec = gen_connected_boundary_set(trial_rng(8, 0), 3, 1 / 16)
     assert g.dim == 3 and spec.ndim == 3
     assert is_boundary_connected(g)
+
+
+@given(st.integers(0, 2 ** 31), st.sampled_from([2, 3, 4]),
+       st.sampled_from([1 / 4, 1 / 7, 1 / 8, 1 / 10, 1 / 16, 1 / 32]))
+@settings(max_examples=200, deadline=None)
+def test_generated_bodies_span_at_least_min_body_cells(seed, dim, h):
+    # CampaignConfig.validate refuses a voxel cor-multi body count from this
+    # floor, so no body and no single primitive may span fewer cells on any
+    # axis.  The coarse resolutions put most primitives at the 2.5-cell
+    # half-width floor.
+    rng = trial_rng(seed, dim)
+    center = [rng.uniform(-1, 1) for _ in range(dim)]
+    part = voxel.rasterize(generators._random_primitive(rng, dim, h, center),
+                           h)
+    grid, _ = gen_connected_boundary_set(rng, dim, h)
+    for g in (part, grid):
+        assert min(g.shape) - 2 >= generators.MIN_BODY_CELLS
 
 
 def test_box_set_generator():

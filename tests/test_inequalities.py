@@ -231,8 +231,10 @@ def test_exact_sides_on_ints_match_their_fraction_formulas(theorem):
     # on ints; the Fraction formulas they replaced stay the oracle.
     from bmink.campaign import CampaignConfig, _run_trial
 
-    config = CampaignConfig(theorem=theorem, trials=60, seed=3, bodies=4,
+    config = CampaignConfig(theorem=theorem, trials=60, seed=3,
+                            bodies=4 if theorem == "cor-multi" else 3,
                             plant_rate=0.3)
+    config.validate()
     for k in range(config.trials):
         report, = _run_trial(config, k)
         bodies = report.shapes

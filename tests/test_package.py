@@ -194,6 +194,18 @@ def test_modules_use_only_the_engines_public_names(module, engines):
     assert private == []
 
 
+def test_the_campaign_reads_no_report_flags():
+    # A report decides its own violation verdict from its flags; the
+    # campaign counts report.violation, the field the line writes, and
+    # never reads the flags that went into it.
+    tree = ast.parse((Path(bmink.__file__).resolve().parent
+                      / "campaign.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "flags"
+                or isinstance(node, ast.Constant) and node.value in (
+                    "containment_failed", "ratio_condition_violated")]
+
+
 # -- worker processes -------------------------------------------------------------
 
 PROCESS_MODULES = ("multiprocessing", "concurrent.futures")

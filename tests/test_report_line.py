@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from bmink.campaign import _TRIALS, CampaignConfig, _run_trial
+from bmink.campaign import _PLANTING, _TRIALS, CampaignConfig, _run_trial
 from bmink.exact2d import EqualityClass, EqualityTag, Point2
 from bmink.generators import PLANT_HOMOTHETIC_SYMMETRIC, PLANT_TRANSLATE
 from bmink.inequalities import EXACT, InequalityReport
@@ -61,9 +61,6 @@ def ref_line(report: InequalityReport) -> str:
 
 # Small campaigns of every (theorem, engine); the exact ones that can plant
 # an equality case plant at half their trials.
-_PLANTING = {"thm-av", "thm-bbm", "cor-multi"}
-
-
 @pytest.mark.parametrize("key", sorted(_TRIALS), ids="-".join)
 def test_every_campaign_line_matches_the_dict_path(key):
     theorem, engine = key

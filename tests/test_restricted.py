@@ -1,4 +1,5 @@
 import io
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from bmink import campaign, voxel
 from bmink.campaign import CampaignConfig, _run_trial, run_campaign
+from bmink.cli import main
 from bmink.exact2d import ConvexPolygon, scale
 from bmink.generators import gen_decomposition_pair, trial_rng
 from bmink.inequalities import check_thm_4_2, shrinking_pair_demo
@@ -212,6 +214,29 @@ def test_containment_failure_is_flagged_violation(monkeypatch):
     summary = run_campaign(CampaignConfig(theorem="thm-4.2", engine="voxel",
                                           h=1 / 16, trials=2, seed=5))
     assert summary.violations == 2
+
+
+def test_an_empty_dilate_mutant_reads_the_same_on_lines_and_summary(
+        monkeypatch, capsys):
+    # With dilate returning the empty set, every eq-4.2 containment fails
+    # (40 lines) and 5 in-window thm-4.2 lines fail; the 13 out-of-window
+    # thm-4.2 failures are findings.  The lines that read "violation":true
+    # are exactly those the summary counts and the exit code reads.
+    monkeypatch.setattr(campaign, "_workers", lambda: 1)
+    monkeypatch.setattr(voxel, "dilate", lambda a, b: voxel.GridSet(
+        a.dim, a.h, (0,) * a.dim, np.zeros((1,) * a.dim, bool)))
+    code = main(["verify", "thm-4.2", "--engine", "voxel", "--seed", "11",
+                 "--trials", "40"])
+    captured = capsys.readouterr()
+    lines = [json.loads(line) for line in captured.out.splitlines()]
+    summary = json.loads(captured.err)
+    assert code == 1
+    assert summary["violations"] == 45
+    assert sum(line["violation"] for line in lines) == 45
+    assert all(line["violation"] for line in lines
+               if line["theorem_id"] == "eq-4.2")
+    assert not any(line["violation"] for line in lines
+                   if "ratio_condition_violated" in line["flags"])
 
 
 # -- arithmetic bound ---------------------------------------------------------------
